@@ -3,8 +3,10 @@
 Subcommands:
 
 * ``analyze``   run the criteria on a scenario, emit a JSON report
-* ``simulate``  integrate the matrix system, print determinant zeros,
-                optionally dump a trajectory CSV
+* ``simulate``  integrate the matrix system from the conjoined starts
+                that ``verify`` uses (criteria.simulate_starts), print
+                determinant zeros, optionally dump a trajectory CSV of
+                the first start
 * ``verify``    run criteria and simulation, print the consistency table
 * ``list``      catalogue of built-in scenarios
 
@@ -20,9 +22,9 @@ Scenario files are JSON:
 
 Options mirror AnalysisOptions (rtol, atol, n_min, max_points,
 sign_convention, exponent_source, F_override, eps_zero, sim_window,
-...). F_override accepts "sqrt2_identity" (alias "paper_sqrt2_identity")
-or null. The environment variable HAMOSC_SEED fixes the seed for the
-random conjoined starts (default 42).
+...). F_override accepts "sqrt2_identity" or null. The environment
+variable HAMOSC_SEED fixes the seed for the random conjoined starts
+(default 42).
 
 All file output is written atomically (temp file + rename) and numbers
 are serialized with shortest round-trip decimal text.
@@ -192,8 +194,8 @@ def _tolerances_payload() -> dict:
         "pos_tol": coefsys.TOL_POS,
         "conjoined_tol": odeint.CONJ_TOL,
         "partition_cond_tol": riccati.TOL_COND,
-        "grid_per_window": 1024,
-        "grid_per_subinterval": 64,
+        "grid_per_window": riccati.GRID_PER_WINDOW,
+        "grid_per_subinterval": riccati.GRID_PER_SUBINTERVAL,
     }
 
 
@@ -283,23 +285,11 @@ def _det_series(traj, ts):
 
 def cmd_simulate(args) -> int:
     scen, window, options, _doc = load_scenario_file(args.scenario)
-    scen = coefsys.validated(scen, window)
-    real_coeffs = "real_coefficients" in scen.tags
-
-    eye = np.eye(2, dtype=complex)
-    starts = [("I,0", eye, np.zeros((2, 2), complex)), ("I,I", eye, eye)]
-    rng = np.random.default_rng(options.seed)
-    while len(starts) < args.starts:
-        starts.append((f"rand{len(starts) - 2}", eye, mat2.random_hermitian(rng, 1.0)))
-    starts = starts[: max(1, args.starts)]
-
     first_traj = None
     first_zeros = None
-    for label, phi0, psi0 in starts:
-        traj = odeint.solve_hamiltonian_frame(scen, phi0, psi0, window)
-        zeros = odeint.detect_det_zeros(
-            traj, options.eps_zero, real_coefficients=real_coeffs
-        )
+    for label, traj, zeros in criteria.simulate_starts(
+        scen, window, max(1, args.starts), options.eps_zero, seed=options.seed
+    ):
         if first_traj is None:
             first_traj, first_zeros = traj, zeros
         print(f"start ({label}): {len(zeros)} det-zero(s)")
@@ -417,7 +407,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (coefsys.NonHermitian, coefsys.NonHermitianSample, coefsys.OutOfDomain) as exc:
+    except (coefsys.NonHermitian, coefsys.OutOfDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

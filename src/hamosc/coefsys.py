@@ -48,7 +48,6 @@ __all__ = [
     "ValidationReport",
     "UnknownFamily",
     "MissingParam",
-    "NonHermitianSample",
     "NonHermitian",
     "OutOfDomain",
     "ZeroDiagonalB",
@@ -73,13 +72,6 @@ class UnknownFamily(ValueError):
 
 class MissingParam(ValueError):
     pass
-
-
-class NonHermitianSample(ValueError):
-    def __init__(self, t: float, which: str, asym: float):
-        super().__init__(f"{which}({t!r}) is not Hermitian (asymmetry {asym:.3e})")
-        self.t = t
-        self.which = which
 
 
 class NonHermitian(ValueError):
@@ -412,7 +404,7 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
         for which, mat in (("B", tab.samples[i, 1]), ("C", tab.samples[i, 2])):
             flag = is_hermitian(mat)
             if not flag.is_hermitian:
-                raise NonHermitianSample(float(t), which, flag.max_asymmetry)
+                raise NonHermitian(float(t), which, flag.max_asymmetry)
 
     bc = "not-a-knot" if len(tab.times) >= 4 else "natural"
     flat = tab.samples.reshape(len(tab.times), 12)

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -66,6 +66,7 @@ __all__ = [
     "nonoscillation_psd_envelope",
     "analyze",
     "resolve_reports",
+    "simulate_starts",
     "cross_validate",
 ]
 
@@ -81,13 +82,25 @@ NONOSC_PSD_ENVELOPE = "nonoscillation-psd-envelope"
 
 CRITERION_ORDER = (OSC_DIAG, NONOSC_SPLIT, NONOSC_ENVELOPE, OSC_PSD, NONOSC_PSD_ENVELOPE)
 
+# the only decisive answer each one-directional criterion may give
+_DIRECTION = {
+    OSC_DIAG: OSCILLATORY,
+    NONOSC_SPLIT: NON_OSCILLATORY,
+    NONOSC_ENVELOPE: NON_OSCILLATORY,
+    OSC_PSD: OSCILLATORY,
+    NONOSC_PSD_ENVELOPE: NON_OSCILLATORY,
+}
+
 # every conflict ever detected in this process; the acceptance suite
 # asserts this stays empty across all real scenarios
 CONFLICT_LOG: list = []
 
 
 class CriteriaConflict(RuntimeError):
-    """Two one-directional criteria disagreed. Always a bug, never math."""
+    """Criteria disagreed, or one answered against its direction.
+
+    Always a bug, never math.
+    """
 
     def __init__(self, message: str, reports=None):
         super().__init__(message)
@@ -170,11 +183,8 @@ def _sqrt2_identity(t):
     return math.sqrt(2.0) * np.eye(2, dtype=complex)
 
 
-# accepted spellings for the constant sandwich override sqrt(2) * I
-_F_OVERRIDES = {
-    "sqrt2_identity": _sqrt2_identity,
-    "paper_sqrt2_identity": _sqrt2_identity,
-}
+# sandwich overrides a scenario file can name: the constant sqrt(2) * I
+_F_OVERRIDES = {"sqrt2_identity": _sqrt2_identity}
 
 
 @dataclass(frozen=True)
@@ -194,7 +204,6 @@ class AnalysisResult:
 class ScalarOscResult:
     outcome: str  # oscillatory | non_oscillatory | undecided
     zeros: dict  # start label -> tuple of zero times
-    riccati_poles: tuple  # blow-up times of the associated Riccati flow
     window: tuple
     n_min: int
     notes: str = ""
@@ -213,13 +222,14 @@ def _quarter_threshold(lo: float, hi: float) -> float:
 
 
 _RENORM_LIMIT = 1e100  # rescale linear states beyond this to dodge overflow
+_N_SCAN = 8192  # sign-change scan points per window in scalar_osc_test
 
 
-def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float, n_scan: int) -> tuple:
+def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float) -> tuple:
     """Zeros of the first state component by sign change plus bisection."""
     from scipy.optimize import brentq
 
-    ts = np.linspace(lo, hi, n_scan)
+    ts = np.linspace(lo, hi, _N_SCAN)
     phi = traj.dense_eval(ts)[:, 0]
     zeros = []
     if phi[0] == 0.0:
@@ -256,7 +266,6 @@ def scalar_osc_test(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     burn_in: float = 0.1,
-    n_scan: int = 8192,
 ) -> ScalarOscResult:
     """Oscillation of the 2d linear system by direct zero counting.
 
@@ -268,10 +277,9 @@ def scalar_osc_test(
     Anything else is undecided.
 
     The ratio y = psi / phi obeys y' + f12 y^2 + (f11 - f22) y - f21 = 0
-    and blows up exactly at zeros of phi, so the Riccati flow for the
-    (1, 0) start is integrated as corroboration; its pole times are
-    reported, not used for the verdict. Linear states are rescaled when
-    they exceed 1e100: scaling by a positive factor moves no zero.
+    and blows up exactly at the zeros of phi, so these zero times are
+    also the pole times of the Riccati flow. Linear states are rescaled
+    when they exceed 1e100: scaling by a positive factor moves no zero.
     """
     lo, hi = float(window[0]), float(window[1])
 
@@ -287,33 +295,7 @@ def scalar_osc_test(
     zeros = {}
     for label, y0 in (("1,0", (1.0, 0.0)), ("0,1", (0.0, 1.0))):
         traj = odeint.adaptive_solve(fld, np.array(y0), (lo, hi), rtol, atol, post_step=renorm)
-        zeros[label] = _scan_zeros(traj, lo, hi, n_scan)
-
-    # Riccati corroboration for the (1, 0) start: chain through poles.
-    # Pole times are witnesses, not verdict input, so the tracker runs
-    # at modest tolerance and a lower escape bound.
-    poles = []
-    pole_cap = 1e6
-    t_cur, y_cur = lo, 0.0
-    span_floor = 1e-12 * (1.0 + abs(hi))
-    while t_cur < hi - span_floor and len(poles) < 100000:
-        traj, rec = odeint.solve_scalar_riccati(
-            f12,
-            lambda t: f11(t) - f22(t),
-            lambda t: -f21(t),
-            y_cur,
-            (t_cur, hi),
-            rtol=1e-7,
-            atol=1e-9,
-            y_max=pole_cap,
-        )
-        if rec is None:
-            break
-        poles.append(rec.escape_time)
-        if rec.escape_time <= t_cur + span_floor:
-            break
-        # restart just past the pole on the branch coming down from +inf
-        t_cur, y_cur = rec.escape_time, pole_cap
+        zeros[label] = _scan_zeros(traj, lo, hi)
 
     quarter = _quarter_threshold(lo, hi)
     burn_edge = lo + burn_in * (hi - lo)
@@ -323,7 +305,6 @@ def scalar_osc_test(
     return ScalarOscResult(
         outcome=outcome,
         zeros=zeros,
-        riccati_poles=tuple(poles),
         window=(lo, hi),
         n_min=n_min,
         notes=f"burn_in_edge={burn_edge:.6g} quarter_threshold={quarter:.6g}",
@@ -662,8 +643,6 @@ def psd_reduce(
     s: Scenario,
     window: tuple,
     f_override: Optional[Callable] = None,
-    *,
-    n_grid: int = 256,
 ) -> PsdReduction:
     """Reduce a PSD-B system to unit-B form through the square root.
 
@@ -732,7 +711,7 @@ def psd_reduce(
         memo[key] = out
         return out
 
-    ts = _grid(window, n_grid)
+    ts = _grid(window)
     residuals = np.empty(len(ts))
     herm_defect = 0.0
     for i, t in enumerate(ts):
@@ -993,21 +972,21 @@ def resolve_reports(reports) -> tuple:
 def analyze(s: Scenario, window: tuple, options: Optional[AnalysisOptions] = None) -> AnalysisResult:
     """Run all criteria in fixed order and aggregate.
 
-    One-directionality is asserted structurally; a cross-criterion
-    conflict raises CriteriaConflict with all reports attached and is
+    A report out of its slot in CRITERION_ORDER, a report answering
+    against its criterion's direction, and a cross-criterion conflict
+    each raise CriteriaConflict with all reports attached and are
     appended to CONFLICT_LOG.
     """
     opt = options or AnalysisOptions()
     s = coefsys.validated(s, window)
     reports = _run_criteria(s, window, opt)
-    for rep, cid in zip(reports, CRITERION_ORDER):
-        assert rep.criterion == cid
-        if cid in (OSC_DIAG, OSC_PSD):
-            assert rep.verdict.kind in (OSCILLATORY, INCONCLUSIVE)
-        else:
-            assert rep.verdict.kind in (NON_OSCILLATORY, INCONCLUSIVE)
+    misplaced = [
+        r
+        for r, cid in zip(reports, CRITERION_ORDER)
+        if r.criterion != cid or r.verdict.kind not in (_DIRECTION[cid], INCONCLUSIVE)
+    ]
     verdict, conflict = resolve_reports(reports)
-    if conflict:
+    if misplaced or conflict:
         CONFLICT_LOG.append(
             {
                 "scenario": s.name,
@@ -1015,8 +994,9 @@ def analyze(s: Scenario, window: tuple, options: Optional[AnalysisOptions] = Non
                 "kinds": sorted(r.verdict.kind for r in reports),
             }
         )
+        what = "criteria out of order or direction" if misplaced else "criteria disagree"
         raise CriteriaConflict(
-            f"criteria disagree on {s.name!r}: "
+            f"{what} on {s.name!r}: "
             + ", ".join(f"{r.criterion}={r.verdict.kind}" for r in reports),
             reports=reports,
         )
@@ -1052,11 +1032,32 @@ class CrossValidation:
     notes: str = ""
 
 
-def _sim_one_start(
-    s: Scenario, phi0, psi0, window, eps_zero, real_coeffs, label
-) -> StartRecord:
-    traj = odeint.solve_hamiltonian_frame(s, phi0, psi0, window)
-    zeros = odeint.detect_det_zeros(traj, eps_zero, real_coefficients=real_coeffs)
+def simulate_starts(
+    s: Scenario, window: tuple, n_starts: int, eps_zero: float = 1e-7, *, seed: int = 42
+) -> Iterator[tuple]:
+    """Frame-integrate conjoined starts and find the zeros of det Phi.
+
+    The starts are (I, 0) and (I, I), then Phi0 = I with Psi0 drawn by
+    random_hermitian from a generator seeded with seed; the first
+    n_starts of that sequence run. The scenario is validated on the
+    window, whose real_coefficients tag switches on sign-change zero
+    detection. Yields one (label, trajectory, zero records) per start,
+    integrating each only when asked for it, so a caller that keeps no
+    trajectory holds one at a time.
+    """
+    s = coefsys.validated(s, window)
+    real_coeffs = "real_coefficients" in s.tags
+    eye = np.eye(2, dtype=complex)
+    start_list = [("I,0", eye, np.zeros((2, 2), complex)), ("I,I", eye, eye)]
+    rng = np.random.default_rng(seed)
+    for i in range(max(0, n_starts - 2)):
+        start_list.append((f"rand{i}", eye, mat2.random_hermitian(rng, 1.0)))
+    for label, phi0, psi0 in start_list[:n_starts]:
+        traj = odeint.solve_hamiltonian_frame(s, phi0, psi0, window)
+        yield label, traj, odeint.detect_det_zeros(traj, eps_zero, real_coefficients=real_coeffs)
+
+
+def _start_record(label: str, traj: odeint.Trajectory, zeros: list, window: tuple) -> StartRecord:
     lo, hi = float(window[0]), float(window[1])
     burn_edge = lo + 0.1 * (hi - lo)
     # min |det Phi| over nodes, in log form: the frame determinant is
@@ -1087,11 +1088,11 @@ def cross_validate(
 ) -> CrossValidation:
     """Compare criterion verdicts against direct simulation.
 
-    Integrates the matrix pair from n_starts conjoined starts: always
-    (I, 0) and (I, I), then random Hermitian Psi0 with Phi0 = I.
-    SIM-oscillatory: every start shows at least 2 determinant zeros with
-    the last in the final quarter. SIM-nonoscillatory: some start shows
-    no zeros past the burn-in prefix. The simulation window may be
+    Integrates the matrix pair from the n_starts conjoined starts of
+    simulate_starts. SIM-oscillatory: every start shows at least 2
+    determinant zeros with the last in the final quarter.
+    SIM-nonoscillatory: some start shows no zeros past the burn-in
+    prefix. The simulation window may be
     narrower than the analysis window (options.sim_window) to keep stiff
     scenarios affordable; records carry the window they used.
 
@@ -1103,22 +1104,12 @@ def cross_validate(
     if n_starts < 1:
         raise ValueError("n_starts must be >= 1")
     opt = options or AnalysisOptions(eps_zero=eps_zero, n_starts=n_starts, seed=seed)
-    s = coefsys.validated(s, window)
     if analysis is None:
         analysis = analyze(s, window, opt)
     sim_window = opt.sim_window or (float(window[0]), float(window[1]))
-    real_coeffs = "real_coefficients" in s.tags
-
-    eye = np.eye(2, dtype=complex)
-    start_list = [("I,0", eye, np.zeros((2, 2), complex)), ("I,I", eye, eye)]
-    rng = np.random.default_rng(seed)
-    for i in range(max(0, n_starts - 2)):
-        start_list.append((f"rand{i}", eye, mat2.random_hermitian(rng, 1.0)))
-    start_list = start_list[:n_starts]
-
     records = tuple(
-        _sim_one_start(s, phi0, psi0, sim_window, opt.eps_zero, real_coeffs, label)
-        for label, phi0, psi0 in start_list
+        _start_record(label, traj, zeros, sim_window)
+        for label, traj, zeros in simulate_starts(s, sim_window, n_starts, opt.eps_zero, seed=seed)
     )
 
     lo, hi = sim_window

@@ -21,7 +21,9 @@ Drivers provided:
   with positive real determinant).
 * ``solve_scalar_riccati`` / ``solve_matrix_riccati``: the quadratic flows
   with escape detection at a configurable norm, returning the surviving
-  trajectory plus a blow-up record.
+  trajectory plus a blow-up record. The criteria never call them: a
+  Riccati pole is a zero of the linear flow, which they count directly.
+  The tests use them to check that correspondence.
 * ``detect_det_zeros``: sign-change bisection plus modulus-dip refinement
   on a normalized determinant indicator.
 
@@ -133,6 +135,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA1 = 0.7 / 5  # PI controller gains
 _BETA2 = 0.4 / 5
+_MAX_STEPS = 5_000_000  # step budget per solve; exhausting it raises
 
 
 @dataclass(frozen=True)
@@ -236,13 +239,11 @@ def _dp45(
     atol: float,
     *,
     max_step: float = math.inf,
-    first_step: float | None = None,
     post_step: Callable | None = None,
     on_accept: Callable | None = None,
     escape_norm: float | None = None,
     escape_slice: slice | None = None,
     underflow: str = "raise",
-    max_steps: int = 5_000_000,
 ) -> Trajectory:
     if not t_end > t0:
         raise ValueError("window must satisfy t_end > t0")
@@ -250,7 +251,7 @@ def _dp45(
     n = y.size
     t = float(t0)
     f0 = np.asarray(fun(t, y), dtype=float)
-    h = first_step if first_step is not None else _initial_step(fun, t, y, f0, t_end, rtol, atol, max_step)
+    h = _initial_step(fun, t, y, f0, t_end, rtol, atol, max_step)
     h = max(min(h, t_end - t, max_step), 1e-13 * max(1.0, abs(t)))
 
     times = [t]
@@ -269,7 +270,7 @@ def _dp45(
     steps = 0
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         steps += 1
-        if steps > max_steps:
+        if steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted")
         h = min(h, t_end - t, max_step)
 
@@ -571,8 +572,6 @@ def solve_hamiltonian(
     *,
     rtol: float = DEFAULT_RTOL,
     atol: float = DEFAULT_ATOL,
-    check_conjoined: bool = True,
-    escape_norm: float | None = None,
 ) -> Trajectory:
     """Integrate the matrix pair flow, monitoring the conjoinedness defect.
 
@@ -585,7 +584,7 @@ def solve_hamiltonian(
     psi0 = np.asarray(psi0, complex)
     d0 = _conjoined_defect(phi0, psi0)
     scale0 = 1.0 + norm_max(phi0) * norm_max(psi0)
-    if check_conjoined and d0 > 1e-9 * scale0:
+    if d0 > 1e-9 * scale0:
         raise ConjoinedDrift(float(window[0]), d0, "initial pair is not conjoined")
 
     defect_t: list[float] = []
@@ -596,7 +595,7 @@ def solve_hamiltonian(
         d = _conjoined_defect(phi, psi)
         defect_t.append(t)
         defect_v.append(d)
-        if check_conjoined and d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
+        if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
             raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
 
     traj = _dp45(
@@ -607,8 +606,6 @@ def solve_hamiltonian(
         rtol,
         atol,
         on_accept=on_accept,
-        escape_norm=escape_norm,
-        underflow="event" if escape_norm is not None else "raise",
     )
     traj.meta.update(
         kind="hamiltonian",
@@ -648,7 +645,6 @@ def solve_hamiltonian_frame(
     *,
     rtol: float = 1e-9,
     atol: float = 1e-11,
-    check_conjoined: bool = True,
 ) -> Trajectory:
     """Frame-renormalized integration of the matrix pair flow.
 
@@ -662,7 +658,7 @@ def solve_hamiltonian_frame(
     psi0 = np.asarray(psi0, complex)
     x0 = np.vstack([phi0, psi0])
     d0 = _conjoined_defect(phi0, psi0)
-    if check_conjoined and d0 > 1e-9 * (1.0 + norm_max(phi0) * norm_max(psi0)):
+    if d0 > 1e-9 * (1.0 + norm_max(phi0) * norm_max(psi0)):
         raise ConjoinedDrift(float(window[0]), d0, "initial pair is not conjoined")
     q0, log0 = _qr_columns(x0)
 
@@ -677,11 +673,10 @@ def solve_hamiltonian_frame(
 
     def on_accept(t, y):
         log_nodes.append(log_acc[0])
-        if check_conjoined:
-            phi, psi = unpack_pair(y)
-            d = _conjoined_defect(phi, psi)
-            if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
-                raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
+        phi, psi = unpack_pair(y)
+        d = _conjoined_defect(phi, psi)
+        if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
+            raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
 
     traj = _dp45(
         _hamiltonian_field(scenario),
@@ -865,7 +860,6 @@ def detect_det_zeros(
     eps_zero: float = 1e-7,
     *,
     real_coefficients: bool = False,
-    merge_tol: float = 1e-9,
 ) -> list[ZeroRecord]:
     """Locate zeros of det Phi along a Hamiltonian trajectory.
 
@@ -875,7 +869,8 @@ def detect_det_zeros(
     as det = cos^2 t that never change sign. The modulus path always runs.
     A candidate t* is reported when |det Phi| <= eps_zero * (1 + |Phi|^2)
     there, evaluated in the trajectory's own normalization. Zeros closer
-    than merge_tol are merged.
+    than 1e-9 (1 + |t|) are merged, or 1e-7 (1 + |t|) when the two
+    detectors report the same zero.
     """
     if traj.meta.get("kind") != "hamiltonian":
         raise ValueError("detect_det_zeros expects a Hamiltonian trajectory")
@@ -948,7 +943,7 @@ def detect_det_zeros(
             # dip landing that close to a root of another kind is the same
             # zero seen by both detectors; keep the sharper record
             same_kind = rec.kind == prev.kind
-            tol = max(merge_tol, (1e-9 if same_kind else 1e-7) * (1 + abs(rec.time)))
+            tol = (1e-9 if same_kind else 1e-7) * (1 + abs(rec.time))
             if abs(rec.time - prev.time) <= tol:
                 if rec.residual < prev.residual:
                     merged[-1] = rec

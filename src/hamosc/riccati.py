@@ -10,23 +10,15 @@ Everything here feeds the verdict engines in ``criteria``:
   integral int exp{int_{t_k}^tau [g - I(t_k; s)] ds} h(tau) dtau must
   stay nonpositive, and ``partition_search`` looks for a partition
   greedily;
-* the comparison oracle: existence and ordering transfer between two
-  scalar Riccati flows with ordered free terms (f >= 0, h <= h1), used
-  as a test oracle throughout the suite;
 * the free terms chi_1, chi_2 distilled from the diagonal-B structure,
   in the sign-corrected convention (see free_term_diag);
 * the coupling envelope machinery: the weighted running maximum of
   |a12/b1 - conj(a21)/b2|, the exponentially weighted integrals of the
-  off-diagonal drive, and the derived free terms chi_3, chi_4;
-* the joint subsystem flow for (z11, y) and (z22, v) after the ratio
-  substitutions, plus the bound check that validates the envelope
-  inequality against direct integration.
+  off-diagonal drive, and the derived free terms chi_3, chi_4.
 
 The envelope's c12 term carries a sign ambiguity (two reasonable
 derivations disagree on it); both variants are computable via
-sign_convention in {"minus_c12", "plus_c12"}. The coupling-bound check
-always uses plus_c12, which is the form consistent with the
-variation-of-constants representation of y and v.
+sign_convention in {"minus_c12", "plus_c12"}.
 """
 
 from __future__ import annotations
@@ -39,15 +31,7 @@ import numpy as np
 
 from .coefsys import Scenario, ratio_fns
 from .mat2 import norm_max
-from .odeint import (
-    DEFAULT_ATOL,
-    DEFAULT_RTOL,
-    DEFAULT_Y_MAX,
-    BlowupRecord,
-    Trajectory,
-    adaptive_solve,
-    solve_scalar_riccati,
-)
+from .odeint import Trajectory, adaptive_solve
 
 __all__ = [
     "Kernel",
@@ -55,34 +39,30 @@ __all__ = [
     "ChiProfile",
     "EnvelopeData",
     "EnvelopeTerms",
-    "HypothesisViolated",
     "NotDiagonalB",
     "NotPositiveB",
     "exp_weighted_integral",
     "check_partition_condition",
     "partition_search",
-    "comparison_oracle",
     "free_term_diag",
     "coupling_gap_peak",
     "envelope_terms_diag",
     "build_envelope_terms",
-    "subsystem_solve",
-    "coupling_bound_check",
     "TOL_COND",
+    "GRID_PER_WINDOW",
+    "GRID_PER_SUBINTERVAL",
 ]
 
 # nonpositivity slack for the partition condition, scaled by the running
 # integral of |h| so long windows with large kernels are not penalized
 TOL_COND = 1e-10
 
+# sample counts of the partition search and envelope grids (per window)
+# and of the partition condition check (per subinterval)
+GRID_PER_WINDOW = 1024
+GRID_PER_SUBINTERVAL = 64
+
 _EXP_CAP = 700.0  # exp argument cap; overflow becomes a huge finite value
-
-
-class HypothesisViolated(RuntimeError):
-    def __init__(self, which: str, t: float):
-        super().__init__(f"hypothesis {which!r} fails at t = {t!r}")
-        self.which = which
-        self.t = t
 
 
 class NotDiagonalB(ValueError):
@@ -180,14 +160,13 @@ def check_partition_condition(
     k: Kernel,
     part: Partition,
     *,
-    n_grid: int = 64,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> tuple[bool, Optional[tuple]]:
     """Whether the nonpositivity condition holds on every subinterval.
 
     For each consecutive pair the augmented integral T is sampled at
-    n_grid interior points plus the endpoints; the condition is
+    GRID_PER_SUBINTERVAL points plus the left endpoint; the condition is
     T <= TOL_COND * (1 + Tabs) throughout. Returns (ok, first_violation)
     with first_violation = (subinterval index, t) when it fails.
     """
@@ -195,7 +174,7 @@ def check_partition_condition(
     for ki in range(len(pts) - 1):
         lo, hi = pts[ki], pts[ki + 1]
         traj = _condition_profile(k, lo, hi, rtol, atol)
-        ts = np.linspace(lo, traj.t_end, max(n_grid, 2) + 1)
+        ts = np.linspace(lo, traj.t_end, GRID_PER_SUBINTERVAL + 1)
         states = traj.dense_eval(ts)
         tvals = states[:, 2]
         tabs = states[:, 3]
@@ -214,7 +193,6 @@ def partition_search(
     window: tuple,
     max_points: int = 64,
     *,
-    grid_n: int = 1024,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> Optional[Partition]:
@@ -231,7 +209,7 @@ def partition_search(
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy T > t0")
-    ts = np.linspace(lo, hi, grid_n + 1)
+    ts = np.linspace(lo, hi, GRID_PER_WINDOW + 1)
     min_advance = (hi - lo) / max_points
     points = [lo]
     cur = lo
@@ -257,58 +235,6 @@ def partition_search(
         points.append(nxt)
         cur = nxt
     return Partition(tuple(points))
-
-
-def comparison_oracle(
-    f: Callable,
-    g: Callable,
-    h: Callable,
-    h1: Callable,
-    y1_0: float,
-    y_0: float,
-    window: tuple,
-    *,
-    tol: float = 1e-6,
-    y_max: float = DEFAULT_Y_MAX,
-) -> bool:
-    """Existence and ordering transfer between two scalar Riccati flows.
-
-    With f >= 0, h <= h1, and y(t0) >= y1(t0), the solution y of
-    y' + f y^2 + g y + h = 0 must exist wherever y1 (same f, g, free
-    term h1) exists, and satisfy y >= y1 - tol * (1 + |y1|). Hypotheses
-    are sampled on a 256-point grid and violations raise; a failed
-    conclusion returns False. This is a test oracle, not a production
-    decision path.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    grid = np.linspace(lo, hi, 256)
-    fs = np.array([f(t) for t in grid])
-    hs = np.array([h(t) for t in grid])
-    h1s = np.array([h1(t) for t in grid])
-    scale = 1.0 + max(np.max(np.abs(hs)), np.max(np.abs(h1s)), np.max(np.abs(fs)))
-    hyp_tol = 1e-9 * scale
-    if np.any(fs < -hyp_tol):
-        raise HypothesisViolated("f >= 0", float(grid[int(np.argmin(fs))]))
-    if np.any(hs > h1s + hyp_tol):
-        raise HypothesisViolated("h <= h1", float(grid[int(np.argmax(hs - h1s))]))
-    if y_0 < y1_0 - 1e-9 * (1.0 + abs(y1_0)):
-        raise HypothesisViolated("y(t0) >= y1(t0)", lo)
-
-    traj1, rec1 = solve_scalar_riccati(f, g, h1, y1_0, (lo, hi), y_max=y_max)
-    traj0, rec0 = solve_scalar_riccati(f, g, h, y_0, (lo, hi), y_max=y_max)
-
-    end1 = traj1.t_end
-    end0 = traj0.t_end
-    if rec1 is None and rec0 is not None:
-        return False
-    if rec1 is not None and end0 < end1 - 1e-6 * (1.0 + abs(end1)):
-        return False
-
-    tc = min(end0, end1)
-    sample = lo + (tc - lo) * np.linspace(0.0, 0.999999, 256)
-    y1v = traj1.dense_eval(sample)[:, 0]
-    y0v = traj0.dense_eval(sample)[:, 0]
-    return bool(np.all(y0v >= y1v - tol * (1.0 + np.abs(y1v))))
 
 
 # ---------------------------------------------------------------------------
@@ -404,7 +330,6 @@ def build_envelope_terms(
     window: tuple,
     sign_convention: str = "minus_c12",
     *,
-    grid_n: int = 1024,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> EnvelopeTerms:
@@ -437,7 +362,7 @@ def build_envelope_terms(
 
     traj = adaptive_solve(field, np.zeros(3), (lo, hi), rtol, atol)
 
-    ts = np.linspace(lo, hi, grid_n + 1)
+    ts = np.linspace(lo, hi, GRID_PER_WINDOW + 1)
     rs = traj.dense_eval(ts)[:, 0]
     gaps = np.array([abs(data.r1(t) - data.r2(t)) for t in ts])
     m = np.empty_like(gaps)
@@ -558,153 +483,3 @@ def envelope_terms_diag(
     """chi_3 and chi_4 for a positive diagonal-B scenario."""
     _require_positive_diag(s)
     return build_envelope_terms(_diag_envelope_data(s), window, sign_convention, **kw)
-
-
-# ---------------------------------------------------------------------------
-# The substituted subsystem flow and the envelope bound check.
-
-
-def subsystem_solve(
-    s: Scenario,
-    which: str,
-    init: tuple,
-    window: tuple,
-    *,
-    other_init: tuple | None = None,
-    y_max: float = DEFAULT_Y_MAX,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> tuple[Trajectory, Optional[BlowupRecord]]:
-    """Integrate the ratio-substituted pair flow and project one pair.
-
-    which = "first" returns (z11, y) with y = z12 + conj(a21)/b2;
-    which = "second" returns (z22, v) with v = z12 + a12/b1. The two
-    displayed pairs are not closed on their own: each drive couples to
-    the other diagonal component through b1 z11 + b2 z22, so the full
-    four-real-plus-two-complex state is integrated jointly and the
-    requested projection is returned. init seeds the requested pair and
-    other_init the opposite one (defaults to mirroring init).
-
-    The returned trajectory's states are (z, Re w, Im w).
-    """
-    if which not in ("first", "second"):
-        raise ValueError("which must be 'first' or 'second'")
-    rf = ratio_fns(s)
-    z0, w0 = float(init[0]), complex(init[1])
-    oz0, ow0 = (z0, w0) if other_init is None else (float(other_init[0]), complex(other_init[1]))
-    if which == "first":
-        z11_0, y0, z22_0, v0 = z0, w0, oz0, ow0
-    else:
-        z22_0, v0, z11_0, y0 = z0, w0, oz0, ow0
-
-    def field(t, st):
-        z11, z22 = st[0], st[1]
-        y = st[2] + 1j * st[3]
-        v = st[4] + 1j * st[5]
-        a, b, c = s.eval(t)
-        b1 = float(np.real(b[0, 0]))
-        b2 = float(np.real(b[1, 1]))
-        a11, a12, a21, a22 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
-        c11 = float(np.real(c[0, 0]))
-        c22 = float(np.real(c[1, 1]))
-        c12 = c[0, 1]
-        asum = np.conj(a11) + a22
-        sig = b1 * z11 + b2 * z22 + asum
-        dz11 = -(
-            b1 * z11 * z11
-            + 2.0 * float(np.real(a11)) * z11
-            + b2 * abs(y) ** 2
-            - abs(a21) ** 2 / b2
-            - c11
-        )
-        dz22 = -(
-            b2 * z22 * z22
-            + 2.0 * float(np.real(a22)) * z22
-            + b1 * abs(v) ** 2
-            - abs(a12) ** 2 / b1
-            - c22
-        )
-        dy = -(
-            sig * y
-            + (a12 - (b1 / b2) * np.conj(a21)) * z11
-            - rf.dr2(t)
-            - rf.r2(t) * asum
-            - c12
-        )
-        dv = -(
-            sig * v
-            + (np.conj(a21) - (b2 / b1) * a12) * z22
-            - rf.dr1(t)
-            - rf.r1(t) * asum
-            - c12
-        )
-        return np.array([dz11, dz22, dy.real, dy.imag, dv.real, dv.imag])
-
-    st0 = np.array([z11_0, z22_0, y0.real, y0.imag, v0.real, v0.imag])
-    traj = adaptive_solve(
-        field,
-        st0,
-        window,
-        rtol,
-        atol,
-        escape_norm=y_max,
-        underflow="event",
-    )
-    record = None
-    if any(e.kind in ("escape", "underflow") for e in traj.events):
-        record = BlowupRecord(
-            escape_time=traj.t_end, last_norm=float(np.max(np.abs(traj.states[-1])))
-        )
-    idx = (0, 2, 3) if which == "first" else (1, 4, 5)
-    proj = Trajectory(
-        times=traj.times,
-        states=traj.states[:, list(idx)],
-        events=traj.events,
-        meta={"kind": f"subsystem_{which}", "joint": traj},
-        _seg_h=traj._seg_h,
-        _seg_y=traj._seg_y[:, list(idx)],
-        _seg_q=traj._seg_q[:, list(idx), :],
-    )
-    return proj, record
-
-
-def coupling_bound_check(
-    s: Scenario,
-    window: tuple,
-    *,
-    z0: float = 1.0,
-    tol: float = 1e-6,
-    n_grid: int = 200,
-) -> bool:
-    """Validate the coupling envelope bound against direct integration.
-
-    Integrates the joint substituted flow from (z0, 0) for both pairs
-    and, provided both diagonal components stay nonnegative on the
-    window, asserts |y| <= M + E_y and |v| <= M + E_v within
-    tol * (1 + bound) on a uniform grid. A negative diagonal component
-    raises HypothesisViolated: the bound promises nothing there. The
-    envelope uses the plus_c12 drive, which is the form produced by the
-    variation-of-constants representation of y and v.
-    """
-    if z0 < 0.0:
-        raise ValueError("z0 must be nonnegative")
-    _require_positive_diag(s)
-    traj, record = subsystem_solve(s, "first", (z0, 0.0), window)
-    joint = traj.meta["joint"]
-    hi = joint.t_end
-    zmin = float(np.min(joint.states[:, :2]))
-    if zmin < -1e-9 * (1.0 + abs(zmin)):
-        tneg = float(joint.times[int(np.argmin(np.min(joint.states[:, :2], axis=1)))])
-        raise HypothesisViolated("z >= 0", tneg)
-
-    env = build_envelope_terms(_diag_envelope_data(s), (float(window[0]), hi), "plus_c12")
-    ts = np.linspace(float(window[0]), hi, n_grid)
-    states = joint.dense_eval(ts)
-    y_abs = np.hypot(states[:, 2], states[:, 3])
-    v_abs = np.hypot(states[:, 4], states[:, 5])
-    for i, t in enumerate(ts):
-        by = env.m_peak(t) + env.e_y(t)
-        bv = env.m_peak(t) + env.e_v(t)
-        if y_abs[i] > by + tol * (1.0 + by) or v_abs[i] > bv + tol * (1.0 + bv):
-            return False
-    return True

@@ -1,0 +1,235 @@
+"""Reference checks the test suite compares the package against.
+
+* ``comparison_oracle``: existence and ordering transfer between two
+  scalar Riccati flows with ordered free terms (f >= 0, h <= h1);
+* ``subsystem_solve``: the joint flow of (z11, y) and (z22, v) after the
+  ratio substitutions;
+* ``coupling_bound_check``: the coupling envelope inequality against
+  that flow. It always uses the plus_c12 drive, which is the form
+  consistent with the variation-of-constants representation of y and v.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Optional
+
+import numpy as np
+
+from hamosc import riccati
+from hamosc.coefsys import Scenario, ratio_fns
+from hamosc.odeint import (
+    DEFAULT_ATOL,
+    DEFAULT_RTOL,
+    DEFAULT_Y_MAX,
+    BlowupRecord,
+    Trajectory,
+    adaptive_solve,
+    solve_scalar_riccati,
+)
+
+
+class HypothesisViolated(RuntimeError):
+    def __init__(self, which: str, t: float):
+        super().__init__(f"hypothesis {which!r} fails at t = {t!r}")
+        self.which = which
+        self.t = t
+
+
+def comparison_oracle(
+    f: Callable,
+    g: Callable,
+    h: Callable,
+    h1: Callable,
+    y1_0: float,
+    y_0: float,
+    window: tuple,
+    *,
+    tol: float = 1e-6,
+    y_max: float = DEFAULT_Y_MAX,
+) -> bool:
+    """Existence and ordering transfer between two scalar Riccati flows.
+
+    With f >= 0, h <= h1, and y(t0) >= y1(t0), the solution y of
+    y' + f y^2 + g y + h = 0 must exist wherever y1 (same f, g, free
+    term h1) exists, and satisfy y >= y1 - tol * (1 + |y1|). Hypotheses
+    are sampled on a 256-point grid and violations raise; a failed
+    conclusion returns False. This is a test oracle, not a production
+    decision path.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    grid = np.linspace(lo, hi, 256)
+    fs = np.array([f(t) for t in grid])
+    hs = np.array([h(t) for t in grid])
+    h1s = np.array([h1(t) for t in grid])
+    scale = 1.0 + max(np.max(np.abs(hs)), np.max(np.abs(h1s)), np.max(np.abs(fs)))
+    hyp_tol = 1e-9 * scale
+    if np.any(fs < -hyp_tol):
+        raise HypothesisViolated("f >= 0", float(grid[int(np.argmin(fs))]))
+    if np.any(hs > h1s + hyp_tol):
+        raise HypothesisViolated("h <= h1", float(grid[int(np.argmax(hs - h1s))]))
+    if y_0 < y1_0 - 1e-9 * (1.0 + abs(y1_0)):
+        raise HypothesisViolated("y(t0) >= y1(t0)", lo)
+
+    traj1, rec1 = solve_scalar_riccati(f, g, h1, y1_0, (lo, hi), y_max=y_max)
+    traj0, rec0 = solve_scalar_riccati(f, g, h, y_0, (lo, hi), y_max=y_max)
+
+    end1 = traj1.t_end
+    end0 = traj0.t_end
+    if rec1 is None and rec0 is not None:
+        return False
+    if rec1 is not None and end0 < end1 - 1e-6 * (1.0 + abs(end1)):
+        return False
+
+    tc = min(end0, end1)
+    sample = lo + (tc - lo) * np.linspace(0.0, 0.999999, 256)
+    y1v = traj1.dense_eval(sample)[:, 0]
+    y0v = traj0.dense_eval(sample)[:, 0]
+    return bool(np.all(y0v >= y1v - tol * (1.0 + np.abs(y1v))))
+
+
+def subsystem_solve(
+    s: Scenario,
+    which: str,
+    init: tuple,
+    window: tuple,
+    *,
+    other_init: tuple | None = None,
+    y_max: float = DEFAULT_Y_MAX,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> tuple[Trajectory, Optional[BlowupRecord]]:
+    """Integrate the ratio-substituted pair flow and project one pair.
+
+    which = "first" returns (z11, y) with y = z12 + conj(a21)/b2;
+    which = "second" returns (z22, v) with v = z12 + a12/b1. The two
+    displayed pairs are not closed on their own: each drive couples to
+    the other diagonal component through b1 z11 + b2 z22, so the full
+    four-real-plus-two-complex state is integrated jointly and the
+    requested projection is returned. init seeds the requested pair and
+    other_init the opposite one (defaults to mirroring init).
+
+    The returned trajectory's states are (z, Re w, Im w).
+    """
+    if which not in ("first", "second"):
+        raise ValueError("which must be 'first' or 'second'")
+    rf = ratio_fns(s)
+    z0, w0 = float(init[0]), complex(init[1])
+    oz0, ow0 = (z0, w0) if other_init is None else (float(other_init[0]), complex(other_init[1]))
+    if which == "first":
+        z11_0, y0, z22_0, v0 = z0, w0, oz0, ow0
+    else:
+        z22_0, v0, z11_0, y0 = z0, w0, oz0, ow0
+
+    def field(t, st):
+        z11, z22 = st[0], st[1]
+        y = st[2] + 1j * st[3]
+        v = st[4] + 1j * st[5]
+        a, b, c = s.eval(t)
+        b1 = float(np.real(b[0, 0]))
+        b2 = float(np.real(b[1, 1]))
+        a11, a12, a21, a22 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
+        c11 = float(np.real(c[0, 0]))
+        c22 = float(np.real(c[1, 1]))
+        c12 = c[0, 1]
+        asum = np.conj(a11) + a22
+        sig = b1 * z11 + b2 * z22 + asum
+        dz11 = -(
+            b1 * z11 * z11
+            + 2.0 * float(np.real(a11)) * z11
+            + b2 * abs(y) ** 2
+            - abs(a21) ** 2 / b2
+            - c11
+        )
+        dz22 = -(
+            b2 * z22 * z22
+            + 2.0 * float(np.real(a22)) * z22
+            + b1 * abs(v) ** 2
+            - abs(a12) ** 2 / b1
+            - c22
+        )
+        dy = -(
+            sig * y
+            + (a12 - (b1 / b2) * np.conj(a21)) * z11
+            - rf.dr2(t)
+            - rf.r2(t) * asum
+            - c12
+        )
+        dv = -(
+            sig * v
+            + (np.conj(a21) - (b2 / b1) * a12) * z22
+            - rf.dr1(t)
+            - rf.r1(t) * asum
+            - c12
+        )
+        return np.array([dz11, dz22, dy.real, dy.imag, dv.real, dv.imag])
+
+    st0 = np.array([z11_0, z22_0, y0.real, y0.imag, v0.real, v0.imag])
+    traj = adaptive_solve(
+        field,
+        st0,
+        window,
+        rtol,
+        atol,
+        escape_norm=y_max,
+        underflow="event",
+    )
+    record = None
+    if any(e.kind in ("escape", "underflow") for e in traj.events):
+        record = BlowupRecord(
+            escape_time=traj.t_end, last_norm=float(np.max(np.abs(traj.states[-1])))
+        )
+    idx = (0, 2, 3) if which == "first" else (1, 4, 5)
+    proj = Trajectory(
+        times=traj.times,
+        states=traj.states[:, list(idx)],
+        events=traj.events,
+        meta={"kind": f"subsystem_{which}", "joint": traj},
+        _seg_h=traj._seg_h,
+        _seg_y=traj._seg_y[:, list(idx)],
+        _seg_q=traj._seg_q[:, list(idx), :],
+    )
+    return proj, record
+
+
+def coupling_bound_check(
+    s: Scenario,
+    window: tuple,
+    *,
+    z0: float = 1.0,
+    tol: float = 1e-6,
+    n_grid: int = 200,
+) -> bool:
+    """Validate the coupling envelope bound against direct integration.
+
+    Integrates the joint substituted flow from (z0, 0) for both pairs
+    and, provided both diagonal components stay nonnegative on the
+    window, asserts |y| <= M + E_y and |v| <= M + E_v within
+    tol * (1 + bound) on a uniform grid. A negative diagonal component
+    raises HypothesisViolated: the bound promises nothing there. The
+    envelope uses the plus_c12 drive, which is the form produced by the
+    variation-of-constants representation of y and v.
+    """
+    if z0 < 0.0:
+        raise ValueError("z0 must be nonnegative")
+    riccati._require_positive_diag(s)
+    traj, record = subsystem_solve(s, "first", (z0, 0.0), window)
+    joint = traj.meta["joint"]
+    hi = joint.t_end
+    zmin = float(np.min(joint.states[:, :2]))
+    if zmin < -1e-9 * (1.0 + abs(zmin)):
+        tneg = float(joint.times[int(np.argmin(np.min(joint.states[:, :2], axis=1)))])
+        raise HypothesisViolated("z >= 0", tneg)
+
+    env = riccati.build_envelope_terms(
+        riccati._diag_envelope_data(s), (float(window[0]), hi), "plus_c12"
+    )
+    ts = np.linspace(float(window[0]), hi, n_grid)
+    states = joint.dense_eval(ts)
+    y_abs = np.hypot(states[:, 2], states[:, 3])
+    v_abs = np.hypot(states[:, 4], states[:, 5])
+    for i, t in enumerate(ts):
+        by = env.m_peak(t) + env.e_y(t)
+        bv = env.m_peak(t) + env.e_v(t)
+        if y_abs[i] > by + tol * (1.0 + by) or v_abs[i] > bv + tol * (1.0 + bv):
+            return False
+    return True

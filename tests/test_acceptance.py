@@ -19,6 +19,12 @@ import numpy as np
 
 from hamosc import cli, coefsys, criteria, mat2, odeint, riccati
 from conftest import const_scenario, hermitian
+from oracles import (
+    HypothesisViolated,
+    comparison_oracle,
+    coupling_bound_check,
+    subsystem_solve,
+)
 
 I2 = np.eye(2, dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -213,7 +219,7 @@ def test_comparison_monotonicity_campaign():
         def h(t, h1=h1, gap=gap):
             return h1(t) - gap
 
-        if riccati.comparison_oracle(f, g, h, h1, 0.0, dy, (0.0, 2.0)):
+        if comparison_oracle(f, g, h, h1, 0.0, dy, (0.0, 2.0)):
             n_true += 1
     assert _record(
         n_true == 100,
@@ -274,11 +280,11 @@ def test_coupling_bound_campaign():
             const_scenario(a, b, c, name=f"bound{i}"), (0.0, 1.0)
         )
         try:
-            if riccati.coupling_bound_check(s, (0.0, 1.0), tol=1e-6):
+            if coupling_bound_check(s, (0.0, 1.0), tol=1e-6):
                 checked += 1
             else:
                 failed += 1
-        except riccati.HypothesisViolated:
+        except HypothesisViolated:
             skipped += 1  # a diagonal component went negative: bound is silent
     assert _record(
         failed == 0 and checked >= 30,
@@ -372,7 +378,7 @@ def test_riccati_hamiltonian_correspondence():
     rf = coefsys.ratio_fns(s)
     z0 = hermitian(rng, 0.3)
     full, _ = odeint.solve_matrix_riccati(s, z0, (0.0, 1.2))
-    sub, _ = riccati.subsystem_solve(
+    sub, _ = subsystem_solve(
         s,
         "first",
         (float(np.real(z0[0, 0])), complex(z0[0, 1]) + rf.r2(0.0)),

@@ -205,7 +205,7 @@ def test_from_table_reproduces_linear_data():
 def test_from_table_rejects_non_hermitian_sample():
     bad_c = np.array([[1.0, 1.0], [0.0, 1.0]])
     tab = _const_table([0.0, 1.0, 2.0], np.zeros((2, 2)), np.eye(2), bad_c)
-    with pytest.raises(coefsys.NonHermitianSample) as exc:
+    with pytest.raises(coefsys.NonHermitian) as exc:
         coefsys.from_table(tab)
     assert exc.value.which == "C"
 

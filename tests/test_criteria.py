@@ -30,11 +30,10 @@ def test_scalar_test_harmonic_pair():
     res = criteria.scalar_osc_test(ZERO, ONE, lambda t: -1.0, ZERO, (0.0, 50.0), 5)
     assert res.outcome == "oscillatory"
     # phi'' + phi = 0: sixteen zeros per start on [0, 50], the first at
-    # pi/2 for the (1, 0) start, and one Riccati pole per zero
+    # pi/2 for the (1, 0) start
     assert len(res.zeros["1,0"]) == 16
     assert len(res.zeros["0,1"]) == 16
     assert abs(res.zeros["1,0"][0] - math.pi / 2.0) <= 1e-9
-    assert len(res.riccati_poles) == 16
 
 
 def test_scalar_test_exponential_pair():
@@ -272,24 +271,31 @@ def test_resolver_flags_contradiction():
 
 
 def test_analyze_surfaces_contradiction(monkeypatch):
-    reports = tuple(
-        [
-            _fake_report(criteria.OSC_DIAG, criteria.OSCILLATORY),
-            _fake_report(criteria.NONOSC_SPLIT, criteria.NON_OSCILLATORY),
-        ]
-        + [_fake_report(c, criteria.INCONCLUSIVE) for c in criteria.CRITERION_ORDER[2:]]
-    )
-    monkeypatch.setattr(criteria, "_run_criteria", lambda s, w, o: reports)
+    inconclusive_rest = [
+        _fake_report(c, criteria.INCONCLUSIVE) for c in criteria.CRITERION_ORDER[2:]
+    ]
+    conflicting = [
+        _fake_report(criteria.OSC_DIAG, criteria.OSCILLATORY),
+        _fake_report(criteria.NONOSC_SPLIT, criteria.NON_OSCILLATORY),
+    ]
+    # a non-oscillation criterion answering Oscillatory breaks its direction
+    wrong_direction = [
+        _fake_report(criteria.OSC_DIAG, criteria.INCONCLUSIVE),
+        _fake_report(criteria.NONOSC_SPLIT, criteria.OSCILLATORY),
+    ]
     s = _tagged(const_scenario(Z2, Z2, Z2, name="forced"), (0.0, 1.0))
-    before = len(criteria.CONFLICT_LOG)
-    try:
-        with pytest.raises(criteria.CriteriaConflict):
-            criteria.analyze(s, (0.0, 1.0))
-        assert len(criteria.CONFLICT_LOG) == before + 1
-        assert criteria.CONFLICT_LOG[-1]["scenario"] == "forced"
-    finally:
-        # keep the global log clean for the rest of the suite
-        del criteria.CONFLICT_LOG[before:]
+    for head in (conflicting, wrong_direction):
+        reports = tuple(head + inconclusive_rest)
+        monkeypatch.setattr(criteria, "_run_criteria", lambda s, w, o: reports)
+        before = len(criteria.CONFLICT_LOG)
+        try:
+            with pytest.raises(criteria.CriteriaConflict):
+                criteria.analyze(s, (0.0, 1.0))
+            assert len(criteria.CONFLICT_LOG) == before + 1
+            assert criteria.CONFLICT_LOG[-1]["scenario"] == "forced"
+        finally:
+            # keep the global log clean for the rest of the suite
+            del criteria.CONFLICT_LOG[before:]
 
 
 def test_analyze_reports_in_fixed_order():

@@ -10,6 +10,12 @@ from hypothesis import given, strategies as st
 
 from hamosc import coefsys, odeint, riccati
 from conftest import const_scenario
+from oracles import (
+    HypothesisViolated,
+    comparison_oracle,
+    coupling_bound_check,
+    subsystem_solve,
+)
 
 Z2 = np.zeros((2, 2), dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -62,8 +68,13 @@ def test_tail_integral_constant_kernel_closed_form(gam, eta, span):
     # for constant g, h the IVP route must land on the closed form
     k = riccati.Kernel(g=lambda t: gam, h=lambda t: eta)
     got = riccati.exp_weighted_integral(k, 0.0, span)
-    # expm1 keeps the reference accurate when gam * span is tiny
-    want = eta * span if gam == 0.0 else -eta * math.expm1(-gam * span) / gam
+    # expm1 keeps the reference accurate when gam * span is tiny; below
+    # 1e-300 (subnormal gam included) it underflows, and eta * span is
+    # the closed form to within a relative 1e-300
+    if abs(gam * span) < 1e-300:
+        want = eta * span
+    else:
+        want = -eta * math.expm1(-gam * span) / gam
     assert abs(got - want) <= 1e-7 * (1.0 + abs(want))
 
 
@@ -160,11 +171,11 @@ def test_search_window_validation():
 
 
 def test_oracle_accepts_identical_flows():
-    assert riccati.comparison_oracle(ONE, ZERO, lambda t: -1.0, lambda t: -1.0, 0.0, 0.0, (0.0, 3.0))
+    assert comparison_oracle(ONE, ZERO, lambda t: -1.0, lambda t: -1.0, 0.0, 0.0, (0.0, 3.0))
 
 
 def test_oracle_accepts_dominated_free_term():
-    got = riccati.comparison_oracle(
+    got = comparison_oracle(
         ONE, lambda t: 0.1 * math.cos(t), lambda t: -1.0, lambda t: -0.5, 0.0, 0.0, (0.0, 2.0)
     )
     assert got
@@ -173,19 +184,19 @@ def test_oracle_accepts_dominated_free_term():
 def test_oracle_accepts_reference_escape():
     # the reference flow dives to -inf near pi/2 while the dominated one
     # follows tanh; existence transfer only runs up to the escape
-    got = riccati.comparison_oracle(ONE, ZERO, lambda t: -1.0, ONE, 0.0, 0.0, (0.0, 3.0))
+    got = comparison_oracle(ONE, ZERO, lambda t: -1.0, ONE, 0.0, 0.0, (0.0, 3.0))
     assert got
 
 
 def test_oracle_hypothesis_checks():
-    with pytest.raises(riccati.HypothesisViolated) as e:
-        riccati.comparison_oracle(ONE, ZERO, ZERO, lambda t: -1.0, 0.0, 0.0, (0.0, 1.0))
+    with pytest.raises(HypothesisViolated) as e:
+        comparison_oracle(ONE, ZERO, ZERO, lambda t: -1.0, 0.0, 0.0, (0.0, 1.0))
     assert e.value.which == "h <= h1"
-    with pytest.raises(riccati.HypothesisViolated) as e:
-        riccati.comparison_oracle(lambda t: -1.0, ZERO, lambda t: -1.0, lambda t: -1.0, 0.0, 0.0, (0.0, 1.0))
+    with pytest.raises(HypothesisViolated) as e:
+        comparison_oracle(lambda t: -1.0, ZERO, lambda t: -1.0, lambda t: -1.0, 0.0, 0.0, (0.0, 1.0))
     assert e.value.which == "f >= 0"
-    with pytest.raises(riccati.HypothesisViolated) as e:
-        riccati.comparison_oracle(ONE, ZERO, lambda t: -1.0, lambda t: -1.0, 1.0, 0.0, (0.0, 1.0))
+    with pytest.raises(HypothesisViolated) as e:
+        comparison_oracle(ONE, ZERO, lambda t: -1.0, lambda t: -1.0, 1.0, 0.0, (0.0, 1.0))
     assert e.value.which == "y(t0) >= y1(t0)"
 
 
@@ -307,18 +318,18 @@ def test_envelope_guards():
 def test_pair_flow_decoupled_diagonal():
     # A = C = 0, B = I: z' = -z^2 from 1 is 1/(1+t) and the drives stay 0
     s = _tagged(const_scenario(Z2, I2, Z2, name="flat"), (0.0, 3.0))
-    traj, rec = riccati.subsystem_solve(s, "first", (1.0, 0.0), (0.0, 3.0))
+    traj, rec = subsystem_solve(s, "first", (1.0, 0.0), (0.0, 3.0))
     assert rec is None
     assert abs(traj.dense_eval(1.0)[0] - 0.5) <= 1e-8
     assert abs(traj.dense_eval(3.0)[0] - 0.25) <= 1e-8
     assert float(np.max(np.abs(traj.states[:, 1:]))) <= 1e-10
-    other, _ = riccati.subsystem_solve(s, "second", (1.0, 0.0), (0.0, 3.0))
+    other, _ = subsystem_solve(s, "second", (1.0, 0.0), (0.0, 3.0))
     assert abs(other.dense_eval(1.0)[0] - 0.5) <= 1e-8
 
 
 def test_pair_flow_zero_stays_zero():
     s = _tagged(const_scenario(Z2, I2, Z2, name="flat"))
-    traj, rec = riccati.subsystem_solve(s, "first", (0.0, 0.0), (0.0, 2.0))
+    traj, rec = subsystem_solve(s, "first", (0.0, 0.0), (0.0, 2.0))
     assert rec is None
     assert float(np.max(np.abs(traj.states))) == 0.0
 
@@ -326,7 +337,7 @@ def test_pair_flow_zero_stays_zero():
 def test_pair_flow_reports_escape():
     # strongly negative potential drives z to -inf in finite time
     s = _tagged(const_scenario(Z2, I2, np.diag([-5.0, -5.0]).astype(complex), name="sink"))
-    traj, rec = riccati.subsystem_solve(s, "first", (1.0, 0.0), (0.0, 2.0))
+    traj, rec = subsystem_solve(s, "first", (1.0, 0.0), (0.0, 2.0))
     assert rec is not None
     assert 0.5 < rec.escape_time < 1.2
     assert rec.last_norm >= 1e6
@@ -336,7 +347,7 @@ def test_pair_flow_reports_escape():
 def test_pair_flow_which_validation():
     s = _tagged(const_scenario(Z2, I2, Z2))
     with pytest.raises(ValueError):
-        riccati.subsystem_solve(s, "third", (1.0, 0.0), (0.0, 1.0))
+        subsystem_solve(s, "third", (1.0, 0.0), (0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -347,13 +358,13 @@ def test_coupling_bound_holds_on_tame_scenario():
     a = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
     c = np.array([[1.0, 0.1], [0.1, 1.0]], dtype=complex)
     s = _tagged(const_scenario(a, I2, c, name="bounded"))
-    assert riccati.coupling_bound_check(s, (0.0, 2.0))
+    assert coupling_bound_check(s, (0.0, 2.0))
 
 
 def test_coupling_bound_rejects_negative_diagonal():
     s = _tagged(const_scenario(Z2, I2, np.diag([-5.0, -5.0]).astype(complex), name="sink"))
-    with pytest.raises(riccati.HypothesisViolated) as e:
-        riccati.coupling_bound_check(s, (0.0, 2.0))
+    with pytest.raises(HypothesisViolated) as e:
+        coupling_bound_check(s, (0.0, 2.0))
     assert e.value.which == "z >= 0"
     with pytest.raises(ValueError):
-        riccati.coupling_bound_check(s, (0.0, 1.0), z0=-0.5)
+        coupling_bound_check(s, (0.0, 1.0), z0=-0.5)
