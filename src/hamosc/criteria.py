@@ -236,7 +236,7 @@ def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float) -> tuple:
         zeros.append(lo)
     sign = np.sign(phi)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips[:8192]:
+    for i in flips:
         root = brentq(
             lambda t: float(traj.dense_eval(float(t))[0]),
             ts[i],

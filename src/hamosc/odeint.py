@@ -4,8 +4,10 @@ The core is a hand-rolled Dormand-Prince 5(4) embedded pair with PI step
 control and a quartic dense interpolant. It is deliberately self-contained:
 the drivers below need hooks that library integrators do not expose, namely
 a per-accepted-step state projection (Hermitian re-symmetrization, frame
-orthonormalization) and escape-norm truncation that preserves the partial
-trajectory for blow-up diagnostics.
+orthonormalization), escape-norm truncation that preserves the partial
+trajectory for blow-up diagnostics, and ``stop``, a predicate on each new
+dense segment that ends the flow early (the partition-condition search
+stops at its first violated sample).
 
 Drivers provided:
 
@@ -51,6 +53,7 @@ __all__ = [
     "ZeroRecord",
     "BlowupRecord",
     "adaptive_solve",
+    "segment_states",
     "quadrature",
     "solve_hamiltonian",
     "solve_hamiltonian_frame",
@@ -130,6 +133,8 @@ _DENSE_P = np.array(
     ]
 )
 
+_POWERS = np.arange(1, 5)  # theta powers of the quartic dense output
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -199,15 +204,27 @@ class Trajectory:
         for s in range(0, len(t_arr), chunk):
             tc = t_arr[s : s + chunk]
             idx = np.clip(np.searchsorted(self.times, tc, side="right") - 1, 0, nseg - 1)
-            theta = (tc - self.times[idx]) / self._seg_h[idx]
-            tv = theta[:, None] ** np.arange(1, 5)
-            out[s : s + chunk] = self._seg_y[idx] + self._seg_h[idx, None] * np.einsum(
-                "pdk,pk->pd", self._seg_q[idx], tv
+            out[s : s + chunk] = segment_states(
+                self.times[idx], self._seg_h[idx], self._seg_y[idx], self._seg_q[idx], tc
             )
         return out
 
     def state_at(self, t: float) -> np.ndarray:
         return self.dense_eval(float(t))
+
+
+def segment_states(t, h, y, q, ts: np.ndarray) -> np.ndarray:
+    """Dense-output states at the times ts, one row per time.
+
+    A segment starting at t with step h, state y and coefficients q
+    gives y + h * q @ theta^(1..4) at theta = (ts - t) / h. The segment
+    arguments hold either one segment for all times or one row per time.
+    """
+    theta = (ts - t) / h
+    tv = theta[:, None] ** _POWERS
+    if np.ndim(q) == 2:
+        return y + h * np.einsum("dk,pk->pd", q, tv)
+    return y + h[:, None] * np.einsum("pdk,pk->pd", q, tv)
 
 
 def _rms_norm(x: np.ndarray) -> float:
@@ -244,6 +261,7 @@ def _dp45(
     escape_norm: float | None = None,
     escape_slice: slice | None = None,
     underflow: str = "raise",
+    stop: Callable | None = None,
 ) -> Trajectory:
     if not t_end > t0:
         raise ValueError("window must satisfy t_end > t0")
@@ -267,8 +285,9 @@ def _dp45(
     def _norm_of(state: np.ndarray) -> float:
         return float(np.max(np.abs(state[sl])))
 
+    t_last = t_end - 1e-14 * max(1.0, abs(t_end))  # a node at or past this ends the flow
     steps = 0
-    while t < t_end - 1e-14 * max(1.0, abs(t_end)):
+    while t < t_last:
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted")
@@ -349,6 +368,8 @@ def _dp45(
             events.append(Event("escape", t_esc, {"norm": _norm_of(y_esc)}))
             escaped = True
         if escaped:
+            if stop is not None:
+                stop(t, h, y, q, t_esc)
             break
 
         y_stored = y_new
@@ -362,6 +383,9 @@ def _dp45(
         seg_q.append(q)
         times.append(t_new)
         states.append(y_stored.copy())
+        if stop is not None and stop(t, h, y, q, math.inf if t_new >= t_last else t_new):
+            events.append(Event("stop", t_new, {}))
+            break
 
         t = t_new
         y = y_stored
@@ -403,6 +427,14 @@ def adaptive_solve(
     Local error per step is kept below atol + rtol * |state| componentwise
     (RMS aggregated). Raises StepUnderflow when the controller cannot make
     progress, which callers interpret as finite-time blow-up.
+
+    The optional ``stop(t, h, y, q, until)`` sees each new dense segment:
+    the state at t + theta * h is y + h * q @ theta^(1..4)
+    (``segment_states``), and the segment stands for the flow on
+    [t, until). until is t + h, the crossing time for the partial step
+    of an escape, and inf for the step that reaches the window end, past
+    which the final state stands. When stop returns True the flow ends
+    at t + h with a "stop" event; after an escape it ends anyway.
     """
     t0, t_end = float(window[0]), float(window[1])
     return _dp45(field, t0, t_end, np.atleast_1d(np.asarray(y0, float)), rtol, atol, **kwargs)

@@ -24,6 +24,7 @@ sign_convention in {"minus_c12", "plus_c12"}.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .coefsys import Scenario, ratio_fns
 from .mat2 import norm_max
-from .odeint import Trajectory, adaptive_solve
+from .odeint import Trajectory, adaptive_solve, segment_states
 
 __all__ = [
     "Kernel",
@@ -122,8 +123,10 @@ def exp_weighted_integral(
 _PROFILE_ESCAPE = 1e300  # condition-profile magnitude treated as escape
 
 
-def _condition_profile(k: Kernel, lo: float, hi: float, rtol: float, atol: float) -> Trajectory:
-    """Augmented flow of the partition condition on one subinterval.
+def _condition_profile(
+    k: Kernel, lo: float, sample: np.ndarray, rtol: float, atol: float
+) -> tuple[Optional[int], Trajectory]:
+    """Flow of the partition condition from lo, up to its first failed sample.
 
     State (I, L, T, Tabs): I is the inner weighted integral from lo and
     L the running exponent int [g - I]. The displayed integral carries
@@ -131,11 +134,20 @@ def _condition_profile(k: Kernel, lo: float, hi: float, rtol: float, atol: float
     and drops out of the sign condition, so T accumulates exp(-L(tau)) h
     and Tabs the same with |h|, which sets the violation tolerance scale.
     This is pure quadrature (no feedback from T into its own rate), so
-    stiffness cannot arise. On kernels whose weight explodes, T and Tabs
-    balloon and the flow stops with an escape event well before float
-    overflow; callers must not certify past t_end. The exponent cap only
-    engages in that same ballooning regime, right before the escape.
+    stiffness cannot arise.
+
+    The flow runs toward sample[-1] and is checked on the increasing
+    times ``sample`` (all >= lo) as each accepted step covers them; it
+    stops at the first sample where T > TOL_COND * (1 + Tabs). On kernels
+    whose weight explodes, T and Tabs balloon and the flow ends with an
+    escape event well before float overflow (the exponent cap only
+    engages right before it), or with an underflow event when I
+    overflows first. A sample the flow never reached counts as failed,
+    so nothing past t_end is certified. Returns the index of the first
+    failed sample (None when all hold) and the trajectory.
     """
+    sample_list = sample.tolist()  # bisect on a list is the cheap per-step test
+    nxt = [0]  # index of the first sample not yet checked
 
     def field(s, y):
         i, ell = y[0], y[1]
@@ -144,16 +156,31 @@ def _condition_profile(k: Kernel, lo: float, hi: float, rtol: float, atol: float
         w = math.exp(min(-ell, _EXP_CAP))
         return np.array([hv - gv * i, gv - i, w * hv, w * abs(hv)])
 
-    return adaptive_solve(
+    def violated(t, h, y, q, until):
+        i = nxt[0]
+        j = bisect_left(sample_list, until, i)
+        if j == i:
+            return False
+        # the clamp only binds on the window end, when round-off left the
+        # final node short of it
+        states = segment_states(t, h, y, q, np.minimum(sample[i:j], t + h))
+        over = states[:, 2] > TOL_COND * (1.0 + states[:, 3])
+        first = int(over.argmax())
+        nxt[0] = i + first if over[first] else j
+        return bool(over[first])
+
+    traj = adaptive_solve(
         field,
         np.zeros(4),
-        (lo, hi),
+        (lo, float(sample[-1])),
         rtol,
         atol,
         escape_norm=_PROFILE_ESCAPE,
         escape_slice=slice(2, 4),
         underflow="event",
+        stop=violated,
     )
+    return (None if nxt[0] == len(sample) else nxt[0]), traj
 
 
 def check_partition_condition(
@@ -165,26 +192,19 @@ def check_partition_condition(
 ) -> tuple[bool, Optional[tuple]]:
     """Whether the nonpositivity condition holds on every subinterval.
 
-    For each consecutive pair the augmented integral T is sampled at
-    GRID_PER_SUBINTERVAL points plus the left endpoint; the condition is
-    T <= TOL_COND * (1 + Tabs) throughout. Returns (ok, first_violation)
-    with first_violation = (subinterval index, t) when it fails.
+    Each subinterval [lo, hi] is checked on GRID_PER_SUBINTERVAL + 1
+    evenly spaced samples from lo to hi; the condition is
+    T <= TOL_COND * (1 + Tabs) at each, and the flow stops at the first
+    that fails. Returns (ok, first_violation) with first_violation =
+    (subinterval index, t) when it fails: t is the failed sample, or the
+    time the flow escaped when it could not reach one.
     """
     pts = part.points
     for ki in range(len(pts) - 1):
-        lo, hi = pts[ki], pts[ki + 1]
-        traj = _condition_profile(k, lo, hi, rtol, atol)
-        ts = np.linspace(lo, traj.t_end, GRID_PER_SUBINTERVAL + 1)
-        states = traj.dense_eval(ts)
-        tvals = states[:, 2]
-        tabs = states[:, 3]
-        bad = np.nonzero(tvals > TOL_COND * (1.0 + tabs))[0]
-        if len(bad):
-            return False, (ki, float(ts[bad[0]]))
-        if traj.t_end < hi - 1e-12 * (1.0 + abs(hi)):
-            # profile escaped before the right end; the unreachable part of
-            # the subinterval is unverified, which cannot count as certified
-            return False, (ki, float(traj.t_end))
+        ts = np.linspace(pts[ki], pts[ki + 1], GRID_PER_SUBINTERVAL + 1)
+        bad, traj = _condition_profile(k, pts[ki], ts, rtol, atol)
+        if bad is not None:
+            return False, (ki, float(min(ts[bad], traj.t_end)))
     return True, None
 
 
@@ -198,13 +218,13 @@ def partition_search(
 ) -> Optional[Partition]:
     """Greedy left-to-right search for a conforming partition.
 
-    From the current point the augmented condition flow is integrated
-    over the rest of the window and sampled on the global grid; the next
-    partition point is the last grid position before the first
-    violation. The search fails (returns None) when it cannot advance by
-    at least (window length) / max_points, so a returned partition has
-    at most max_points + 1 points. None means "not certified by this
-    search", never "oscillatory".
+    From the current point the condition flow runs over the global grid
+    points to its right and stops at the first one where the condition
+    fails; the next partition point is the grid point before it. The
+    search fails (returns None) when it cannot advance by at least
+    (window length) / max_points, so a returned partition has at most
+    max_points + 1 points. None means "not certified by this search",
+    never "oscillatory".
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -214,23 +234,15 @@ def partition_search(
     points = [lo]
     cur = lo
     while cur < hi:
-        traj = _condition_profile(k, cur, hi, rtol, atol)
-        tail = ts[np.searchsorted(ts, cur, side="right") :]
-        sample = np.concatenate([tail, [hi]]) if len(tail) == 0 or tail[-1] < hi else tail
-        states = traj.dense_eval(np.clip(sample, cur, traj.t_end))
-        ok = states[:, 2] <= TOL_COND * (1.0 + states[:, 3])
-        if traj.t_end < hi - 1e-12 * (1.0 + abs(hi)):
-            # the condition flow itself blew up; don't certify past it
-            ok &= sample <= traj.t_end
-        bad = np.nonzero(~ok)[0]
-        if len(bad) == 0:
+        sample = ts[np.searchsorted(ts, cur, side="right") :]
+        bad, _ = _condition_profile(k, cur, sample, rtol, atol)
+        if bad is None:
             points.append(hi)
             return Partition(tuple(points))
-        first_bad = bad[0]
-        if first_bad == 0:
+        if bad == 0:
             return None
-        nxt = float(sample[first_bad - 1])
-        if nxt - cur < min_advance or nxt <= cur:
+        nxt = float(sample[bad - 1])
+        if nxt - cur < min_advance:
             return None
         points.append(nxt)
         cur = nxt

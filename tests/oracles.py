@@ -7,10 +7,16 @@
 * ``coupling_bound_check``: the coupling envelope inequality against
   that flow. It always uses the plus_c12 drive, which is the form
   consistent with the variation-of-constants representation of y and v.
+* ``full_window_partition_search``: the greedy partition search as it
+  was before its condition flow stopped at the first failed sample. It
+  integrates each flow to the window end (or its escape) and samples it
+  afterwards, so ``riccati.partition_search`` must return the same
+  partition.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,3 +239,88 @@ def coupling_bound_check(
         if y_abs[i] > by + tol * (1.0 + by) or v_abs[i] > bv + tol * (1.0 + bv):
             return False
     return True
+
+
+def full_window_condition_profile(
+    k: riccati.Kernel, lo: float, hi: float, rtol: float, atol: float
+) -> Trajectory:
+    """Augmented flow of the partition condition on one subinterval.
+
+    State (I, L, T, Tabs): I is the inner weighted integral from lo and
+    L the running exponent int [g - I]. The displayed integral carries
+    the weight exp(L(t) - L(tau)); the outer exp(L(t)) factor is positive
+    and drops out of the sign condition, so T accumulates exp(-L(tau)) h
+    and Tabs the same with |h|, which sets the violation tolerance scale.
+    This is pure quadrature (no feedback from T into its own rate), so
+    stiffness cannot arise. On kernels whose weight explodes, T and Tabs
+    balloon and the flow stops with an escape event well before float
+    overflow; callers must not certify past t_end. The exponent cap only
+    engages in that same ballooning regime, right before the escape.
+    """
+
+    def field(s, y):
+        i, ell = y[0], y[1]
+        gv = k.g(s)
+        hv = k.h(s)
+        w = math.exp(min(-ell, riccati._EXP_CAP))
+        return np.array([hv - gv * i, gv - i, w * hv, w * abs(hv)])
+
+    return adaptive_solve(
+        field,
+        np.zeros(4),
+        (lo, hi),
+        rtol,
+        atol,
+        escape_norm=riccati._PROFILE_ESCAPE,
+        escape_slice=slice(2, 4),
+        underflow="event",
+    )
+
+
+def full_window_partition_search(
+    k: riccati.Kernel,
+    window: tuple,
+    max_points: int = 64,
+    *,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> Optional[riccati.Partition]:
+    """Greedy left-to-right search for a conforming partition.
+
+    From the current point the augmented condition flow is integrated
+    over the rest of the window and sampled on the global grid; the next
+    partition point is the last grid position before the first
+    violation. The search fails (returns None) when it cannot advance by
+    at least (window length) / max_points, so a returned partition has
+    at most max_points + 1 points. None means "not certified by this
+    search", never "oscillatory".
+    """
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError("window must satisfy T > t0")
+    ts = np.linspace(lo, hi, riccati.GRID_PER_WINDOW + 1)
+    min_advance = (hi - lo) / max_points
+    points = [lo]
+    cur = lo
+    while cur < hi:
+        traj = full_window_condition_profile(k, cur, hi, rtol, atol)
+        tail = ts[np.searchsorted(ts, cur, side="right") :]
+        sample = np.concatenate([tail, [hi]]) if len(tail) == 0 or tail[-1] < hi else tail
+        states = traj.dense_eval(np.clip(sample, cur, traj.t_end))
+        ok = states[:, 2] <= riccati.TOL_COND * (1.0 + states[:, 3])
+        if traj.t_end < hi - 1e-12 * (1.0 + abs(hi)):
+            # the condition flow itself blew up; don't certify past it
+            ok &= sample <= traj.t_end
+        bad = np.nonzero(~ok)[0]
+        if len(bad) == 0:
+            points.append(hi)
+            return riccati.Partition(tuple(points))
+        first_bad = bad[0]
+        if first_bad == 0:
+            return None
+        nxt = float(sample[first_bad - 1])
+        if nxt - cur < min_advance or nxt <= cur:
+            return None
+        points.append(nxt)
+        cur = nxt
+    return riccati.Partition(tuple(points))

@@ -62,6 +62,45 @@ def test_dense_output_matches_nodes():
         traj.dense_eval(1.5)
 
 
+def test_stop_hook_ends_the_flow_on_the_full_run_prefix():
+    def field(t, y):
+        return np.array([y[1], -y[0]])
+
+    full = odeint.adaptive_solve(field, [1.0, 0.0], (0.0, 10.0))
+    seen = []
+
+    def stop(t, h, y, q, until):
+        seen.append(until == t + h)
+        states = odeint.segment_states(t, h, y, q, np.array([t, t + 0.5 * h]))
+        assert np.array_equal(states, full.dense_eval(np.array([t, t + 0.5 * h])))
+        return t + h > 4.0
+
+    part = odeint.adaptive_solve(field, [1.0, 0.0], (0.0, 10.0), stop=stop)
+    n = len(part.times)
+    assert [e.kind for e in part.events] == ["stop"]
+    assert part.events[0].time == part.t_end and part.t_end > 4.0 >= part.times[-2]
+    # stopping changes nothing before the stop: same nodes, same states
+    assert np.array_equal(part.times, full.times[:n])
+    assert np.array_equal(part.states, full.states[:n])
+    assert all(seen)
+
+    untils = []
+    odeint.adaptive_solve(field, [1.0, 0.0], (0.0, 10.0), stop=lambda *a: untils.append(a[4]))
+    assert untils[-1] == math.inf and untils[:-1] == list(full.times[1:-1])
+
+    # the partial step of an escape is shown up to the crossing; it ends
+    # the flow as an escape, not a stop
+    untils = []
+
+    def stop_all(t, h, y, q, until):
+        untils.append(until)
+        return until < t + h
+
+    grown = odeint.adaptive_solve(lambda t, y: y, [1.0], (0.0, 5.0), escape_norm=10.0, stop=stop_all)
+    assert [e.kind for e in grown.events] == ["escape"]
+    assert untils[-1] == grown.t_end and abs(grown.t_end - math.log(10.0)) < 1e-6
+
+
 def test_step_underflow_reported():
     # 1 + y^2 escapes in finite time; without an escape guard the
     # controller must give up rather than loop forever

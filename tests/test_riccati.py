@@ -14,6 +14,7 @@ from oracles import (
     HypothesisViolated,
     comparison_oracle,
     coupling_bound_check,
+    full_window_partition_search,
     subsystem_solve,
 )
 
@@ -134,14 +135,26 @@ def test_condition_fails_immediately_for_positive_free_term():
 
 
 def test_condition_refuses_truncated_profile():
-    # strongly negative g makes the weight blow past the escape guard
-    # around t ~ 7; the unreachable tail must not be certified
+    # strongly negative g makes the inner integral overflow around t ~ 7:
+    # the flow ends early with an underflow event, not with a stop, and
+    # the unreachable tail must not be certified
     k = riccati.Kernel(g=lambda t: -100.0, h=lambda t: -1.0)
+    ts = np.linspace(0.0, 8.0, riccati.GRID_PER_SUBINTERVAL + 1)
+    bad, traj = riccati._condition_profile(k, 0.0, ts, 1e-10, 1e-12)
+    assert [e.kind for e in traj.events] == ["underflow"]
+    assert ts[bad - 1] <= traj.t_end < ts[bad]
     ok, viol = riccati.check_partition_condition(k, riccati.Partition((0.0, 8.0)))
     assert not ok
     assert viol[0] == 0 and 6.5 < viol[1] < 7.5
+    assert viol[1] == traj.t_end
     ok_short, viol_short = riccati.check_partition_condition(k, riccati.Partition((0.0, 5.0)))
     assert ok_short and viol_short is None
+    # the search restarts at the last grid point the flow reached, and
+    # certifies nothing when that advance is too short
+    tol = {"rtol": 1e-8, "atol": 1e-10}
+    part = riccati.partition_search(k, (0.0, 8.0), 8, **tol)
+    assert part.points[:2] == (0.0, 7.0703125) and part.points[-1] == 8.0
+    assert riccati.partition_search(k, (0.0, 8.0), 1, **tol) is None
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +172,52 @@ def test_search_gives_up_on_positive_free_term():
     assert riccati.partition_search(riccati.Kernel(g=ZERO, h=ONE), (0.0, 2.0)) is None
     k = riccati.Kernel(g=ZERO, h=lambda t: math.sin(t))
     assert riccati.partition_search(k, (0.0, math.pi)) is None
+
+
+def _trig(rng):
+    a1, a2 = rng.uniform(-1.0, 1.0, 2)
+    w1, w2 = rng.uniform(0.3, 2.5, 2)
+    return lambda t: a1 * math.sin(w1 * t) + a2 * math.cos(w2 * t)
+
+
+def test_search_matches_full_window_reference():
+    # the search stops each condition flow at its first failed sample; the
+    # reference integrates every flow to the window end and samples it
+    # afterwards. At the criteria's tolerances both must agree exactly.
+    rng = np.random.default_rng(20190406)
+    cases = []
+    for _ in range(12):
+        g, b, off = _trig(rng), _trig(rng), rng.uniform(-1.0, 0.3)
+        h = lambda t, b=b, off=off: off + 0.5 * b(t)
+        cases.append((riccati.Kernel(g=g, h=h), (0.0, 20.0)))
+    # this flow blows up near t ~ 7.07, so the search restarts there
+    cases.append((riccati.Kernel(g=lambda t: -100.0, h=lambda t: -1.0), (0.0, 8.0)))
+    outcomes = set()
+    for k, window in cases:
+        for max_points in (8, 64):
+            got = riccati.partition_search(k, window, max_points, rtol=1e-8, atol=1e-10)
+            want = full_window_partition_search(k, window, max_points, rtol=1e-8, atol=1e-10)
+            assert got == want, (window, max_points, got, want)
+            outcomes.add(0 if got is None else len(got.points))
+    assert {0, 2} <= outcomes and max(outcomes) > 2
+
+
+def test_search_stops_at_the_first_violated_sample():
+    # the harmonic chi_3 envelope kernel violates at the first grid sample;
+    # integrating on to its escape at t ~ 37 would take about 3,700 steps
+    # of 7 h evaluations each
+    window = (0.0, 100.0)
+    s = coefsys.validated(coefsys.make_family("harmonic", {}), window)
+    env = riccati.envelope_terms_diag(s, window, rtol=1e-8, atol=1e-10)
+    calls = [0]
+
+    def h(t):
+        calls[0] += 1
+        return env.chi3(t)
+
+    k = riccati.Kernel(g=lambda t: 2.0 * float(np.real(s.eval(t)[0][0, 0])), h=h)
+    assert riccati.partition_search(k, window, rtol=1e-8, atol=1e-10) is None
+    assert 0 < calls[0] <= 200
 
 
 def test_search_window_validation():
