@@ -266,21 +266,10 @@ _CSV_HEADER = "t,re_det,im_det,abs_det,conjoined_defect"
 
 
 def _det_series(traj, ts):
-    """(re, im, abs) of det Phi at sample times, frame scale restored."""
-    states = traj.dense_eval(ts)
-    phi, psi = odeint._unpack_many(states)
-    det = phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0]
-    idx = np.clip(np.searchsorted(traj.times, ts, side="right") - 1, 0, len(traj.times) - 1)
+    """det Phi at sample times, frame scale restored."""
+    det, log_scale = odeint.det_phi(traj, ts)
     with np.errstate(over="ignore"):
-        scale = np.exp(traj.meta["log_scale"][idx])
-    det = det * scale
-    defect = np.array(
-        [
-            mat2.norm_max(p.conj().T @ q - q.conj().T @ p)
-            for p, q in zip(phi, psi)
-        ]
-    )
-    return det, defect
+        return det * np.exp(log_scale)
 
 
 def cmd_simulate(args) -> int:
@@ -297,7 +286,7 @@ def cmd_simulate(args) -> int:
             print(f"  t = {z.time:.6f}  (indicator {z.residual:.3e}, {z.kind})")
         if not zeros:
             ts = np.linspace(window[0], window[1], 2001)
-            det, _ = _det_series(traj, ts)
+            det = _det_series(traj, ts)
             print(f"  min |det Phi| on sample grid: {np.min(np.abs(det)):.6e}")
 
     if args.csv:
@@ -305,7 +294,8 @@ def cmd_simulate(args) -> int:
         extra = [z.time for z in first_zeros] + [e.time for e in first_traj.events]
         ts = np.unique(np.concatenate([ts, np.array(extra)])) if extra else ts
         ts = ts[(ts >= window[0]) & (ts <= first_traj.t_end)]
-        det, defect = _det_series(first_traj, ts)
+        det = _det_series(first_traj, ts)
+        defect = [odeint.conjoined_defect(*odeint.unpack_pair(y)) for y in first_traj.dense_eval(ts)]
         lines = [_CSV_HEADER]
         for i, t in enumerate(ts):
             lines.append(

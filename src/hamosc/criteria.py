@@ -226,26 +226,14 @@ _N_SCAN = 8192  # sign-change scan points per window in scalar_osc_test
 
 
 def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float) -> tuple:
-    """Zeros of the first state component by sign change plus bisection."""
-    from scipy.optimize import brentq
-
+    """Zeros of the first state component by sign change plus root finding."""
     ts = np.linspace(lo, hi, _N_SCAN)
     phi = traj.dense_eval(ts)[:, 0]
     zeros = []
     if phi[0] == 0.0:
         zeros.append(lo)
-    sign = np.sign(phi)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    for i in flips:
-        root = brentq(
-            lambda t: float(traj.dense_eval(float(t))[0]),
-            ts[i],
-            ts[i + 1],
-            xtol=1e-13,
-            rtol=8.9e-16,
-        )
-        zeros.append(float(root))
-    exact = np.nonzero(sign[1:] == 0.0)[0]
+    zeros += odeint.sign_change_roots(lambda t: float(traj.dense_eval(float(t))[0]), ts, phi)
+    exact = np.nonzero(phi[1:] == 0.0)[0]
     zeros.extend(float(ts[i + 1]) for i in exact[:256])
     zeros.sort()
     merged = []
@@ -1062,10 +1050,10 @@ def _start_record(label: str, traj: odeint.Trajectory, zeros: list, window: tupl
     burn_edge = lo + 0.1 * (hi - lo)
     # min |det Phi| over nodes, in log form: the frame determinant is
     # order one and the accumulated scale can overflow a double
-    phi, _ = odeint._unpack_many(traj.states)
-    dets = np.abs(phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0])
+    dets, log_scale = odeint.det_phi(traj, traj.times)
+    dets = np.abs(dets)
     logs = np.where(dets > 0.0, np.log(np.maximum(dets, 1e-300)), -690.0)
-    logs = logs + traj.meta["log_scale"]
+    logs = logs + log_scale
     min_log = float(np.min(logs))
     return StartRecord(
         label=label,

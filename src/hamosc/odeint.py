@@ -3,31 +3,33 @@
 The core is a hand-rolled Dormand-Prince 5(4) embedded pair with PI step
 control and a quartic dense interpolant. It is deliberately self-contained:
 the drivers below need hooks that library integrators do not expose, namely
-a per-accepted-step state projection (Hermitian re-symmetrization, frame
-orthonormalization), escape-norm truncation that preserves the partial
-trajectory for blow-up diagnostics, and ``stop``, a predicate on each new
-dense segment that ends the flow early (the partition-condition search
-stops at its first violated sample).
+``post_step``, which sees and may replace each accepted state (frame
+orthonormalization, the conjoinedness check, rescaling), escape-norm
+truncation that preserves the partial trajectory for blow-up diagnostics,
+and ``stop``, a predicate on each new dense segment that ends the flow
+early (the partition-condition search stops at its first violated sample).
 
 Drivers provided:
 
-* ``solve_hamiltonian``: the linear system Phi' = A Phi + B Psi,
-  Psi' = C Phi - A* Psi, integrated as 16 reals, with the conjoinedness
-  defect ||Phi* Psi - Psi* Phi|| monitored at every accepted step.
-* ``solve_hamiltonian_frame``: same flow, but the 4x2 solution frame is
-  orthonormalized after every accepted step and the scalar growth factor
-  is accumulated in log form. Coefficients like c22 = t^2 produce growth
-  of order exp(t^2/2), which overflows doubles near t = 38; the frame
-  variant keeps every stored quantity of order one while preserving the
-  zeros of det Phi exactly (right multiplication by an invertible factor
-  with positive real determinant).
+* ``adaptive_solve``: any field y' = f(t, y), with the hooks above.
+* ``solve_hamiltonian`` / ``solve_hamiltonian_frame``: the linear system
+  Phi' = A Phi + B Psi, Psi' = C Phi - A* Psi, integrated as 16 reals by
+  one pair driver that checks the conjoinedness defect
+  ||Phi* Psi - Psi* Phi|| at every accepted step. The frame variant also
+  orthonormalizes the 4x2 solution frame after every accepted step and
+  accumulates the scalar growth factor in log form. Coefficients like
+  c22 = t^2 produce growth of order exp(t^2/2), which overflows doubles
+  near t = 38; the frame variant keeps every stored quantity of order one
+  while preserving the zeros of det Phi exactly (right multiplication by
+  an invertible factor with positive real determinant). ``det_phi``
+  reads det Phi back from either kind of trajectory.
 * ``solve_scalar_riccati`` / ``solve_matrix_riccati``: the quadratic flows
   with escape detection at a configurable norm, returning the surviving
   trajectory plus a blow-up record. The criteria never call them: a
   Riccati pole is a zero of the linear flow, which they count directly.
   The tests use them to check that correspondence.
-* ``detect_det_zeros``: sign-change bisection plus modulus-dip refinement
-  on a normalized determinant indicator.
+* ``detect_det_zeros``: sign-change root finding (``sign_change_roots``)
+  plus modulus-dip refinement on a normalized determinant indicator.
 
 ``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule used wherever a
 plain definite integral is needed.
@@ -57,9 +59,12 @@ __all__ = [
     "quadrature",
     "solve_hamiltonian",
     "solve_hamiltonian_frame",
+    "conjoined_defect",
+    "det_phi",
     "solve_scalar_riccati",
     "solve_matrix_riccati",
     "detect_det_zeros",
+    "sign_change_roots",
     "pack_pair",
     "unpack_pair",
     "phi_psi_at",
@@ -197,20 +202,20 @@ class Trajectory:
         if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
             raise ValueError("dense_eval query outside the integrated window")
         t_arr = np.clip(t_arr, lo, hi)
-        nseg = len(self._seg_h)
         out = np.empty((len(t_arr), self.states.shape[1]))
         # chunked gather keeps the temporary (npts, dim, 4) array modest
         chunk = 32768
         for s in range(0, len(t_arr), chunk):
             tc = t_arr[s : s + chunk]
-            idx = np.clip(np.searchsorted(self.times, tc, side="right") - 1, 0, nseg - 1)
+            idx = self._segment(tc)
             out[s : s + chunk] = segment_states(
                 self.times[idx], self._seg_h[idx], self._seg_y[idx], self._seg_q[idx], tc
             )
         return out
 
-    def state_at(self, t: float) -> np.ndarray:
-        return self.dense_eval(float(t))
+    def _segment(self, ts: np.ndarray) -> np.ndarray:
+        """Index of the dense segment that dense_eval reads at each time."""
+        return np.clip(np.searchsorted(self.times, ts, side="right") - 1, 0, len(self._seg_h) - 1)
 
 
 def segment_states(t, h, y, q, ts: np.ndarray) -> np.ndarray:
@@ -231,7 +236,7 @@ def _rms_norm(x: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.square(x))))
 
 
-def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, max_step):
+def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
@@ -244,7 +249,7 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, max_step):
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100 * h0, h1, t_end - t0, max_step)
+    return min(100 * h0, h1, t_end - t0)
 
 
 def _dp45(
@@ -255,9 +260,7 @@ def _dp45(
     rtol: float,
     atol: float,
     *,
-    max_step: float = math.inf,
     post_step: Callable | None = None,
-    on_accept: Callable | None = None,
     escape_norm: float | None = None,
     escape_slice: slice | None = None,
     underflow: str = "raise",
@@ -269,8 +272,8 @@ def _dp45(
     n = y.size
     t = float(t0)
     f0 = np.asarray(fun(t, y), dtype=float)
-    h = _initial_step(fun, t, y, f0, t_end, rtol, atol, max_step)
-    h = max(min(h, t_end - t, max_step), 1e-13 * max(1.0, abs(t)))
+    h = _initial_step(fun, t, y, f0, t_end, rtol, atol)
+    h = max(min(h, t_end - t), 1e-13 * max(1.0, abs(t)))
 
     times = [t]
     states = [y.copy()]
@@ -291,7 +294,7 @@ def _dp45(
         steps += 1
         if steps > _MAX_STEPS:
             raise RuntimeError("step budget exhausted")
-        h = min(h, t_end - t, max_step)
+        h = min(h, t_end - t)
 
         k[0] = f0
         ok = True
@@ -375,8 +378,6 @@ def _dp45(
         y_stored = y_new
         if post_step is not None:
             y_stored = np.asarray(post_step(t_new, y_new), dtype=float)
-        if on_accept is not None:
-            on_accept(t_new, y_stored)
 
         seg_h.append(h)
         seg_y.append(y.copy())
@@ -388,11 +389,10 @@ def _dp45(
             break
 
         t = t_new
+        # a hook that hands back the array it was given changed nothing,
+        # so the last stage's derivative still holds there
+        f0 = f_new if y_stored is y_new else np.asarray(fun(t, y_stored), dtype=float)
         y = y_stored
-        if post_step is not None:
-            f0 = np.asarray(fun(t, y), dtype=float)
-        else:
-            f0 = f_new
 
         if err == 0.0:
             factor = _MAX_FACTOR
@@ -427,6 +427,13 @@ def adaptive_solve(
     Local error per step is kept below atol + rtol * |state| componentwise
     (RMS aggregated). Raises StepUnderflow when the controller cannot make
     progress, which callers interpret as finite-time blow-up.
+
+    The optional ``post_step(t, y)`` sees each accepted state y at t and
+    returns the state to store and continue from. It must not change y in
+    place: returning y itself keeps the step as it is and reuses the last
+    stage's f(t, y), while any other array costs one more evaluation of
+    the field there. It may raise to abort the flow. A step's dense output
+    ends at its state before the hook.
 
     The optional ``stop(t, h, y, q, until)`` sees each new dense segment:
     the state at t + theta * h is y + h * q @ theta^(1..4)
@@ -559,6 +566,11 @@ def _unpack_many(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return phi, psi
 
 
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 matrices."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def phi_psi_at(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
     """Dense-evaluated (Phi, Psi) at a time inside the trajectory window."""
     return unpack_pair(traj.dense_eval(float(t)))
@@ -592,62 +604,9 @@ def _hamiltonian_field(scenario):
     return field
 
 
-def _conjoined_defect(phi: np.ndarray, psi: np.ndarray) -> float:
+def conjoined_defect(phi: np.ndarray, psi: np.ndarray) -> float:
+    """The conjoinedness defect ||Phi* Psi - Psi* Phi|| (max entry)."""
     return norm_max(adjoint(phi) @ psi - adjoint(psi) @ phi)
-
-
-def solve_hamiltonian(
-    scenario,
-    phi0,
-    psi0,
-    window: tuple[float, float],
-    *,
-    rtol: float = DEFAULT_RTOL,
-    atol: float = DEFAULT_ATOL,
-) -> Trajectory:
-    """Integrate the matrix pair flow, monitoring the conjoinedness defect.
-
-    The defect d(t) = ||Phi* Psi - Psi* Phi|| is recorded at every accepted
-    step. A start with d(t0) above tolerance is rejected immediately, and a
-    drift beyond 1e-8 * (1 + |Phi| |Psi|) raises ConjoinedDrift, which in
-    practice means the integration tolerance is too loose for the window.
-    """
-    phi0 = np.asarray(phi0, complex)
-    psi0 = np.asarray(psi0, complex)
-    d0 = _conjoined_defect(phi0, psi0)
-    scale0 = 1.0 + norm_max(phi0) * norm_max(psi0)
-    if d0 > 1e-9 * scale0:
-        raise ConjoinedDrift(float(window[0]), d0, "initial pair is not conjoined")
-
-    defect_t: list[float] = []
-    defect_v: list[float] = []
-
-    def on_accept(t, y):
-        phi, psi = unpack_pair(y)
-        d = _conjoined_defect(phi, psi)
-        defect_t.append(t)
-        defect_v.append(d)
-        if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
-            raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
-
-    traj = _dp45(
-        _hamiltonian_field(scenario),
-        float(window[0]),
-        float(window[1]),
-        pack_pair(phi0, psi0),
-        rtol,
-        atol,
-        on_accept=on_accept,
-    )
-    traj.meta.update(
-        kind="hamiltonian",
-        frame=False,
-        scenario=getattr(scenario, "name", "?"),
-        defect_times=np.asarray(defect_t),
-        defects=np.asarray(defect_v),
-        initial_defect=d0,
-    )
-    return traj
 
 
 def _qr_columns(x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -669,6 +628,82 @@ def _qr_columns(x: np.ndarray) -> tuple[np.ndarray, float]:
     return np.stack([q1, q2], axis=1), math.log(r11) + math.log(r22)
 
 
+def _solve_pair(scenario, phi0, psi0, window, rtol, atol, *, frame: bool) -> Trajectory:
+    """The matrix pair flow, with the conjoinedness defect checked at every node.
+
+    A start with defect above 1e-9 * (1 + |Phi| |Psi|) is rejected, and a
+    node whose defect exceeds CONJ_TOL * (1 + |Phi| |Psi|) raises
+    ConjoinedDrift. With frame set, the start and every accepted state
+    are replaced by the orthonormal Q factor of the stacked 4x2 frame
+    [Phi; Psi] and log det R is added to a running scale; without it the
+    scale stays 0. meta holds the node scales (log_scale), the node
+    defects after the start (defects) and the start defect.
+    """
+    phi0 = np.asarray(phi0, complex)
+    psi0 = np.asarray(psi0, complex)
+    d0 = conjoined_defect(phi0, psi0)
+    if d0 > 1e-9 * (1.0 + norm_max(phi0) * norm_max(psi0)):
+        raise ConjoinedDrift(float(window[0]), d0, "initial pair is not conjoined")
+    log_scale = 0.0
+    if frame:
+        q0, log_scale = _qr_columns(np.vstack([phi0, psi0]))
+        phi0, psi0 = q0[:2, :], q0[2:, :]
+    log_nodes = [log_scale]
+    defects: list[float] = []
+
+    def post_step(t, y):
+        nonlocal log_scale
+        phi, psi = unpack_pair(y)
+        if frame:
+            q, logr = _qr_columns(np.vstack([phi, psi]))
+            log_scale += logr
+            phi, psi = q[:2, :], q[2:, :]
+            y = pack_pair(phi, psi)
+        d = conjoined_defect(phi, psi)
+        if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
+            raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
+        log_nodes.append(log_scale)
+        defects.append(d)
+        return y
+
+    traj = _dp45(
+        _hamiltonian_field(scenario),
+        float(window[0]),
+        float(window[1]),
+        pack_pair(phi0, psi0),
+        rtol,
+        atol,
+        post_step=post_step,
+    )
+    traj.meta.update(
+        kind="hamiltonian",
+        log_scale=np.asarray(log_nodes),
+        defects=np.asarray(defects),
+        initial_defect=d0,
+    )
+    return traj
+
+
+def solve_hamiltonian(
+    scenario,
+    phi0,
+    psi0,
+    window: tuple[float, float],
+    *,
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> Trajectory:
+    """Integrate the matrix pair flow, monitoring the conjoinedness defect.
+
+    The defect d(t) = ||Phi* Psi - Psi* Phi|| is recorded at every accepted
+    step. A start with d(t0) above tolerance is rejected immediately, and a
+    drift beyond 1e-8 * (1 + |Phi| |Psi|) raises ConjoinedDrift, which in
+    practice means the integration tolerance is too loose for the window.
+    The states are Phi and Psi themselves; meta["log_scale"] is all zeros.
+    """
+    return _solve_pair(scenario, phi0, psi0, window, rtol, atol, frame=False)
+
+
 def solve_hamiltonian_frame(
     scenario,
     phi0,
@@ -682,52 +717,27 @@ def solve_hamiltonian_frame(
 
     After every accepted step the stacked 4x2 frame [Phi; Psi] is replaced
     by its orthonormal Q factor and log det R is added to a running scale.
-    meta["log_scale"][i] holds the accumulated log factor at node i, so
-    det Phi(t) = det(upper block of the stored frame) * exp(log_scale) with
-    a positive real scale. Zeros and signs of det Phi are unaffected.
+    meta["log_scale"][i] holds the accumulated log factor at node i, and
+    det_phi restores det Phi from the stored frame with a positive real
+    scale. Zeros and signs of det Phi are unaffected.
     """
-    phi0 = np.asarray(phi0, complex)
-    psi0 = np.asarray(psi0, complex)
-    x0 = np.vstack([phi0, psi0])
-    d0 = _conjoined_defect(phi0, psi0)
-    if d0 > 1e-9 * (1.0 + norm_max(phi0) * norm_max(psi0)):
-        raise ConjoinedDrift(float(window[0]), d0, "initial pair is not conjoined")
-    q0, log0 = _qr_columns(x0)
+    return _solve_pair(scenario, phi0, psi0, window, rtol, atol, frame=True)
 
-    log_acc = [log0]
-    log_nodes = [log0]
 
-    def post_step(t, y):
-        phi, psi = unpack_pair(y)
-        q, logr = _qr_columns(np.vstack([phi, psi]))
-        log_acc[0] += logr
-        return pack_pair(q[:2, :], q[2:, :])
+def det_phi(traj: Trajectory, ts) -> tuple[np.ndarray, np.ndarray]:
+    """det Phi of a pair trajectory at the times ts, as (det, log_scale).
 
-    def on_accept(t, y):
-        log_nodes.append(log_acc[0])
-        phi, psi = unpack_pair(y)
-        d = _conjoined_defect(phi, psi)
-        if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
-            raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
-
-    traj = _dp45(
-        _hamiltonian_field(scenario),
-        float(window[0]),
-        float(window[1]),
-        pack_pair(q0[:2, :], q0[2:, :]),
-        rtol,
-        atol,
-        post_step=post_step,
-        on_accept=on_accept,
-    )
-    traj.meta.update(
-        kind="hamiltonian",
-        frame=True,
-        scenario=getattr(scenario, "name", "?"),
-        log_scale=np.asarray(log_nodes),
-        initial_defect=d0,
-    )
-    return traj
+    det Phi(t) = det * exp(log_scale). det is that of the Phi block of
+    the dense output, and log_scale is the scale of the segment that
+    dense_eval reads at t. A segment runs from its start node, after
+    renormalization, to the state before the next renormalization, so
+    all of it, its end included, carries its start node's scale. The two
+    factors come apart so that a caller can work in log form where
+    exp(log_scale) overflows.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    phi, _ = _unpack_many(traj.dense_eval(ts))
+    return _det2(phi), traj.meta["log_scale"][traj._segment(ts)]
 
 
 # ---------------------------------------------------------------------------
@@ -858,6 +868,18 @@ def solve_matrix_riccati(
 # Determinant zero detection.
 
 
+def sign_change_roots(fn: Callable[[float], float], ts: np.ndarray, vals: np.ndarray) -> list:
+    """Roots of fn in the grid cells [ts[i], ts[i + 1]] where vals changes sign.
+
+    vals holds fn on the grid ts. Every cell whose end values have
+    strictly opposite signs is refined by Brent's method to about 1e-13;
+    a grid value of exactly 0 brackets nothing.
+    """
+    sign = np.sign(vals)
+    cells = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
+    return [float(brentq(fn, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)) for i in cells]
+
+
 @dataclass(frozen=True)
 class ZeroRecord:
     """A detected zero of det Phi: location, residual there, and how it was found."""
@@ -875,9 +897,8 @@ def _indicator_arrays(traj: Trajectory, ts: np.ndarray):
     zeta are exactly those of det Phi (frame trajectories carry an extra
     positive real factor which cannot affect either).
     """
-    states = traj.dense_eval(ts)
-    phi, psi = _unpack_many(np.atleast_2d(states))
-    det = phi[:, 0, 0] * phi[:, 1, 1] - phi[:, 0, 1] * phi[:, 1, 0]
+    phi, psi = _unpack_many(traj.dense_eval(ts))
+    det = _det2(phi)
     stacked = np.concatenate([phi, psi], axis=1)  # (n, 4, 2)
     colnorm = np.sqrt(np.sum(np.abs(stacked) ** 2, axis=1))  # (n, 2)
     kappa = colnorm[:, 0] * colnorm[:, 1]
@@ -926,21 +947,11 @@ def detect_det_zeros(
     found: list[ZeroRecord] = []
 
     if real_coefficients:
-        re = np.real(zeta)
-        sgn = np.sign(re)
-        brackets = np.nonzero(sgn[:-1] * sgn[1:] < 0)[0]
-        for i in brackets[:8192]:
-            root = brentq(
-                lambda t: float(np.real(zeta_scalar(t))),
-                ts[i],
-                ts[i + 1],
-                xtol=1e-13,
-                rtol=8.9e-16,
-            )
+        for root in sign_change_roots(lambda t: float(np.real(zeta_scalar(t))), ts, np.real(zeta)):
             val = zeta_scalar(root)
             _, sc = _indicator_arrays(traj, np.array([root]))
             if abs(val) <= eps_zero * float(sc[0]):
-                found.append(ZeroRecord(float(root), abs(val), "sign_change"))
+                found.append(ZeroRecord(root, abs(val), "sign_change"))
 
     # modulus dips: interior minima of |zeta| on the grid; runs of equal
     # values (flat indicator) collapse to a single representative so a

@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import re
 
-from hamosc import cli, coefsys, criteria
+import numpy as np
+
+from hamosc import cli, coefsys, criteria, mat2, odeint
 
 
 def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys, monkeypatch):
@@ -21,3 +23,22 @@ def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys, monk
     )
     assert {r.label: str(len(r.zeros)) for r in cv.starts} == printed
     assert list(printed) == ["I,0", "I,I", "rand0"]
+
+
+def test_simulate_csv_reads_det_phi_at_the_window_end(tmp_path, capsys):
+    # the dense output at the window end is the last step's state before
+    # its renormalization, so it must carry the scale from before it too
+    path = tmp_path / "euler.json"
+    path.write_text(json.dumps({"family": "euler", "params": {"c": 2.5}, "window": [1.0, 100.0]}))
+    out = tmp_path / "det.csv"
+    assert cli.main(["simulate", str(path), "--csv", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    last = dict(zip(header.split(","), map(float, rows[-1].split(","))))
+    assert last["t"] == 100.0
+
+    eye = np.eye(2, dtype=complex)
+    plain = odeint.solve_hamiltonian(
+        coefsys.make_family("euler", {"c": 2.5}), eye, 0 * eye, (1.0, 100.0)
+    )
+    expected = abs(mat2.det2(odeint.phi_psi_at(plain, 100.0)[0]))
+    assert abs(last["abs_det"] - expected) <= 1e-6 * expected

@@ -101,6 +101,30 @@ def test_stop_hook_ends_the_flow_on_the_full_run_prefix():
     assert untils[-1] == grown.t_end and abs(grown.t_end - math.log(10.0)) < 1e-6
 
 
+def test_post_step_that_keeps_the_state_costs_no_field_call():
+    calls = [0]
+
+    def field(t, y):
+        calls[0] += 1
+        return np.array([y[1], -y[0]])
+
+    def run(**hook):
+        calls[0] = 0
+        traj = odeint.adaptive_solve(field, [1.0, 0.0], (0.0, 10.0), **hook)
+        return traj, calls[0]
+
+    bare, n_bare = run()
+    kept, n_kept = run(post_step=lambda t, y: y)
+    assert n_kept == n_bare
+    assert np.array_equal(kept.times, bare.times) and np.array_equal(kept.states, bare.states)
+
+    # a new array, even an equal one, is a new state: f is taken there
+    # again once per accepted step
+    copied, n_copied = run(post_step=lambda t, y: y.copy())
+    assert np.array_equal(copied.times, bare.times)
+    assert n_copied == n_bare + len(bare.times) - 1
+
+
 def test_step_underflow_reported():
     # 1 + y^2 escapes in finite time; without an escape guard the
     # controller must give up rather than loop forever
@@ -189,6 +213,19 @@ def test_frame_solver_matches_plain_on_moderate_window():
     assert len(zp) == len(zf) == 3
     for a, b in zip(zp, zf):
         assert abs(a.time - b.time) <= 1e-6
+
+
+def test_det_phi_restores_the_frame_scale():
+    # Euler growth makes the frame scale matter; the window end is read
+    # from the last step's state before its renormalization
+    s = coefsys.make_family("euler", {"c": 2.5})
+    plain = odeint.solve_hamiltonian(s, I2, Z2, (1.0, 100.0))
+    frame = odeint.solve_hamiltonian_frame(s, I2, Z2, (1.0, 100.0))
+    ts = np.concatenate([np.linspace(1.0, 100.0, 40), frame.times[-3:]])
+    det, log_scale = odeint.det_phi(frame, ts)
+    expected, zero = odeint.det_phi(plain, ts)
+    assert not np.any(zero)
+    assert np.max(np.abs(det * np.exp(log_scale) - expected) / (1.0 + np.abs(expected))) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
