@@ -221,18 +221,20 @@ def _quarter_threshold(lo: float, hi: float) -> float:
     return lo + 0.75 * (hi - lo)
 
 
-_RENORM_LIMIT = 1e100  # rescale linear states beyond this to dodge overflow
+_RENORM_LIMIT = 1e100  # rescale a fundamental-matrix column beyond this to dodge overflow
 _N_SCAN = 8192  # sign-change scan points per window in scalar_osc_test
 
 
-def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float) -> tuple:
-    """Zeros of the first state component by sign change plus root finding."""
+def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float, component: int) -> tuple:
+    """Zeros of one state component by sign change plus root finding."""
     ts = np.linspace(lo, hi, _N_SCAN)
-    phi = traj.dense_eval(ts)[:, 0]
+    phi = traj.dense_eval(ts)[:, component]
     zeros = []
     if phi[0] == 0.0:
         zeros.append(lo)
-    zeros += odeint.sign_change_roots(lambda t: float(traj.dense_eval(float(t))[0]), ts, phi)
+    zeros += odeint.sign_change_roots(
+        lambda t: float(traj.dense_eval(float(t))[component]), ts, phi
+    )
     exact = np.nonzero(phi[1:] == 0.0)[0]
     zeros.extend(float(ts[i + 1]) for i in exact[:256])
     zeros.sort()
@@ -244,10 +246,7 @@ def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float) -> tuple:
 
 
 def scalar_osc_test(
-    f11: Callable,
-    f12: Callable,
-    f21: Callable,
-    f22: Callable,
+    coeffs: Callable,
     window: tuple,
     n_min: int,
     *,
@@ -257,33 +256,47 @@ def scalar_osc_test(
 ) -> ScalarOscResult:
     """Oscillation of the 2d linear system by direct zero counting.
 
-    Integrates phi' = f11 phi + f12 psi, psi' = f21 phi + f22 psi from
-    the starts (1, 0) and (0, 1), counting zeros of phi by sign change.
+    coeffs(t) returns the entries (m11, m12, m21, m22) of M(t) in
+    phi' = m11 phi + m12 psi, psi' = m21 phi + m22 psi. One flow
+    Y' = M(t) Y carries the 2x2 fundamental matrix Y from the identity,
+    so its columns are the starts (1, 0) and (0, 1); the state holds
+    them one after the other as (phi, psi, phi, psi), and M(t) is read
+    once per stage. Zeros of each column's phi are counted by sign
+    change.
     oscillatory: both starts reach n_min zeros and the last zero lands
     in the final quarter (log-time quarter on wide positive windows).
     non_oscillatory: no start has any zero past the burn-in prefix.
     Anything else is undecided.
 
-    The ratio y = psi / phi obeys y' + f12 y^2 + (f11 - f22) y - f21 = 0
+    The ratio y = psi / phi obeys y' + m12 y^2 + (m11 - m22) y - m21 = 0
     and blows up exactly at the zeros of phi, so these zero times are
-    also the pole times of the Riccati flow. Linear states are rescaled
-    when they exceed 1e100: scaling by a positive factor moves no zero.
+    also the pole times of the Riccati flow. A column whose largest
+    entry exceeds 1e100 is divided by that entry: scaling a column by a
+    positive factor moves none of its zeros.
     """
     lo, hi = float(window[0]), float(window[1])
 
     def fld(t, y):
+        m11, m12, m21, m22 = coeffs(t)
         return np.array(
-            [f11(t) * y[0] + f12(t) * y[1], f21(t) * y[0] + f22(t) * y[1]]
+            [
+                m11 * y[0] + m12 * y[1],
+                m21 * y[0] + m22 * y[1],
+                m11 * y[2] + m12 * y[3],
+                m21 * y[2] + m22 * y[3],
+            ]
         )
 
     def renorm(t, y):
-        m = np.max(np.abs(y))
-        return y / m if m > _RENORM_LIMIT else y
+        if np.max(np.abs(y)) <= _RENORM_LIMIT:
+            return y
+        cols = y.reshape(2, 2)
+        m = np.max(np.abs(cols), axis=1)
+        return (cols / np.where(m > _RENORM_LIMIT, m, 1.0)[:, None]).ravel()
 
-    zeros = {}
-    for label, y0 in (("1,0", (1.0, 0.0)), ("0,1", (0.0, 1.0))):
-        traj = odeint.adaptive_solve(fld, np.array(y0), (lo, hi), rtol, atol, post_step=renorm)
-        zeros[label] = _scan_zeros(traj, lo, hi)
+    y0 = np.array([1.0, 0.0, 0.0, 1.0])
+    traj = odeint.adaptive_solve(fld, y0, (lo, hi), rtol, atol, post_step=renorm)
+    zeros = {"1,0": _scan_zeros(traj, lo, hi, 0), "0,1": _scan_zeros(traj, lo, hi, 2)}
 
     quarter = _quarter_threshold(lo, hi)
     burn_edge = lo + burn_in * (hi - lo)
@@ -413,18 +426,17 @@ def oscillation_from_diagonal(
     for j in (1, 2):
         chi = riccati.free_term_diag(s, j, uncorrected_sign=uncorrected_sign)
 
-        def f11(t, j=j):
-            return 2.0 * float(np.real(s.eval(t)[0][j - 1, j - 1]))
-
-        def f12(t, j=j):
-            return float(np.real(s.eval(t)[1][j - 1, j - 1]))
-
-        def f21(t, chi=chi):
-            return -chi.values(t)
+        def coeffs(t, j=j):
+            a, b, c = s.eval(t)
+            return (
+                2.0 * float(np.real(a[j - 1, j - 1])),
+                float(np.real(b[j - 1, j - 1])),
+                -riccati.chi_diag(a, b, c, j, uncorrected_sign=uncorrected_sign),
+                0.0,
+            )
 
         res = scalar_osc_test(
-            f11, f12, f21, lambda t: 0.0, window, n_min,
-            rtol=rtol, atol=atol, burn_in=burn_in,
+            coeffs, window, n_min, rtol=rtol, atol=atol, burn_in=burn_in
         )
         witnesses[f"scalar_{j}"] = res
         witnesses[f"chi_{j}_samples"] = np.array([chi.values(t) for t in ts])
@@ -609,8 +621,9 @@ def nonoscillation_envelope(
 class PsdReduction:
     """Pointwise reduced coefficients and the sandwich residual.
 
-    sqrt_b, f, p, q are callables t -> 2x2 complex array; residual is
-    the sandwich defect |S F M - M| at t. grid carries the validation
+    sqrt_b, f, p, q are callables t -> 2x2 complex array, and pq gives
+    (p, q) at t from one read of the reduction; residual is the
+    sandwich defect |S F M - M| at t. grid carries the validation
     samples the residual tolerance was enforced on.
     """
 
@@ -618,6 +631,7 @@ class PsdReduction:
     f: Callable
     p: Callable
     q: Callable
+    pq: Callable
     residual: Callable
     grid: np.ndarray
     residuals: np.ndarray
@@ -715,6 +729,7 @@ def psd_reduce(
         f=lambda t: compute(t)[1],
         p=lambda t: compute(t)[2],
         q=lambda t: compute(t)[3],
+        pq=lambda t: compute(t)[2:4],
         residual=lambda t: compute(t)[4],
         grid=ts,
         residuals=residuals,
@@ -725,15 +740,10 @@ def psd_reduce(
     )
 
 
-def _chi_tilde(red: PsdReduction, j: int, uncorrected_sign: bool = False) -> Callable:
-    """Reduced free term: -q_jj - |p_{3-j,j}|^2 (corrected sign)."""
-    other = 2 - j
-
-    def values(t):
-        v = float(np.real(red.q(t)[j - 1, j - 1])) + abs(red.p(t)[other, j - 1]) ** 2
-        return v if uncorrected_sign else -v
-
-    return values
+def _chi_tilde(p: np.ndarray, q: np.ndarray, j: int, uncorrected_sign: bool = False) -> float:
+    """Reduced free term at one time: -q_jj - |p_{3-j,j}|^2 (corrected sign)."""
+    v = float(np.real(q[j - 1, j - 1])) + abs(p[2 - j, j - 1]) ** 2
+    return v if uncorrected_sign else -v
 
 
 def oscillation_from_psd_reduction(
@@ -771,20 +781,22 @@ def oscillation_from_psd_reduction(
     ts = _grid(window)
     fired_j = None
     for j in (1, 2):
-        chit = _chi_tilde(red, j, uncorrected_sign)
-
-        def f21(t, chit=chit):
-            return -chit(t)
-
-        def f22(t, j=j):
-            return -2.0 * float(np.real(red.p(t)[j - 1, j - 1]))
+        def coeffs(t, j=j):
+            p, q = red.pq(t)
+            return (
+                0.0,
+                1.0,
+                -_chi_tilde(p, q, j, uncorrected_sign),
+                -2.0 * float(np.real(p[j - 1, j - 1])),
+            )
 
         res = scalar_osc_test(
-            lambda t: 0.0, lambda t: 1.0, f21, f22, window, n_min,
-            rtol=rtol, atol=atol, burn_in=burn_in,
+            coeffs, window, n_min, rtol=rtol, atol=atol, burn_in=burn_in
         )
         witnesses[f"scalar_{j}"] = res
-        witnesses[f"chi_tilde_{j}_samples"] = np.array([chit(t) for t in ts])
+        witnesses[f"chi_tilde_{j}_samples"] = np.array(
+            [_chi_tilde(*red.pq(t), j, uncorrected_sign) for t in ts]
+        )
         if res.outcome == "oscillatory":
             fired_j = j
             break  # either reduced equation suffices

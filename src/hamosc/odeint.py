@@ -233,7 +233,7 @@ def segment_states(t, h, y, q, ts: np.ndarray) -> np.ndarray:
 
 
 def _rms_norm(x: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.square(x))))
+    return math.sqrt(float(np.square(x).sum()) / x.size)
 
 
 def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
@@ -304,14 +304,14 @@ def _dp45(
             for i in range(1, 6):
                 yi = y + h * (k[:i].T @ _A[i])
                 fi = np.asarray(fun(t + _C[i] * h, yi), dtype=float)
-                if not np.all(np.isfinite(fi)):
+                if not np.isfinite(fi).all():
                     ok = False
                     break
                 k[i] = fi
             if ok:
                 y_new = y + h * (k[:6].T @ _B5)
                 f_new = np.asarray(fun(t + h, y_new), dtype=float)
-                ok = np.all(np.isfinite(y_new)) and np.all(np.isfinite(f_new))
+                ok = np.isfinite(y_new).all() and np.isfinite(f_new).all()
             if ok:
                 k[6] = f_new
                 err_vec = h * (k.T @ _ERR)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefsys import Scenario, ratio_fns
+from .coefsys import TOL_POS, Scenario, ratio_fns
 from .mat2 import norm_max
 from .odeint import Trajectory, adaptive_solve, segment_states
 
@@ -262,6 +262,28 @@ class ChiProfile:
     branch_at: Callable  # t -> "b_zero" | "b_nonzero"
 
 
+def _b_other_zero(b, other: int) -> bool:
+    """Whether b_{3-j} (0-based index other) is zero up to TOL_POS."""
+    return abs(float(np.real(b[other, other]))) <= TOL_POS * (1.0 + norm_max(b))
+
+
+# chi_diag is left out of __all__: it runs once per integrator stage, and
+# bench/tracing.py times every function listed there as a span
+def chi_diag(a, b, c, j: int, *, uncorrected_sign: bool = False) -> float:
+    """chi_j from the coefficient matrices (a, b, c) at one time.
+
+    The formula of free_term_diag, for callers that already hold one
+    s.eval(t) and need chi_j next to other entries of it.
+    """
+    other = 2 - j  # 0-based index of 3-j
+    cjj = float(np.real(c[j - 1, j - 1]))
+    if _b_other_zero(b, other):
+        v = cjj
+    else:
+        v = cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other]))
+    return v if uncorrected_sign else -v
+
+
 def free_term_diag(s: Scenario, j: int, *, uncorrected_sign: bool = False) -> ChiProfile:
     """The free term chi_j of the scalar oscillation criteria.
 
@@ -276,25 +298,12 @@ def free_term_diag(s: Scenario, j: int, *, uncorrected_sign: bool = False) -> Ch
         raise ValueError("j must be 1 or 2")
     if "B_diagonal" not in s.tags:
         raise NotDiagonalB(f"scenario {s.name!r} lacks the B_diagonal tag")
-    from .coefsys import TOL_POS
-
-    other = 2 - j  # 0-based index of 3-j
-
-    def _parts(t):
-        a, b, c = s.eval(t)
-        bo = float(np.real(b[other, other]))
-        cjj = float(np.real(c[j - 1, j - 1]))
-        coupling = complex(a[other, j - 1])
-        zero = abs(bo) <= TOL_POS * (1.0 + norm_max(b))
-        return bo, cjj, coupling, zero
 
     def values(t):
-        bo, cjj, coupling, zero = _parts(t)
-        v = cjj if zero else cjj + abs(coupling) ** 2 / bo
-        return v if uncorrected_sign else -v
+        return chi_diag(*s.eval(t), j, uncorrected_sign=uncorrected_sign)
 
     def branch_at(t):
-        return "b_zero" if _parts(t)[3] else "b_nonzero"
+        return "b_zero" if _b_other_zero(s.eval(t)[1], 2 - j) else "b_nonzero"
 
     return ChiProfile(j=j, values=values, branch_at=branch_at)
 

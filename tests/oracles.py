@@ -12,6 +12,10 @@
   integrates each flow to the window end (or its escape) and samples it
   afterwards, so ``riccati.partition_search`` must return the same
   partition.
+* ``per_start_scalar_osc_test``: the scalar oscillation test as it was
+  before it integrated the fundamental matrix. It runs one flow per
+  start (1, 0) and (0, 1), with four coefficient callables, and
+  rescales each state by its own max.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from hamosc import riccati
+from hamosc import criteria, riccati
 from hamosc.coefsys import Scenario, ratio_fns
 from hamosc.odeint import (
     DEFAULT_ATOL,
@@ -324,3 +328,59 @@ def full_window_partition_search(
         points.append(nxt)
         cur = nxt
     return riccati.Partition(tuple(points))
+
+
+def per_start_scalar_osc_test(
+    f11: Callable,
+    f12: Callable,
+    f21: Callable,
+    f22: Callable,
+    window: tuple,
+    n_min: int,
+    *,
+    rtol: float = 1e-8,
+    atol: float = 1e-10,
+    burn_in: float = 0.1,
+) -> criteria.ScalarOscResult:
+    """Oscillation of the 2d linear system by direct zero counting.
+
+    Integrates phi' = f11 phi + f12 psi, psi' = f21 phi + f22 psi from
+    the starts (1, 0) and (0, 1), counting zeros of phi by sign change.
+    oscillatory: both starts reach n_min zeros and the last zero lands
+    in the final quarter (log-time quarter on wide positive windows).
+    non_oscillatory: no start has any zero past the burn-in prefix.
+    Anything else is undecided.
+
+    The ratio y = psi / phi obeys y' + f12 y^2 + (f11 - f22) y - f21 = 0
+    and blows up exactly at the zeros of phi, so these zero times are
+    also the pole times of the Riccati flow. Linear states are rescaled
+    when they exceed 1e100: scaling by a positive factor moves no zero.
+    """
+    lo, hi = float(window[0]), float(window[1])
+
+    def fld(t, y):
+        return np.array(
+            [f11(t) * y[0] + f12(t) * y[1], f21(t) * y[0] + f22(t) * y[1]]
+        )
+
+    def renorm(t, y):
+        m = np.max(np.abs(y))
+        return y / m if m > criteria._RENORM_LIMIT else y
+
+    zeros = {}
+    for label, y0 in (("1,0", (1.0, 0.0)), ("0,1", (0.0, 1.0))):
+        traj = adaptive_solve(fld, np.array(y0), (lo, hi), rtol, atol, post_step=renorm)
+        zeros[label] = criteria._scan_zeros(traj, lo, hi, 0)
+
+    quarter = criteria._quarter_threshold(lo, hi)
+    burn_edge = lo + burn_in * (hi - lo)
+    osc = all(len(z) >= n_min and z[-1] >= quarter for z in zeros.values())
+    nonosc = all(all(t <= burn_edge for t in z) for z in zeros.values())
+    outcome = "oscillatory" if osc else ("non_oscillatory" if nonosc else "undecided")
+    return criteria.ScalarOscResult(
+        outcome=outcome,
+        zeros=zeros,
+        window=(lo, hi),
+        n_min=n_min,
+        notes=f"burn_in_edge={burn_edge:.6g} quarter_threshold={quarter:.6g}",
+    )

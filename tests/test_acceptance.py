@@ -162,10 +162,7 @@ def test_rank_one_b_euler_nonoscillatory_branch():
 def test_euler_threshold_calibration():
     def run(c):
         return criteria.scalar_osc_test(
-            lambda t: 0.0,
-            lambda t: 1.0,
-            lambda t, c=c: -c / (t * t),
-            lambda t: 0.0,
+            lambda t, c=c: (0.0, 1.0, -c / (t * t), 0.0),
             (1.0, 1.0e4),
             n_min=2,
         )

@@ -3,19 +3,18 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hamosc import coefsys, criteria, mat2
+from hamosc import coefsys, criteria, mat2, odeint
 from conftest import const_scenario
+from oracles import per_start_scalar_osc_test
 
 Z2 = np.zeros((2, 2), dtype=complex)
 I2 = np.eye(2, dtype=complex)
 ONES = np.ones((2, 2), dtype=complex)
-
-ZERO = lambda t: 0.0
-ONE = lambda t: 1.0
 
 
 def _tagged(s, window):
@@ -27,7 +26,7 @@ def _tagged(s, window):
 
 
 def test_scalar_test_harmonic_pair():
-    res = criteria.scalar_osc_test(ZERO, ONE, lambda t: -1.0, ZERO, (0.0, 50.0), 5)
+    res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, -1.0, 0.0), (0.0, 50.0), 5)
     assert res.outcome == "oscillatory"
     # phi'' + phi = 0: sixteen zeros per start on [0, 50], the first at
     # pi/2 for the (1, 0) start
@@ -37,7 +36,7 @@ def test_scalar_test_harmonic_pair():
 
 
 def test_scalar_test_exponential_pair():
-    res = criteria.scalar_osc_test(ZERO, ONE, ONE, ZERO, (0.0, 50.0), 5)
+    res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, 1.0, 0.0), (0.0, 50.0), 5)
     assert res.outcome == "non_oscillatory"
     # the (0, 1) start touches zero only at the left endpoint
     assert len(res.zeros["1,0"]) == 0
@@ -46,7 +45,7 @@ def test_scalar_test_exponential_pair():
 
 def test_scalar_test_subcritical_euler():
     res = criteria.scalar_osc_test(
-        ZERO, ONE, lambda t: -0.25 / (t * t), ZERO, (1.0, 1000.0), 5
+        lambda t: (0.0, 1.0, -0.25 / (t * t), 0.0), (1.0, 1000.0), 5
     )
     assert res.outcome == "non_oscillatory"
 
@@ -56,6 +55,149 @@ def test_quarter_threshold_modes():
     # wide positive windows switch to the geometric quarter
     assert abs(criteria._quarter_threshold(1.0, 1000.0) - 1000.0**0.75) <= 1e-9
     assert criteria._quarter_threshold(1.0, 50.0) == 1.0 + 0.75 * 49.0
+
+
+def _trig_coeffs(rng):
+    """A random smooth M(t) = (m11, m12, m21, m22) with m12 > 0."""
+    w = rng.uniform(0.2, 2.0, 4)
+    ph = rng.uniform(0.0, 2.0 * math.pi, 4)
+    amp = rng.uniform(0.1, 0.6, 4)
+    k = rng.uniform(-0.5, 2.0)
+
+    def m(t):
+        return (
+            amp[0] * math.sin(w[0] * t + ph[0]),
+            1.0 + amp[1] * math.cos(w[1] * t + ph[1]),
+            -(k + amp[2] * math.sin(w[2] * t + ph[2])),
+            amp[3] * math.cos(w[3] * t + ph[3]),
+        )
+
+    return m
+
+
+def _reference_cases():
+    cases = [
+        ("harmonic", lambda t: (0.0, 1.0, -1.0, 0.0), (0.0, 50.0)),
+        ("exponential", lambda t: (0.0, 1.0, 1.0, 0.0), (0.0, 50.0)),
+    ]
+    for c in (0.25, 2.5):
+        cases.append((f"euler c={c}", lambda t, c=c: (0.0, 1.0, -c / (t * t), 0.0), (1.0, 1.0e4)))
+    rng = np.random.default_rng(5150)
+    cases += [(f"trig {i}", _trig_coeffs(rng), (0.0, 20.0)) for i in range(6)]
+    return cases
+
+
+def test_scalar_test_matches_the_per_start_reference():
+    """One fundamental-matrix flow finds the zeros of two per-start flows."""
+    outcomes = set()
+    for name, m, window in _reference_cases():
+        res = criteria.scalar_osc_test(m, window, 5)
+        ref = per_start_scalar_osc_test(
+            lambda t: m(t)[0], lambda t: m(t)[1], lambda t: m(t)[2], lambda t: m(t)[3],
+            window, 5,
+        )
+        outcomes.add(ref.outcome)
+        assert res.outcome == ref.outcome, name
+        for label in ("1,0", "0,1"):
+            got, want = res.zeros[label], ref.zeros[label]
+            assert len(got) == len(want), (name, label)
+            assert all(abs(a - b) <= 1e-7 * (1.0 + abs(b)) for a, b in zip(got, want)), (name, label)
+    # the inputs reach all three outcomes, so the match is not vacuous
+    assert outcomes == {"oscillatory", "non_oscillatory", "undecided"}
+
+
+class _FlowRecorder:
+    """Wraps odeint.adaptive_solve to record each flow and count reads.
+
+    flows holds one record per call: its trajectory and its field calls.
+    counted(fn) wraps a coefficient source; reads counts its calls made
+    from inside a field call.
+    """
+
+    def __init__(self, monkeypatch):
+        self.flows = []
+        self.reads = 0
+        self._in_field = False
+        inner = odeint.adaptive_solve
+
+        def solve(field, *args, **kwargs):
+            rec = {"fev": 0}
+
+            def recorded(t, y):
+                rec["fev"] += 1
+                self._in_field = True
+                try:
+                    return field(t, y)
+                finally:
+                    self._in_field = False
+
+            rec["traj"] = inner(recorded, *args, **kwargs)
+            self.flows.append(rec)
+            return rec["traj"]
+
+        monkeypatch.setattr(odeint, "adaptive_solve", solve)
+
+    def counted(self, fn):
+        def read(t):
+            if self._in_field:
+                self.reads += 1
+            return fn(t)
+
+        return read
+
+    @property
+    def fev(self) -> int:
+        return sum(f["fev"] for f in self.flows)
+
+
+def test_scalar_test_rescales_each_column(monkeypatch):
+    # cosh 400 ~ 1e173: both columns of the fundamental matrix pass the
+    # rescaling limit long before the window end
+    rec = _FlowRecorder(monkeypatch)
+    res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, 1.0, 0.0), (0.0, 400.0), 5)
+    assert res.outcome == "non_oscillatory"
+    assert res.zeros["1,0"] == ()
+    assert res.zeros["0,1"] == (0.0,)
+    (flow,) = rec.flows
+    states = flow["traj"].states
+    assert np.all(np.isfinite(states))
+    # unscaled, both columns would end near 1e173
+    assert np.abs(states).max() <= criteria._RENORM_LIMIT
+
+
+def test_scalar_test_is_one_flow_reading_coeffs_once_per_field_call(monkeypatch):
+    rec = _FlowRecorder(monkeypatch)
+    coeffs = rec.counted(lambda t: (0.0, 1.0, -1.0, 0.0))
+    res = criteria.scalar_osc_test(coeffs, (0.0, 50.0), 5)
+    assert res.outcome == "oscillatory"
+    assert len(rec.flows) == 1
+    assert rec.reads == rec.fev > 0
+
+
+def test_diagonal_criterion_reads_the_scenario_once_per_field_call(monkeypatch):
+    s = coefsys.make_family("harmonic", {})
+    rec = _FlowRecorder(monkeypatch)
+    rep = criteria.oscillation_from_diagonal(replace(s, eval=rec.counted(s.eval)), (0.0, 30.0))
+    assert rep.verdict.kind == criteria.OSCILLATORY
+    assert rec.reads == rec.fev > 0
+
+
+def test_psd_criterion_reads_the_reduction_once_per_field_call(monkeypatch):
+    s = _tagged(coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}), (0.0, 30.0))
+    rec = _FlowRecorder(monkeypatch)
+    reduce = criteria.psd_reduce
+
+    def counted_reduce(*args, **kwargs):
+        red = reduce(*args, **kwargs)
+        return replace(
+            red,
+            **{k: rec.counted(getattr(red, k)) for k in ("sqrt_b", "f", "p", "q", "pq", "residual")},
+        )
+
+    monkeypatch.setattr(criteria, "psd_reduce", counted_reduce)
+    rep = criteria.oscillation_from_psd_reduction(s, (0.0, 30.0))
+    assert rep.verdict.kind == criteria.OSCILLATORY
+    assert rec.reads == rec.fev > 0
 
 
 # ---------------------------------------------------------------------------
