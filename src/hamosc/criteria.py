@@ -222,27 +222,24 @@ def _quarter_threshold(lo: float, hi: float) -> float:
 
 
 _RENORM_LIMIT = 1e100  # rescale a fundamental-matrix column beyond this to dodge overflow
-_N_SCAN = 8192  # sign-change scan points per window in scalar_osc_test
 
 
-def _scan_zeros(traj: odeint.Trajectory, lo: float, hi: float, component: int) -> tuple:
-    """Zeros of one state component by sign change plus root finding."""
-    ts = np.linspace(lo, hi, _N_SCAN)
+def _scan_zeros(traj: odeint.Trajectory, component: int) -> tuple:
+    """Zeros of one state component at and between the accepted nodes.
+
+    A node where the component is exactly 0 is a zero; a step whose end
+    values have opposite signs holds one, found on the dense output.
+    Values are read from the dense output at the nodes, which is the
+    function the root finder brackets (at the window end it can differ
+    from the stored state by rounding).
+    """
+    ts = traj.times
     phi = traj.dense_eval(ts)[:, component]
-    zeros = []
-    if phi[0] == 0.0:
-        zeros.append(lo)
-    zeros += odeint.sign_change_roots(
+    zeros = odeint.sign_change_roots(
         lambda t: float(traj.dense_eval(float(t))[component]), ts, phi
     )
-    exact = np.nonzero(phi[1:] == 0.0)[0]
-    zeros.extend(float(ts[i + 1]) for i in exact[:256])
-    zeros.sort()
-    merged = []
-    for z in zeros:
-        if not merged or z - merged[-1] > 1e-9 * (1.0 + abs(z)):
-            merged.append(z)
-    return tuple(merged)
+    zeros.extend(float(t) for t in ts[phi == 0.0])
+    return tuple(sorted(zeros))
 
 
 def scalar_osc_test(
@@ -262,7 +259,7 @@ def scalar_osc_test(
     so its columns are the starts (1, 0) and (0, 1); the state holds
     them one after the other as (phi, psi, phi, psi), and M(t) is read
     once per stage. Zeros of each column's phi are counted by sign
-    change.
+    change between accepted nodes, plus the nodes where phi is exactly 0.
     oscillatory: both starts reach n_min zeros and the last zero lands
     in the final quarter (log-time quarter on wide positive windows).
     non_oscillatory: no start has any zero past the burn-in prefix.
@@ -296,7 +293,7 @@ def scalar_osc_test(
 
     y0 = np.array([1.0, 0.0, 0.0, 1.0])
     traj = odeint.adaptive_solve(fld, y0, (lo, hi), rtol, atol, post_step=renorm)
-    zeros = {"1,0": _scan_zeros(traj, lo, hi, 0), "0,1": _scan_zeros(traj, lo, hi, 2)}
+    zeros = {"1,0": _scan_zeros(traj, 0), "0,1": _scan_zeros(traj, 2)}
 
     quarter = _quarter_threshold(lo, hi)
     burn_edge = lo + burn_in * (hi - lo)

@@ -29,7 +29,8 @@ Drivers provided:
   Riccati pole is a zero of the linear flow, which they count directly.
   The tests use them to check that correspondence.
 * ``detect_det_zeros``: sign-change root finding (``sign_change_roots``)
-  plus modulus-dip refinement on a normalized determinant indicator.
+  plus modulus-dip refinement on a normalized determinant indicator,
+  both bracketed by the trajectory's accepted nodes.
 
 ``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule used wherever a
 plain definite integral is needed.
@@ -167,12 +168,6 @@ class Trajectory:
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
-
-    @property
-    def min_step(self) -> float:
-        if len(self.times) < 2:
-            return 0.0
-        return float(np.min(np.diff(self.times)))
 
     def dense_eval(self, t):
         """State at time(s) t from the dense interpolant.
@@ -916,10 +911,13 @@ def detect_det_zeros(
 ) -> list[ZeroRecord]:
     """Locate zeros of det Phi along a Hamiltonian trajectory.
 
-    Two detectors run on a normalized indicator: sign-change bisection on
-    the real part (only meaningful for real-coefficient flows, where det is
-    real), and modulus-dip refinement, which catches tangential zeros such
-    as det = cos^2 t that never change sign. The modulus path always runs.
+    Two detectors run on a normalized indicator read at the accepted
+    nodes, whose steps the solver has already certified: sign-change
+    root finding on the real part between adjacent nodes (only meaningful
+    for real-coefficient flows, where det is real), and modulus-dip
+    refinement over the two steps around each node minimum of |zeta|,
+    which catches tangential zeros such as det = cos^2 t that never
+    change sign. The modulus path always runs.
     A candidate t* is reported when |det Phi| <= eps_zero * (1 + |Phi|^2)
     there, evaluated in the trajectory's own normalization. Zeros closer
     than 1e-9 (1 + |t|) are merged, or 1e-7 (1 + |t|) when the two
@@ -927,16 +925,9 @@ def detect_det_zeros(
     """
     if traj.meta.get("kind") != "hamiltonian":
         raise ValueError("detect_det_zeros expects a Hamiltonian trajectory")
-    t0, t_end = traj.t0, traj.t_end
-    span = t_end - t0
-    if span <= 0.0:
+    if traj.t_end <= traj.t0:
         return []
-    dt = 0.01 * span
-    if traj.min_step > 0.0:
-        dt = min(dt, traj.min_step)
-    n = int(math.ceil(span / dt)) + 1
-    n = min(max(n, 101), 262145)  # resolution cap keeps the scan affordable
-    ts = np.linspace(t0, t_end, n)
+    ts = traj.times
     zeta, thresh_scale = _indicator_arrays(traj, ts)
     absz = np.abs(zeta)
 
@@ -953,14 +944,13 @@ def detect_det_zeros(
             if abs(val) <= eps_zero * float(sc[0]):
                 found.append(ZeroRecord(root, abs(val), "sign_change"))
 
-    # modulus dips: interior minima of |zeta| on the grid; runs of equal
+    # modulus dips: interior minima of |zeta| over the nodes; runs of equal
     # values (flat indicator) collapse to a single representative so a
-    # constant determinant does not trigger a refinement per grid point
+    # constant determinant does not trigger a refinement per node
     interior = np.nonzero((absz[1:-1] <= absz[:-2]) & (absz[1:-1] <= absz[2:]))[0] + 1
     clusters = np.split(interior, np.nonzero(np.diff(interior) > 1)[0] + 1) if len(interior) else []
-    reps = [int(cl[np.argmin(absz[cl])]) for cl in clusters if len(cl)]
-    reps.sort(key=lambda i: absz[i])
-    for i in reps[:4096]:
+    for cl in clusters:
+        i = int(cl[np.argmin(absz[cl])])
         res = minimize_scalar(
             lambda t: abs(zeta_scalar(t)),
             bounds=(ts[i - 1], ts[i + 1]),
@@ -972,8 +962,8 @@ def detect_det_zeros(
         _, sc = _indicator_arrays(traj, np.array([t_star]))
         if m_star <= eps_zero * float(sc[0]):
             found.append(ZeroRecord(t_star, m_star, "modulus_dip"))
-    # window endpoints can sit on a zero without bracketing a grid minimum
-    for j in (0, n - 1):
+    # window endpoints can sit on a zero without bracketing a node minimum
+    for j in (0, len(ts) - 1):
         if absz[j] <= eps_zero * float(thresh_scale[j]):
             found.append(ZeroRecord(float(ts[j]), float(absz[j]), "modulus_dip"))
 

@@ -15,7 +15,13 @@
 * ``per_start_scalar_osc_test``: the scalar oscillation test as it was
   before it integrated the fundamental matrix. It runs one flow per
   start (1, 0) and (0, 1), with four coefficient callables, and
-  rescales each state by its own max.
+  rescales each state by its own max. It counts zeros with
+  ``_scan_zeros``, the sign-change scan on a fixed 8192-point grid
+  that the package used before it scanned the accepted nodes.
+* ``window_grid_det_zeros``: ``odeint.detect_det_zeros`` as it was
+  before it scanned the accepted nodes. Its grid spans the window at
+  the smaller of 1% of the window and the shortest step, between 101
+  and 262,145 points, and it refines at most 4,096 modulus dips.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ import math
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from hamosc import criteria, riccati
 from hamosc.coefsys import Scenario, ratio_fns
@@ -33,7 +40,10 @@ from hamosc.odeint import (
     DEFAULT_Y_MAX,
     BlowupRecord,
     Trajectory,
+    ZeroRecord,
+    _indicator_arrays,
     adaptive_solve,
+    sign_change_roots,
     solve_scalar_riccati,
 )
 
@@ -330,6 +340,29 @@ def full_window_partition_search(
     return riccati.Partition(tuple(points))
 
 
+_N_SCAN = 8192  # sign-change scan points per window in scalar_osc_test
+
+
+def _scan_zeros(traj: Trajectory, lo: float, hi: float, component: int) -> tuple:
+    """Zeros of one state component by sign change plus root finding."""
+    ts = np.linspace(lo, hi, _N_SCAN)
+    phi = traj.dense_eval(ts)[:, component]
+    zeros = []
+    if phi[0] == 0.0:
+        zeros.append(lo)
+    zeros += sign_change_roots(
+        lambda t: float(traj.dense_eval(float(t))[component]), ts, phi
+    )
+    exact = np.nonzero(phi[1:] == 0.0)[0]
+    zeros.extend(float(ts[i + 1]) for i in exact[:256])
+    zeros.sort()
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 1e-9 * (1.0 + abs(z)):
+            merged.append(z)
+    return tuple(merged)
+
+
 def per_start_scalar_osc_test(
     f11: Callable,
     f12: Callable,
@@ -370,7 +403,7 @@ def per_start_scalar_osc_test(
     zeros = {}
     for label, y0 in (("1,0", (1.0, 0.0)), ("0,1", (0.0, 1.0))):
         traj = adaptive_solve(fld, np.array(y0), (lo, hi), rtol, atol, post_step=renorm)
-        zeros[label] = criteria._scan_zeros(traj, lo, hi, 0)
+        zeros[label] = _scan_zeros(traj, lo, hi, 0)
 
     quarter = criteria._quarter_threshold(lo, hi)
     burn_edge = lo + burn_in * (hi - lo)
@@ -384,3 +417,91 @@ def per_start_scalar_osc_test(
         n_min=n_min,
         notes=f"burn_in_edge={burn_edge:.6g} quarter_threshold={quarter:.6g}",
     )
+
+
+def window_grid_det_zeros(
+    traj: Trajectory,
+    eps_zero: float = 1e-7,
+    *,
+    real_coefficients: bool = False,
+) -> list[ZeroRecord]:
+    """Locate zeros of det Phi along a Hamiltonian trajectory.
+
+    Two detectors run on a normalized indicator: sign-change bisection on
+    the real part (only meaningful for real-coefficient flows, where det is
+    real), and modulus-dip refinement, which catches tangential zeros such
+    as det = cos^2 t that never change sign. The modulus path always runs.
+    A candidate t* is reported when |det Phi| <= eps_zero * (1 + |Phi|^2)
+    there, evaluated in the trajectory's own normalization. Zeros closer
+    than 1e-9 (1 + |t|) are merged, or 1e-7 (1 + |t|) when the two
+    detectors report the same zero.
+    """
+    if traj.meta.get("kind") != "hamiltonian":
+        raise ValueError("detect_det_zeros expects a Hamiltonian trajectory")
+    t0, t_end = traj.t0, traj.t_end
+    span = t_end - t0
+    if span <= 0.0:
+        return []
+    dt = 0.01 * span
+    min_step = float(np.min(np.diff(traj.times))) if len(traj.times) >= 2 else 0.0
+    if min_step > 0.0:
+        dt = min(dt, min_step)
+    n = int(math.ceil(span / dt)) + 1
+    n = min(max(n, 101), 262145)  # resolution cap keeps the scan affordable
+    ts = np.linspace(t0, t_end, n)
+    zeta, thresh_scale = _indicator_arrays(traj, ts)
+    absz = np.abs(zeta)
+
+    def zeta_scalar(t: float) -> complex:
+        z, _ = _indicator_arrays(traj, np.array([t]))
+        return complex(z[0])
+
+    found: list[ZeroRecord] = []
+
+    if real_coefficients:
+        for root in sign_change_roots(lambda t: float(np.real(zeta_scalar(t))), ts, np.real(zeta)):
+            val = zeta_scalar(root)
+            _, sc = _indicator_arrays(traj, np.array([root]))
+            if abs(val) <= eps_zero * float(sc[0]):
+                found.append(ZeroRecord(root, abs(val), "sign_change"))
+
+    # modulus dips: interior minima of |zeta| on the grid; runs of equal
+    # values (flat indicator) collapse to a single representative so a
+    # constant determinant does not trigger a refinement per grid point
+    interior = np.nonzero((absz[1:-1] <= absz[:-2]) & (absz[1:-1] <= absz[2:]))[0] + 1
+    clusters = np.split(interior, np.nonzero(np.diff(interior) > 1)[0] + 1) if len(interior) else []
+    reps = [int(cl[np.argmin(absz[cl])]) for cl in clusters if len(cl)]
+    reps.sort(key=lambda i: absz[i])
+    for i in reps[:4096]:
+        res = minimize_scalar(
+            lambda t: abs(zeta_scalar(t)),
+            bounds=(ts[i - 1], ts[i + 1]),
+            method="bounded",
+            options={"xatol": 1e-12},
+        )
+        t_star = float(res.x)
+        m_star = float(res.fun)
+        _, sc = _indicator_arrays(traj, np.array([t_star]))
+        if m_star <= eps_zero * float(sc[0]):
+            found.append(ZeroRecord(t_star, m_star, "modulus_dip"))
+    # window endpoints can sit on a zero without bracketing a grid minimum
+    for j in (0, n - 1):
+        if absz[j] <= eps_zero * float(thresh_scale[j]):
+            found.append(ZeroRecord(float(ts[j]), float(absz[j]), "modulus_dip"))
+
+    found.sort(key=lambda r: r.time)
+    merged: list[ZeroRecord] = []
+    for rec in found:
+        if merged:
+            prev = merged[-1]
+            # the dip refiner is only good to ~1e-7 near a simple zero, so a
+            # dip landing that close to a root of another kind is the same
+            # zero seen by both detectors; keep the sharper record
+            same_kind = rec.kind == prev.kind
+            tol = (1e-9 if same_kind else 1e-7) * (1 + abs(rec.time))
+            if abs(rec.time - prev.time) <= tol:
+                if rec.residual < prev.residual:
+                    merged[-1] = rec
+                continue
+        merged.append(rec)
+    return merged

@@ -106,6 +106,26 @@ def test_scalar_test_matches_the_per_start_reference():
     assert outcomes == {"oscillatory", "non_oscillatory", "undecided"}
 
 
+def test_scalar_test_finds_every_zero_of_a_fast_euler_equation():
+    # t^2 phi'' + 100 phi = 0 on (1, 1e4): phi = sqrt(t) (a cos + b sin)(mu ln t)
+    # with mu = sqrt(100 - 1/4); the first zeros are about 0.37 apart, less
+    # than the 1.22 spacing of an 8192-point grid over the window
+    mu = math.sqrt(100.0 - 0.25)
+    hi = 1e4
+    res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, -100.0 / (t * t), 0.0), (1.0, hi), 5)
+    n_10 = int((mu * math.log(hi) - math.atan(2.0 * mu)) / math.pi) + 1
+    n_01 = int(mu * math.log(hi) / math.pi) + 1
+    want = {
+        "1,0": [math.exp((math.atan(2.0 * mu) + k * math.pi) / mu) for k in range(n_10)],
+        "0,1": [math.exp(k * math.pi / mu) for k in range(n_01)],
+    }
+    assert (len(want["1,0"]), len(want["0,1"])) == (29, 30)
+    for label, expected in want.items():
+        got = res.zeros[label]
+        assert len(got) == len(expected), label
+        assert all(abs(a - b) <= 1e-8 * (1.0 + b) for a, b in zip(got, expected)), label
+
+
 class _FlowRecorder:
     """Wraps odeint.adaptive_solve to record each flow and count reads.
 

@@ -9,6 +9,7 @@ import pytest
 
 from hamosc import coefsys, mat2, odeint
 from conftest import const_scenario, hermitian
+from oracles import window_grid_det_zeros
 
 I2 = np.eye(2, dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -256,6 +257,50 @@ def test_detect_det_zeros_euler():
     assert len(times) == 2
     assert abs(times[0] - 2.2995125865799344) <= 1e-4
     assert abs(times[1] - 18.67325495830934) <= 1e-4
+
+
+def test_detect_det_zeros_matches_the_window_grid_reference():
+    """Scanning the accepted nodes finds the zeros the window grid finds."""
+    cases = [
+        ("harmonic", {}, (0.0, 20.0)),
+        ("ones_B_zero_drift", {"c_sum": -1.0}, (0.0, 30.0)),
+        ("euler", {"c": 2.5}, (1.0, 100.0)),
+    ]
+    n_zeros = 0
+    for family, params, window in cases:
+        s = coefsys.make_family(family, params)
+        for psi0 in (Z2, I2):
+            traj = odeint.solve_hamiltonian_frame(s, I2, psi0, window)
+            for real in (True, False):
+                got = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=real)
+                want = window_grid_det_zeros(traj, 1e-7, real_coefficients=real)
+                case = (family, psi0[0, 0].real, real)
+                assert len(got) == len(want), case
+                for a, b in zip(got, want):
+                    assert abs(a.time - b.time) <= 1e-7 * (1.0 + abs(b.time)), case
+                n_zeros += len(want)
+    assert n_zeros > 0
+
+
+def test_detect_det_zeros_reads_the_indicator_at_the_nodes(monkeypatch):
+    # det Phi = cos^2 t: three tangential zeros, found from the accepted
+    # nodes alone with no denser grid of the detector's own
+    s = coefsys.make_family("harmonic", {})
+    traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 10.0))
+    sizes = []
+    inner = odeint._indicator_arrays
+
+    def recorded(tr, ts):
+        sizes.append(len(ts))
+        return inner(tr, ts)
+
+    monkeypatch.setattr(odeint, "_indicator_arrays", recorded)
+    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    assert max(sizes) == len(traj.times)
+    times = [z.time for z in zeros]
+    expected = [math.pi / 2.0, 3.0 * math.pi / 2.0, 5.0 * math.pi / 2.0]
+    assert len(times) == 3
+    assert max(abs(a - b) for a, b in zip(times, expected)) <= 1e-6
 
 
 def test_detect_det_zeros_wants_hamiltonian_meta():
