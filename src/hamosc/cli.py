@@ -21,10 +21,9 @@ Scenario files are JSON:
      "params": {...}, "window": [t0, T], "options": {...}}
 
 Options mirror AnalysisOptions (rtol, atol, n_min, max_points,
-sign_convention, exponent_source, F_override, eps_zero, sim_window,
-...). F_override accepts "sqrt2_identity" or null. The environment
-variable HAMOSC_SEED fixes the seed for the random conjoined starts
-(default 42).
+sign_convention, F_override, eps_zero, sim_window, ...). F_override
+accepts "sqrt2_identity" or null. The environment variable HAMOSC_SEED
+fixes the seed for the random conjoined starts (default 42).
 
 All file output is written atomically (temp file + rename) and numbers
 are serialized with shortest round-trip decimal text.

@@ -32,7 +32,7 @@ disagreement is reported, never suppressed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional
 
 import numpy as np
@@ -139,7 +139,9 @@ class AnalysisOptions:
 
     rtol and atol govern the verdict-engine integrations (scalar
     oscillation tests); direct odeint use keeps its own tighter
-    defaults. Zero counting is insensitive well below these.
+    defaults. Zero counting is insensitive well below these. eps_zero,
+    n_starts, seed and sim_window set the simulation of cross_validate,
+    whose own arguments can replace the first three.
     """
 
     rtol: float = 1e-8
@@ -147,7 +149,6 @@ class AnalysisOptions:
     n_min: int = 5  # zeros required before a window counts as oscillatory
     max_points: int = 64  # partition search budget
     sign_convention: str = "minus_c12"  # envelope drive c12 sign
-    exponent_source: str = "p"  # reduced kernels exponentiate p_jj or a_jj
     f_override: Optional[Callable] = None  # sandwich solution override
     f_override_name: Optional[str] = None
     eps_zero: float = 1e-7  # determinant zero indicator threshold
@@ -155,7 +156,6 @@ class AnalysisOptions:
     n_starts: int = 5  # conjoined starts in cross validation
     seed: int = 42
     sim_window: Optional[tuple] = None  # cheaper window for simulation only
-    uncorrected_sign: bool = False  # audit flag: uncorrected chi sign
 
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisOptions":
@@ -310,49 +310,48 @@ def scalar_osc_test(
 
 
 # ---------------------------------------------------------------------------
-# Shared hypothesis checks on sampled grids.
+# Shared hypothesis checks and criterion skeletons.
 
 
 def _grid(window: tuple, n: int = 256) -> np.ndarray:
     return np.linspace(float(window[0]), float(window[1]), n)
 
 
-def _coupling_vanishes_with_b(s: Scenario, window: tuple) -> tuple:
-    """Where a diagonal b_j vanishes, both off-diagonal a entries must too.
+def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
+    """Diagonal-B hypotheses on the grid: (sign patterns, min b, coupling row).
 
-    The two index conventions in circulation disagree on which coupling
-    entry is tied to which b; requiring both is conservative: it can
-    only withhold a verdict, never fabricate one.
+    Each sign pattern is (b_j >= -tol everywhere, b_j <= tol everywhere)
+    for j = 1, 2, with tol = TOL_POS * (1 + max |b|). The coupling row
+    is the applicability row of "where a diagonal b_j vanishes, both
+    off-diagonal a entries do too", tested pointwise against each
+    matrix's own scale. The two index conventions in circulation
+    disagree on which coupling entry is tied to which b; requiring both
+    is conservative: it can only withhold a verdict, never fabricate one.
     """
     ts = _grid(window)
-    for t in ts:
-        a, b, _ = s.eval(t)
-        scale_b = 1.0 + mat2.norm_max(b)
-        scale_a = 1.0 + mat2.norm_max(a)
-        for j in (0, 1):
-            if abs(b[j, j]) <= coefsys.TOL_POS * scale_b:
-                if (
-                    abs(a[0, 1]) > coefsys.TOL_POS * scale_a
-                    or abs(a[1, 0]) > coefsys.TOL_POS * scale_a
-                ):
-                    return False, float(t)
-    return True, None
+    evs = [s.eval(t) for t in ts]
+    a = np.array([e[0] for e in evs])
+    b = np.array([e[1] for e in evs])
+    b_diag = np.stack([b[:, 0, 0], b[:, 1, 1]], axis=1)
+    b_real = np.real(b_diag)
+    tol = coefsys.TOL_POS * (1.0 + float(np.max(np.abs(b_real))))
+    signs = tuple((bool(np.all(v >= -tol)), bool(np.all(v <= tol))) for v in b_real.T)
+    tol_a = coefsys.TOL_POS * (1.0 + np.max(np.abs(a), axis=(1, 2)))
+    tol_b = coefsys.TOL_POS * (1.0 + np.max(np.abs(b), axis=(1, 2)))
+    b_zero = np.any(np.abs(b_diag) <= tol_b[:, None], axis=1)
+    coupled = (np.abs(a[:, 0, 1]) > tol_a) | (np.abs(a[:, 1, 0]) > tol_a)
+    bad = ts[b_zero & coupled]
+    coupling = (
+        "couplings vanish where b does",
+        len(bad) == 0,
+        f"violation near t = {float(bad[0]):g}" if len(bad) else "",
+    )
+    return signs, float(np.min(b_real)), coupling
 
 
-def _diag_b_signs(s: Scenario, window: tuple) -> tuple:
-    """Sign pattern of (b1, b2) on the window: each is >=0, <=0, both, or mixed."""
-    ts = _grid(window)
-    b1 = np.array([float(np.real(s.eval(t)[1][0, 0])) for t in ts])
-    b2 = np.array([float(np.real(s.eval(t)[1][1, 1])) for t in ts])
-    scale = 1.0 + max(np.max(np.abs(b1)), np.max(np.abs(b2)))
-    tol = coefsys.TOL_POS * scale
-
-    def pattern(v):
-        nonneg = bool(np.all(v >= -tol))
-        nonpos = bool(np.all(v <= tol))
-        return nonneg, nonpos
-
-    return pattern(b1), pattern(b2)
+def _a_weight(s: Scenario, j: int) -> Callable:
+    """The kernel weight t -> 2 Re a_jj(t)."""
+    return lambda t: 2.0 * float(np.real(s.eval(t)[0][j - 1, j - 1]))
 
 
 def _inconclusive(criterion: str, window: tuple, applicability, witnesses=None, notes="") -> CriterionReport:
@@ -373,6 +372,61 @@ def _fired(criterion: str, kind: str, window: tuple, applicability, witnesses, n
     )
 
 
+def _first_oscillating(
+    criterion: str, window: tuple, applicability: list, witnesses: dict,
+    system: Callable, chi_key: str, notes: tuple, n_min: int, *, rtol, atol, burn_in,
+) -> CriterionReport:
+    """Oscillatory at the first j = 1, 2 whose scalar system oscillates.
+
+    system(j) returns (coeffs, chi): the coefficients for scalar_osc_test
+    and the free term t -> chi_j, sampled on the grid into the witness
+    f"{chi_key}_{j}_samples". Either system suffices, so the possibly
+    stiff twin of one that oscillates is skipped. notes is the (fired,
+    not fired) pair; the first is formatted with j.
+    """
+    ts = _grid(window)
+    for j in (1, 2):
+        coeffs, chi = system(j)
+        res = scalar_osc_test(coeffs, window, n_min, rtol=rtol, atol=atol, burn_in=burn_in)
+        witnesses[f"scalar_{j}"] = res
+        witnesses[f"{chi_key}_{j}_samples"] = np.array([chi(t) for t in ts])
+        if res.outcome == "oscillatory":
+            return _fired(
+                criterion, OSCILLATORY, window, applicability, witnesses, notes[0].format(j=j)
+            )
+    return _inconclusive(criterion, window, applicability, witnesses, notes=notes[1])
+
+
+def _certified_pair(
+    criterion: str, window: tuple, applicability: list, witnesses: dict,
+    kernels: list, max_points: int, *, rtol, atol, notes: str = "",
+) -> CriterionReport:
+    """NonOscillatory when both (label, Kernel) pairs certify.
+
+    A kernel certifies on the fast path when h <= 0 on the grid, else by
+    greedy partition search. Both kernels are tried, so each leaves its
+    witnesses; when either fails the report is Inconclusive.
+    """
+    ts = _grid(window)
+    certified = True
+    for label, k in kernels:
+        hs = np.array([k.h(t) for t in ts])
+        witnesses[f"h_{label}_samples"] = hs
+        if np.all(hs <= 1e-10 * (1.0 + np.max(np.abs(hs)))):
+            witnesses[f"certificate_{label}"] = "sign_definite"
+            continue
+        part = riccati.partition_search(k, window, max_points, rtol=rtol, atol=atol)
+        witnesses[f"certificate_{label}"] = "none" if part is None else "partition"
+        if part is None:
+            certified = False
+        else:
+            witnesses[f"partition_{label}"] = part
+    if certified:
+        return _fired(criterion, NON_OSCILLATORY, window, applicability, witnesses, notes)
+    notes = (notes + " " if notes else "") + "partition search failed"
+    return _inconclusive(criterion, window, applicability, witnesses, notes)
+
+
 # ---------------------------------------------------------------------------
 # Criterion: oscillation from the diagonal scalar systems.
 
@@ -385,7 +439,6 @@ def oscillation_from_diagonal(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     burn_in: float = 0.1,
-    uncorrected_sign: bool = False,
 ) -> CriterionReport:
     """Oscillatory when either diagonal scalar system is.
 
@@ -400,57 +453,31 @@ def oscillation_from_diagonal(
     if not ok_diag:
         return _inconclusive(OSC_DIAG, window, applicability)
 
-    ts = _grid(window)
-    bvals = np.array([[float(np.real(s.eval(t)[1][j, j])) for j in (0, 1)] for t in ts])
-    tol = coefsys.TOL_POS * (1.0 + float(np.max(np.abs(bvals))))
-    ok_sign = bool(np.all(bvals >= -tol))
+    ((b1_nonneg, _), (b2_nonneg, _)), min_b, coupling = _diag_b_checks(s, window)
+    ok_sign = b1_nonneg and b2_nonneg
     applicability.append(
-        ("b_1, b_2 nonnegative", ok_sign, "" if ok_sign else f"min b = {bvals.min():.3e}")
+        ("b_1, b_2 nonnegative", ok_sign, "" if ok_sign else f"min b = {min_b:.3e}")
     )
-    ok_coupling, t_bad = _coupling_vanishes_with_b(s, window)
-    applicability.append(
-        (
-            "couplings vanish where b does",
-            ok_coupling,
-            "" if ok_coupling else f"violation near t = {t_bad:g}",
-        )
-    )
-    if not (ok_sign and ok_coupling):
+    applicability.append(coupling)
+    if not (ok_sign and coupling[1]):
         return _inconclusive(OSC_DIAG, window, applicability)
 
-    witnesses = {}
-    fired_j = None
-    for j in (1, 2):
-        chi = riccati.free_term_diag(s, j, uncorrected_sign=uncorrected_sign)
-
-        def coeffs(t, j=j):
+    def system(j):
+        def coeffs(t):
             a, b, c = s.eval(t)
             return (
                 2.0 * float(np.real(a[j - 1, j - 1])),
                 float(np.real(b[j - 1, j - 1])),
-                -riccati.chi_diag(a, b, c, j, uncorrected_sign=uncorrected_sign),
+                -riccati.chi_diag(a, b, c, j),
                 0.0,
             )
 
-        res = scalar_osc_test(
-            coeffs, window, n_min, rtol=rtol, atol=atol, burn_in=burn_in
-        )
-        witnesses[f"scalar_{j}"] = res
-        witnesses[f"chi_{j}_samples"] = np.array([chi.values(t) for t in ts])
-        if res.outcome == "oscillatory":
-            fired_j = j
-            break  # either system suffices; skip the possibly stiff twin
-    if fired_j is not None:
-        return _fired(
-            OSC_DIAG,
-            OSCILLATORY,
-            window,
-            applicability,
-            witnesses,
-            notes=f"scalar system j={fired_j} oscillates",
-        )
-    return _inconclusive(
-        OSC_DIAG, window, applicability, witnesses, notes="no scalar system oscillates"
+        return coeffs, riccati.free_term_diag(s, j).values
+
+    return _first_oscillating(
+        OSC_DIAG, window, applicability, {}, system, "chi",
+        ("scalar system j={j} oscillates", "no scalar system oscillates"),
+        n_min, rtol=rtol, atol=atol, burn_in=burn_in,
     )
 
 
@@ -458,38 +485,11 @@ def oscillation_from_diagonal(
 # Criterion: non-oscillation from the split-sign diagonal case.
 
 
-def _certify_kernel(
-    k: Kernel,
-    window: tuple,
-    max_points: int,
-    label: str,
-    witnesses: dict,
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
-) -> bool:
-    """Fast path on sign-definite h, else greedy partition search."""
-    ts = _grid(window)
-    hs = np.array([k.h(t) for t in ts])
-    witnesses[f"h_{label}_samples"] = hs
-    if np.all(hs <= 1e-10 * (1.0 + np.max(np.abs(hs)))):
-        witnesses[f"certificate_{label}"] = "sign_definite"
-        return True
-    part = riccati.partition_search(k, window, max_points, rtol=rtol, atol=atol)
-    if part is not None:
-        witnesses[f"certificate_{label}"] = "partition"
-        witnesses[f"partition_{label}"] = part
-        return True
-    witnesses[f"certificate_{label}"] = "none"
-    return False
-
-
 def nonoscillation_sign_split(
     s: Scenario,
     window: tuple,
     max_points: int = 64,
     *,
-    uncorrected_sign: bool = False,
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> CriterionReport:
@@ -506,7 +506,7 @@ def nonoscillation_sign_split(
     if not ok_diag:
         return _inconclusive(NONOSC_SPLIT, window, applicability)
 
-    (b1_nonneg, b1_nonpos), (b2_nonneg, b2_nonpos) = _diag_b_signs(s, window)
+    ((b1_nonneg, b1_nonpos), (b2_nonneg, b2_nonpos)), _, coupling = _diag_b_checks(s, window)
     case_a = b1_nonneg and b2_nonpos  # h signs (+chi1, -chi2)
     case_b = b1_nonpos and b2_nonneg  # h signs (-chi1, +chi2)
     applicability.append(
@@ -516,36 +516,17 @@ def nonoscillation_sign_split(
             f"case_a={case_a} case_b={case_b}",
         )
     )
-    ok_coupling, t_bad = _coupling_vanishes_with_b(s, window)
-    applicability.append(
-        (
-            "couplings vanish where b does",
-            ok_coupling,
-            "" if ok_coupling else f"violation near t = {t_bad:g}",
-        )
-    )
-    if not ((case_a or case_b) and ok_coupling):
+    applicability.append(coupling)
+    if not ((case_a or case_b) and coupling[1]):
         return _inconclusive(NONOSC_SPLIT, window, applicability)
 
-    sign1, sign2 = (1.0, -1.0) if case_a else (-1.0, 1.0)
+    kernels = []
+    for j, sgn in zip((1, 2), (1.0, -1.0) if case_a else (-1.0, 1.0)):
+        chi = riccati.free_term_diag(s, j).values
+        kernels.append((str(j), Kernel(_a_weight(s, j), lambda t, chi=chi, sgn=sgn: sgn * chi(t))))
     witnesses = {"case": "b1>=0,b2<=0" if case_a else "b1<=0,b2>=0"}
-    certified = True
-    for j, sgn in ((1, sign1), (2, sign2)):
-        chi = riccati.free_term_diag(s, j, uncorrected_sign=uncorrected_sign)
-
-        def g(t, j=j):
-            return 2.0 * float(np.real(s.eval(t)[0][j - 1, j - 1]))
-
-        def h(t, chi=chi, sgn=sgn):
-            return sgn * chi.values(t)
-
-        certified &= _certify_kernel(
-            Kernel(g, h), window, max_points, str(j), witnesses, rtol=rtol, atol=atol
-        )
-    if certified:
-        return _fired(NONOSC_SPLIT, NON_OSCILLATORY, window, applicability, witnesses)
-    return _inconclusive(
-        NONOSC_SPLIT, window, applicability, witnesses, notes="partition search failed"
+    return _certified_pair(
+        NONOSC_SPLIT, window, applicability, witnesses, kernels, max_points, rtol=rtol, atol=atol
     )
 
 
@@ -588,25 +569,10 @@ def nonoscillation_envelope(
         "sign_convention": sign_convention,
         "m_peak_samples": np.array([env.m_peak(t) for t in _grid(window)]),
     }
-    certified = True
-    for j, chi in ((1, env.chi3), (2, env.chi4)):
-
-        def g(t, j=j):
-            return 2.0 * float(np.real(s.eval(t)[0][j - 1, j - 1]))
-
-        certified &= _certify_kernel(
-            Kernel(g, chi), window, max_points, f"{j + 2}", witnesses, rtol=rtol, atol=atol
-        )
-    if certified:
-        return _fired(
-            NONOSC_ENVELOPE, NON_OSCILLATORY, window, applicability, witnesses, notes
-        )
-    return _inconclusive(
-        NONOSC_ENVELOPE,
-        window,
-        applicability,
-        witnesses,
-        notes=(notes + " " if notes else "") + "partition search failed",
+    kernels = [("3", Kernel(_a_weight(s, 1), env.chi3)), ("4", Kernel(_a_weight(s, 2), env.chi4))]
+    return _certified_pair(
+        NONOSC_ENVELOPE, window, applicability, witnesses, kernels, max_points,
+        rtol=rtol, atol=atol, notes=notes,
     )
 
 
@@ -619,9 +585,10 @@ class PsdReduction:
     """Pointwise reduced coefficients and the sandwich residual.
 
     sqrt_b, f, p, q are callables t -> 2x2 complex array, and pq gives
-    (p, q) at t from one read of the reduction; residual is the
-    sandwich defect |S F M - M| at t. grid carries the validation
-    samples the residual tolerance was enforced on.
+    (p, q) at t from one read of the reduction; residual(t) computes the
+    sandwich defect |S F M - M| at t. grid carries the validation samples
+    the residual tolerance was enforced on, and max_residual the largest
+    defect there.
     """
 
     sqrt_b: Callable
@@ -631,11 +598,8 @@ class PsdReduction:
     pq: Callable
     residual: Callable
     grid: np.ndarray
-    residuals: np.ndarray
     max_residual: float
-    tol: float
     f_source: str
-    herm_defect: float
 
 
 def psd_reduce(
@@ -649,7 +613,8 @@ def psd_reduce(
     S F M = M (minimum-norm least squares, or the override), P = F M,
     Q = S C S symmetrized. Raises ResidualTooLarge when the sandwich
     defect exceeds 1e-8 * (1 + |M|) anywhere on the validation grid:
-    downstream criteria treat that as inapplicability.
+    downstream criteria treat that as inapplicability. The defect and
+    |M| are computed on that grid only, not at every integrator stage.
     """
     if "B_psd" not in s.tags:
         raise mat2.NotPSD(f"scenario {s.name!r} lacks the B_psd tag")
@@ -670,13 +635,13 @@ def psd_reduce(
     a0, b0, c0 = s.eval(lo)
     sq0 = mat2.sqrt_psd(b0) if const_b else None
     m0 = a0 @ sq0 if (const_a and const_b) else None
-    f0 = res0 = None
+    f0 = None
     if m0 is not None and f_override is None:
-        f0, res0 = mat2.solve_sandwich(sq0, m0)
+        f0, _ = mat2.solve_sandwich(sq0, m0)
     q0 = None
     if const_b and const_c:
         qq = sq0 @ c0 @ sq0
-        q0 = (0.5 * (qq + qq.conj().T), float(mat2.norm_max(qq - qq.conj().T)))
+        q0 = 0.5 * (qq + qq.conj().T)
 
     def compute(t: float):
         key = float(t)
@@ -692,34 +657,33 @@ def psd_reduce(
             m = a @ sq - dsq
         if f_override is not None:
             f = np.asarray(f_override(key), complex)
-            res = float(mat2.norm_max(sq @ f @ m - m))
         elif f0 is not None:
-            f, res = f0, res0
+            f = f0
         else:
-            f, res = mat2.solve_sandwich(sq, m)
-        p = f @ m
+            f, _ = mat2.solve_sandwich(sq, m)
         if q0 is not None:
-            q, herm = q0
+            q = q0
         else:
             q = sq @ c @ sq
-            herm = float(mat2.norm_max(q - q.conj().T))
             q = 0.5 * (q + q.conj().T)
-        out = (sq, f, p, q, res, float(mat2.norm_max(m)), herm)
+        out = (sq, f, f @ m, q, m)
         if len(memo) > 4096:
             memo.clear()
         memo[key] = out
         return out
 
+    def residual(t: float) -> float:
+        sq, f, _, _, m = compute(t)
+        return float(mat2.norm_max(sq @ f @ m - m))
+
     ts = _grid(window)
-    residuals = np.empty(len(ts))
-    herm_defect = 0.0
-    for i, t in enumerate(ts):
-        sq, f, p, q, res, mnorm, herm = compute(t)
-        residuals[i] = res
-        herm_defect = max(herm_defect, herm)
-        tol = 1e-8 * (1.0 + mnorm)
+    residuals = []
+    for t in ts:
+        res = residual(t)
+        tol = 1e-8 * (1.0 + float(mat2.norm_max(compute(t)[4])))
         if res > tol:
             raise ResidualTooLarge(float(t), res, tol)
+        residuals.append(res)
 
     return PsdReduction(
         sqrt_b=lambda t: compute(t)[0],
@@ -727,20 +691,37 @@ def psd_reduce(
         p=lambda t: compute(t)[2],
         q=lambda t: compute(t)[3],
         pq=lambda t: compute(t)[2:4],
-        residual=lambda t: compute(t)[4],
+        residual=residual,
         grid=ts,
-        residuals=residuals,
         max_residual=float(np.max(residuals)),
-        tol=1e-8,
         f_source="override" if f_override is not None else "min_norm",
-        herm_defect=herm_defect,
     )
 
 
-def _chi_tilde(p: np.ndarray, q: np.ndarray, j: int, uncorrected_sign: bool = False) -> float:
-    """Reduced free term at one time: -q_jj - |p_{3-j,j}|^2 (corrected sign)."""
-    v = float(np.real(q[j - 1, j - 1])) + abs(p[2 - j, j - 1]) ** 2
-    return v if uncorrected_sign else -v
+def _reduced(criterion: str, s: Scenario, window: tuple, f_override, applicability: list) -> tuple:
+    """The PSD prelude: (reduction, None), or (None, Inconclusive report).
+
+    Appends the B_psd row and, when B is PSD, the sandwich residual row
+    of one psd_reduce call.
+    """
+    ok_psd = "B_psd" in s.tags
+    applicability.append(("B positive semidefinite", ok_psd, ""))
+    if not ok_psd:
+        return None, _inconclusive(criterion, window, applicability)
+    try:
+        red = psd_reduce(s, window, f_override)
+    except ResidualTooLarge as exc:
+        applicability.append(("sandwich residual small", False, str(exc)))
+        return None, _inconclusive(criterion, window, applicability)
+    applicability.append(
+        ("sandwich residual small", True, f"max residual {red.max_residual:.3e}")
+    )
+    return red, None
+
+
+def _chi_tilde(p: np.ndarray, q: np.ndarray, j: int) -> float:
+    """Reduced free term at one time: -q_jj - |p_{3-j,j}|^2."""
+    return -(float(np.real(q[j - 1, j - 1])) + abs(p[2 - j, j - 1]) ** 2)
 
 
 def oscillation_from_psd_reduction(
@@ -752,7 +733,6 @@ def oscillation_from_psd_reduction(
     rtol: float = 1e-8,
     atol: float = 1e-10,
     burn_in: float = 0.1,
-    uncorrected_sign: bool = False,
 ) -> CriterionReport:
     """Oscillation via the reduced scalar equations.
 
@@ -761,53 +741,22 @@ def oscillation_from_psd_reduction(
     pairs and run through scalar_osc_test. Oscillatory if either one is.
     """
     applicability = []
-    ok_psd = "B_psd" in s.tags
-    applicability.append(("B positive semidefinite", ok_psd, ""))
-    if not ok_psd:
-        return _inconclusive(OSC_PSD, window, applicability)
-    try:
-        red = psd_reduce(s, window, f_override)
-    except ResidualTooLarge as exc:
-        applicability.append(("sandwich residual small", False, str(exc)))
-        return _inconclusive(OSC_PSD, window, applicability)
-    applicability.append(
-        ("sandwich residual small", True, f"max residual {red.max_residual:.3e}")
-    )
+    red, report = _reduced(OSC_PSD, s, window, f_override, applicability)
+    if red is None:
+        return report
+
+    def system(j):
+        def coeffs(t):
+            p, q = red.pq(t)
+            return (0.0, 1.0, -_chi_tilde(p, q, j), -2.0 * float(np.real(p[j - 1, j - 1])))
+
+        return coeffs, lambda t: _chi_tilde(*red.pq(t), j)
 
     witnesses = {"f_source": red.f_source, "max_residual": red.max_residual}
-    ts = _grid(window)
-    fired_j = None
-    for j in (1, 2):
-        def coeffs(t, j=j):
-            p, q = red.pq(t)
-            return (
-                0.0,
-                1.0,
-                -_chi_tilde(p, q, j, uncorrected_sign),
-                -2.0 * float(np.real(p[j - 1, j - 1])),
-            )
-
-        res = scalar_osc_test(
-            coeffs, window, n_min, rtol=rtol, atol=atol, burn_in=burn_in
-        )
-        witnesses[f"scalar_{j}"] = res
-        witnesses[f"chi_tilde_{j}_samples"] = np.array(
-            [_chi_tilde(*red.pq(t), j, uncorrected_sign) for t in ts]
-        )
-        if res.outcome == "oscillatory":
-            fired_j = j
-            break  # either reduced equation suffices
-    if fired_j is not None:
-        return _fired(
-            OSC_PSD,
-            OSCILLATORY,
-            window,
-            applicability,
-            witnesses,
-            notes=f"reduced scalar equation j={fired_j} oscillates",
-        )
-    return _inconclusive(
-        OSC_PSD, window, applicability, witnesses, notes="no reduced equation oscillates"
+    return _first_oscillating(
+        OSC_PSD, window, applicability, witnesses, system, "chi_tilde",
+        ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates"),
+        n_min, rtol=rtol, atol=atol, burn_in=burn_in,
     )
 
 
@@ -818,7 +767,6 @@ def nonoscillation_psd_envelope(
     sign_convention: str = "minus_c12",
     f_override: Optional[Callable] = None,
     *,
-    exponent_source: str = "p",
     rtol: float = 1e-8,
     atol: float = 1e-10,
 ) -> CriterionReport:
@@ -826,26 +774,12 @@ def nonoscillation_psd_envelope(
 
     Same machinery as the diagonal envelope with unit b, coefficients
     from the reduction: ratios r1 = p12, r2 = conj(p21), drives from
-    q12, free terms against q11, q22. The kernel weight 2 Re p_jj is
-    the default; exponent_source = "a" switches to 2 Re a_jj (both
-    readings of the exponent weight are defensible, so both stay
-    computable).
+    q12, free terms against q11, q22, kernel weights 2 Re p_jj.
     """
-    if exponent_source not in ("p", "a"):
-        raise ValueError("exponent_source must be 'p' or 'a'")
     applicability = []
-    ok_psd = "B_psd" in s.tags
-    applicability.append(("B positive semidefinite", ok_psd, ""))
-    if not ok_psd:
-        return _inconclusive(NONOSC_PSD_ENVELOPE, window, applicability)
-    try:
-        red = psd_reduce(s, window, f_override)
-    except ResidualTooLarge as exc:
-        applicability.append(("sandwich residual small", False, str(exc)))
-        return _inconclusive(NONOSC_PSD_ENVELOPE, window, applicability)
-    applicability.append(
-        ("sandwich residual small", True, f"max residual {red.max_residual:.3e}")
-    )
+    red, report = _reduced(NONOSC_PSD_ENVELOPE, s, window, f_override, applicability)
+    if red is None:
+        return report
 
     # gross-jump tripwire on the reduced couplings: second differences on
     # the validation grid should not dwarf the local magnitude scale
@@ -874,6 +808,9 @@ def nonoscillation_psd_envelope(
         # one-sided at domain edges, like every other derivative here
         return coefsys._central_fd(fn, t, s.t0, s.domain_end)
 
+    def p_weight(j):
+        return lambda t: 2.0 * float(np.real(red.p(t)[j - 1, j - 1]))
+
     data = riccati.EnvelopeData(
         a_sum=lambda t: complex(np.conj(red.p(t)[0, 0]) + red.p(t)[1, 1]),
         r1=r1,
@@ -889,29 +826,14 @@ def nonoscillation_psd_envelope(
     env = riccati.build_envelope_terms(data, window, sign_convention, rtol=rtol, atol=atol)
     witnesses = {
         "sign_convention": sign_convention,
-        "exponent_source": exponent_source,
         "f_source": red.f_source,
         "max_residual": red.max_residual,
         "m_peak_samples": np.array([env.m_peak(t) for t in _grid(window)]),
     }
-    certified = True
-    for j, chi in ((1, env.chi3), (2, env.chi4)):
-        if exponent_source == "p":
-            def g(t, j=j):
-                return 2.0 * float(np.real(red.p(t)[j - 1, j - 1]))
-        else:
-            def g(t, j=j):
-                return 2.0 * float(np.real(s.eval(t)[0][j - 1, j - 1]))
-
-        certified &= _certify_kernel(
-            Kernel(g, chi), window, max_points, f"tilde{j + 2}", witnesses,
-            rtol=rtol, atol=atol,
-        )
-    if certified:
-        return _fired(NONOSC_PSD_ENVELOPE, NON_OSCILLATORY, window, applicability, witnesses)
-    return _inconclusive(
-        NONOSC_PSD_ENVELOPE, window, applicability, witnesses,
-        notes="partition search failed",
+    kernels = [("tilde3", Kernel(p_weight(1), env.chi3)), ("tilde4", Kernel(p_weight(2), env.chi4))]
+    return _certified_pair(
+        NONOSC_PSD_ENVELOPE, window, applicability, witnesses, kernels, max_points,
+        rtol=rtol, atol=atol,
     )
 
 
@@ -922,26 +844,18 @@ def nonoscillation_psd_envelope(
 def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
     return (
         oscillation_from_diagonal(
-            s, window, opt.n_min,
-            rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in,
-            uncorrected_sign=opt.uncorrected_sign,
+            s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in
         ),
-        nonoscillation_sign_split(
-            s, window, opt.max_points, uncorrected_sign=opt.uncorrected_sign,
-            rtol=opt.rtol, atol=opt.atol,
-        ),
+        nonoscillation_sign_split(s, window, opt.max_points, rtol=opt.rtol, atol=opt.atol),
         nonoscillation_envelope(
-            s, window, opt.max_points, opt.sign_convention,
-            rtol=opt.rtol, atol=opt.atol,
+            s, window, opt.max_points, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
         ),
         oscillation_from_psd_reduction(
             s, window, opt.n_min, opt.f_override,
             rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in,
-            uncorrected_sign=opt.uncorrected_sign,
         ),
         nonoscillation_psd_envelope(
             s, window, opt.max_points, opt.sign_convention, opt.f_override,
-            exponent_source=opt.exponent_source,
             rtol=opt.rtol, atol=opt.atol,
         ),
     )
@@ -1076,20 +990,21 @@ def _start_record(label: str, traj: odeint.Trajectory, zeros: list, window: tupl
 def cross_validate(
     s: Scenario,
     window: tuple,
-    n_starts: int = 5,
-    eps_zero: float = 1e-7,
+    n_starts: Optional[int] = None,
+    eps_zero: Optional[float] = None,
     *,
-    seed: int = 42,
+    seed: Optional[int] = None,
     options: Optional[AnalysisOptions] = None,
     analysis: Optional[AnalysisResult] = None,
 ) -> CrossValidation:
     """Compare criterion verdicts against direct simulation.
 
     Integrates the matrix pair from the n_starts conjoined starts of
-    simulate_starts. SIM-oscillatory: every start shows at least 2
-    determinant zeros with the last in the final quarter.
-    SIM-nonoscillatory: some start shows no zeros past the burn-in
-    prefix. The simulation window may be
+    simulate_starts. n_starts, eps_zero and seed are read from options
+    (default AnalysisOptions()); each one given here replaces its field.
+    SIM-oscillatory: every start shows at least 2 determinant zeros with
+    the last in the final quarter. SIM-nonoscillatory: some start shows
+    no zeros past the burn-in prefix. The simulation window may be
     narrower than the analysis window (options.sim_window) to keep stiff
     scenarios affordable; records carry the window they used.
 
@@ -1098,15 +1013,16 @@ def cross_validate(
     raised: the finite window, tolerances, or plain criterion
     conservatism can each explain it.
     """
-    if n_starts < 1:
+    given = {"n_starts": n_starts, "eps_zero": eps_zero, "seed": seed}
+    opt = replace(options or AnalysisOptions(), **{k: v for k, v in given.items() if v is not None})
+    if opt.n_starts < 1:
         raise ValueError("n_starts must be >= 1")
-    opt = options or AnalysisOptions(eps_zero=eps_zero, n_starts=n_starts, seed=seed)
     if analysis is None:
         analysis = analyze(s, window, opt)
     sim_window = opt.sim_window or (float(window[0]), float(window[1]))
     records = tuple(
         _start_record(label, traj, zeros, sim_window)
-        for label, traj, zeros in simulate_starts(s, sim_window, n_starts, opt.eps_zero, seed=seed)
+        for label, traj, zeros in simulate_starts(s, sim_window, opt.n_starts, opt.eps_zero, seed=opt.seed)
     )
 
     lo, hi = sim_window

@@ -269,7 +269,7 @@ def _b_other_zero(b, other: int) -> bool:
 
 # chi_diag is left out of __all__: it runs once per integrator stage, and
 # bench/tracing.py times every function listed there as a span
-def chi_diag(a, b, c, j: int, *, uncorrected_sign: bool = False) -> float:
+def chi_diag(a, b, c, j: int) -> float:
     """chi_j from the coefficient matrices (a, b, c) at one time.
 
     The formula of free_term_diag, for callers that already hold one
@@ -278,21 +278,18 @@ def chi_diag(a, b, c, j: int, *, uncorrected_sign: bool = False) -> float:
     other = 2 - j  # 0-based index of 3-j
     cjj = float(np.real(c[j - 1, j - 1]))
     if _b_other_zero(b, other):
-        v = cjj
-    else:
-        v = cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other]))
-    return v if uncorrected_sign else -v
+        return -cjj
+    return -(cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other])))
 
 
-def free_term_diag(s: Scenario, j: int, *, uncorrected_sign: bool = False) -> ChiProfile:
+def free_term_diag(s: Scenario, j: int) -> ChiProfile:
     """The free term chi_j of the scalar oscillation criteria.
 
     chi_j = -c_jj - |a_{3-j,j}|^2 / b_{3-j} where b_{3-j} is nonzero,
     and chi_j = -c_jj on the b_{3-j} = 0 branch. The sign is the
     corrected convention: it makes the scalar pair for the harmonic
     system literally phi'' + phi = 0, and matches the free term of the
-    ratio-substituted flow. The uncorrected (negated) form is kept
-    behind uncorrected_sign for auditing old computations.
+    ratio-substituted flow.
     """
     if j not in (1, 2):
         raise ValueError("j must be 1 or 2")
@@ -300,7 +297,7 @@ def free_term_diag(s: Scenario, j: int, *, uncorrected_sign: bool = False) -> Ch
         raise NotDiagonalB(f"scenario {s.name!r} lacks the B_diagonal tag")
 
     def values(t):
-        return chi_diag(*s.eval(t), j, uncorrected_sign=uncorrected_sign)
+        return chi_diag(*s.eval(t), j)
 
     def branch_at(t):
         return "b_zero" if _b_other_zero(s.eval(t)[1], 2 - j) else "b_nonzero"

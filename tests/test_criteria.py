@@ -247,6 +247,40 @@ def test_diagonal_criterion_needs_diagonal_b():
     assert rep.applicability[0] == ("B diagonal", False, "")
 
 
+def _half_vanishing_b():
+    # b_1 = max(0, cos t) vanishes on (pi/2, 3] while a_12 stays 0.5,
+    # and b_2 = -1 throughout
+    a = np.array([[0.0, 0.5], [0.0, 0.0]], dtype=complex)
+
+    def ev(t):
+        b = np.diag([max(0.0, math.cos(t)), -1.0]).astype(complex)
+        return a.copy(), b, -I2.copy()
+
+    return coefsys.Scenario(
+        name="half_vanishing_b", t0=0.0, eval=ev, analytic_derivatives=None,
+        tags=frozenset({"B_diagonal"}), params={},
+    )
+
+
+def test_diagonal_b_applicability_rows():
+    s, window = _half_vanishing_b(), (0.0, 3.0)
+    coupling = ("couplings vanish where b does", False, "violation near t = 1.57647")
+    diag = criteria.oscillation_from_diagonal(s, window)
+    assert diag.verdict.kind == criteria.INCONCLUSIVE
+    assert diag.applicability == (
+        ("B diagonal", True, ""),
+        ("b_1, b_2 nonnegative", False, "min b = -1.000e+00"),
+        coupling,
+    )
+    split = criteria.nonoscillation_sign_split(s, window)
+    assert split.verdict.kind == criteria.INCONCLUSIVE
+    assert split.applicability == (
+        ("B diagonal", True, ""),
+        ("b_1, b_2 have opposite signs", True, "case_a=True case_b=False"),
+        coupling,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Non-oscillation from the split-sign case.
 
@@ -488,6 +522,28 @@ def test_cross_validation_agrees_on_harmonic():
     assert short.sim_outcome == "SIM-nonoscillatory"
     assert not short.consistent
     assert short.notes == "window too short for the zero recurrence rule"
+
+
+def _harmonic_sim_zeros(**kwargs):
+    """Zero times per start of cross_validate on harmonic over (0, 10)."""
+    s, window = coefsys.make_family("harmonic", {}), (0.0, 10.0)
+    analysis = criteria.analyze(s, window)
+    cv = criteria.cross_validate(s, window, analysis=analysis, **kwargs)
+    return {r.label: r.zeros for r in cv.starts}
+
+
+def test_cross_validation_arguments_replace_options():
+    opt = criteria.AnalysisOptions()
+    tight = _harmonic_sim_zeros(n_starts=2, eps_zero=1e-30, options=opt)
+    assert tight == _harmonic_sim_zeros(n_starts=2, eps_zero=1e-30)
+    assert tight != _harmonic_sim_zeros(n_starts=2, options=opt)
+
+
+def test_cross_validation_reads_options_without_arguments():
+    few = _harmonic_sim_zeros(options=criteria.AnalysisOptions(n_starts=3, seed=7))
+    assert list(few) == ["I,0", "I,I", "rand0"]
+    assert few == _harmonic_sim_zeros(n_starts=3, seed=7)
+    assert few != _harmonic_sim_zeros(n_starts=3)
 
 
 def test_cross_validation_start_count_validation():

@@ -289,8 +289,6 @@ def test_free_term_coupling_penalty():
     s = _tagged(const_scenario(a, np.diag([1.0, 2.0]), c, name="mixed"))
     chi1 = riccati.free_term_diag(s, 1)
     assert abs(chi1.values(0.5) - (-3.0)) <= 1e-12
-    audit = riccati.free_term_diag(s, 1, uncorrected_sign=True)
-    assert abs(audit.values(0.5) - 3.0) <= 1e-12
 
 
 def test_free_term_zero_branch():
