@@ -44,7 +44,6 @@ from .mat2 import TOL_HERM, is_hermitian, is_psd, norm_max, sqrt_psd
 __all__ = [
     "Scenario",
     "TabulatedCoeffs",
-    "RatioFns",
     "ValidationReport",
     "UnknownFamily",
     "MissingParam",
@@ -55,7 +54,6 @@ __all__ = [
     "from_table",
     "load_table_csv",
     "coeff_derivative",
-    "ratio_fns",
     "validate_scenario",
     "validated",
     "FAMILIES",
@@ -115,16 +113,6 @@ class Scenario:
     domain_end: float | None = None
     family: str | None = None
     params: dict = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RatioFns:
-    """a12/b1 and conj(a21)/b2 with derivatives, for diagonal B."""
-
-    r1: Callable
-    r2: Callable
-    dr1: Callable
-    dr2: Callable
 
 
 @dataclass(frozen=True)
@@ -441,7 +429,7 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# Derivatives and ratio functions.
+# Derivatives.
 
 _FD_EPS = np.finfo(float).eps ** (1.0 / 3.0)
 
@@ -481,52 +469,6 @@ def coeff_derivative(s: Scenario, which: str, t: float):
     if s.analytic_derivatives is not None:
         return s.analytic_derivatives(t)[idx[which]]
     return _central_fd(lambda u: s.eval(u)[idx[which]], t, s.t0, hi)
-
-
-def ratio_fns(s: Scenario) -> RatioFns:
-    """The coupling ratios a12/b1 and conj(a21)/b2 for diagonal B."""
-    if "B_diagonal" not in s.tags:
-        raise ValueError("ratio functions need the B_diagonal tag")
-
-    def _b(t, j):
-        b = s.eval(t)[1]
-        val = float(np.real(b[j - 1, j - 1]))
-        if abs(val) <= TOL_POS * (1.0 + norm_max(b)):
-            raise ZeroDiagonalB(t, j)
-        return val
-
-    def r1(t):
-        return complex(s.eval(t)[0][0, 1]) / _b(t, 1)
-
-    def r2(t):
-        return complex(np.conj(s.eval(t)[0][1, 0])) / _b(t, 2)
-
-    if s.analytic_derivatives is not None:
-
-        def dr1(t):
-            a, b, _ = s.eval(t)
-            da, db, _ = s.analytic_derivatives(t)
-            b1 = _b(t, 1)
-            return complex(da[0, 1]) / b1 - complex(a[0, 1]) * float(np.real(db[0, 0])) / (b1 * b1)
-
-        def dr2(t):
-            a, b, _ = s.eval(t)
-            da, db, _ = s.analytic_derivatives(t)
-            b2 = _b(t, 2)
-            return complex(np.conj(da[1, 0])) / b2 - complex(np.conj(a[1, 0])) * float(
-                np.real(db[1, 1])
-            ) / (b2 * b2)
-
-    else:
-        hi = s.domain_end
-
-        def dr1(t):
-            return _central_fd(r1, t, s.t0, hi)
-
-        def dr2(t):
-            return _central_fd(r2, t, s.t0, hi)
-
-    return RatioFns(r1=r1, r2=r2, dr1=dr1, dr2=dr2)
 
 
 def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:

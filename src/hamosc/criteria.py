@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional
 
 import numpy as np
 
@@ -49,6 +49,7 @@ __all__ = [
     "Verdict",
     "CriterionReport",
     "PsdReduction",
+    "Reduced",
     "AnalysisOptions",
     "AnalysisResult",
     "StartRecord",
@@ -472,7 +473,7 @@ def oscillation_from_diagonal(
                 0.0,
             )
 
-        return coeffs, riccati.free_term_diag(s, j).values
+        return coeffs, riccati.free_term_diag(s, j)
 
     return _first_oscillating(
         OSC_DIAG, window, applicability, {}, system, "chi",
@@ -522,7 +523,7 @@ def nonoscillation_sign_split(
 
     kernels = []
     for j, sgn in zip((1, 2), (1.0, -1.0) if case_a else (-1.0, 1.0)):
-        chi = riccati.free_term_diag(s, j).values
+        chi = riccati.free_term_diag(s, j)
         kernels.append((str(j), Kernel(_a_weight(s, j), lambda t, chi=chi, sgn=sgn: sgn * chi(t))))
     witnesses = {"case": "b1>=0,b2<=0" if case_a else "b1<=0,b2>=0"}
     return _certified_pair(
@@ -580,23 +581,26 @@ def nonoscillation_envelope(
 # The square-root reduction to unit B.
 
 
+class Reduced(NamedTuple):
+    """The reduced coefficients at one time, each a 2x2 complex array."""
+
+    sqrt_b: np.ndarray
+    f: np.ndarray
+    p: np.ndarray
+    q: np.ndarray
+
+
 @dataclass(frozen=True)
 class PsdReduction:
-    """Pointwise reduced coefficients and the sandwich residual.
+    """Pointwise reduced coefficients of a PSD-B system.
 
-    sqrt_b, f, p, q are callables t -> 2x2 complex array, and pq gives
-    (p, q) at t from one read of the reduction; residual(t) computes the
-    sandwich defect |S F M - M| at t. grid carries the validation samples
-    the residual tolerance was enforced on, and max_residual the largest
-    defect there.
+    at(t) returns Reduced(sqrt_b, f, p, q) from one (memoized) read of
+    the reduction. grid carries the validation samples the sandwich
+    residual tolerance was enforced on, and max_residual the largest
+    defect |S F M - M| there.
     """
 
-    sqrt_b: Callable
-    f: Callable
-    p: Callable
-    q: Callable
-    pq: Callable
-    residual: Callable
+    at: Callable
     grid: np.ndarray
     max_residual: float
     f_source: str
@@ -666,32 +670,24 @@ def psd_reduce(
         else:
             q = sq @ c @ sq
             q = 0.5 * (q + q.conj().T)
-        out = (sq, f, f @ m, q, m)
+        out = (Reduced(sq, f, f @ m, q), m)
         if len(memo) > 4096:
             memo.clear()
         memo[key] = out
         return out
 
-    def residual(t: float) -> float:
-        sq, f, _, _, m = compute(t)
-        return float(mat2.norm_max(sq @ f @ m - m))
-
     ts = _grid(window)
     residuals = []
     for t in ts:
-        res = residual(t)
-        tol = 1e-8 * (1.0 + float(mat2.norm_max(compute(t)[4])))
+        (sq, f, _, _), m = compute(t)
+        res = float(mat2.norm_max(sq @ f @ m - m))
+        tol = 1e-8 * (1.0 + float(mat2.norm_max(m)))
         if res > tol:
             raise ResidualTooLarge(float(t), res, tol)
         residuals.append(res)
 
     return PsdReduction(
-        sqrt_b=lambda t: compute(t)[0],
-        f=lambda t: compute(t)[1],
-        p=lambda t: compute(t)[2],
-        q=lambda t: compute(t)[3],
-        pq=lambda t: compute(t)[2:4],
-        residual=residual,
+        at=lambda t: compute(t)[0],
         grid=ts,
         max_residual=float(np.max(residuals)),
         f_source="override" if f_override is not None else "min_norm",
@@ -747,10 +743,10 @@ def oscillation_from_psd_reduction(
 
     def system(j):
         def coeffs(t):
-            p, q = red.pq(t)
+            _, _, p, q = red.at(t)
             return (0.0, 1.0, -_chi_tilde(p, q, j), -2.0 * float(np.real(p[j - 1, j - 1])))
 
-        return coeffs, lambda t: _chi_tilde(*red.pq(t), j)
+        return coeffs, lambda t: _chi_tilde(*red.at(t)[2:], j)
 
     witnesses = {"f_source": red.f_source, "max_residual": red.max_residual}
     return _first_oscillating(
@@ -783,7 +779,7 @@ def nonoscillation_psd_envelope(
 
     # gross-jump tripwire on the reduced couplings: second differences on
     # the validation grid should not dwarf the local magnitude scale
-    p_grid = np.array([red.p(t) for t in red.grid])
+    p_grid = np.array([red.at(t).p for t in red.grid])
     d2 = np.abs(p_grid[2:] - 2.0 * p_grid[1:-1] + p_grid[:-2])
     scale = 1.0 + float(np.max(np.abs(p_grid)))
     max_d2 = float(np.max(d2)) if len(d2) else 0.0
@@ -798,31 +794,17 @@ def nonoscillation_psd_envelope(
     if not ok_smooth:
         return _inconclusive(NONOSC_PSD_ENVELOPE, window, applicability)
 
-    def r1(t):
-        return complex(red.p(t)[0, 1])
-
-    def r2(t):
-        return complex(np.conj(red.p(t)[1, 0]))
-
-    def _fd(fn, t):
-        # one-sided at domain edges, like every other derivative here
-        return coefsys._central_fd(fn, t, s.t0, s.domain_end)
+    def values(t):
+        _, _, p, q = red.at(t)
+        return (
+            complex(np.conj(p[0, 0]) + p[1, 1]), complex(p[0, 1]), complex(np.conj(p[1, 0])),
+            complex(q[0, 1]), 1.0, 1.0, float(np.real(q[0, 0])), float(np.real(q[1, 1])),
+        )
 
     def p_weight(j):
-        return lambda t: 2.0 * float(np.real(red.p(t)[j - 1, j - 1]))
+        return lambda t: 2.0 * float(np.real(red.at(t).p[j - 1, j - 1]))
 
-    data = riccati.EnvelopeData(
-        a_sum=lambda t: complex(np.conj(red.p(t)[0, 0]) + red.p(t)[1, 1]),
-        r1=r1,
-        r2=r2,
-        dr1=lambda t: _fd(r1, t),
-        dr2=lambda t: _fd(r2, t),
-        c12=lambda t: complex(red.q(t)[0, 1]),
-        b1=lambda t: 1.0,
-        b2=lambda t: 1.0,
-        c11=lambda t: float(np.real(red.q(t)[0, 0])),
-        c22=lambda t: float(np.real(red.q(t)[1, 1])),
-    )
+    data = riccati.EnvelopeData(values, riccati.fd_slopes(values, s.t0, s.domain_end))
     env = riccati.build_envelope_terms(data, window, sign_convention, rtol=rtol, atol=atol)
     witnesses = {
         "sign_convention": sign_convention,

@@ -32,8 +32,10 @@ Drivers provided:
   plus modulus-dip refinement on a normalized determinant indicator,
   both bracketed by the trajectory's accepted nodes.
 
-``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule used wherever a
-plain definite integral is needed.
+``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule for a plain
+definite integral. The package does not call it: the tests use it as
+the nested-quadrature reference for ``riccati.exp_weighted_integral``,
+and ``bench/tracing.py`` wraps it by name.
 """
 
 from __future__ import annotations
@@ -158,7 +160,6 @@ class Trajectory:
     events: tuple
     meta: dict = field(default_factory=dict)
     _seg_h: np.ndarray = field(default=None, repr=False)
-    _seg_y: np.ndarray = field(default=None, repr=False)
     _seg_q: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -192,7 +193,7 @@ class Trajectory:
             acc = q[:, 3]
             for k in (2, 1, 0):
                 acc = acc * theta + q[:, k]
-            return self._seg_y[i] + (h * theta) * acc
+            return self.states[i] + (h * theta) * acc
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t_arr < lo - slack) or np.any(t_arr > hi + slack):
             raise ValueError("dense_eval query outside the integrated window")
@@ -204,7 +205,7 @@ class Trajectory:
             tc = t_arr[s : s + chunk]
             idx = self._segment(tc)
             out[s : s + chunk] = segment_states(
-                self.times[idx], self._seg_h[idx], self._seg_y[idx], self._seg_q[idx], tc
+                self.times[idx], self._seg_h[idx], self.states[idx], self._seg_q[idx], tc
             )
         return out
 
@@ -273,7 +274,6 @@ def _dp45(
     times = [t]
     states = [y.copy()]
     seg_h: list[float] = []
-    seg_y: list[np.ndarray] = []
     seg_q: list[np.ndarray] = []
     events: list[Event] = []
     err_prev: float | None = None
@@ -359,7 +359,6 @@ def _dp45(
             t_esc = t + theta_esc * h
             y_esc = y + h * (q @ theta_esc ** np.arange(1, 5))
             seg_h.append(h)
-            seg_y.append(y.copy())
             seg_q.append(q)
             times.append(t_esc)
             states.append(y_esc)
@@ -375,7 +374,6 @@ def _dp45(
             y_stored = np.asarray(post_step(t_new, y_new), dtype=float)
 
         seg_h.append(h)
-        seg_y.append(y.copy())
         seg_q.append(q)
         times.append(t_new)
         states.append(y_stored.copy())
@@ -404,7 +402,6 @@ def _dp45(
         events=tuple(events),
         meta={},
         _seg_h=np.asarray(seg_h),
-        _seg_y=np.asarray(seg_y),
         _seg_q=np.asarray(seg_q),
     )
 
@@ -917,7 +914,8 @@ def detect_det_zeros(
     for real-coefficient flows, where det is real), and modulus-dip
     refinement over the two steps around each node minimum of |zeta|,
     which catches tangential zeros such as det = cos^2 t that never
-    change sign. The modulus path always runs.
+    change sign. The modulus path always runs, except at a node minimum
+    whose two steps already hold a recorded sign-change root.
     A candidate t* is reported when |det Phi| <= eps_zero * (1 + |Phi|^2)
     there, evaluated in the trajectory's own normalization. Zeros closer
     than 1e-9 (1 + |t|) are merged, or 1e-7 (1 + |t|) when the two
@@ -949,8 +947,13 @@ def detect_det_zeros(
     # constant determinant does not trigger a refinement per node
     interior = np.nonzero((absz[1:-1] <= absz[:-2]) & (absz[1:-1] <= absz[2:]))[0] + 1
     clusters = np.split(interior, np.nonzero(np.diff(interior) > 1)[0] + 1) if len(interior) else []
+    # a dip whose two steps hold a recorded sign-change root is that zero
+    roots = np.array([r.time for r in found])
     for cl in clusters:
         i = int(cl[np.argmin(absz[cl])])
+        k = int(np.searchsorted(roots, ts[i - 1]))
+        if k < len(roots) and roots[k] <= ts[i + 1]:
+            continue
         res = minimize_scalar(
             lambda t: abs(zeta_scalar(t)),
             bounds=(ts[i - 1], ts[i + 1]),

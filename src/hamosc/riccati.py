@@ -1,20 +1,23 @@
 """Scalar Riccati criterion kernels for the 4d Hamiltonian system.
 
-Everything here feeds the verdict engines in ``criteria``:
+The verdict engines in ``criteria`` use:
 
-* the exponentially weighted tail integral I(xi; t) = int_xi^t
-  exp(-int_tau^t g) h dtau, computed as an initial value problem rather
-  than nested quadrature;
 * the partition condition that certifies global existence of a scalar
   Riccati solution: on each subinterval [t_k, t_{k+1}) the running
   integral int exp{int_{t_k}^tau [g - I(t_k; s)] ds} h(tau) dtau must
-  stay nonpositive, and ``partition_search`` looks for a partition
-  greedily;
+  stay nonpositive, where I is the weighted tail integral below, and
+  ``partition_search`` looks for a partition greedily;
 * the free terms chi_1, chi_2 distilled from the diagonal-B structure,
   in the sign-corrected convention (see free_term_diag);
 * the coupling envelope machinery: the weighted running maximum of
   |a12/b1 - conj(a21)/b2|, the exponentially weighted integrals of the
   off-diagonal drive, and the derived free terms chi_3, chi_4.
+
+``exp_weighted_integral`` computes the weighted tail integral
+I(xi; t) = int_xi^t exp(-int_tau^t g) h dtau on its own, as an initial
+value problem rather than nested quadrature. The partition condition
+carries I inside its own flow, so no criterion calls it; the tests check
+it against closed forms and against nested ``odeint.quadrature``.
 
 The envelope's c12 term carries a sign ambiguity (two reasonable
 derivations disagree on it); both variants are computable via
@@ -25,19 +28,18 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .coefsys import TOL_POS, Scenario, ratio_fns
+from .coefsys import TOL_POS, Scenario, ZeroDiagonalB, _central_fd
 from .mat2 import norm_max
 from .odeint import Trajectory, adaptive_solve, segment_states
 
 __all__ = [
     "Kernel",
     "Partition",
-    "ChiProfile",
     "EnvelopeData",
     "EnvelopeTerms",
     "NotDiagonalB",
@@ -46,7 +48,6 @@ __all__ = [
     "check_partition_condition",
     "partition_search",
     "free_term_diag",
-    "coupling_gap_peak",
     "envelope_terms_diag",
     "build_envelope_terms",
     "TOL_COND",
@@ -253,20 +254,6 @@ def partition_search(
 # Free terms of the scalar criteria, diagonal-B case.
 
 
-@dataclass(frozen=True)
-class ChiProfile:
-    """One of the two diagonal free terms as a pointwise callable."""
-
-    j: int
-    values: Callable
-    branch_at: Callable  # t -> "b_zero" | "b_nonzero"
-
-
-def _b_other_zero(b, other: int) -> bool:
-    """Whether b_{3-j} (0-based index other) is zero up to TOL_POS."""
-    return abs(float(np.real(b[other, other]))) <= TOL_POS * (1.0 + norm_max(b))
-
-
 # chi_diag is left out of __all__: it runs once per integrator stage, and
 # bench/tracing.py times every function listed there as a span
 def chi_diag(a, b, c, j: int) -> float:
@@ -277,13 +264,13 @@ def chi_diag(a, b, c, j: int) -> float:
     """
     other = 2 - j  # 0-based index of 3-j
     cjj = float(np.real(c[j - 1, j - 1]))
-    if _b_other_zero(b, other):
+    if abs(float(np.real(b[other, other]))) <= TOL_POS * (1.0 + norm_max(b)):
         return -cjj
     return -(cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other])))
 
 
-def free_term_diag(s: Scenario, j: int) -> ChiProfile:
-    """The free term chi_j of the scalar oscillation criteria.
+def free_term_diag(s: Scenario, j: int) -> Callable:
+    """The free term t -> chi_j of the scalar oscillation criteria.
 
     chi_j = -c_jj - |a_{3-j,j}|^2 / b_{3-j} where b_{3-j} is nonzero,
     and chi_j = -c_jj on the b_{3-j} = 0 branch. The sign is the
@@ -295,14 +282,7 @@ def free_term_diag(s: Scenario, j: int) -> ChiProfile:
         raise ValueError("j must be 1 or 2")
     if "B_diagonal" not in s.tags:
         raise NotDiagonalB(f"scenario {s.name!r} lacks the B_diagonal tag")
-
-    def values(t):
-        return chi_diag(*s.eval(t), j)
-
-    def branch_at(t):
-        return "b_zero" if _b_other_zero(s.eval(t)[1], 2 - j) else "b_nonzero"
-
-    return ChiProfile(j=j, values=values, branch_at=branch_at)
+    return lambda t: chi_diag(*s.eval(t), j)
 
 
 # ---------------------------------------------------------------------------
@@ -313,34 +293,48 @@ def free_term_diag(s: Scenario, j: int) -> ChiProfile:
 class EnvelopeData:
     """Inputs of the coupling envelope, already in ratio form.
 
-    For diagonal B these are r1 = a12/b1, r2 = conj(a21)/b2 with the
-    actual b_j; the reduced (PSD) path reuses the same machinery with
-    unit b and the reduced coefficients in place of a and c.
+    values(t) returns (a_sum, r1, r2, c12, b1, b2, c11, c22) from one
+    read of the coefficients: a_sum = conj(a11) + a22 and c12 complex,
+    r1, r2 the coupling ratios, the rest real. slopes(t) returns
+    (dr1, dr2), which only the envelope flow reads. For diagonal B the
+    ratios are r1 = a12/b1, r2 = conj(a21)/b2 with the actual b_j; the
+    reduced (PSD) path reuses the same machinery with unit b and the
+    reduced coefficients in place of a and c.
     """
 
-    a_sum: Callable  # conj(a11) + a22, complex
-    r1: Callable
-    r2: Callable
-    dr1: Callable
-    dr2: Callable
-    c12: Callable  # complex
-    b1: Callable  # real
-    b2: Callable
-    c11: Callable  # real
-    c22: Callable
+    values: Callable
+    slopes: Callable
 
 
 @dataclass(frozen=True)
 class EnvelopeTerms:
-    """Envelope profiles and the derived free terms chi_3, chi_4."""
+    """Envelope profiles and the derived free terms chi_3, chi_4.
+
+    Each is a callable t -> float that reads the envelope inputs and the
+    envelope trajectory once per call.
+    """
 
     m_peak: Callable  # weighted running maximum of |r1 - r2|
     e_y: Callable  # weighted integral envelope for the y drive
     e_v: Callable
     chi3: Callable
     chi4: Callable
-    sign_convention: str
-    grid: np.ndarray
+
+
+def fd_slopes(values: Callable, lo: float, hi: Optional[float]) -> Callable:
+    """slopes(t) of the ratios in values by central differences.
+
+    The differences are one-sided near the domain ends lo and hi (hi None
+    for an unbounded domain).
+    """
+
+    def slopes(t):
+        return (
+            _central_fd(lambda u: values(u)[1], t, lo, hi),
+            _central_fd(lambda u: values(u)[2], t, lo, hi),
+        )
+
+    return slopes
 
 
 def build_envelope_terms(
@@ -360,132 +354,100 @@ def build_envelope_terms(
     off-diagonal drive. Nothing here exponentiates R itself, so strongly
     damped or strongly growing scenarios stay in range.
 
-    chi_3 = b2 (M + E_y)^2 - b2 |r2|^2 - c11 and symmetrically chi_4;
-    sign_convention picks the sign of c12 inside the drives w.
+    The flow field reads values and slopes once each, and the gap grid
+    reads values once per point. chi_3 = b2 (M + E_y)^2 - b2 |r2|^2 - c11
+    and symmetrically chi_4; sign_convention picks the sign of c12
+    inside the drives w.
     """
     if sign_convention not in ("minus_c12", "plus_c12"):
         raise ValueError("sign_convention must be 'minus_c12' or 'plus_c12'")
     sgn = -1.0 if sign_convention == "minus_c12" else 1.0
     lo, hi = float(window[0]), float(window[1])
-
-    def w_y(t):
-        return data.dr2(t) + data.r2(t) * data.a_sum(t) + sgn * data.c12(t)
-
-    def w_v(t):
-        return data.dr1(t) + data.r1(t) * data.a_sum(t) + sgn * data.c12(t)
+    values, slopes = data.values, data.slopes
 
     def field(t, y):
-        rp = float(np.real(data.a_sum(t)))
-        return np.array([rp, -rp * y[1] + abs(w_y(t)), -rp * y[2] + abs(w_v(t))])
+        a_sum, r1, r2, c12 = values(t)[:4]
+        dr1, dr2 = slopes(t)
+        rp = float(np.real(a_sum))
+        w_y = dr2 + r2 * a_sum + sgn * c12
+        w_v = dr1 + r1 * a_sum + sgn * c12
+        return np.array([rp, -rp * y[1] + abs(w_y), -rp * y[2] + abs(w_v)])
 
     traj = adaptive_solve(field, np.zeros(3), (lo, hi), rtol, atol)
 
     ts = np.linspace(lo, hi, GRID_PER_WINDOW + 1)
     rs = traj.dense_eval(ts)[:, 0]
-    gaps = np.array([abs(data.r1(t) - data.r2(t)) for t in ts])
+    gaps = np.array([abs(v[1] - v[2]) for v in map(values, ts)])
     m = np.empty_like(gaps)
     m[0] = gaps[0]
     for i in range(1, len(ts)):
         m[i] = max(m[i - 1] * math.exp(min(rs[i - 1] - rs[i], _EXP_CAP)), gaps[i])
 
-    def _r_at(t):
-        return float(traj.dense_eval(float(t))[0])
-
-    def m_peak(t):
+    def at(t):
+        """(values, M, E_y, E_v) at t."""
         t = float(t)
+        v = values(t)
+        y = traj.dense_eval(t)
         i = int(np.clip(np.searchsorted(ts, t, side="right") - 1, 0, len(ts) - 1))
-        decayed = m[i] * math.exp(min(rs[i] - _r_at(t), _EXP_CAP))
-        return max(decayed, abs(data.r1(t) - data.r2(t)))
-
-    def e_y(t):
-        return float(traj.dense_eval(float(t))[1])
-
-    def e_v(t):
-        return float(traj.dense_eval(float(t))[2])
+        decayed = m[i] * math.exp(min(rs[i] - float(y[0]), _EXP_CAP))
+        return v, max(decayed, abs(v[1] - v[2])), float(y[1]), float(y[2])
 
     def chi3(t):
-        b2 = data.b2(t)
-        env = m_peak(t) + e_y(t)
-        return b2 * env * env - b2 * abs(data.r2(t)) ** 2 - data.c11(t)
+        v, peak, e_y, _ = at(t)
+        env = peak + e_y
+        return v[5] * env * env - v[5] * abs(v[2]) ** 2 - v[6]
 
     def chi4(t):
-        b1 = data.b1(t)
-        env = m_peak(t) + e_v(t)
-        return b1 * env * env - b1 * abs(data.r1(t)) ** 2 - data.c22(t)
+        v, peak, _, e_v = at(t)
+        env = peak + e_v
+        return v[4] * env * env - v[4] * abs(v[1]) ** 2 - v[7]
 
     return EnvelopeTerms(
-        m_peak=m_peak,
-        e_y=e_y,
-        e_v=e_v,
+        m_peak=lambda t: at(t)[1],
+        e_y=lambda t: at(t)[2],
+        e_v=lambda t: at(t)[3],
         chi3=chi3,
         chi4=chi4,
-        sign_convention=sign_convention,
-        grid=ts,
     )
-
-
-def _memoized_eval(s: Scenario) -> Scenario:
-    """Scenario copy whose eval caches the most recent sample.
-
-    The envelope closures read several coefficient entries at the same t
-    in a row; a one-slot cache turns those into a single eval call.
-    Callers only read the returned matrices, so sharing them is safe.
-    """
-    last_t = [None]
-    last_v = [None]
-    inner = s.eval
-
-    def ev(t):
-        t = float(t)
-        if last_t[0] != t:
-            last_v[0] = inner(t)
-            last_t[0] = t
-        return last_v[0]
-
-    return replace(s, eval=ev)
 
 
 def _diag_envelope_data(s: Scenario) -> EnvelopeData:
-    s = _memoized_eval(s)
-    rf = ratio_fns(s)
+    """Envelope inputs of a diagonal-B scenario, one s.eval per read.
 
-    def a_sum(t):
-        a = s.eval(t)[0]
-        return complex(np.conj(a[0, 0]) + a[1, 1])
+    slopes uses the scenario's analytic derivatives when it has them,
+    else fd_slopes. A b_j within TOL_POS * (1 + |B|) of zero raises
+    ZeroDiagonalB.
+    """
 
-    def c12(t):
-        return complex(s.eval(t)[2][0, 1])
+    def read(t):
+        a, b, c = s.eval(t)
+        tol = TOL_POS * (1.0 + norm_max(b))
+        b1, b2 = float(np.real(b[0, 0])), float(np.real(b[1, 1]))
+        for j, bj in ((1, b1), (2, b2)):
+            if abs(bj) <= tol:
+                raise ZeroDiagonalB(t, j)
+        return a, c, b1, b2
 
-    def b1(t):
-        return float(np.real(s.eval(t)[1][0, 0]))
+    def values(t):
+        a, c, b1, b2 = read(float(t))
+        return (
+            complex(np.conj(a[0, 0]) + a[1, 1]), complex(a[0, 1]) / b1, complex(np.conj(a[1, 0])) / b2,
+            complex(c[0, 1]), b1, b2, float(np.real(c[0, 0])), float(np.real(c[1, 1])),
+        )
 
-    def b2(t):
-        return float(np.real(s.eval(t)[1][1, 1]))
+    if s.analytic_derivatives is None:
+        return EnvelopeData(values=values, slopes=fd_slopes(values, s.t0, s.domain_end))
 
-    def c11(t):
-        return float(np.real(s.eval(t)[2][0, 0]))
+    def slopes(t):
+        a, _, b1, b2 = read(float(t))
+        da, db, _ = s.analytic_derivatives(t)
+        return (
+            complex(da[0, 1]) / b1 - complex(a[0, 1]) * float(np.real(db[0, 0])) / (b1 * b1),
+            complex(np.conj(da[1, 0])) / b2
+            - complex(np.conj(a[1, 0])) * float(np.real(db[1, 1])) / (b2 * b2),
+        )
 
-    def c22(t):
-        return float(np.real(s.eval(t)[2][1, 1]))
-
-    return EnvelopeData(
-        a_sum=a_sum,
-        r1=rf.r1,
-        r2=rf.r2,
-        dr1=rf.dr1,
-        dr2=rf.dr2,
-        c12=c12,
-        b1=b1,
-        b2=b2,
-        c11=c11,
-        c22=c22,
-    )
-
-
-def coupling_gap_peak(s: Scenario, window: tuple, **kw) -> Callable:
-    """The weighted running maximum of |a12/b1 - conj(a21)/b2| alone."""
-    _require_positive_diag(s)
-    return build_envelope_terms(_diag_envelope_data(s), window, **kw).m_peak
+    return EnvelopeData(values=values, slopes=slopes)
 
 
 def _require_positive_diag(s: Scenario):

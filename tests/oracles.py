@@ -33,7 +33,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from hamosc import criteria, riccati
-from hamosc.coefsys import Scenario, ratio_fns
+from hamosc.coefsys import Scenario
 from hamosc.odeint import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -132,7 +132,7 @@ def subsystem_solve(
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    rf = ratio_fns(s)
+    data = riccati._diag_envelope_data(s)
     z0, w0 = float(init[0]), complex(init[1])
     oz0, ow0 = (z0, w0) if other_init is None else (float(other_init[0]), complex(other_init[1]))
     if which == "first":
@@ -167,20 +167,10 @@ def subsystem_solve(
             - abs(a12) ** 2 / b1
             - c22
         )
-        dy = -(
-            sig * y
-            + (a12 - (b1 / b2) * np.conj(a21)) * z11
-            - rf.dr2(t)
-            - rf.r2(t) * asum
-            - c12
-        )
-        dv = -(
-            sig * v
-            + (np.conj(a21) - (b2 / b1) * a12) * z22
-            - rf.dr1(t)
-            - rf.r1(t) * asum
-            - c12
-        )
+        r1, r2 = data.values(t)[1:3]
+        dr1, dr2 = data.slopes(t)
+        dy = -(sig * y + (a12 - (b1 / b2) * np.conj(a21)) * z11 - dr2 - r2 * asum - c12)
+        dv = -(sig * v + (np.conj(a21) - (b2 / b1) * a12) * z22 - dr1 - r1 * asum - c12)
         return np.array([dz11, dz22, dy.real, dy.imag, dv.real, dv.imag])
 
     st0 = np.array([z11_0, z22_0, y0.real, y0.imag, v0.real, v0.imag])
@@ -205,7 +195,6 @@ def subsystem_solve(
         events=traj.events,
         meta={"kind": f"subsystem_{which}", "joint": traj},
         _seg_h=traj._seg_h,
-        _seg_y=traj._seg_y[:, list(idx)],
         _seg_q=traj._seg_q[:, list(idx), :],
     )
     return proj, record

@@ -370,22 +370,22 @@ def test_riccati_hamiltonian_correspondence():
     b = np.diag(rng.uniform(0.5, 1.5, 2)).astype(complex)
     a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 0.2
     s = coefsys.validated(const_scenario(a, b, hermitian(rng, 0.3)), (0.0, 1.2))
-    rf = coefsys.ratio_fns(s)
+    ratios = riccati._diag_envelope_data(s).values
     z0 = hermitian(rng, 0.3)
     full, _ = odeint.solve_matrix_riccati(s, z0, (0.0, 1.2))
     sub, _ = subsystem_solve(
         s,
         "first",
-        (float(np.real(z0[0, 0])), complex(z0[0, 1]) + rf.r2(0.0)),
+        (float(np.real(z0[0, 0])), complex(z0[0, 1]) + ratios(0.0)[2]),
         (0.0, 1.2),
-        other_init=(float(np.real(z0[1, 1])), complex(z0[0, 1]) + rf.r1(0.0)),
+        other_init=(float(np.real(z0[1, 1])), complex(z0[0, 1]) + ratios(0.0)[1]),
     )
     sub_ok = True
     for t in np.linspace(0.0, min(full.t_end, sub.t_end), 40):
         z = odeint.riccati_z_at(full, t)
         if np.max(np.abs(z)) > 5.0:
             continue
-        y_full = complex(z[0, 1]) + rf.r2(t)
+        y_full = complex(z[0, 1]) + ratios(t)[2]
         st = sub.dense_eval(t)
         scale = 1.0 + abs(y_full) + abs(z[0, 0])
         err = max(abs(st[0] - float(np.real(z[0, 0]))), abs(st[1] + 1j * st[2] - y_full))

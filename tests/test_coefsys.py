@@ -116,55 +116,6 @@ def test_coeff_derivative_guards():
 
 
 # ---------------------------------------------------------------------------
-# Ratio functions.
-
-
-def _ratio_test_scenario(with_derivs: bool):
-    # a12 = t against unit B, so r1 = t exactly
-    def ev(t):
-        a = np.array([[0.0, t], [0.5j, 0.0]], dtype=complex)
-        return a, I2.copy(), np.zeros((2, 2), complex)
-
-    def dv(t):
-        da = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-        z = np.zeros((2, 2), complex)
-        return da, z, z
-
-    return coefsys.Scenario(
-        name="ratio_probe",
-        t0=0.0,
-        eval=ev,
-        analytic_derivatives=dv if with_derivs else None,
-        tags=frozenset({"B_diagonal", "B_psd", "B_positive"}),
-    )
-
-
-@pytest.mark.parametrize("with_derivs", [True, False])
-def test_ratio_fns_linear_coupling(with_derivs):
-    rf = coefsys.ratio_fns(_ratio_test_scenario(with_derivs))
-    assert abs(rf.r1(2.0) - 2.0) <= 1e-14
-    assert abs(rf.dr1(2.0) - 1.0) <= 1e-8
-    assert abs(rf.r2(2.0) - (-0.5j)) <= 1e-14  # conj(a21)/b2
-    assert abs(rf.dr2(2.0)) <= 1e-8
-
-
-def test_ratio_fns_requires_diagonal_b():
-    s = const_scenario(np.zeros((2, 2)), np.ones((2, 2)), np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        coefsys.ratio_fns(s)
-
-
-def test_ratio_fns_zero_diagonal_entry():
-    s = const_scenario(np.ones((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2)))
-    s = dataclasses.replace(s, tags=frozenset({"B_diagonal", "B_psd"}))
-    rf = coefsys.ratio_fns(s)
-    assert abs(rf.r1(5.0) - 1.0) <= 1e-14
-    with pytest.raises(coefsys.ZeroDiagonalB) as exc:
-        rf.r2(5.0)
-    assert exc.value.t == 5.0 and exc.value.j == 2
-
-
-# ---------------------------------------------------------------------------
 # Tabulated scenarios.
 
 

@@ -209,10 +209,7 @@ def test_psd_criterion_reads_the_reduction_once_per_field_call(monkeypatch):
 
     def counted_reduce(*args, **kwargs):
         red = reduce(*args, **kwargs)
-        return replace(
-            red,
-            **{k: rec.counted(getattr(red, k)) for k in ("sqrt_b", "f", "p", "q", "pq", "residual")},
-        )
+        return replace(red, at=rec.counted(red.at))
 
     monkeypatch.setattr(criteria, "psd_reduce", counted_reduce)
     rep = criteria.oscillation_from_psd_reduction(s, (0.0, 30.0))
@@ -337,9 +334,10 @@ def test_reduction_is_identity_for_unit_b():
     c = np.array([[1.0, 0.4j], [-0.4j, -0.7]], dtype=complex)
     s = _tagged(const_scenario(a, I2, c, name="unitB"), (0.0, 2.0))
     red = criteria.psd_reduce(s, (0.0, 2.0))
-    assert float(mat2.norm_max(red.sqrt_b(0.7) - I2)) == 0.0
-    assert float(mat2.norm_max(red.p(0.7) - a)) <= 1e-14
-    assert float(mat2.norm_max(red.q(0.7) - c)) <= 1e-14
+    at = red.at(0.7)
+    assert float(mat2.norm_max(at.sqrt_b - I2)) == 0.0
+    assert float(mat2.norm_max(at.p - a)) <= 1e-14
+    assert float(mat2.norm_max(at.q - c)) <= 1e-14
     assert red.max_residual <= 1e-14
     assert red.f_source == "min_norm"
 
@@ -348,9 +346,10 @@ def test_reduction_of_singular_ones_block():
     s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
     red = criteria.psd_reduce(s, (0.0, 10.0))
     root = math.sqrt(2.0) / 2.0
-    assert float(mat2.norm_max(red.sqrt_b(3.0) - root * ONES)) <= 1e-12
-    assert float(mat2.norm_max(red.p(3.0))) <= 1e-12
-    assert float(mat2.norm_max(red.q(3.0) + 0.5 * ONES)) <= 1e-12
+    at = red.at(3.0)
+    assert float(mat2.norm_max(at.sqrt_b - root * ONES)) <= 1e-12
+    assert float(mat2.norm_max(at.p)) <= 1e-12
+    assert float(mat2.norm_max(at.q + 0.5 * ONES)) <= 1e-12
 
 
 def test_reduction_of_drifting_ones_block():
@@ -359,7 +358,7 @@ def test_reduction_of_drifting_ones_block():
     # the minimum-norm sandwich keeps the reduced drift spread over the
     # block: p = alpha / (2 t) in every entry
     t = 2.0
-    assert float(mat2.norm_max(red.p(t) - (0.5 / (2.0 * t)) * ONES)) <= 1e-12
+    assert float(mat2.norm_max(red.at(t).p - (0.5 / (2.0 * t)) * ONES)) <= 1e-12
     assert red.f_source == "min_norm"
 
 

@@ -303,6 +303,29 @@ def test_detect_det_zeros_reads_the_indicator_at_the_nodes(monkeypatch):
     assert max(abs(a - b) for a, b in zip(times, expected)) <= 1e-6
 
 
+def test_detect_det_zeros_skips_dips_at_sign_change_roots(monkeypatch):
+    # Phi = diag(cos t + 0.5 sin t, cos t - 2 sin t): seven simple zeros on
+    # (0, 10), each bracketed by brentq, so no dip needs refining
+    s = coefsys.make_family("harmonic", {})
+    traj = odeint.solve_hamiltonian_frame(s, I2, np.diag([0.5, -2.0]).astype(complex), (0.0, 10.0))
+    calls = []
+    inner = odeint.minimize_scalar
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("bounds"))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(odeint, "minimize_scalar", counted)
+    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    expected = sorted(
+        [math.atan(0.5) + k * math.pi for k in range(4)]
+        + [math.pi - math.atan(2.0) + k * math.pi for k in range(3)]
+    )
+    assert calls == []
+    assert [z.kind for z in zeros] == ["sign_change"] * 7
+    assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-8
+
+
 def test_detect_det_zeros_wants_hamiltonian_meta():
     traj = odeint.adaptive_solve(lambda t, y: np.zeros_like(y), np.zeros(8), (0.0, 1.0))
     with pytest.raises(ValueError):

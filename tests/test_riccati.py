@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -270,15 +271,14 @@ def test_free_term_tracks_potential():
     chi2 = riccati.free_term_diag(s, 2)
     for t in (0.0, 0.7, 2.0, 5.3):
         mu = math.sin(t) + math.sin(math.sqrt(2.0) * t)
-        assert abs(chi1.values(t) - mu) <= 1e-12 * (1.0 + abs(mu))
-        assert abs(chi2.values(t) + t * t) <= 1e-12 * (1.0 + t * t)
-    assert chi1.branch_at(1.0) == "b_nonzero"
+        assert abs(chi1(t) - mu) <= 1e-12 * (1.0 + abs(mu))
+        assert abs(chi2(t) + t * t) <= 1e-12 * (1.0 + t * t)
 
 
 def test_free_term_zero_coefficients():
     s = _tagged(const_scenario(Z2, I2, Z2, name="flat"))
-    assert riccati.free_term_diag(s, 1).values(0.3) == 0.0
-    assert riccati.free_term_diag(s, 2).values(1.7) == 0.0
+    assert riccati.free_term_diag(s, 1)(0.3) == 0.0
+    assert riccati.free_term_diag(s, 2)(1.7) == 0.0
 
 
 def test_free_term_coupling_penalty():
@@ -288,7 +288,7 @@ def test_free_term_coupling_penalty():
     c[0, 0] = 1.0
     s = _tagged(const_scenario(a, np.diag([1.0, 2.0]), c, name="mixed"))
     chi1 = riccati.free_term_diag(s, 1)
-    assert abs(chi1.values(0.5) - (-3.0)) <= 1e-12
+    assert abs(chi1(0.5) - (-3.0)) <= 1e-12
 
 
 def test_free_term_zero_branch():
@@ -297,8 +297,7 @@ def test_free_term_zero_branch():
     s = _tagged(const_scenario(a, np.diag([1.0, 0.0]), np.diag([2.0, 0.0]).astype(complex), name="bzero"))
     chi1 = riccati.free_term_diag(s, 1)
     # the coupling penalty is dropped on the degenerate branch
-    assert chi1.values(0.4) == -2.0
-    assert chi1.branch_at(0.4) == "b_zero"
+    assert chi1(0.4) == -2.0
 
 
 def test_free_term_guards():
@@ -311,6 +310,64 @@ def test_free_term_guards():
 
 # ---------------------------------------------------------------------------
 # Coupling envelope.
+
+
+def _ratio_test_scenario(with_derivs: bool):
+    # a12 = t against unit B, so r1 = t exactly
+    def ev(t):
+        a = np.array([[0.0, t], [0.5j, 0.0]], dtype=complex)
+        return a, I2.copy(), np.zeros((2, 2), complex)
+
+    def dv(t):
+        da = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+        z = np.zeros((2, 2), complex)
+        return da, z, z
+
+    return coefsys.Scenario(
+        name="ratio_probe",
+        t0=0.0,
+        eval=ev,
+        analytic_derivatives=dv if with_derivs else None,
+        tags=frozenset({"B_diagonal", "B_psd", "B_positive"}),
+    )
+
+
+@pytest.mark.parametrize("with_derivs", [True, False])
+def test_diag_envelope_ratios_linear_coupling(with_derivs):
+    data = riccati._diag_envelope_data(_ratio_test_scenario(with_derivs))
+    _, r1, r2 = data.values(2.0)[:3]
+    dr1, dr2 = data.slopes(2.0)
+    assert abs(r1 - 2.0) <= 1e-14
+    assert abs(dr1 - 1.0) <= 1e-8
+    assert abs(r2 - (-0.5j)) <= 1e-14  # conj(a21)/b2
+    assert abs(dr2) <= 1e-8
+
+
+def test_diag_envelope_zero_diagonal_entry():
+    s = const_scenario(np.ones((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2)))
+    s = dataclasses.replace(s, tags=frozenset({"B_diagonal", "B_psd"}))
+    data = riccati._diag_envelope_data(s)
+    with pytest.raises(coefsys.ZeroDiagonalB) as exc:
+        data.values(5.0)
+    assert exc.value.t == 5.0 and exc.value.j == 2
+
+
+def test_chi_terms_read_the_envelope_flow_once(monkeypatch):
+    a = np.array([[0.0, 0.3], [0.2j, 0.0]], dtype=complex)
+    c = np.array([[1.0, 0.1], [0.1, 2.0]], dtype=complex)
+    env = riccati.envelope_terms_diag(_tagged(const_scenario(a, I2, c, name="chiread")), (0.0, 2.0))
+    reads = []
+    inner = odeint.Trajectory.dense_eval
+
+    def dense_eval(self, t):
+        reads.append(t)
+        return inner(self, t)
+
+    monkeypatch.setattr(odeint.Trajectory, "dense_eval", dense_eval)
+    for chi in (env.chi3, env.chi4):
+        reads.clear()
+        chi(1.3)
+        assert len(reads) == 1
 
 
 def test_envelope_without_coupling_is_potential_only():
@@ -339,14 +396,14 @@ def test_gap_peak_constant_coupling():
     a = Z2.copy()
     a[0, 1] = 1.0
     s = _tagged(const_scenario(a, I2, Z2, name="gap1"))
-    peak = riccati.coupling_gap_peak(s, (0.0, 2.0))
+    peak = riccati.envelope_terms_diag(s, (0.0, 2.0)).m_peak
     assert abs(peak(0.5) - 1.0) <= 1e-12
     assert abs(peak(2.0) - 1.0) <= 1e-12
 
 
 def test_gap_peak_no_coupling():
     s = _tagged(const_scenario(Z2, I2, np.diag([1.0, 2.0]).astype(complex), name="nocouple"))
-    assert riccati.coupling_gap_peak(s, (0.0, 2.0))(1.7) == 0.0
+    assert riccati.envelope_terms_diag(s, (0.0, 2.0)).m_peak(1.7) == 0.0
 
 
 def test_gap_peak_grows_against_damping():
@@ -354,7 +411,7 @@ def test_gap_peak_grows_against_damping():
     # constant unit gap the running maximum is e^t
     a = np.array([[-0.5, 1.0], [0.0, -0.5]], dtype=complex)
     s = _tagged(const_scenario(a, I2, Z2, name="growgap"), (0.0, 1.0))
-    peak = riccati.coupling_gap_peak(s, (0.0, 1.0))
+    peak = riccati.envelope_terms_diag(s, (0.0, 1.0)).m_peak
     assert abs(peak(1.0) - math.e) <= 1e-8
 
 
