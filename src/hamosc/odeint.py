@@ -14,8 +14,10 @@ Drivers provided:
 * ``adaptive_solve``: any field y' = f(t, y), with the hooks above.
 * ``solve_hamiltonian`` / ``solve_hamiltonian_frame``: the linear system
   Phi' = A Phi + B Psi, Psi' = C Phi - A* Psi, integrated as 16 reals by
-  one pair driver that checks the conjoinedness defect
-  ||Phi* Psi - Psi* Phi|| at every accepted step. The frame variant also
+  one pair driver. The 16 reals are the 4x2 complex frame X = [Phi; Psi]
+  (``pack_pair``), and one field call is the single 4x4 product
+  [[A, B], [C, -A*]] X. The driver checks the conjoinedness defect
+  max |G - G*| of G = Phi* Psi at every accepted step. The frame variant also
   orthonormalizes the 4x2 solution frame after every accepted step and
   accumulates the scalar growth factor in log form. Coefficients like
   c22 = t^2 produce growth of order exp(t^2/2), which overflows doubles
@@ -47,7 +49,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .mat2 import adjoint, is_hermitian, norm_max
+from .mat2 import adjoint, is_hermitian
 
 __all__ = [
     "StepUnderflow",
@@ -538,11 +540,21 @@ def quadrature(f: Callable[[float], float], window: tuple[float, float], tol: fl
 
 
 def pack_pair(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(Phi, Psi) complex 2x2 pair -> 16 interleaved reals."""
+    """(Phi, Psi) complex 2x2 pair -> 16 interleaved reals.
+
+    The 16 reals are the row-major complex 4x2 frame X = [Phi; Psi]:
+    ``_frame(y)`` views them as X without a copy, and the pair flow's
+    field and renormalization work on that view.
+    """
     out = np.empty(16)
     out[:8] = np.asarray(phi, complex).reshape(4).view(float)
     out[8:] = np.asarray(psi, complex).reshape(4).view(float)
     return out
+
+
+def _frame(y: np.ndarray) -> np.ndarray:
+    """The 4x2 complex frame [Phi; Psi] of 16 packed reals, as a view."""
+    return y.view(complex).reshape(4, 2)
 
 
 def unpack_pair(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -580,44 +592,60 @@ def riccati_z_at(traj: Trajectory, t: float) -> np.ndarray:
 
 
 def _hamiltonian_field(scenario):
+    """y' for the pair flow: one 4x4 product H X per call.
+
+    X = [Phi; Psi] is the 4x2 view of the 16 reals (see pack_pair) and
+    H = [[A, B], [C, -A*]] is filled from one scenario.eval(t) into a
+    buffer that every call reuses.
+    """
     ev = scenario.eval
+    h = np.empty((4, 4), complex)
+    top_left, top_right, bottom_left, bottom_right = h[:2, :2], h[:2, 2:], h[2:, :2], h[2:, 2:]
 
     def field(t, y):
         a, b, c = ev(t)
-        phi = y[:8].copy().view(complex).reshape(2, 2)
-        psi = y[8:].copy().view(complex).reshape(2, 2)
-        dphi = a @ phi + b @ psi
-        dpsi = c @ phi - adjoint(a) @ psi
-        out = np.empty(16)
-        out[:8] = dphi.reshape(4).view(float)
-        out[8:] = dpsi.reshape(4).view(float)
-        return out
+        top_left[...] = a
+        top_right[...] = b
+        bottom_left[...] = c
+        np.negative(a.conj().T, out=bottom_right)
+        return np.dot(h, _frame(y)).reshape(8).view(float)
 
     return field
 
 
 def conjoined_defect(phi: np.ndarray, psi: np.ndarray) -> float:
-    """The conjoinedness defect ||Phi* Psi - Psi* Phi|| (max entry)."""
-    return norm_max(adjoint(phi) @ psi - adjoint(psi) @ phi)
+    """The conjoinedness defect max |G - G*| of G = Phi* Psi.
+
+    G* = Psi* Phi, so this is ||Phi* Psi - Psi* Phi|| (max entry).
+    """
+    g = adjoint(phi) @ psi
+    return float(np.abs(g - adjoint(g)).max())
+
+
+def _defect_and_scale(x: np.ndarray) -> tuple[float, float]:
+    """Defect of the frame x = [Phi; Psi] and the scale 1 + |Phi| |Psi| of its bound."""
+    phi_max, psi_max = np.abs(x).reshape(2, 4).max(axis=1)
+    return conjoined_defect(x[:2], x[2:]), 1.0 + phi_max * psi_max
 
 
 def _qr_columns(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Orthonormalize the two columns of a 4x2 complex frame.
 
     Modified Gram-Schmidt with positive real diagonal, so the triangular
-    factor has det R real and positive. Returns (Q, log det R).
+    factor has det R real and positive. Returns (Q, log det R); Q is a
+    new C-ordered 4x2 array, so Q.reshape(8).view(float) is its 16 reals.
     """
+    q = np.empty((4, 2), complex)
+    q1, q2 = q[:, 0], q[:, 1]
     v1 = x[:, 0]
-    r11 = float(np.linalg.norm(v1))
-    q1 = v1 / r11
-    v2 = x[:, 1]
-    r12 = np.vdot(q1, v2)
-    w = v2 - r12 * q1
-    r22 = float(np.linalg.norm(w))
+    r11 = math.sqrt(np.vdot(v1, v1).real)
+    np.divide(v1, r11, out=q1)
+    w = x[:, 1] - np.vdot(q1, x[:, 1]) * q1
+    r22 = math.sqrt(np.vdot(w, w).real)
     if r22 < 1e-250 * max(1.0, r11):
         raise RuntimeError("solution frame lost rank during orthonormalization")
-    q2 = w / r22
-    return np.stack([q1, q2], axis=1), math.log(r11) + math.log(r22)
+    np.divide(w, r22, out=q2)
+    return q, math.log(r11) + math.log(r22)
 
 
 def _solve_pair(scenario, phi0, psi0, window, rtol, atol, *, frame: bool) -> Trajectory:
@@ -631,28 +659,27 @@ def _solve_pair(scenario, phi0, psi0, window, rtol, atol, *, frame: bool) -> Tra
     scale stays 0. meta holds the node scales (log_scale), the node
     defects after the start (defects) and the start defect.
     """
-    phi0 = np.asarray(phi0, complex)
-    psi0 = np.asarray(psi0, complex)
-    d0 = conjoined_defect(phi0, psi0)
-    if d0 > 1e-9 * (1.0 + norm_max(phi0) * norm_max(psi0)):
+    y0 = pack_pair(phi0, psi0)
+    x0 = _frame(y0)
+    d0, scale0 = _defect_and_scale(x0)
+    if d0 > 1e-9 * scale0:
         raise ConjoinedDrift(float(window[0]), d0, "initial pair is not conjoined")
     log_scale = 0.0
     if frame:
-        q0, log_scale = _qr_columns(np.vstack([phi0, psi0]))
-        phi0, psi0 = q0[:2, :], q0[2:, :]
+        q0, log_scale = _qr_columns(x0)
+        y0 = q0.reshape(8).view(float)
     log_nodes = [log_scale]
     defects: list[float] = []
 
     def post_step(t, y):
         nonlocal log_scale
-        phi, psi = unpack_pair(y)
+        x = _frame(y)
         if frame:
-            q, logr = _qr_columns(np.vstack([phi, psi]))
+            x, logr = _qr_columns(x)
             log_scale += logr
-            phi, psi = q[:2, :], q[2:, :]
-            y = pack_pair(phi, psi)
-        d = conjoined_defect(phi, psi)
-        if d > CONJ_TOL * (1.0 + norm_max(phi) * norm_max(psi)):
+            y = x.reshape(8).view(float)
+        d, scale = _defect_and_scale(x)
+        if d > CONJ_TOL * scale:
             raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
         log_nodes.append(log_scale)
         defects.append(d)
@@ -662,7 +689,7 @@ def _solve_pair(scenario, phi0, psi0, window, rtol, atol, *, frame: bool) -> Tra
         _hamiltonian_field(scenario),
         float(window[0]),
         float(window[1]),
-        pack_pair(phi0, psi0),
+        y0,
         rtol,
         atol,
         post_step=post_step,

@@ -295,8 +295,9 @@ class EnvelopeData:
 
     values(t) returns (a_sum, r1, r2, c12, b1, b2, c11, c22) from one
     read of the coefficients: a_sum = conj(a11) + a22 and c12 complex,
-    r1, r2 the coupling ratios, the rest real. slopes(t) returns
-    (dr1, dr2), which only the envelope flow reads. For diagonal B the
+    r1, r2 the coupling ratios, the rest real. slopes(t, v) returns
+    (dr1, dr2) given v = values(t), so the envelope flow, its only
+    reader, reads the coefficients once per stage. For diagonal B the
     ratios are r1 = a12/b1, r2 = conj(a21)/b2 with the actual b_j; the
     reduced (PSD) path reuses the same machinery with unit b and the
     reduced coefficients in place of a and c.
@@ -325,10 +326,10 @@ def fd_slopes(values: Callable, lo: float, hi: Optional[float]) -> Callable:
     """slopes(t) of the ratios in values by central differences.
 
     The differences are one-sided near the domain ends lo and hi (hi None
-    for an unbounded domain).
+    for an unbounded domain). The values at t itself are not used.
     """
 
-    def slopes(t):
+    def slopes(t, v):
         return (
             _central_fd(lambda u: values(u)[1], t, lo, hi),
             _central_fd(lambda u: values(u)[2], t, lo, hi),
@@ -354,7 +355,7 @@ def build_envelope_terms(
     off-diagonal drive. Nothing here exponentiates R itself, so strongly
     damped or strongly growing scenarios stay in range.
 
-    The flow field reads values and slopes once each, and the gap grid
+    The flow field reads values once and hands them to slopes, and the gap grid
     reads values once per point. chi_3 = b2 (M + E_y)^2 - b2 |r2|^2 - c11
     and symmetrically chi_4; sign_convention picks the sign of c12
     inside the drives w.
@@ -366,8 +367,9 @@ def build_envelope_terms(
     values, slopes = data.values, data.slopes
 
     def field(t, y):
-        a_sum, r1, r2, c12 = values(t)[:4]
-        dr1, dr2 = slopes(t)
+        v = values(t)
+        a_sum, r1, r2, c12 = v[:4]
+        dr1, dr2 = slopes(t, v)
         rp = float(np.real(a_sum))
         w_y = dr2 + r2 * a_sum + sgn * c12
         w_v = dr1 + r1 * a_sum + sgn * c12
@@ -412,24 +414,21 @@ def build_envelope_terms(
 
 
 def _diag_envelope_data(s: Scenario) -> EnvelopeData:
-    """Envelope inputs of a diagonal-B scenario, one s.eval per read.
+    """Envelope inputs of a diagonal-B scenario, one s.eval per values read.
 
     slopes uses the scenario's analytic derivatives when it has them,
-    else fd_slopes. A b_j within TOL_POS * (1 + |B|) of zero raises
-    ZeroDiagonalB.
+    with the ratios and b_j of the values it is handed, else fd_slopes.
+    A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
     """
 
-    def read(t):
+    def values(t):
+        t = float(t)
         a, b, c = s.eval(t)
         tol = TOL_POS * (1.0 + norm_max(b))
         b1, b2 = float(np.real(b[0, 0])), float(np.real(b[1, 1]))
         for j, bj in ((1, b1), (2, b2)):
             if abs(bj) <= tol:
                 raise ZeroDiagonalB(t, j)
-        return a, c, b1, b2
-
-    def values(t):
-        a, c, b1, b2 = read(float(t))
         return (
             complex(np.conj(a[0, 0]) + a[1, 1]), complex(a[0, 1]) / b1, complex(np.conj(a[1, 0])) / b2,
             complex(c[0, 1]), b1, b2, float(np.real(c[0, 0])), float(np.real(c[1, 1])),
@@ -438,13 +437,12 @@ def _diag_envelope_data(s: Scenario) -> EnvelopeData:
     if s.analytic_derivatives is None:
         return EnvelopeData(values=values, slopes=fd_slopes(values, s.t0, s.domain_end))
 
-    def slopes(t):
-        a, _, b1, b2 = read(float(t))
+    def slopes(t, v):
+        r1, r2, b1, b2 = v[1], v[2], v[4], v[5]
         da, db, _ = s.analytic_derivatives(t)
         return (
-            complex(da[0, 1]) / b1 - complex(a[0, 1]) * float(np.real(db[0, 0])) / (b1 * b1),
-            complex(np.conj(da[1, 0])) / b2
-            - complex(np.conj(a[1, 0])) * float(np.real(db[1, 1])) / (b2 * b2),
+            complex(da[0, 1]) / b1 - r1 * float(np.real(db[0, 0])) / b1,
+            complex(np.conj(da[1, 0])) / b2 - r2 * float(np.real(db[1, 1])) / b2,
         )
 
     return EnvelopeData(values=values, slopes=slopes)

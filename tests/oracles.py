@@ -167,8 +167,9 @@ def subsystem_solve(
             - abs(a12) ** 2 / b1
             - c22
         )
-        r1, r2 = data.values(t)[1:3]
-        dr1, dr2 = data.slopes(t)
+        vals = data.values(t)
+        r1, r2 = vals[1:3]
+        dr1, dr2 = data.slopes(t, vals)
         dy = -(sig * y + (a12 - (b1 / b2) * np.conj(a21)) * z11 - dr2 - r2 * asum - c12)
         dv = -(sig * v + (np.conj(a21) - (b2 / b1) * a12) * z22 - dr1 - r1 * asum - c12)
         return np.array([dz11, dz22, dy.real, dy.imag, dv.real, dv.imag])

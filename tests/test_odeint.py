@@ -229,6 +229,73 @@ def test_det_phi_restores_the_frame_scale():
     assert np.max(np.abs(det * np.exp(log_scale) - expected) / (1.0 + np.abs(expected))) <= 1e-6
 
 
+def test_pair_field_is_the_block_hamiltonian_product():
+    # every packaged scenario has real coefficients, so a dropped conjugate
+    # in the -A* block only shows with a complex, non-Hermitian A
+    rng = np.random.default_rng(33)
+
+    def cplx():
+        return rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+
+    a0, a1 = cplx(), cplx()
+    b0, b1, c0, c1 = (hermitian(rng) for _ in range(4))
+    reads = []
+
+    def coeffs(t):
+        reads.append(t)
+        return a0 + math.sin(t) * a1, b0 + math.cos(t) * b1, c0 + t * c1
+
+    s = coefsys.Scenario(name="complex_a", t0=0.0, eval=coeffs)
+    field = odeint._hamiltonian_field(s)
+    for t in (0.0, 0.7, 2.5, 11.0):
+        phi, psi = cplx(), cplx()
+        a, b, c = coeffs(t)
+        expected = np.block([[a, b], [c, -a.conj().T]]) @ np.vstack([phi, psi])
+        del reads[:]
+        dphi, dpsi = odeint.unpack_pair(field(t, odeint.pack_pair(phi, psi)))
+        assert reads == [t]
+        got = np.vstack([dphi, dpsi])
+        assert np.max(np.abs(got - expected)) <= 1e-14 * (1.0 + np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("solve", [odeint.solve_hamiltonian, odeint.solve_hamiltonian_frame])
+def test_conjoined_drift_raises_mid_flow(solve):
+    # with a non-Hermitian C the defect of Phi* Psi grows like the integral
+    # of Phi* (C - C*) Phi; from the conjoined start (I, 0) of this
+    # oscillator it crosses CONJ_TOL * (1 + |Phi| |Psi|) well inside the window
+    delta = 1e-8
+    s = const_scenario(Z2, I2, -I2 + delta * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(odeint.ConjoinedDrift) as exc:
+        solve(s, I2, Z2, (0.0, 10.0))
+    assert "defect bound exceeded" in str(exc.value)
+    assert 1.0 < exc.value.t < 10.0
+    assert exc.value.defect > odeint.CONJ_TOL
+    # the defect is delta * (t/2 + sin(2t)/4) to first order in delta
+    t = exc.value.t
+    expected = delta * (t / 2.0 + math.sin(2.0 * t) / 4.0)
+    assert abs(exc.value.defect - expected) <= 1e-6 * exc.value.defect
+
+
+def test_qr_columns_contract():
+    rng = np.random.default_rng(34)
+    for _ in range(20):
+        x = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
+        x *= 10.0 ** rng.uniform(-3, 3)
+        q, log_det_r = odeint._qr_columns(x)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(2))) <= 1e-14
+        r = q.conj().T @ x
+        assert abs(r[1, 0]) <= 1e-14 * np.max(np.abs(r))
+        assert r[0, 0].real > 0.0 and r[1, 1].real > 0.0
+        assert max(abs(r[0, 0].imag), abs(r[1, 1].imag)) <= 1e-14 * np.max(np.abs(r))
+        assert np.max(np.abs(q @ np.triu(r) - x)) <= 1e-14 * np.max(np.abs(x))
+        _, r_ref = np.linalg.qr(x)
+        assert abs(log_det_r - math.log(abs(r_ref[0, 0] * r_ref[1, 1]))) <= 1e-13
+    for second in (np.zeros(4), np.array([3j, 0.0, 0.0, 0.0])):
+        x = np.stack([np.array([2.0, 0.0, 0.0, 0.0]), second], axis=1).astype(complex)
+        with pytest.raises(RuntimeError, match="lost rank"):
+            odeint._qr_columns(x)
+
+
 # ---------------------------------------------------------------------------
 # Determinant zeros.
 

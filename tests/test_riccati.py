@@ -335,8 +335,9 @@ def _ratio_test_scenario(with_derivs: bool):
 @pytest.mark.parametrize("with_derivs", [True, False])
 def test_diag_envelope_ratios_linear_coupling(with_derivs):
     data = riccati._diag_envelope_data(_ratio_test_scenario(with_derivs))
-    _, r1, r2 = data.values(2.0)[:3]
-    dr1, dr2 = data.slopes(2.0)
+    vals = data.values(2.0)
+    _, r1, r2 = vals[:3]
+    dr1, dr2 = data.slopes(2.0, vals)
     assert abs(r1 - 2.0) <= 1e-14
     assert abs(dr1 - 1.0) <= 1e-8
     assert abs(r2 - (-0.5j)) <= 1e-14  # conj(a21)/b2
