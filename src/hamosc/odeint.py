@@ -8,6 +8,11 @@ orthonormalization, the conjoinedness check, rescaling), escape-norm
 truncation that preserves the partial trajectory for blow-up diagnostics,
 and ``stop``, a predicate on each new dense segment that ends the flow
 early (the partition-condition search stops at its first violated sample).
+Stages that probe toward a blow-up overflow on purpose, and a non-finite
+stage is a rejected step, so numpy's overflow and invalid warnings are
+off for the whole flow, field and hooks included; the caller's error
+state is restored when the flow returns or raises. Every trajectory
+carries the solver's counts in ``meta["stats"]``.
 
 Drivers provided:
 
@@ -15,10 +20,10 @@ Drivers provided:
 * ``solve_hamiltonian`` / ``solve_hamiltonian_frame``: the linear system
   Phi' = A Phi + B Psi, Psi' = C Phi - A* Psi, integrated as 16 reals by
   one pair driver. The 16 reals are the 4x2 complex frame X = [Phi; Psi]
-  (``pack_pair``), and one field call is the single 4x4 product
-  [[A, B], [C, -A*]] X. The driver checks the conjoinedness defect
-  max |G - G*| of G = Phi* Psi at every accepted step. The frame variant also
-  orthonormalizes the 4x2 solution frame after every accepted step and
+  (``pack_pair``), and one field call is the product [[A, B], [C, -A*]] X
+  from one coefficient read. The driver checks the conjoinedness defect
+  max |G - G*| of G = Phi* Psi at every accepted step. The frame variant
+  also orthonormalizes the 4x2 solution frame after every accepted step and
   accumulates the scalar growth factor in log form. Coefficients like
   c22 = t^2 produce growth of order exp(t^2/2), which overflows doubles
   near t = 38; the frame variant keeps every stored quantity of order one
@@ -118,7 +123,10 @@ class Event(NamedTuple):
 # ---------------------------------------------------------------------------
 # Dormand-Prince 5(4) tableau with the standard quartic dense-output matrix.
 
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0])
+# Stage i (1..6) is y + h * (_A[i] . k[:i]) at t + _C[i] * h. Row 6 is
+# the fifth-order solution, whose derivative is the last stage (FSAL).
+# The nodes are Python floats so that stage times stay Python floats.
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
 _A = (
     np.array([], dtype=float),
     np.array([1 / 5]),
@@ -126,8 +134,8 @@ _A = (
     np.array([44 / 45, -56 / 15, 32 / 9]),
     np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
+    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 )
-_B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84])
 _ERR = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -266,143 +274,169 @@ def _dp45(
 ) -> Trajectory:
     if not t_end > t0:
         raise ValueError("window must satisfy t_end > t0")
-    y = np.array(y0, dtype=float)
-    n = y.size
-    t = float(t0)
-    f0 = np.asarray(fun(t, y), dtype=float)
-    h = _initial_step(fun, t, y, f0, t_end, rtol, atol)
-    h = max(min(h, t_end - t), 1e-13 * max(1.0, abs(t)))
+    # stages probing toward a blow-up overflow on purpose, and the
+    # non-finite checks below turn that into a rejected step; the
+    # warnings stay off for the whole flow, hooks included
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.array(y0, dtype=float)
+        n = y.size
+        t = float(t0)
+        f0 = np.asarray(fun(t, y), dtype=float)
+        h = _initial_step(fun, t, y, f0, t_end, rtol, atol)
+        h = max(min(h, t_end - t), 1e-13 * max(1.0, abs(t)))
 
-    times = [t]
-    states = [y.copy()]
-    seg_h: list[float] = []
-    seg_q: list[np.ndarray] = []
-    events: list[Event] = []
-    err_prev: float | None = None
-    k = np.empty((7, n))
-    sl = escape_slice if escape_slice is not None else slice(None)
+        times = [t]
+        states = [y.copy()]
+        seg_h: list[float] = []
+        seg_q: list[np.ndarray] = []
+        events: list[Event] = []
+        err_prev: float | None = None
+        k = np.empty((7, n))
+        k_head = [k[:i] for i in range(7)]  # views of the stages each stage reads
+        zeros = np.zeros(n)
+        sl = escape_slice if escape_slice is not None else slice(None)
+        n_accept = n_reject = 0
+        nfev = 2  # f0 and the trial step of _initial_step
+        h_min, h_max = math.inf, 0.0
 
-    def _norm_of(state: np.ndarray) -> float:
-        return float(np.max(np.abs(state[sl])))
+        def _norm_of(state: np.ndarray) -> float:
+            return float(np.max(np.abs(state[sl])))
 
-    t_last = t_end - 1e-14 * max(1.0, abs(t_end))  # a node at or past this ends the flow
-    steps = 0
-    while t < t_last:
-        steps += 1
-        if steps > _MAX_STEPS:
-            raise RuntimeError("step budget exhausted")
-        h = min(h, t_end - t)
+        t_last = t_end - 1e-14 * max(1.0, abs(t_end))  # a node at or past this ends the flow
+        steps = 0
+        while t < t_last:
+            steps += 1
+            if steps > _MAX_STEPS:
+                raise RuntimeError("step budget exhausted")
+            h = min(h, t_end - t)
 
-        k[0] = f0
-        ok = True
-        # stages probing toward a blow-up overflow on purpose; the
-        # non-finite checks below turn that into a rejected step
-        with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(1, 6):
-                yi = y + h * (k[:i].T @ _A[i])
-                fi = np.asarray(fun(t + _C[i] * h, yi), dtype=float)
-                if not np.isfinite(fi).all():
-                    ok = False
+            k[0] = f0
+            # x . 0 is NaN exactly when an entry of x is inf or NaN
+            for i in range(1, 7):
+                # y + h * (_A[i] . k[:i]), in place and in that order: in
+                # the overflow regime the rounding decides whether a stage
+                # is finite
+                y_new = _A[i].dot(k_head[i])
+                y_new *= h
+                y_new += y
+                f_new = np.asarray(fun(t + _C[i] * h, y_new), dtype=float)
+                if math.isnan(f_new.dot(zeros)):
+                    err = math.inf
                     break
-                k[i] = fi
-            if ok:
-                y_new = y + h * (k[:6].T @ _B5)
-                f_new = np.asarray(fun(t + h, y_new), dtype=float)
-                ok = np.isfinite(y_new).all() and np.isfinite(f_new).all()
-            if ok:
-                k[6] = f_new
-                err_vec = h * (k.T @ _ERR)
-                scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-                err = _rms_norm(err_vec / scale)
+                k[i] = f_new
             else:
-                err = math.inf
+                if math.isnan(y_new.dot(zeros)):
+                    err = math.inf
+                else:
+                    # RMS of h * (_ERR . k) / (atol + rtol * max(|y|, |y_new|))
+                    err_vec = _ERR.dot(k)
+                    err_vec *= h
+                    scale = np.abs(y)
+                    np.maximum(scale, np.abs(y_new), out=scale)
+                    scale *= rtol
+                    scale += atol
+                    err_vec /= scale
+                    err = _rms_norm(err_vec)
+            nfev += i
 
-        if not math.isfinite(err):
-            # non-finite stage or error estimate: halve and retry
-            h *= 0.5
-            if h < 1e-14 * max(1.0, abs(t)):
-                if underflow == "raise":
-                    raise StepUnderflow(t, y)
-                events.append(Event("underflow", t, {"reason": "non-finite"}))
+            if not math.isfinite(err):
+                # non-finite stage or error estimate: halve and retry
+                n_reject += 1
+                h *= 0.5
+                if h < 1e-14 * max(1.0, abs(t)):
+                    if underflow == "raise":
+                        raise StepUnderflow(t, y)
+                    events.append(Event("underflow", t, {"reason": "non-finite"}))
+                    break
+                continue
+
+            if err > 1.0:
+                n_reject += 1
+                factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+                h *= min(factor, 1.0)
+                if h < 1e-14 * max(1.0, abs(t)):
+                    if underflow == "raise":
+                        raise StepUnderflow(t, y)
+                    events.append(Event("underflow", t, {"reason": "error control"}))
+                    break
+                continue
+
+            # accepted
+            n_accept += 1
+            if h < h_min:
+                h_min = h
+            if h > h_max:
+                h_max = h
+            q = k.T @ _DENSE_P  # (n, 4) dense coefficients
+            t_new = t + h
+            escaped = False
+            if escape_norm is not None and _norm_of(y_new) >= escape_norm:
+                # earliest crossing inside the step, by bisection on the interpolant
+                def _over(theta: float) -> bool:
+                    yt = y + h * (q @ theta ** np.arange(1, 5))
+                    return _norm_of(yt) >= escape_norm
+
+                lo_th, hi_th = 0.0, 1.0
+                if _over(0.0):
+                    hi_th = 0.0
+                else:
+                    for _ in range(80):
+                        mid = 0.5 * (lo_th + hi_th)
+                        if _over(mid):
+                            hi_th = mid
+                        else:
+                            lo_th = mid
+                theta_esc = hi_th if hi_th > 0.0 else 1e-16
+                t_esc = t + theta_esc * h
+                y_esc = y + h * (q @ theta_esc ** np.arange(1, 5))
+                seg_h.append(h)
+                seg_q.append(q)
+                times.append(t_esc)
+                states.append(y_esc)
+                events.append(Event("escape", t_esc, {"norm": _norm_of(y_esc)}))
+                escaped = True
+            if escaped:
+                if stop is not None:
+                    stop(t, h, y, q, t_esc)
                 break
-            continue
 
-        if err > 1.0:
-            factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            h *= min(factor, 1.0)
-            if h < 1e-14 * max(1.0, abs(t)):
-                if underflow == "raise":
-                    raise StepUnderflow(t, y)
-                events.append(Event("underflow", t, {"reason": "error control"}))
-                break
-            continue
+            y_stored = y_new
+            if post_step is not None:
+                y_stored = np.asarray(post_step(t_new, y_new), dtype=float)
 
-        # accepted
-        q = (k.T @ _DENSE_P) * 1.0  # (n, 4) dense coefficients
-        t_new = t + h
-        escaped = False
-        if escape_norm is not None and _norm_of(y_new) >= escape_norm:
-            # earliest crossing inside the step, by bisection on the interpolant
-            def _over(theta: float) -> bool:
-                yt = y + h * (q @ theta ** np.arange(1, 5))
-                return _norm_of(yt) >= escape_norm
-
-            lo_th, hi_th = 0.0, 1.0
-            if _over(0.0):
-                hi_th = 0.0
-            else:
-                for _ in range(80):
-                    mid = 0.5 * (lo_th + hi_th)
-                    if _over(mid):
-                        hi_th = mid
-                    else:
-                        lo_th = mid
-            theta_esc = hi_th if hi_th > 0.0 else 1e-16
-            t_esc = t + theta_esc * h
-            y_esc = y + h * (q @ theta_esc ** np.arange(1, 5))
             seg_h.append(h)
             seg_q.append(q)
-            times.append(t_esc)
-            states.append(y_esc)
-            events.append(Event("escape", t_esc, {"norm": _norm_of(y_esc)}))
-            escaped = True
-        if escaped:
-            if stop is not None:
-                stop(t, h, y, q, t_esc)
-            break
+            times.append(t_new)
+            states.append(y_stored.copy())
+            if stop is not None and stop(t, h, y, q, math.inf if t_new >= t_last else t_new):
+                events.append(Event("stop", t_new, {}))
+                break
 
-        y_stored = y_new
-        if post_step is not None:
-            y_stored = np.asarray(post_step(t_new, y_new), dtype=float)
+            t = t_new
+            # a hook that hands back the array it was given changed nothing,
+            # so the last stage's derivative still holds there
+            if y_stored is y_new:
+                f0 = f_new
+            else:
+                f0 = np.asarray(fun(t, y_stored), dtype=float)
+                nfev += 1
+            y = y_stored
 
-        seg_h.append(h)
-        seg_q.append(q)
-        times.append(t_new)
-        states.append(y_stored.copy())
-        if stop is not None and stop(t, h, y, q, math.inf if t_new >= t_last else t_new):
-            events.append(Event("stop", t_new, {}))
-            break
+            if err == 0.0:
+                factor = _MAX_FACTOR
+            elif err_prev is None:
+                factor = _SAFETY * err ** (-0.2)
+            else:
+                factor = _SAFETY * err ** (-_BETA1) * err_prev ** (_BETA2)
+            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            err_prev = max(err, 1e-10)
 
-        t = t_new
-        # a hook that hands back the array it was given changed nothing,
-        # so the last stage's derivative still holds there
-        f0 = f_new if y_stored is y_new else np.asarray(fun(t, y_stored), dtype=float)
-        y = y_stored
-
-        if err == 0.0:
-            factor = _MAX_FACTOR
-        elif err_prev is None:
-            factor = _SAFETY * err ** (-0.2)
-        else:
-            factor = _SAFETY * err ** (-_BETA1) * err_prev ** (_BETA2)
-        h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-        err_prev = max(err, 1e-10)
-
+    stats = dict(n_accept=n_accept, n_reject=n_reject, nfev=nfev, h_min=h_min, h_max=h_max)
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),
         events=tuple(events),
-        meta={},
+        meta={"stats": stats},
         _seg_h=np.asarray(seg_h),
         _seg_q=np.asarray(seg_q),
     )
@@ -420,7 +454,15 @@ def adaptive_solve(
 
     Local error per step is kept below atol + rtol * |state| componentwise
     (RMS aggregated). Raises StepUnderflow when the controller cannot make
-    progress, which callers interpret as finite-time blow-up.
+    progress, which callers interpret as finite-time blow-up. A stage
+    with an inf or NaN entry rejects the step and halves it.
+
+    numpy's overflow and invalid warnings are off for the whole flow,
+    field and hooks included, and the caller's error state is restored
+    on return or raise. meta["stats"] holds n_accept (the nodes after
+    the first), n_reject, nfev (every field call, the two of the initial
+    step choice included), and h_min and h_max over the accepted steps
+    (inf and 0 when none was accepted).
 
     The optional ``post_step(t, y)`` sees each accepted state y at t and
     returns the state to store and continue from. It must not change y in
@@ -543,8 +585,8 @@ def pack_pair(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """(Phi, Psi) complex 2x2 pair -> 16 interleaved reals.
 
     The 16 reals are the row-major complex 4x2 frame X = [Phi; Psi]:
-    ``_frame(y)`` views them as X without a copy, and the pair flow's
-    field and renormalization work on that view.
+    ``_frame(y)`` views them as X without a copy. The pair flow's field,
+    renormalization and defect read X's 8 complex entries from them.
     """
     out = np.empty(16)
     out[:8] = np.asarray(phi, complex).reshape(4).view(float)
@@ -592,23 +634,36 @@ def riccati_z_at(traj: Trajectory, t: float) -> np.ndarray:
 
 
 def _hamiltonian_field(scenario):
-    """y' for the pair flow: one 4x4 product H X per call.
+    """y' for the pair flow: the product H X, from one scenario.eval(t) per call.
 
     X = [Phi; Psi] is the 4x2 view of the 16 reals (see pack_pair) and
-    H = [[A, B], [C, -A*]] is filled from one scenario.eval(t) into a
-    buffer that every call reuses.
+    H = [[A, B], [C, -A*]]. The 32 complex products are Python complex
+    arithmetic on the entries, which at this size costs less than filling
+    a 4x4 array and calling np.dot.
     """
     ev = scenario.eval
-    h = np.empty((4, 4), complex)
-    top_left, top_right, bottom_left, bottom_right = h[:2, :2], h[:2, 2:], h[2:, :2], h[2:, 2:]
 
     def field(t, y):
         a, b, c = ev(t)
-        top_left[...] = a
-        top_right[...] = b
-        bottom_left[...] = c
-        np.negative(a.conj().T, out=bottom_right)
-        return np.dot(h, _frame(y)).reshape(8).view(float)
+        (a11, a12), (a21, a22) = a.tolist()
+        (b11, b12), (b21, b22) = b.tolist()
+        (c11, c12), (c21, c22) = c.tolist()
+        # -A* = [[d11, d12], [d21, d22]]
+        d11, d12, d21, d22 = -a11.conjugate(), -a21.conjugate(), -a12.conjugate(), -a22.conjugate()
+        p11, p12, p21, p22, s11, s12, s21, s22 = y.view(complex).tolist()
+        return np.array(
+            [
+                a11 * p11 + a12 * p21 + b11 * s11 + b12 * s21,
+                a11 * p12 + a12 * p22 + b11 * s12 + b12 * s22,
+                a21 * p11 + a22 * p21 + b21 * s11 + b22 * s21,
+                a21 * p12 + a22 * p22 + b21 * s12 + b22 * s22,
+                c11 * p11 + c12 * p21 + d11 * s11 + d12 * s21,
+                c11 * p12 + c12 * p22 + d11 * s12 + d12 * s22,
+                c21 * p11 + c22 * p21 + d21 * s11 + d22 * s21,
+                c21 * p12 + c22 * p22 + d21 * s12 + d22 * s22,
+            ],
+            complex,
+        ).view(float)
 
     return field
 
@@ -618,33 +673,47 @@ def conjoined_defect(phi: np.ndarray, psi: np.ndarray) -> float:
 
     G* = Psi* Phi, so this is ||Phi* Psi - Psi* Phi|| (max entry).
     """
-    g = adjoint(phi) @ psi
-    return float(np.abs(g - adjoint(g)).max())
+    return _defect_and_scale(np.concatenate((phi, psi)))[0]
 
 
 def _defect_and_scale(x: np.ndarray) -> tuple[float, float]:
-    """Defect of the frame x = [Phi; Psi] and the scale 1 + |Phi| |Psi| of its bound."""
-    phi_max, psi_max = np.abs(x).reshape(2, 4).max(axis=1)
-    return conjoined_defect(x[:2], x[2:]), 1.0 + phi_max * psi_max
+    """Defect of the frame x = [Phi; Psi] and the scale 1 + |Phi| |Psi| of its bound.
+
+    One pass over the 8 entries in Python complex arithmetic. The diagonal
+    of G - G* is 2i Im G_kk and its two off-diagonal entries have the
+    modulus |G_12 - conj(G_21)|.
+    """
+    p11, p12, p21, p22, s11, s12, s21, s22 = x.ravel().tolist()
+    c11, c12, c21, c22 = p11.conjugate(), p12.conjugate(), p21.conjugate(), p22.conjugate()
+    g11 = c11 * s11 + c21 * s21
+    g12 = c11 * s12 + c21 * s22
+    g21 = c12 * s11 + c22 * s21
+    g22 = c12 * s12 + c22 * s22
+    defect = max(2.0 * abs(g11.imag), 2.0 * abs(g22.imag), abs(g12 - g21.conjugate()))
+    phi_max = max(abs(p11), abs(p12), abs(p21), abs(p22))
+    psi_max = max(abs(s11), abs(s12), abs(s21), abs(s22))
+    return defect, 1.0 + phi_max * psi_max
 
 
 def _qr_columns(x: np.ndarray) -> tuple[np.ndarray, float]:
     """Orthonormalize the two columns of a 4x2 complex frame.
 
     Modified Gram-Schmidt with positive real diagonal, so the triangular
-    factor has det R real and positive. Returns (Q, log det R); Q is a
-    new C-ordered 4x2 array, so Q.reshape(8).view(float) is its 16 reals.
+    factor has det R real and positive, in one pass of Python complex
+    arithmetic over the 8 entries. Returns (Q, log det R); Q is a new
+    C-ordered 4x2 array, so Q.reshape(8).view(float) is its 16 reals.
     """
-    q = np.empty((4, 2), complex)
-    q1, q2 = q[:, 0], q[:, 1]
-    v1 = x[:, 0]
-    r11 = math.sqrt(np.vdot(v1, v1).real)
-    np.divide(v1, r11, out=q1)
-    w = x[:, 1] - np.vdot(q1, x[:, 1]) * q1
-    r22 = math.sqrt(np.vdot(w, w).real)
+    (u1, v1), (u2, v2), (u3, v3), (u4, v4) = x.tolist()
+    r11 = math.hypot(abs(u1), abs(u2), abs(u3), abs(u4))
+    if r11 == 0.0:
+        raise RuntimeError("solution frame lost rank during orthonormalization")
+    u1, u2, u3, u4 = u1 / r11, u2 / r11, u3 / r11, u4 / r11
+    dot = u1.conjugate() * v1 + u2.conjugate() * v2 + u3.conjugate() * v3 + u4.conjugate() * v4
+    v1, v2, v3, v4 = v1 - dot * u1, v2 - dot * u2, v3 - dot * u3, v4 - dot * u4
+    r22 = math.hypot(abs(v1), abs(v2), abs(v3), abs(v4))
     if r22 < 1e-250 * max(1.0, r11):
         raise RuntimeError("solution frame lost rank during orthonormalization")
-    np.divide(w, r22, out=q2)
+    q = np.array([u1, v1 / r22, u2, v2 / r22, u3, v3 / r22, u4, v4 / r22], complex).reshape(4, 2)
     return q, math.log(r11) + math.log(r22)
 
 

@@ -323,17 +323,26 @@ class EnvelopeTerms:
 
 
 def fd_slopes(values: Callable, lo: float, hi: Optional[float]) -> Callable:
-    """slopes(t) of the ratios in values by central differences.
+    """slopes(t, v) of the ratios in values by central differences.
 
     The differences are one-sided near the domain ends lo and hi (hi None
-    for an unbounded domain). The values at t itself are not used.
+    for an unbounded domain), where v = values(t) stands in for the read
+    at t. Both ratios difference the same reads, so a call reads values
+    twice.
     """
 
     def slopes(t, v):
-        return (
-            _central_fd(lambda u: values(u)[1], t, lo, hi),
-            _central_fd(lambda u: values(u)[2], t, lo, hi),
-        )
+        reads = {t: v}
+
+        def ratio(j):
+            def at(u):
+                if u not in reads:
+                    reads[u] = values(u)
+                return reads[u][j]
+
+            return at
+
+        return _central_fd(ratio(1), t, lo, hi), _central_fd(ratio(2), t, lo, hi)
 
     return slopes
 

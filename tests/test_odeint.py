@@ -136,6 +136,79 @@ def test_step_underflow_reported():
         odeint.adaptive_solve(field, [0.0], (0.0, 3.0))
 
 
+@pytest.mark.parametrize("bad", [None, math.inf, math.nan])
+def test_stage_finite_check_is_exact(bad):
+    # the squares of 1e300 overflow, so a finite check through dot(f, f)
+    # or a sum of squares would reject the all-finite field as well
+    f = np.full(4, 1e300)
+    if bad is not None:
+        f[2] = bad
+    traj = odeint.adaptive_solve(lambda t, y: f, np.zeros(4), (0.0, 1.0), underflow="event")
+    stats = traj.meta["stats"]
+    if bad is None:
+        assert not traj.events and abs(traj.t_end - 1.0) <= 1e-14
+        assert np.max(np.abs(traj.states[-1] / 1e300 - 1.0)) <= 1e-12
+    else:
+        assert [e.kind for e in traj.events] == ["underflow"]
+        assert traj.events[0].detail == {"reason": "non-finite"}
+        assert len(traj.times) == 1 and stats["n_accept"] == 0
+        # every attempt ends at its first stage: one field call each
+        assert stats["nfev"] == 2 + stats["n_reject"]
+
+
+@pytest.mark.parametrize("copy_hook", [False, True])
+def test_solver_stats_count_the_flow(copy_hook):
+    # y' = 0 before t = 1 and 1 after: y = max(0, t - 1), and the jump
+    # makes the controller reject steps
+    calls = [0]
+
+    def field(t, y):
+        calls[0] += 1
+        return np.array([0.0 if t < 1.0 else 1.0])
+
+    hook = {"post_step": lambda t, y: y.copy()} if copy_hook else {}
+    traj = odeint.adaptive_solve(field, [0.0], (0.0, 3.0), **hook)
+    stats = traj.meta["stats"]
+    assert abs(traj.states[-1, 0] - 2.0) <= 1e-9
+    assert stats["nfev"] == calls[0]
+    assert stats["n_accept"] == len(traj.times) - 1
+    assert stats["n_reject"] > 0
+    # no stage went non-finite, so every attempt made six stage calls, and
+    # a hook that returns a new array costs one more call per accepted step
+    per_accept = 1 if copy_hook else 0
+    assert calls[0] == 2 + 6 * (stats["n_accept"] + stats["n_reject"]) + per_accept * stats["n_accept"]
+    steps = np.diff(traj.times)
+    assert stats["h_min"] == pytest.approx(steps.min(), rel=1e-9)
+    assert stats["h_max"] == pytest.approx(steps.max(), rel=1e-12)
+
+
+def test_flow_keeps_overflow_warnings_off_and_restores_the_error_state():
+    before = np.geterr()
+    seen = []
+
+    def field(t, y):
+        seen.append(np.geterr())
+        return y
+
+    def hook(t, y):
+        seen.append(np.geterr())
+        return y
+
+    odeint.adaptive_solve(field, [1.0], (0.0, 1.0), post_step=hook)
+    assert np.geterr() == before
+    assert seen and all(s["over"] == s["invalid"] == "ignore" for s in seen)
+    assert all(s["divide"] == before["divide"] for s in seen)
+
+    with pytest.raises(odeint.StepUnderflow):
+        odeint.adaptive_solve(lambda t, y: np.array([np.inf]), [0.0], (0.0, 1.0))
+    assert np.geterr() == before
+
+    drifting = const_scenario(Z2, I2, -I2 + 1e-8 * np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(odeint.ConjoinedDrift):
+        odeint.solve_hamiltonian_frame(drifting, I2, Z2, (0.0, 10.0))
+    assert np.geterr() == before
+
+
 # ---------------------------------------------------------------------------
 # Quadrature.
 
@@ -294,6 +367,21 @@ def test_qr_columns_contract():
         x = np.stack([np.array([2.0, 0.0, 0.0, 0.0]), second], axis=1).astype(complex)
         with pytest.raises(RuntimeError, match="lost rank"):
             odeint._qr_columns(x)
+    with pytest.raises(RuntimeError, match="lost rank"):
+        odeint._qr_columns(np.stack([np.zeros(4), np.ones(4)], axis=1).astype(complex))
+
+
+def test_defect_and_scale_match_the_matrix_formulas():
+    rng = np.random.default_rng(35)
+    for _ in range(20):
+        x = (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))) * 10.0 ** rng.uniform(-3, 3)
+        phi, psi = x[:2], x[2:]
+        g = phi.conj().T @ psi
+        expected = np.max(np.abs(g - g.conj().T))
+        defect, scale = odeint._defect_and_scale(x)
+        assert abs(defect - expected) <= 1e-14 * np.max(np.abs(x)) ** 2
+        assert odeint.conjoined_defect(phi, psi) == defect
+        assert scale == pytest.approx(1.0 + np.max(np.abs(phi)) * np.max(np.abs(psi)), rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

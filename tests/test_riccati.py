@@ -344,6 +344,26 @@ def test_diag_envelope_ratios_linear_coupling(with_derivs):
     assert abs(dr2) <= 1e-8
 
 
+def test_fd_slopes_read_values_twice_per_call():
+    # both ratios difference one read on each side of t; at a domain end
+    # the v handed in stands for the read at t
+    reads = []
+
+    def values(t):
+        reads.append(t)
+        return (0.0, complex(math.sin(t), t * t), complex(math.exp(-t), math.cos(t)))
+
+    lo, hi = 0.0, 10.0
+    slopes = riccati.fd_slopes(values, lo, hi)
+    for t in (lo, 3.0, hi):
+        v = values(t)
+        del reads[:]
+        got = slopes(t, v)
+        assert len(reads) == 2
+        per_ratio = tuple(coefsys._central_fd(lambda u: values(u)[j], t, lo, hi) for j in (1, 2))
+        assert got == per_ratio
+
+
 def test_diag_envelope_zero_diagonal_entry():
     s = const_scenario(np.ones((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2)))
     s = dataclasses.replace(s, tags=frozenset({"B_diagonal", "B_psd"}))
