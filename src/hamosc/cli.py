@@ -194,7 +194,6 @@ def _tolerances_payload() -> dict:
         "conjoined_tol": odeint.CONJ_TOL,
         "partition_cond_tol": riccati.TOL_COND,
         "grid_per_window": riccati.GRID_PER_WINDOW,
-        "grid_per_subinterval": riccati.GRID_PER_SUBINTERVAL,
     }
 
 

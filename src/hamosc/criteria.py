@@ -375,22 +375,18 @@ def _fired(criterion: str, kind: str, window: tuple, applicability, witnesses, n
 
 def _first_oscillating(
     criterion: str, window: tuple, applicability: list, witnesses: dict,
-    system: Callable, chi_key: str, notes: tuple, n_min: int, *, rtol, atol, burn_in,
+    system: Callable, notes: tuple, n_min: int, *, rtol, atol, burn_in,
 ) -> CriterionReport:
     """Oscillatory at the first j = 1, 2 whose scalar system oscillates.
 
-    system(j) returns (coeffs, chi): the coefficients for scalar_osc_test
-    and the free term t -> chi_j, sampled on the grid into the witness
-    f"{chi_key}_{j}_samples". Either system suffices, so the possibly
-    stiff twin of one that oscillates is skipped. notes is the (fired,
-    not fired) pair; the first is formatted with j.
+    system(j) returns the coefficients for scalar_osc_test. Either
+    system suffices, so the possibly stiff twin of one that oscillates
+    is skipped. notes is the (fired, not fired) pair; the first is
+    formatted with j.
     """
-    ts = _grid(window)
     for j in (1, 2):
-        coeffs, chi = system(j)
-        res = scalar_osc_test(coeffs, window, n_min, rtol=rtol, atol=atol, burn_in=burn_in)
+        res = scalar_osc_test(system(j), window, n_min, rtol=rtol, atol=atol, burn_in=burn_in)
         witnesses[f"scalar_{j}"] = res
-        witnesses[f"{chi_key}_{j}_samples"] = np.array([chi(t) for t in ts])
         if res.outcome == "oscillatory":
             return _fired(
                 criterion, OSCILLATORY, window, applicability, witnesses, notes[0].format(j=j)
@@ -404,18 +400,13 @@ def _certified_pair(
 ) -> CriterionReport:
     """NonOscillatory when both (label, Kernel) pairs certify.
 
-    A kernel certifies on the fast path when h <= 0 on the grid, else by
-    greedy partition search. Both kernels are tried, so each leaves its
-    witnesses; when either fails the report is Inconclusive.
+    Each kernel certifies by greedy partition search, which integrates
+    the partition condition along its own flow whatever the sign of h.
+    Both kernels are tried, so each leaves its witnesses; when either
+    fails the report is Inconclusive.
     """
-    ts = _grid(window)
     certified = True
     for label, k in kernels:
-        hs = np.array([k.h(t) for t in ts])
-        witnesses[f"h_{label}_samples"] = hs
-        if np.all(hs <= 1e-10 * (1.0 + np.max(np.abs(hs)))):
-            witnesses[f"certificate_{label}"] = "sign_definite"
-            continue
         part = riccati.partition_search(k, window, max_points, rtol=rtol, atol=atol)
         witnesses[f"certificate_{label}"] = "none" if part is None else "partition"
         if part is None:
@@ -473,10 +464,10 @@ def oscillation_from_diagonal(
                 0.0,
             )
 
-        return coeffs, riccati.free_term_diag(s, j)
+        return coeffs
 
     return _first_oscillating(
-        OSC_DIAG, window, applicability, {}, system, "chi",
+        OSC_DIAG, window, applicability, {}, system,
         ("scalar system j={j} oscillates", "no scalar system oscillates"),
         n_min, rtol=rtol, atol=atol, burn_in=burn_in,
     )
@@ -547,8 +538,8 @@ def nonoscillation_envelope(
     """Non-oscillation for positive diagonal B via chi_3, chi_4 kernels.
 
     The envelope bound on the off-diagonal ratio couplings gives free
-    terms chi_3, chi_4; both kernels (weight 2 Re a_jj) must certify,
-    by sign-definiteness or by partition search. One-directional.
+    terms chi_3, chi_4; both kernels (weight 2 Re a_jj) must certify by
+    partition search. One-directional.
     """
     applicability = []
     ok_diag = "B_diagonal" in s.tags
@@ -566,10 +557,7 @@ def nonoscillation_envelope(
             "coupling nonzero at window start; the envelope derivation "
             "normalizes it to zero there, so the bound is conservative"
         )
-    witnesses = {
-        "sign_convention": sign_convention,
-        "m_peak_samples": np.array([env.m_peak(t) for t in _grid(window)]),
-    }
+    witnesses = {"sign_convention": sign_convention}
     kernels = [("3", Kernel(_a_weight(s, 1), env.chi3)), ("4", Kernel(_a_weight(s, 2), env.chi4))]
     return _certified_pair(
         NONOSC_ENVELOPE, window, applicability, witnesses, kernels, max_points,
@@ -746,11 +734,11 @@ def oscillation_from_psd_reduction(
             _, _, p, q = red.at(t)
             return (0.0, 1.0, -_chi_tilde(p, q, j), -2.0 * float(np.real(p[j - 1, j - 1])))
 
-        return coeffs, lambda t: _chi_tilde(*red.at(t)[2:], j)
+        return coeffs
 
     witnesses = {"f_source": red.f_source, "max_residual": red.max_residual}
     return _first_oscillating(
-        OSC_PSD, window, applicability, witnesses, system, "chi_tilde",
+        OSC_PSD, window, applicability, witnesses, system,
         ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates"),
         n_min, rtol=rtol, atol=atol, burn_in=burn_in,
     )
@@ -770,7 +758,8 @@ def nonoscillation_psd_envelope(
 
     Same machinery as the diagonal envelope with unit b, coefficients
     from the reduction: ratios r1 = p12, r2 = conj(p21), drives from
-    q12, free terms against q11, q22, kernel weights 2 Re p_jj.
+    q12, free terms against q11, q22, kernel weights 2 Re p_jj. Both
+    kernels must certify by partition search.
     """
     applicability = []
     red, report = _reduced(NONOSC_PSD_ENVELOPE, s, window, f_override, applicability)
@@ -810,7 +799,6 @@ def nonoscillation_psd_envelope(
         "sign_convention": sign_convention,
         "f_source": red.f_source,
         "max_residual": red.max_residual,
-        "m_peak_samples": np.array([env.m_peak(t) for t in _grid(window)]),
     }
     kernels = [("tilde3", Kernel(p_weight(1), env.chi3)), ("tilde4", Kernel(p_weight(2), env.chi4))]
     return _certified_pair(
@@ -823,24 +811,41 @@ def nonoscillation_psd_envelope(
 # Aggregation.
 
 
+# hypotheses a criterion can find violated only inside its own flows:
+# each failure becomes an Inconclusive row that names it
+_HYPOTHESIS_ERRORS = {
+    mat2.NotPSD: "B positive semidefinite",
+    coefsys.ZeroDiagonalB: "b_1, b_2 nonzero",
+    coefsys.OutOfDomain: "window inside the coefficient domain",
+}
+
+
 def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
-    return (
-        oscillation_from_diagonal(
+    runs = (
+        lambda: oscillation_from_diagonal(
             s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in
         ),
-        nonoscillation_sign_split(s, window, opt.max_points, rtol=opt.rtol, atol=opt.atol),
-        nonoscillation_envelope(
+        lambda: nonoscillation_sign_split(s, window, opt.max_points, rtol=opt.rtol, atol=opt.atol),
+        lambda: nonoscillation_envelope(
             s, window, opt.max_points, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
         ),
-        oscillation_from_psd_reduction(
+        lambda: oscillation_from_psd_reduction(
             s, window, opt.n_min, opt.f_override,
             rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in,
         ),
-        nonoscillation_psd_envelope(
+        lambda: nonoscillation_psd_envelope(
             s, window, opt.max_points, opt.sign_convention, opt.f_override,
             rtol=opt.rtol, atol=opt.atol,
         ),
     )
+    reports = []
+    for cid, run in zip(CRITERION_ORDER, runs):
+        try:
+            reports.append(run())
+        except tuple(_HYPOTHESIS_ERRORS) as exc:
+            hypothesis = next(h for err, h in _HYPOTHESIS_ERRORS.items() if isinstance(exc, err))
+            reports.append(_inconclusive(cid, window, [(hypothesis, False, str(exc))]))
+    return tuple(reports)
 
 
 def resolve_reports(reports) -> tuple:

@@ -1,9 +1,9 @@
 """Exact-size complex 2x2 linear algebra.
 
 Matrices are numpy arrays of shape (2, 2) and dtype complex128 throughout.
-Everything here is closed-form: determinants, traces, inverses, Hermitian
-and positive-semidefinite predicates, the principal PSD square root, and a
-pointwise least-squares solver for the sandwich equation S @ X @ M = M.
+Everything here is closed-form: determinants, traces, pseudo-inverses, Hermitian
+and positive-semidefinite predicates, the principal PSD square root, and
+the minimum-norm solution of the sandwich equation S @ X @ M = M.
 
 Norms are max-absolute-entry unless stated otherwise; all tolerances scale
 as tol * (1 + norm) so the checks behave identically across magnitudes.
@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
-    "Singular",
     "NotHermitian",
     "NotPSD",
     "HermFlag",
@@ -30,7 +29,6 @@ __all__ = [
     "adjoint",
     "det2",
     "tr2",
-    "det_tr_inv",
     "is_hermitian",
     "herm_eigvals",
     "is_psd",
@@ -42,10 +40,6 @@ __all__ = [
 TOL_HERM = 1e-10
 TOL_SING = 1e-12
 TOL_RANK = 1e-10
-
-
-class Singular(ValueError):
-    """Determinant too small for a trustworthy inverse."""
 
 
 class NotHermitian(ValueError):
@@ -106,24 +100,6 @@ def det2(m) -> complex:
 
 def tr2(m) -> complex:
     return complex(m[0, 0] + m[1, 1])
-
-
-def det_tr_inv(m) -> tuple[complex, complex, np.ndarray]:
-    """Return (det, tr, inv) by the adjugate formula.
-
-    Raises
-    ------
-    Singular
-        When |det| <= 1e-12 * (1 + max-entry norm), which callers treat as
-        a focal-point indicator rather than a numerical accident.
-    """
-    m = as_mat2(m)
-    d = det2(m)
-    t = tr2(m)
-    if abs(d) <= TOL_SING * (1.0 + norm_max(m)):
-        raise Singular(f"matrix is singular to tolerance (|det| = {abs(d):.3e})")
-    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
-    return d, t, inv
 
 
 def is_hermitian(m, tol: float | None = None) -> HermFlag:
@@ -202,26 +178,62 @@ def sqrt_psd(m) -> np.ndarray:
     return 0.5 * (s + adjoint(s))
 
 
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two 2x2 matrices given as row-major entry 4-tuples."""
+    return (
+        x[0] * y[0] + x[1] * y[2], x[0] * y[1] + x[1] * y[3],
+        x[2] * y[0] + x[3] * y[2], x[2] * y[1] + x[3] * y[3],
+    )
+
+
+def _pinv(x: tuple, rank_tol: float) -> tuple:
+    """Moore-Penrose pseudo-inverse of a row-major 2x2 entry 4-tuple.
+
+    A singular value sigma_2 < rank_tol * sigma_1 counts as 0. Both
+    follow from sigma_1^2 + sigma_2^2 = |X|_F^2 and
+    sigma_1 sigma_2 = |det X|. Rank 2 inverts by the adjugate; rank 1
+    uses X* / |X|_F^2, which is exact when sigma_2 = 0 and within
+    rank_tol / sigma_1 of the truncated pseudo-inverse otherwise.
+    """
+    a, b, c, d = x
+    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
+    if fro2 == 0.0:
+        return (0j, 0j, 0j, 0j)
+    det = a * d - b * c
+    s1sq = 0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)))
+    if abs(det) < rank_tol * s1sq:  # sigma_2 / sigma_1 = |det X| / sigma_1^2
+        return tuple(v.conjugate() / fro2 for v in (a, c, b, d))
+    return (d / det, -b / det, -c / det, a / det)
+
+
 def solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares F with S @ F @ M = M.
 
-    Vectorizes to the 4x4 Kronecker system (M^T kron S) vec(F) = vec(M)
-    and solves by SVD-backed least squares with singular values below
-    rank_tol * s_max treated as zero. Returns (F, residual) where the
-    residual is the max-entry norm of S @ F @ M - M.
+    The minimum-norm least-squares solution of S F M = M is
+    F = S^+ M M^+ (Penrose, Proc. Cambridge Philos. Soc. 52, 1956), and
+    both 2x2 pseudo-inverses have closed forms (see _pinv). A singular
+    value sigma_2 of S or of M is treated as zero when
+    sigma_2 < rank_tol * sigma_1 of the same matrix. Returns (F,
+    residual) where the residual is the max-entry norm of S @ F @ M - M.
 
     When both S and M are invertible the unique solution is S^{-1}. When M
     is rank deficient the equation constrains F only on the range of M, and
     the minimum-norm completion is returned (generally not S^{-1}).
+
+    The SVD least squares on the 4x4 Kronecker system (M^T kron S)
+    vec(F) = vec(M) sees the products sigma_i(S) sigma_j(M) and drops
+    sigma_2(S) sigma_2(M) when the product is below
+    rank_tol * sigma_1(S) sigma_1(M). Here that term drops only when one
+    of the two ratios sigma_2 / sigma_1 is below rank_tol, so the two
+    disagree when both ratios lie between rank_tol and 1 but their
+    product is below rank_tol.
     """
-    s = as_mat2(s)
-    m = as_mat2(m)
-    k = np.kron(m.T, s)
-    rhs = m.reshape(-1, order="F")
-    sol, _, _, _ = np.linalg.lstsq(k, rhs, rcond=rank_tol)
-    f = sol.reshape((2, 2), order="F")
-    residual = norm_max(s @ f @ m - m)
-    return f, residual
+    se = tuple(as_mat2(s).ravel().tolist())
+    me = tuple(as_mat2(m).ravel().tolist())
+    f = _mul(_mul(_pinv(se, rank_tol), me), _pinv(me, rank_tol))
+    back = _mul(_mul(se, f), me)
+    residual = max(abs(u - v) for u, v in zip(back, me))
+    return np.array(f, dtype=complex).reshape(2, 2), residual
 
 
 def random_hermitian(rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:

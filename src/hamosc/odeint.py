@@ -41,7 +41,7 @@ Drivers provided:
 
 ``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule for a plain
 definite integral. The package does not call it: the tests use it as
-the nested-quadrature reference for ``riccati.exp_weighted_integral``,
+the nested-quadrature reference for ``tests/oracles.exp_weighted_integral``,
 and ``bench/tracing.py`` wraps it by name.
 """
 
@@ -77,8 +77,6 @@ __all__ = [
     "sign_change_roots",
     "pack_pair",
     "unpack_pair",
-    "phi_psi_at",
-    "riccati_z_at",
     "DEFAULT_RTOL",
     "DEFAULT_ATOL",
     "DEFAULT_Y_MAX",
@@ -615,18 +613,6 @@ def _unpack_many(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _det2(m: np.ndarray) -> np.ndarray:
     """Determinants of a stack of 2x2 matrices."""
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-
-
-def phi_psi_at(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Dense-evaluated (Phi, Psi) at a time inside the trajectory window."""
-    return unpack_pair(traj.dense_eval(float(t)))
-
-
-def riccati_z_at(traj: Trajectory, t: float) -> np.ndarray:
-    """Dense-evaluated Hermitian Z from a matrix Riccati trajectory."""
-    y = traj.dense_eval(float(t))
-    z11, z22, xr, xi = y[0], y[1], y[2], y[3]
-    return np.array([[z11, xr + 1j * xi], [xr - 1j * xi, z22]], dtype=complex)
 
 
 # ---------------------------------------------------------------------------

@@ -5,19 +5,16 @@ The verdict engines in ``criteria`` use:
 * the partition condition that certifies global existence of a scalar
   Riccati solution: on each subinterval [t_k, t_{k+1}) the running
   integral int exp{int_{t_k}^tau [g - I(t_k; s)] ds} h(tau) dtau must
-  stay nonpositive, where I is the weighted tail integral below, and
-  ``partition_search`` looks for a partition greedily;
+  stay nonpositive, where I(xi; t) = int_xi^t exp(-int_tau^t g) h dtau
+  is the weighted tail integral. ``partition_search`` looks for a
+  partition greedily along the condition's own flow, which carries I in
+  its state; it is the only way a kernel is certified, whatever the
+  sign of h;
 * the free terms chi_1, chi_2 distilled from the diagonal-B structure,
   in the sign-corrected convention (see free_term_diag);
 * the coupling envelope machinery: the weighted running maximum of
   |a12/b1 - conj(a21)/b2|, the exponentially weighted integrals of the
   off-diagonal drive, and the derived free terms chi_3, chi_4.
-
-``exp_weighted_integral`` computes the weighted tail integral
-I(xi; t) = int_xi^t exp(-int_tau^t g) h dtau on its own, as an initial
-value problem rather than nested quadrature. The partition condition
-carries I inside its own flow, so no criterion calls it; the tests check
-it against closed forms and against nested ``odeint.quadrature``.
 
 The envelope's c12 term carries a sign ambiguity (two reasonable
 derivations disagree on it); both variants are computable via
@@ -44,25 +41,20 @@ __all__ = [
     "EnvelopeTerms",
     "NotDiagonalB",
     "NotPositiveB",
-    "exp_weighted_integral",
-    "check_partition_condition",
     "partition_search",
     "free_term_diag",
     "envelope_terms_diag",
     "build_envelope_terms",
     "TOL_COND",
     "GRID_PER_WINDOW",
-    "GRID_PER_SUBINTERVAL",
 ]
 
 # nonpositivity slack for the partition condition, scaled by the running
 # integral of |h| so long windows with large kernels are not penalized
 TOL_COND = 1e-10
 
-# sample counts of the partition search and envelope grids (per window)
-# and of the partition condition check (per subinterval)
+# sample count of the partition search and envelope grids (per window)
 GRID_PER_WINDOW = 1024
-GRID_PER_SUBINTERVAL = 64
 
 _EXP_CAP = 700.0  # exp argument cap; overflow becomes a huge finite value
 
@@ -92,33 +84,6 @@ class Partition:
         if len(pts) < 2 or any(b <= a for a, b in zip(pts, pts[1:])):
             raise ValueError("partition needs >= 2 strictly increasing points")
         object.__setattr__(self, "points", pts)
-
-
-def exp_weighted_integral(
-    k: Kernel,
-    xi: float,
-    t: float,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> float:
-    """The weighted tail integral int_xi^t exp(-int_tau^t g) h dtau.
-
-    Computed by integrating I' = h - g I, I(xi) = 0, which is the same
-    quantity without nested quadrature.
-    """
-    xi, t = float(xi), float(t)
-    if t < xi:
-        raise ValueError("need t >= xi")
-    if t == xi:
-        return 0.0
-    traj = adaptive_solve(
-        lambda s, y: np.array([k.h(s) - k.g(s) * y[0]]),
-        np.array([0.0]),
-        (xi, t),
-        rtol,
-        atol,
-    )
-    return float(traj.states[-1, 0])
 
 
 _PROFILE_ESCAPE = 1e300  # condition-profile magnitude treated as escape
@@ -182,31 +147,6 @@ def _condition_profile(
         stop=violated,
     )
     return (None if nxt[0] == len(sample) else nxt[0]), traj
-
-
-def check_partition_condition(
-    k: Kernel,
-    part: Partition,
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> tuple[bool, Optional[tuple]]:
-    """Whether the nonpositivity condition holds on every subinterval.
-
-    Each subinterval [lo, hi] is checked on GRID_PER_SUBINTERVAL + 1
-    evenly spaced samples from lo to hi; the condition is
-    T <= TOL_COND * (1 + Tabs) at each, and the flow stops at the first
-    that fails. Returns (ok, first_violation) with first_violation =
-    (subinterval index, t) when it fails: t is the failed sample, or the
-    time the flow escaped when it could not reach one.
-    """
-    pts = part.points
-    for ki in range(len(pts) - 1):
-        ts = np.linspace(pts[ki], pts[ki + 1], GRID_PER_SUBINTERVAL + 1)
-        bad, traj = _condition_profile(k, pts[ki], ts, rtol, atol)
-        if bad is not None:
-            return False, (ki, float(min(ts[bad], traj.t_end)))
-    return True, None
 
 
 def partition_search(

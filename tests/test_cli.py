@@ -8,6 +8,7 @@ import re
 import numpy as np
 
 from hamosc import cli, coefsys, criteria, mat2, odeint
+from oracles import phi_psi_at
 
 
 def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys, monkeypatch):
@@ -40,5 +41,5 @@ def test_simulate_csv_reads_det_phi_at_the_window_end(tmp_path, capsys):
     plain = odeint.solve_hamiltonian(
         coefsys.make_family("euler", {"c": 2.5}), eye, 0 * eye, (1.0, 100.0)
     )
-    expected = abs(mat2.det2(odeint.phi_psi_at(plain, 100.0)[0]))
+    expected = abs(mat2.det2(phi_psi_at(plain, 100.0)[0]))
     assert abs(last["abs_det"] - expected) <= 1e-6 * expected

@@ -311,7 +311,7 @@ def test_envelope_certifies_positive_potential():
     s = _tagged(const_scenario(Z2, I2, I2, name="posC"), (0.0, 50.0))
     rep = criteria.nonoscillation_envelope(s, (0.0, 50.0))
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
-    assert rep.witnesses["certificate_3"] == "sign_definite"
+    assert rep.witnesses["certificate_3"] == "partition"
 
 
 def test_envelope_certifies_zero_potential():
@@ -323,6 +323,28 @@ def test_envelope_certifies_zero_potential():
 def test_envelope_withholds_on_harmonic():
     rep = criteria.nonoscillation_envelope(coefsys.make_family("harmonic", {}), (0.0, 20.0))
     assert rep.verdict.kind == criteria.INCONCLUSIVE
+
+
+def _spiked_table(name, b, c, block, value):
+    """1001 knots on [0, 10] with constant B, C, except entry 11 of one
+    block (1 for B, 2 for C) set to value at the knot t = 3."""
+    times = np.linspace(0.0, 10.0, 1001)
+    samples = np.zeros((len(times), 3, 2, 2), dtype=complex)
+    samples[:, 1] = b
+    samples[:, 2] = c
+    samples[300, block, 0, 0] = value
+    return coefsys.from_table(coefsys.TabulatedCoeffs(times=times, samples=samples), name)
+
+
+def test_spike_between_samples_is_not_certified():
+    # c11 = -2000 at one knot makes chi_3 reach +2000 near t = 3, between
+    # the points of a 256-point grid where it reads -0.25; a certificate
+    # resting on those samples would answer NonOscillatory
+    s = _spiked_table("c11_spike", I2, I2 / 4.0, 2, -2000.0)
+    res = criteria.analyze(s, (0.0, 10.0))
+    assert res.verdict.kind != criteria.NON_OSCILLATORY
+    envelope = res.reports[criteria.CRITERION_ORDER.index("nonoscillation-envelope")]
+    assert envelope.witnesses["certificate_3"] == "none"
 
 
 # ---------------------------------------------------------------------------
@@ -491,6 +513,22 @@ def test_analyze_surfaces_contradiction(monkeypatch):
         finally:
             # keep the global log clean for the rest of the suite
             del criteria.CONFLICT_LOG[before:]
+
+
+def test_hypothesis_failing_inside_a_criterion_is_inconclusive():
+    # b11 = -3 at one knot: the table's own 4004-sample validation withholds
+    # B_psd, the 256-sample one of analyze grants it, and the square root
+    # inside the PSD reduction's flow then meets an indefinite B
+    s = _spiked_table("b11_dip", I2, -I2, 1, -3.0)
+    assert "B_psd" not in s.tags
+    assert "B_psd" in coefsys.validated(s, (0.0, 10.0)).tags
+    res = criteria.analyze(s, (0.0, 10.0))
+    assert res.verdict.kind == criteria.INCONCLUSIVE
+    psd = res.reports[criteria.CRITERION_ORDER.index("oscillation-psd-reduction")]
+    assert psd.criterion == "oscillation-psd-reduction"
+    ((hypothesis, held, detail),) = psd.applicability
+    assert hypothesis == "B positive semidefinite" and not held
+    assert detail.startswith("eigenvalues")
 
 
 def test_analyze_reports_in_fixed_order():

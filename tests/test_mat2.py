@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hamosc import mat2
 from conftest import hermitian
+from oracles import Singular, det_tr_inv, lstsq_solve_sandwich
 
 EPS = float(np.finfo(float).eps)
 
@@ -50,8 +51,8 @@ def test_inverse_roundtrip():
     for _ in range(1000):
         m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         try:
-            d, t, inv = mat2.det_tr_inv(m)
-        except mat2.Singular:
+            d, t, inv = det_tr_inv(m)
+        except Singular:
             continue
         assert abs(d - np.linalg.det(m)) <= 64.0 * EPS * (1.0 + abs(d))
         assert abs(t - np.trace(m)) == 0.0
@@ -63,8 +64,8 @@ def test_inverse_roundtrip():
 def test_det_tr_inv_rejects_singular():
     v = np.array([1.0, 2.0 + 1.0j])
     m = np.outer(v, v.conj())  # rank one
-    with pytest.raises(mat2.Singular):
-        mat2.det_tr_inv(m)
+    with pytest.raises(Singular):
+        det_tr_inv(m)
 
 
 def test_herm_eigvals_match_lapack():
@@ -133,7 +134,7 @@ def test_solve_sandwich_invertible_case():
         if abs(mat2.det2(m)) < 1e-3:
             continue
         f, res = mat2.solve_sandwich(s, m)
-        _, _, s_inv = mat2.det_tr_inv(s)
+        _, _, s_inv = det_tr_inv(s)
         assert res <= 1e-12
         assert mat2.norm_max(f - s_inv) <= 1e-10
 
@@ -146,9 +147,35 @@ def test_solve_sandwich_rank_deficient_min_norm():
     m = np.outer(v, v.conj())
     f, res = mat2.solve_sandwich(s, m)
     assert res <= 1e-12
-    _, _, s_inv = mat2.det_tr_inv(s)
+    _, _, s_inv = det_tr_inv(s)
     assert np.linalg.norm(f) <= np.linalg.norm(s_inv) + 1e-12
     assert mat2.norm_max(f - s_inv) > 1e-3  # genuinely a different solution
+
+
+def _psd_of_rank(rng, rank):
+    g = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+    return g @ g.conj().T
+
+
+def _general_of_rank(rng, rank):
+    u = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+    v = rng.standard_normal((2, rank)) + 1j * rng.standard_normal((2, rank))
+    return u @ v.conj().T
+
+
+def test_solve_sandwich_matches_kronecker_least_squares():
+    # the closed form S^+ M M^+ against the SVD solve of the 4x4 Kronecker
+    # system, over every rank pairing of PSD S and general M
+    rng = np.random.default_rng(16)
+    for rank_s in (2, 1, 0):
+        for rank_m in (2, 1, 0):
+            for _ in range(100):
+                s = _psd_of_rank(rng, rank_s) * rng.uniform(0.1, 10.0)
+                m = _general_of_rank(rng, rank_m) * rng.uniform(0.1, 10.0)
+                f, res = mat2.solve_sandwich(s, m)
+                f_ref, res_ref = lstsq_solve_sandwich(s, m)
+                assert mat2.norm_max(f - f_ref) <= 1e-10 * (1.0 + mat2.norm_max(f_ref))
+                assert abs(res - res_ref) <= 1e-10 * (1.0 + mat2.norm_max(m))
 
 
 def test_random_hermitian_is_hermitian():

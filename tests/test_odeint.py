@@ -9,7 +9,7 @@ import pytest
 
 from hamosc import coefsys, mat2, odeint
 from conftest import const_scenario, hermitian
-from oracles import window_grid_det_zeros
+from oracles import phi_psi_at, riccati_z_at, window_grid_det_zeros
 
 I2 = np.eye(2, dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
@@ -238,7 +238,7 @@ def test_harmonic_pair_flow():
     s = coefsys.make_family("harmonic", {})
     traj = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 10.0))
     for t in (2.5, 10.0):
-        phi, psi = odeint.phi_psi_at(traj, t)
+        phi, psi = phi_psi_at(traj, t)
         assert mat2.norm_max(phi - math.cos(t) * I2) <= 1e-7
         assert mat2.norm_max(psi + math.sin(t) * I2) <= 1e-7
     assert traj.meta["kind"] == "hamiltonian"
@@ -255,7 +255,7 @@ def test_non_conjoined_start_rejected():
 def test_pure_drift_exponential():
     s = const_scenario(np.eye(2), Z2, Z2)
     traj = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 1.0))
-    phi, psi = odeint.phi_psi_at(traj, 1.0)
+    phi, psi = phi_psi_at(traj, 1.0)
     assert mat2.norm_max(phi - math.e * I2) <= 1e-7
     assert mat2.norm_max(psi) == 0.0
 
@@ -270,8 +270,8 @@ def test_liouville_identity():
     t2 = odeint.solve_hamiltonian(s, Z2, I2, (0.0, 2.0))
     trace_rate = complex(np.trace(a) - np.conj(np.trace(a)))
     for t in np.linspace(0.0, 2.0, 9):
-        p1, q1 = odeint.phi_psi_at(t1, float(t))
-        p2, q2 = odeint.phi_psi_at(t2, float(t))
+        p1, q1 = phi_psi_at(t1, float(t))
+        p2, q2 = phi_psi_at(t2, float(t))
         x = np.block([[p1, p2], [q1, q2]])
         expected = np.exp(trace_rate * t)
         scale = float(np.max(np.abs(x))) ** 4 + 1.0
@@ -524,7 +524,7 @@ def test_matrix_riccati_inverse_linear_decay():
     s = const_scenario(Z2, I2, Z2)
     traj, rec = odeint.solve_matrix_riccati(s, I2, (0.0, 1.0))
     assert rec is None
-    z = odeint.riccati_z_at(traj, 1.0)
+    z = riccati_z_at(traj, 1.0)
     assert mat2.norm_max(z - 0.5 * I2) <= 1e-8
 
 
@@ -537,7 +537,7 @@ def test_matrix_riccati_linear_in_c():
     traj, rec = odeint.solve_matrix_riccati(s, z0, (0.0, 3.0))
     assert rec is None
     for t in (0.5, 1.75, 3.0):
-        z = odeint.riccati_z_at(traj, t)
+        z = riccati_z_at(traj, t)
         assert mat2.norm_max(z - (z0 + t * c)) <= 1e-12
 
 
@@ -567,10 +567,10 @@ def test_riccati_matches_pair_quotient():
     pair = odeint.solve_hamiltonian(s, I2, z0 @ I2, (0.0, 1.0))
     ric, _ = odeint.solve_matrix_riccati(s, z0, (0.0, 1.0))
     for t in np.linspace(0.0, min(pair.t_end, ric.t_end), 12):
-        phi, psi = odeint.phi_psi_at(pair, float(t))
+        phi, psi = phi_psi_at(pair, float(t))
         if abs(mat2.det2(phi)) < 1e-6:
             continue
-        z = odeint.riccati_z_at(ric, float(t))
+        z = riccati_z_at(ric, float(t))
         assert mat2.norm_max(psi @ np.linalg.inv(phi) - z) <= 1e-7 * (
             1.0 + mat2.norm_max(z)
         )

@@ -12,9 +12,12 @@ from hypothesis import given, strategies as st
 from hamosc import coefsys, odeint, riccati
 from conftest import const_scenario
 from oracles import (
+    GRID_PER_SUBINTERVAL,
     HypothesisViolated,
+    check_partition_condition,
     comparison_oracle,
     coupling_bound_check,
+    exp_weighted_integral,
     full_window_partition_search,
     subsystem_solve,
 )
@@ -38,27 +41,27 @@ def _tagged(s, window=(0.0, 2.0)):
 
 def test_tail_integral_flat_weight():
     k = riccati.Kernel(g=ZERO, h=ONE)
-    assert abs(riccati.exp_weighted_integral(k, 0.0, 2.5) - 2.5) <= 1e-9
-    assert abs(riccati.exp_weighted_integral(k, 1.0, 1.5) - 0.5) <= 1e-9
+    assert abs(exp_weighted_integral(k, 0.0, 2.5) - 2.5) <= 1e-9
+    assert abs(exp_weighted_integral(k, 1.0, 1.5) - 0.5) <= 1e-9
 
 
 def test_tail_integral_zero_free_term():
     k = riccati.Kernel(g=lambda t: math.cos(t), h=ZERO)
-    assert riccati.exp_weighted_integral(k, 0.0, 3.0) == 0.0
+    assert exp_weighted_integral(k, 0.0, 3.0) == 0.0
 
 
 def test_tail_integral_exponential_weight():
     # g = h = 1 gives 1 - e^{-(t - xi)}
     k = riccati.Kernel(g=ONE, h=ONE)
-    got = riccati.exp_weighted_integral(k, 0.0, 1.0)
+    got = exp_weighted_integral(k, 0.0, 1.0)
     assert abs(got - (1.0 - math.exp(-1.0))) <= 1e-9
 
 
 def test_tail_integral_domain_checks():
     k = riccati.Kernel(g=ZERO, h=ONE)
-    assert riccati.exp_weighted_integral(k, 2.0, 2.0) == 0.0
+    assert exp_weighted_integral(k, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
-        riccati.exp_weighted_integral(k, 1.0, 0.5)
+        exp_weighted_integral(k, 1.0, 0.5)
 
 
 @given(
@@ -69,7 +72,7 @@ def test_tail_integral_domain_checks():
 def test_tail_integral_constant_kernel_closed_form(gam, eta, span):
     # for constant g, h the IVP route must land on the closed form
     k = riccati.Kernel(g=lambda t: gam, h=lambda t: eta)
-    got = riccati.exp_weighted_integral(k, 0.0, span)
+    got = exp_weighted_integral(k, 0.0, span)
     # expm1 keeps the reference accurate when gam * span is tiny; below
     # 1e-300 (subnormal gam included) it underflows, and eta * span is
     # the closed form to within a relative 1e-300
@@ -91,7 +94,7 @@ def test_tail_integral_matches_nested_quadrature(rng):
         h = lambda t, A=ha, w=hw, p=hp, o=off: o + A * math.cos(w * t + p)
         xi = rng.uniform(0, 1)
         t = xi + rng.uniform(0.5, 2)
-        via_ivp = riccati.exp_weighted_integral(riccati.Kernel(g=g, h=h), xi, t)
+        via_ivp = exp_weighted_integral(riccati.Kernel(g=g, h=h), xi, t)
         inner = lambda tau, g=g, h=h, t=t: math.exp(-odeint.quadrature(g, (tau, t))) * h(tau)
         nested = odeint.quadrature(inner, (xi, t))
         worst = max(worst, abs(via_ivp - nested) / (1.0 + abs(nested)))
@@ -116,19 +119,19 @@ def test_condition_holds_for_cosine_free_term():
     # h = -cos changes sign, so the early negative mass has to carry the
     # positive half-waves; the trivial partition still certifies [0, 2pi]
     k = riccati.Kernel(g=ZERO, h=lambda t: -math.cos(t))
-    ok, viol = riccati.check_partition_condition(k, riccati.Partition((0.0, 2.0 * math.pi)))
+    ok, viol = check_partition_condition(k, riccati.Partition((0.0, 2.0 * math.pi)))
     assert ok and viol is None
 
 
 def test_condition_holds_for_negative_free_term():
     k = riccati.Kernel(g=lambda t: 2.0 * math.cos(t), h=lambda t: -4.5 - math.cos(t) ** 2)
-    ok, viol = riccati.check_partition_condition(k, riccati.Partition((0.0, 3.0, 10.0)))
+    ok, viol = check_partition_condition(k, riccati.Partition((0.0, 3.0, 10.0)))
     assert ok and viol is None
 
 
 def test_condition_fails_immediately_for_positive_free_term():
     k = riccati.Kernel(g=ZERO, h=ONE)
-    ok, viol = riccati.check_partition_condition(k, riccati.Partition((0.0, 1.0)))
+    ok, viol = check_partition_condition(k, riccati.Partition((0.0, 1.0)))
     assert not ok
     assert viol[0] == 0
     # first interior sample of the default 64-point grid
@@ -140,15 +143,15 @@ def test_condition_refuses_truncated_profile():
     # the flow ends early with an underflow event, not with a stop, and
     # the unreachable tail must not be certified
     k = riccati.Kernel(g=lambda t: -100.0, h=lambda t: -1.0)
-    ts = np.linspace(0.0, 8.0, riccati.GRID_PER_SUBINTERVAL + 1)
+    ts = np.linspace(0.0, 8.0, GRID_PER_SUBINTERVAL + 1)
     bad, traj = riccati._condition_profile(k, 0.0, ts, 1e-10, 1e-12)
     assert [e.kind for e in traj.events] == ["underflow"]
     assert ts[bad - 1] <= traj.t_end < ts[bad]
-    ok, viol = riccati.check_partition_condition(k, riccati.Partition((0.0, 8.0)))
+    ok, viol = check_partition_condition(k, riccati.Partition((0.0, 8.0)))
     assert not ok
     assert viol[0] == 0 and 6.5 < viol[1] < 7.5
     assert viol[1] == traj.t_end
-    ok_short, viol_short = riccati.check_partition_condition(k, riccati.Partition((0.0, 5.0)))
+    ok_short, viol_short = check_partition_condition(k, riccati.Partition((0.0, 5.0)))
     assert ok_short and viol_short is None
     # the search restarts at the last grid point the flow reached, and
     # certifies nothing when that advance is too short
