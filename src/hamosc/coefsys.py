@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .mat2 import TOL_HERM, is_hermitian, is_psd, norm_max, sqrt_psd
+from .mat2 import TOL_HERM, is_hermitian, norm_max, sqrt_psd
 
 __all__ = [
     "Scenario",
@@ -475,9 +475,15 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     """Sample the window and derive the structural tags.
 
     Hermitian violation of B or C is a hard error: the entire theory
-    assumes it. Tags are set from what the samples show, with the strict
-    positivity margin TOL_POS * (1 + |B|) separating B_positive from
-    B_psd.
+    assumes it. NonHermitian names the first violating sample, B before
+    C at the same sample. Tags are set from what the samples show, with
+    the strict positivity margin TOL_POS * (1 + |B|) separating
+    B_positive from B_psd.
+
+    Each sample is one s.eval; the checks then run on the stacked
+    (n_samples, 2, 2) blocks with the per-matrix tests of mat2 written
+    out over the stack (max-entry norms, the closed-form eigenvalues of
+    herm_eigvals).
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -485,39 +491,53 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     ts = np.linspace(lo, hi, n_samples)
-    diag = True
-    psd = True
-    positive = True
-    realc = True
-    worst_asym = 0.0
-    for t in ts:
-        a, b, c = s.eval(float(t))
-        for which, m in (("B", b), ("C", c)):
-            flag = is_hermitian(m)
-            worst_asym = max(worst_asym, flag.max_asymmetry)
-            if not flag.is_hermitian:
-                raise NonHermitian(float(t), which, flag.max_asymmetry)
-        scale = 1.0 + norm_max(b)
-        if abs(b[0, 1]) > TOL_HERM * scale or abs(b[1, 0]) > TOL_HERM * scale:
-            diag = False
-        if not is_psd(b):
-            psd = False
-            positive = False
-        elif not is_psd(b - TOL_POS * scale * np.eye(2)):
-            positive = False
-        if max(norm_max(np.imag(a) + 0j), norm_max(np.imag(b) + 0j), norm_max(np.imag(c) + 0j)) > TOL_HERM * (
-            1.0 + max(norm_max(a), norm_max(b), norm_max(c))
-        ):
-            realc = False
+    evs = [s.eval(t) for t in ts.tolist()]
+    a, b, c = (np.array([e[k] for e in evs], dtype=complex) for k in range(3))
+    for m in (a, b, c):
+        if m.shape != (n_samples, 2, 2):
+            raise ValueError(f"expected shape (2, 2), got {m.shape[1:]}")
+
+    def norm(m):
+        return np.abs(m).max(axis=(1, 2))
+
+    def adjoint(m):
+        return m.conj().transpose(0, 2, 1)
+
+    def low_eig(m):
+        """Smaller eigenvalue of each Hermitian block, as mat2.herm_eigvals."""
+        h = 0.5 * (m + adjoint(m))
+        tr = (h[:, 0, 0] + h[:, 1, 1]).real
+        det = (h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]).real
+        return 0.5 * (tr - np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0)))
+
+    def psd(m):
+        return low_eig(m) >= -TOL_HERM * (1.0 + norm(m))
+
+    na, nb, nc = norm(a), norm(b), norm(c)
+    asym_b, asym_c = norm(b - adjoint(b)), norm(c - adjoint(c))
+    bad_b = ~(asym_b <= TOL_HERM * (1.0 + nb))
+    bad_c = ~(asym_c <= TOL_HERM * (1.0 + nc))
+    if (bad_b | bad_c).any():
+        i = int((bad_b | bad_c).argmax())
+        if bad_b[i]:
+            raise NonHermitian(float(ts[i]), "B", float(asym_b[i]))
+        raise NonHermitian(float(ts[i]), "C", float(asym_c[i]))
+    scale = 1.0 + nb
+    off = (np.abs(b[:, 0, 1]) > TOL_HERM * scale) | (np.abs(b[:, 1, 0]) > TOL_HERM * scale)
+    b_psd = psd(b)
+    b_pos = b_psd & psd(b - (TOL_POS * scale)[:, None, None] * np.eye(2))
+    imag = np.maximum.reduce([norm(np.imag(m)) for m in (a, b, c)])
+    size = np.maximum.reduce([na, nb, nc])
     tags = set()
-    if diag:
+    if not off.any():
         tags.add("B_diagonal")
-    if psd:
+    if b_psd.all():
         tags.add("B_psd")
-    if positive:
+    if b_pos.all():
         tags.add("B_positive")
-    if realc:
+    if not (imag > TOL_HERM * (1.0 + size)).any():
         tags.add("real_coefficients")
+    worst_asym = max(0.0, float(asym_b.max()), float(asym_c.max()))
     return ValidationReport(
         tags=frozenset(tags), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi)
     )
@@ -526,3 +546,15 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
 def validated(s: Scenario, window: tuple, n_samples: int = 256) -> Scenario:
     """Copy of the scenario carrying freshly verified tags."""
     return replace(s, tags=validate_scenario(s, window, n_samples).tags)
+
+
+# eval_entries is left out of __all__: it runs once per integrator stage,
+# and bench/tracing.py times every function listed there
+def eval_entries(s: Scenario, t: float) -> tuple:
+    """(A, B, C) at t from one s.eval, each in mat2's entry 4-tuple form.
+
+    Each block is a list of its entries (e11, e12, e21, e22) as Python
+    complexes, row-major.
+    """
+    a, b, c = s.eval(t)
+    return a.ravel().tolist(), b.ravel().tolist(), c.ravel().tolist()

@@ -276,12 +276,13 @@ def scalar_osc_test(
 
     def fld(t, y):
         m11, m12, m21, m22 = coeffs(t)
+        phi1, psi1, phi2, psi2 = y.tolist()
         return np.array(
             [
-                m11 * y[0] + m12 * y[1],
-                m21 * y[0] + m22 * y[1],
-                m11 * y[2] + m12 * y[3],
-                m21 * y[2] + m22 * y[3],
+                m11 * phi1 + m12 * psi1,
+                m21 * phi1 + m22 * psi1,
+                m11 * phi2 + m12 * psi2,
+                m21 * phi2 + m22 * psi2,
             ]
         )
 
@@ -352,7 +353,8 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
 
 def _a_weight(s: Scenario, j: int) -> Callable:
     """The kernel weight t -> 2 Re a_jj(t)."""
-    return lambda t: 2.0 * float(np.real(s.eval(t)[0][j - 1, j - 1]))
+    jj = 3 * j - 3  # flat index of the (j, j) entry
+    return lambda t: 2.0 * s.eval(t)[0].item(jj).real
 
 
 def _inconclusive(criterion: str, window: tuple, applicability, witnesses=None, notes="") -> CriterionReport:
@@ -455,14 +457,11 @@ def oscillation_from_diagonal(
         return _inconclusive(OSC_DIAG, window, applicability)
 
     def system(j):
+        jj = 3 * j - 3  # index of the (j, j) entry
+
         def coeffs(t):
-            a, b, c = s.eval(t)
-            return (
-                2.0 * float(np.real(a[j - 1, j - 1])),
-                float(np.real(b[j - 1, j - 1])),
-                -riccati.chi_diag(a, b, c, j),
-                0.0,
-            )
+            a, b, c = coefsys.eval_entries(s, t)
+            return (2.0 * a[jj].real, b[jj].real, -riccati.chi_diag(a, b, c, j), 0.0)
 
         return coeffs
 
@@ -570,28 +569,41 @@ def nonoscillation_envelope(
 
 
 class Reduced(NamedTuple):
-    """The reduced coefficients at one time, each a 2x2 complex array."""
+    """The reduced coefficients at one time.
 
-    sqrt_b: np.ndarray
-    f: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
+    Each is a 2x2 matrix as its row-major entry 4-tuple
+    (e11, e12, e21, e22) of Python complexes, mat2's per-stage form:
+    entry (i, j) sits at index 2 (i - 1) + (j - 1).
+    """
+
+    sqrt_b: tuple
+    f: tuple
+    p: tuple
+    q: tuple
 
 
 @dataclass(frozen=True)
 class PsdReduction:
     """Pointwise reduced coefficients of a PSD-B system.
 
-    at(t) returns Reduced(sqrt_b, f, p, q) from one (memoized) read of
-    the reduction. grid carries the validation samples the sandwich
-    residual tolerance was enforced on, and max_residual the largest
-    defect |S F M - M| there.
+    at(t) returns Reduced(sqrt_b, f, p, q), each an entry 4-tuple, from
+    one (memoized) read of the reduction. grid carries the validation
+    samples the sandwich residual tolerance was enforced on, and
+    max_residual the largest defect |S F M - M| there.
     """
 
     at: Callable
     grid: np.ndarray
     max_residual: float
     f_source: str
+
+
+def _sym(x: tuple) -> tuple:
+    """Hermitian part (X + X*) / 2 of an entry 4-tuple."""
+    return (
+        0.5 * (x[0] + x[0].conjugate()), 0.5 * (x[1] + x[2].conjugate()),
+        0.5 * (x[2] + x[1].conjugate()), 0.5 * (x[3] + x[3].conjugate()),
+    )
 
 
 def psd_reduce(
@@ -611,9 +623,10 @@ def psd_reduce(
     if "B_psd" not in s.tags:
         raise mat2.NotPSD(f"scenario {s.name!r} lacks the B_psd tag")
     memo = {}
+    mul = mat2._mul
 
     # Constant coefficients are the common case and the pointwise path
-    # (matrix square root, FD derivative, least squares) is far too slow
+    # (matrix square root, FD derivative, sandwich solve) is far too slow
     # to repeat per integrator stage. A block counts as constant when the
     # scenario's own declared derivative vanishes at several probes.
     lo, hi = float(window[0]), float(window[1])
@@ -625,40 +638,36 @@ def psd_reduce(
         const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
         const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
     a0, b0, c0 = s.eval(lo)
-    sq0 = mat2.sqrt_psd(b0) if const_b else None
-    m0 = a0 @ sq0 if (const_a and const_b) else None
-    f0 = None
+    sq0 = tuple(mat2.sqrt_psd(b0).ravel().tolist()) if const_b else None
+    m0 = mul(a0.ravel().tolist(), sq0) if (const_a and const_b) else None
+    f0 = p0 = None
     if m0 is not None and f_override is None:
-        f0, _ = mat2.solve_sandwich(sq0, m0)
-    q0 = None
-    if const_b and const_c:
-        qq = sq0 @ c0 @ sq0
-        q0 = 0.5 * (qq + qq.conj().T)
+        f0 = mat2._sandwich_f(sq0, m0)
+        p0 = mul(f0, m0)
+    q0 = _sym(mul(mul(sq0, c0.ravel().tolist()), sq0)) if (const_b and const_c) else None
 
     def compute(t: float):
         key = float(t)
         if key in memo:
             return memo[key]
-        a, b, c = (a0, b0, c0) if (const_a and const_b and const_c) else s.eval(key)
+        # with all three blocks constant, every entry below is precomputed
+        a, b, c = (None, None, None) if (const_a and const_b and const_c) else s.eval(key)
         if const_b:
             sq = sq0
-            m = m0 if m0 is not None else a @ sq
+            m = m0 if m0 is not None else mul(a.ravel().tolist(), sq)
         else:
-            sq = mat2.sqrt_psd(b)
-            dsq = coefsys.coeff_derivative(s, "sqrtB", key)
-            m = a @ sq - dsq
+            sq = tuple(mat2.sqrt_psd(b).ravel().tolist())
+            dsq = coefsys.coeff_derivative(s, "sqrtB", key).ravel().tolist()
+            m = tuple(u - v for u, v in zip(mul(a.ravel().tolist(), sq), dsq))
         if f_override is not None:
-            f = np.asarray(f_override(key), complex)
+            f = tuple(np.asarray(f_override(key), complex).ravel().tolist())
         elif f0 is not None:
             f = f0
         else:
-            f, _ = mat2.solve_sandwich(sq, m)
-        if q0 is not None:
-            q = q0
-        else:
-            q = sq @ c @ sq
-            q = 0.5 * (q + q.conj().T)
-        out = (Reduced(sq, f, f @ m, q), m)
+            f = mat2._sandwich_f(sq, m)
+        p = p0 if p0 is not None else mul(f, m)
+        q = q0 if q0 is not None else _sym(mul(mul(sq, c.ravel().tolist()), sq))
+        out = (Reduced(sq, f, p, q), m)
         if len(memo) > 4096:
             memo.clear()
         memo[key] = out
@@ -666,18 +675,18 @@ def psd_reduce(
 
     ts = _grid(window)
     residuals = []
-    for t in ts:
+    for t in ts.tolist():
         (sq, f, _, _), m = compute(t)
-        res = float(mat2.norm_max(sq @ f @ m - m))
-        tol = 1e-8 * (1.0 + float(mat2.norm_max(m)))
+        res = max(abs(u - v) for u, v in zip(mul(mul(sq, f), m), m))
+        tol = 1e-8 * (1.0 + max(map(abs, m)))
         if res > tol:
-            raise ResidualTooLarge(float(t), res, tol)
+            raise ResidualTooLarge(t, res, tol)
         residuals.append(res)
 
     return PsdReduction(
         at=lambda t: compute(t)[0],
         grid=ts,
-        max_residual=float(np.max(residuals)),
+        max_residual=max(residuals),
         f_source="override" if f_override is not None else "min_norm",
     )
 
@@ -703,9 +712,9 @@ def _reduced(criterion: str, s: Scenario, window: tuple, f_override, applicabili
     return red, None
 
 
-def _chi_tilde(p: np.ndarray, q: np.ndarray, j: int) -> float:
-    """Reduced free term at one time: -q_jj - |p_{3-j,j}|^2."""
-    return -(float(np.real(q[j - 1, j - 1])) + abs(p[2 - j, j - 1]) ** 2)
+def _chi_tilde(p: tuple, q: tuple, j: int) -> float:
+    """Reduced free term at one time: -q_jj - |p_{3-j,j}|^2, from entry 4-tuples."""
+    return -(q[3 * j - 3].real + abs(p[3 - j]) ** 2)
 
 
 def oscillation_from_psd_reduction(
@@ -730,9 +739,11 @@ def oscillation_from_psd_reduction(
         return report
 
     def system(j):
+        jj = 3 * j - 3  # index of the (j, j) entry
+
         def coeffs(t):
             _, _, p, q = red.at(t)
-            return (0.0, 1.0, -_chi_tilde(p, q, j), -2.0 * float(np.real(p[j - 1, j - 1])))
+            return (0.0, 1.0, -_chi_tilde(p, q, j), -2.0 * p[jj].real)
 
         return coeffs
 
@@ -786,12 +797,13 @@ def nonoscillation_psd_envelope(
     def values(t):
         _, _, p, q = red.at(t)
         return (
-            complex(np.conj(p[0, 0]) + p[1, 1]), complex(p[0, 1]), complex(np.conj(p[1, 0])),
-            complex(q[0, 1]), 1.0, 1.0, float(np.real(q[0, 0])), float(np.real(q[1, 1])),
+            p[0].conjugate() + p[3], p[1], p[2].conjugate(),
+            q[1], 1.0, 1.0, q[0].real, q[3].real,
         )
 
     def p_weight(j):
-        return lambda t: 2.0 * float(np.real(red.at(t).p[j - 1, j - 1]))
+        jj = 3 * j - 3  # index of the (j, j) entry
+        return lambda t: 2.0 * red.at(t).p[jj].real
 
     data = riccati.EnvelopeData(values, riccati.fd_slopes(values, s.t0, s.domain_end))
     env = riccati.build_envelope_terms(data, window, sign_convention, rtol=rtol, atol=atol)

@@ -1,9 +1,16 @@
 """Exact-size complex 2x2 linear algebra.
 
-Matrices are numpy arrays of shape (2, 2) and dtype complex128 throughout.
-Everything here is closed-form: determinants, traces, pseudo-inverses, Hermitian
-and positive-semidefinite predicates, the principal PSD square root, and
-the minimum-norm solution of the sandwich equation S @ X @ M = M.
+Matrices are numpy arrays of shape (2, 2) and dtype complex128 throughout
+the public API. Everything here is closed-form: determinants, traces,
+pseudo-inverses, Hermitian and positive-semidefinite predicates, the
+principal PSD square root, and the minimum-norm solution of the sandwich
+equation S @ X @ M = M.
+
+Code that reads a 2x2 at every integrator stage works on Python scalars
+instead: the row-major entry 4-tuple (e11, e12, e21, e22), read from an
+array as ``m.ravel().tolist()``. ``_mul``, ``_pinv`` and ``_sandwich_f``
+take and return that form, and the per-stage readers of ``criteria`` and
+``riccati`` index it (entry (i, j) at 2 (i - 1) + (j - 1)).
 
 Norms are max-absolute-entry unless stated otherwise; all tolerances scale
 as tol * (1 + norm) so the checks behave identically across magnitudes.
@@ -206,6 +213,11 @@ def _pinv(x: tuple, rank_tol: float) -> tuple:
     return (d / det, -b / det, -c / det, a / det)
 
 
+def _sandwich_f(se: tuple, me: tuple, rank_tol: float = TOL_RANK) -> tuple:
+    """F = S^+ M M^+ of solve_sandwich, on row-major entry 4-tuples."""
+    return _mul(_mul(_pinv(se, rank_tol), me), _pinv(me, rank_tol))
+
+
 def solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares F with S @ F @ M = M.
 
@@ -230,7 +242,7 @@ def solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, float]
     """
     se = tuple(as_mat2(s).ravel().tolist())
     me = tuple(as_mat2(m).ravel().tolist())
-    f = _mul(_mul(_pinv(se, rank_tol), me), _pinv(me, rank_tol))
+    f = _sandwich_f(se, me, rank_tol)
     back = _mul(_mul(se, f), me)
     residual = max(abs(u - v) for u, v in zip(back, me))
     return np.array(f, dtype=complex).reshape(2, 2), residual

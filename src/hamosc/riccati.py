@@ -30,8 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefsys import TOL_POS, Scenario, ZeroDiagonalB, _central_fd
-from .mat2 import norm_max
+from .coefsys import TOL_POS, Scenario, ZeroDiagonalB, _central_fd, eval_entries
 from .odeint import Trajectory, adaptive_solve, segment_states
 
 __all__ = [
@@ -197,16 +196,18 @@ def partition_search(
 # chi_diag is left out of __all__: it runs once per integrator stage, and
 # bench/tracing.py times every function listed there as a span
 def chi_diag(a, b, c, j: int) -> float:
-    """chi_j from the coefficient matrices (a, b, c) at one time.
+    """chi_j from the coefficients (a, b, c) at one time.
 
-    The formula of free_term_diag, for callers that already hold one
-    s.eval(t) and need chi_j next to other entries of it.
+    Each block is a row-major entry 4-tuple (coefsys.eval_entries). The
+    formula of free_term_diag, for callers that already hold one read
+    and need chi_j next to other entries of it.
     """
-    other = 2 - j  # 0-based index of 3-j
-    cjj = float(np.real(c[j - 1, j - 1]))
-    if abs(float(np.real(b[other, other]))) <= TOL_POS * (1.0 + norm_max(b)):
+    jj = 3 * j - 3  # index of the (j, j) entry
+    cjj = c[jj].real
+    b_other = b[3 - jj].real  # b_{3-j}
+    if abs(b_other) <= TOL_POS * (1.0 + max(map(abs, b))):
         return -cjj
-    return -(cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other])))
+    return -(cjj + abs(a[3 - j]) ** 2 / b_other)  # a_{3-j,j}
 
 
 def free_term_diag(s: Scenario, j: int) -> Callable:
@@ -222,7 +223,7 @@ def free_term_diag(s: Scenario, j: int) -> Callable:
         raise ValueError("j must be 1 or 2")
     if "B_diagonal" not in s.tags:
         raise NotDiagonalB(f"scenario {s.name!r} lacks the B_diagonal tag")
-    return lambda t: chi_diag(*s.eval(t), j)
+    return lambda t: chi_diag(*eval_entries(s, t), j)
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +320,11 @@ def build_envelope_terms(
         v = values(t)
         a_sum, r1, r2, c12 = v[:4]
         dr1, dr2 = slopes(t, v)
-        rp = float(np.real(a_sum))
+        rp = a_sum.real
         w_y = dr2 + r2 * a_sum + sgn * c12
         w_v = dr1 + r1 * a_sum + sgn * c12
-        return np.array([rp, -rp * y[1] + abs(w_y), -rp * y[2] + abs(w_v)])
+        _, e_y, e_v = y.tolist()
+        return np.array([rp, -rp * e_y + abs(w_y), -rp * e_v + abs(w_v)])
 
     traj = adaptive_solve(field, np.zeros(3), (lo, hi), rtol, atol)
 
@@ -365,6 +367,7 @@ def build_envelope_terms(
 def _diag_envelope_data(s: Scenario) -> EnvelopeData:
     """Envelope inputs of a diagonal-B scenario, one s.eval per values read.
 
+    Both readers work on the blocks' entry 4-tuples (coefsys.eval_entries).
     slopes uses the scenario's analytic derivatives when it has them,
     with the ratios and b_j of the values it is handed, else fd_slopes.
     A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
@@ -372,15 +375,15 @@ def _diag_envelope_data(s: Scenario) -> EnvelopeData:
 
     def values(t):
         t = float(t)
-        a, b, c = s.eval(t)
-        tol = TOL_POS * (1.0 + norm_max(b))
-        b1, b2 = float(np.real(b[0, 0])), float(np.real(b[1, 1]))
+        a, b, c = eval_entries(s, t)
+        tol = TOL_POS * (1.0 + max(map(abs, b)))
+        b1, b2 = b[0].real, b[3].real
         for j, bj in ((1, b1), (2, b2)):
             if abs(bj) <= tol:
                 raise ZeroDiagonalB(t, j)
         return (
-            complex(np.conj(a[0, 0]) + a[1, 1]), complex(a[0, 1]) / b1, complex(np.conj(a[1, 0])) / b2,
-            complex(c[0, 1]), b1, b2, float(np.real(c[0, 0])), float(np.real(c[1, 1])),
+            a[0].conjugate() + a[3], a[1] / b1, a[2].conjugate() / b2,
+            c[1], b1, b2, c[0].real, c[3].real,
         )
 
     if s.analytic_derivatives is None:
@@ -389,9 +392,10 @@ def _diag_envelope_data(s: Scenario) -> EnvelopeData:
     def slopes(t, v):
         r1, r2, b1, b2 = v[1], v[2], v[4], v[5]
         da, db, _ = s.analytic_derivatives(t)
+        da, db = da.ravel().tolist(), db.ravel().tolist()
         return (
-            complex(da[0, 1]) / b1 - r1 * float(np.real(db[0, 0])) / b1,
-            complex(np.conj(da[1, 0])) / b2 - r2 * float(np.real(db[1, 1])) / b2,
+            da[1] / b1 - r1 * db[0].real / b1,
+            da[2].conjugate() / b2 - r2 * db[3].real / b2,
         )
 
     return EnvelopeData(values=values, slopes=slopes)

@@ -22,6 +22,13 @@
   before it scanned the accepted nodes. Its grid spans the window at
   the smaller of 1% of the window and the shortest step, between 101
   and 262,145 points, and it refines at most 4,096 modulus dips.
+* ``matrix_chi_diag``, ``matrix_psd_reduce``: ``riccati.chi_diag`` and
+  ``criteria.psd_reduce`` as they were on 2x2 numpy arrays, before their
+  per-stage reads moved to entry 4-tuples of Python scalars. They give
+  the references of chi_j and of the reduced coefficients S, F, P, Q.
+* ``per_sample_validate_scenario``: ``coefsys.validate_scenario`` as it
+  was before it checked the stacked samples, with the mat2 predicates
+  called on one sample at a time.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from hamosc import criteria, riccati
-from hamosc.coefsys import Scenario
-from hamosc.mat2 import TOL_RANK, TOL_SING, as_mat2, det2, norm_max, tr2
+from hamosc import coefsys, criteria, mat2, riccati
+from hamosc.coefsys import TOL_POS, NonHermitian, Scenario, ValidationReport
+from hamosc.mat2 import TOL_HERM, TOL_RANK, TOL_SING, as_mat2, det2, is_hermitian, is_psd, norm_max, tr2
 from hamosc.odeint import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -605,3 +612,162 @@ def check_partition_condition(
         if bad is not None:
             return False, (ki, float(min(ts[bad], traj.t_end)))
     return True, None
+
+
+def matrix_chi_diag(a, b, c, j: int) -> float:
+    """riccati.chi_diag as it was on 2x2 arrays, the reference of its entry-tuple form.
+
+    chi_j from the coefficient matrices (a, b, c) at one time.
+
+    The formula of free_term_diag, for callers that already hold one
+    s.eval(t) and need chi_j next to other entries of it.
+    """
+    other = 2 - j  # 0-based index of 3-j
+    cjj = float(np.real(c[j - 1, j - 1]))
+    if abs(float(np.real(b[other, other]))) <= TOL_POS * (1.0 + norm_max(b)):
+        return -cjj
+    return -(cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other])))
+
+
+def matrix_psd_reduce(
+    s: Scenario,
+    window: tuple,
+    f_override: Optional[Callable] = None,
+) -> criteria.PsdReduction:
+    """criteria.psd_reduce as it was on 2x2 arrays, the reference of its entry tuples.
+
+    Reduce a PSD-B system to unit-B form through the square root.
+
+    Per time: S = sqrt of B, M = A S - S', F solves the sandwich
+    S F M = M (minimum-norm least squares, or the override), P = F M,
+    Q = S C S symmetrized. Raises ResidualTooLarge when the sandwich
+    defect exceeds 1e-8 * (1 + |M|) anywhere on the validation grid:
+    downstream criteria treat that as inapplicability. The defect and
+    |M| are computed on that grid only, not at every integrator stage.
+    """
+    if "B_psd" not in s.tags:
+        raise mat2.NotPSD(f"scenario {s.name!r} lacks the B_psd tag")
+    memo = {}
+
+    # Constant coefficients are the common case and the pointwise path
+    # (matrix square root, FD derivative, least squares) is far too slow
+    # to repeat per integrator stage. A block counts as constant when the
+    # scenario's own declared derivative vanishes at several probes.
+    lo, hi = float(window[0]), float(window[1])
+    const_a = const_b = const_c = False
+    if s.analytic_derivatives is not None:
+        probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
+        ders = [s.analytic_derivatives(t) for t in probes]
+        const_a = all(mat2.norm_max(np.asarray(d[0])) == 0.0 for d in ders)
+        const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
+        const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
+    a0, b0, c0 = s.eval(lo)
+    sq0 = mat2.sqrt_psd(b0) if const_b else None
+    m0 = a0 @ sq0 if (const_a and const_b) else None
+    f0 = None
+    if m0 is not None and f_override is None:
+        f0, _ = mat2.solve_sandwich(sq0, m0)
+    q0 = None
+    if const_b and const_c:
+        qq = sq0 @ c0 @ sq0
+        q0 = 0.5 * (qq + qq.conj().T)
+
+    def compute(t: float):
+        key = float(t)
+        if key in memo:
+            return memo[key]
+        a, b, c = (a0, b0, c0) if (const_a and const_b and const_c) else s.eval(key)
+        if const_b:
+            sq = sq0
+            m = m0 if m0 is not None else a @ sq
+        else:
+            sq = mat2.sqrt_psd(b)
+            dsq = coefsys.coeff_derivative(s, "sqrtB", key)
+            m = a @ sq - dsq
+        if f_override is not None:
+            f = np.asarray(f_override(key), complex)
+        elif f0 is not None:
+            f = f0
+        else:
+            f, _ = mat2.solve_sandwich(sq, m)
+        if q0 is not None:
+            q = q0
+        else:
+            q = sq @ c @ sq
+            q = 0.5 * (q + q.conj().T)
+        out = (criteria.Reduced(sq, f, f @ m, q), m)
+        if len(memo) > 4096:
+            memo.clear()
+        memo[key] = out
+        return out
+
+    ts = criteria._grid(window)
+    residuals = []
+    for t in ts:
+        (sq, f, _, _), m = compute(t)
+        res = float(mat2.norm_max(sq @ f @ m - m))
+        tol = 1e-8 * (1.0 + float(mat2.norm_max(m)))
+        if res > tol:
+            raise criteria.ResidualTooLarge(float(t), res, tol)
+        residuals.append(res)
+
+    return criteria.PsdReduction(
+        at=lambda t: compute(t)[0],
+        grid=ts,
+        max_residual=float(np.max(residuals)),
+        f_source="override" if f_override is not None else "min_norm",
+    )
+
+
+def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
+    """coefsys.validate_scenario as it was, one sample at a time: its reference.
+
+    Sample the window and derive the structural tags.
+
+    Hermitian violation of B or C is a hard error: the entire theory
+    assumes it. Tags are set from what the samples show, with the strict
+    positivity margin TOL_POS * (1 + |B|) separating B_positive from
+    B_psd.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError("window must satisfy T > t0")
+    if n_samples < 2:
+        raise ValueError("need at least 2 samples")
+    ts = np.linspace(lo, hi, n_samples)
+    diag = True
+    psd = True
+    positive = True
+    realc = True
+    worst_asym = 0.0
+    for t in ts:
+        a, b, c = s.eval(float(t))
+        for which, m in (("B", b), ("C", c)):
+            flag = is_hermitian(m)
+            worst_asym = max(worst_asym, flag.max_asymmetry)
+            if not flag.is_hermitian:
+                raise NonHermitian(float(t), which, flag.max_asymmetry)
+        scale = 1.0 + norm_max(b)
+        if abs(b[0, 1]) > TOL_HERM * scale or abs(b[1, 0]) > TOL_HERM * scale:
+            diag = False
+        if not is_psd(b):
+            psd = False
+            positive = False
+        elif not is_psd(b - TOL_POS * scale * np.eye(2)):
+            positive = False
+        if max(norm_max(np.imag(a) + 0j), norm_max(np.imag(b) + 0j), norm_max(np.imag(c) + 0j)) > TOL_HERM * (
+            1.0 + max(norm_max(a), norm_max(b), norm_max(c))
+        ):
+            realc = False
+    tags = set()
+    if diag:
+        tags.add("B_diagonal")
+    if psd:
+        tags.add("B_psd")
+    if positive:
+        tags.add("B_positive")
+    if realc:
+        tags.add("real_coefficients")
+    return ValidationReport(
+        tags=frozenset(tags), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi)
+    )

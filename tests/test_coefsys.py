@@ -10,6 +10,7 @@ import pytest
 
 from hamosc import coefsys, mat2
 from conftest import const_scenario
+from oracles import per_sample_validate_scenario
 
 I2 = np.eye(2, dtype=complex)
 
@@ -237,6 +238,94 @@ def test_validate_scenario_rejects_non_hermitian_c():
     )
     with pytest.raises(coefsys.NonHermitian):
         coefsys.validate_scenario(bad, (0.0, 1.0))
+
+
+def _validation_outcome(validate, s, window, n_samples):
+    """The report, or what NonHermitian said and where."""
+    try:
+        return validate(s, window, n_samples)
+    except coefsys.NonHermitian as exc:
+        return ("NonHermitian", exc.t, exc.which, str(exc))
+
+
+def _validation_draw(rng, k):
+    """Seeded coefficients over the tag boundaries, some of them varying
+    in time, and every fifth one turning non-Hermitian part-way."""
+    def cplx(scale):
+        return (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * scale
+
+    def herm(scale):
+        g = cplx(scale)
+        return 0.5 * (g + g.conj().T)
+
+    a = cplx(0.5) if k % 3 else cplx(0.5).real.astype(complex)
+    kind = k % 5
+    if kind == 0:
+        b = np.diag(rng.uniform(-1.0, 2.0, 2)).astype(complex)
+    elif kind == 1:
+        g = cplx(1.0)
+        b = g @ g.conj().T
+    elif kind == 2:
+        v = cplx(1.0)[:, :1]
+        b = v @ v.conj().T
+    elif kind == 3:
+        b = herm(1.0)
+    else:
+        b = np.diag([1.0, 0.0]).astype(complex) + 1e-11 * herm(1.0)
+    c = herm(1.0) if k % 2 else herm(1.0).real.astype(complex)
+    db, w = herm(0.3), rng.uniform(0.5, 3.0)
+    varying = k % 4 == 1
+    onset = rng.uniform(0.0, 1.0) if k % 5 == 4 else np.inf
+    skew = rng.choice([1e-3, 1e-9, 1e-12]) * np.array([[0.0, 1.0], [0.0, 0.0]])
+    skewed = ((0,), (1,), (0, 1))[k % 3]  # B, C or both from the onset on
+
+    def ev(t):
+        bt = b + np.sin(w * t) * db if varying else b.copy()
+        ct = c.copy()
+        if t >= onset:
+            for i in skewed:
+                (bt, ct)[i][...] += skew
+        return a.copy(), bt, ct
+
+    return coefsys.Scenario(name=f"draw{k}", t0=0.0, eval=ev)
+
+
+def _spiked(block, value):
+    times = np.linspace(0.0, 10.0, 1001)
+    samples = np.zeros((len(times), 3, 2, 2), dtype=complex)
+    samples[:, 1] = np.eye(2)
+    samples[:, 2] = -np.eye(2) if block == 1 else np.eye(2) / 4.0
+    samples[300, block, 0, 0] = value
+    return coefsys.from_table(coefsys.TabulatedCoeffs(times=times, samples=samples))
+
+
+def test_validation_matches_per_sample_reference(rng):
+    # the stacked checks against the parent's one-sample-at-a-time loop:
+    # tags, max_asymmetry and the sample NonHermitian names
+    cases = [
+        (coefsys.make_family(fam, params), window)
+        for fam, params, window in (
+            ("harmonic", {}, (0.0, 100.0)),
+            ("euler", {"c": 2.5}, (1.0, 50.0)),
+            ("diag_B", {"b1": 1.0, "b2": 0.0, "a12_im": 0.5}, (0.0, 1.0)),
+            ("diag_B", {"b1": 1.0, "b2": -1.0, "c12_re": 0.3}, (0.0, 1.0)),
+            ("vector_schrodinger", {}, (0.0, 200.0)),
+            ("ones_B_zero_drift", {"c_sum": -1.0}, (0.0, 100.0)),
+            ("ones_B_euler", {"alpha": 0.5}, (1.0, 1000.0)),
+            ("ones_B_alpha_conditions", {"a0": 1.0, "a1": 0.5, "s0": -1.0}, (0.0, 10.0)),
+        )
+    ]
+    # ROADMAP probes P2 (a one-knot c11 spike) and P3 (b11 = -3 at one knot)
+    cases += [(_spiked(2, -2000.0), (0.0, 10.0)), (_spiked(1, -3.0), (0.0, 10.0))]
+    cases += [(_validation_draw(rng, k), (0.0, 1.0)) for k in range(50)]
+    raised = 0
+    for s, window in cases:
+        for n in (256, 4004) if s.domain_end is not None else (256,):
+            got = _validation_outcome(coefsys.validate_scenario, s, window, n)
+            want = _validation_outcome(per_sample_validate_scenario, s, window, n)
+            assert got == want, (s.name, n)
+            raised += isinstance(want, tuple)
+    assert raised >= 5
 
 
 def test_validated_returns_tagged_copy():

@@ -8,9 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from hamosc import coefsys, criteria, mat2, odeint
+from hamosc import coefsys, criteria, mat2, odeint, riccati
 from conftest import const_scenario
-from oracles import per_start_scalar_osc_test
+from oracles import matrix_chi_diag, matrix_psd_reduce, per_start_scalar_osc_test
 
 Z2 = np.zeros((2, 2), dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -356,10 +356,10 @@ def test_reduction_is_identity_for_unit_b():
     c = np.array([[1.0, 0.4j], [-0.4j, -0.7]], dtype=complex)
     s = _tagged(const_scenario(a, I2, c, name="unitB"), (0.0, 2.0))
     red = criteria.psd_reduce(s, (0.0, 2.0))
-    at = red.at(0.7)
-    assert float(mat2.norm_max(at.sqrt_b - I2)) == 0.0
-    assert float(mat2.norm_max(at.p - a)) <= 1e-14
-    assert float(mat2.norm_max(at.q - c)) <= 1e-14
+    sqrt_b, _, p, q = (np.reshape(m, (2, 2)) for m in red.at(0.7))
+    assert float(mat2.norm_max(sqrt_b - I2)) == 0.0
+    assert float(mat2.norm_max(p - a)) <= 1e-14
+    assert float(mat2.norm_max(q - c)) <= 1e-14
     assert red.max_residual <= 1e-14
     assert red.f_source == "min_norm"
 
@@ -368,10 +368,10 @@ def test_reduction_of_singular_ones_block():
     s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
     red = criteria.psd_reduce(s, (0.0, 10.0))
     root = math.sqrt(2.0) / 2.0
-    at = red.at(3.0)
-    assert float(mat2.norm_max(at.sqrt_b - root * ONES)) <= 1e-12
-    assert float(mat2.norm_max(at.p)) <= 1e-12
-    assert float(mat2.norm_max(at.q + 0.5 * ONES)) <= 1e-12
+    sqrt_b, _, p, q = (np.reshape(m, (2, 2)) for m in red.at(3.0))
+    assert float(mat2.norm_max(sqrt_b - root * ONES)) <= 1e-12
+    assert float(mat2.norm_max(p)) <= 1e-12
+    assert float(mat2.norm_max(q + 0.5 * ONES)) <= 1e-12
 
 
 def test_reduction_of_drifting_ones_block():
@@ -380,7 +380,8 @@ def test_reduction_of_drifting_ones_block():
     # the minimum-norm sandwich keeps the reduced drift spread over the
     # block: p = alpha / (2 t) in every entry
     t = 2.0
-    assert float(mat2.norm_max(red.at(t).p - (0.5 / (2.0 * t)) * ONES)) <= 1e-12
+    p = np.reshape(red.at(t).p, (2, 2))
+    assert float(mat2.norm_max(p - (0.5 / (2.0 * t)) * ONES)) <= 1e-12
     assert red.f_source == "min_norm"
 
 
@@ -395,6 +396,111 @@ def test_reduction_accepts_override_with_zero_drift():
     red = criteria.psd_reduce(s, (0.0, 10.0), criteria._F_OVERRIDES["sqrt2_identity"])
     assert red.f_source == "override"
     assert red.max_residual == 0.0
+
+
+def _varying_b_scenario(name, a, c, b_of_t):
+    """A, C constant and B(t) given, with no derivatives wired: every
+    block counts as varying and sqrt B' comes from finite differences."""
+    a = np.asarray(a, complex)
+    c = np.asarray(c, complex)
+    return coefsys.Scenario(
+        name=name, t0=0.0, eval=lambda t: (a.copy(), np.asarray(b_of_t(t), complex), c.copy())
+    )
+
+
+def _reduction_cases(rng):
+    """(label, scenario, window, override) over the B shapes of psd_reduce.
+
+    With rank-1 B the sandwich is solvable only when A maps the range of
+    S into itself: a_keep does, and a general A makes both reductions
+    raise.
+    """
+    def cplx(scale):
+        return (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * scale
+
+    cases = []
+    window = (0.0, 3.0)
+    for k in range(4):
+        a, c = cplx(0.7), _herm(rng, 1.0)
+        g = cplx(1.0)
+        v = cplx(1.0)[:, :1]
+        rot = np.linalg.qr(cplx(1.0))[0]
+        full = g @ g.conj().T + 0.2 * I2
+        rank1 = v @ v.conj().T
+        a_keep = rng.normal() * I2 + cplx(0.7) @ (I2 - rank1 / np.trace(rank1).real)
+        consts = (
+            ("full", a, full), ("rank1", a_keep, rank1), ("rank1_unsolvable", a, rank1),
+            ("zero", a, np.zeros((2, 2), complex)),
+        )
+        for shape, a_k, b in consts:
+            s = _tagged(const_scenario(a_k, b, c, name=f"{shape}{k}"), window)
+            cases.append((f"{shape}{k}", s, window, None))
+        # a constant-B override: F = S^-1 solves S F M = M for any M
+        root_inv = np.linalg.inv(mat2.sqrt_psd(full))
+        s = _tagged(const_scenario(a, full, c, name=f"override{k}"), window)
+        cases.append((f"override{k}", s, window, lambda t, f=root_inv: f))
+        s = _tagged(const_scenario(np.zeros((2, 2)), rank1, c, name=f"override_zero_drift{k}"), window)
+        cases.append((f"override_zero_drift{k}", s, window, criteria._F_OVERRIDES["sqrt2_identity"]))
+
+        def spread(t, rot=rot, d=rng.uniform(0.3, 1.5, 2), w=rng.uniform(0.5, 2.0)):
+            cs, sn = np.cos(w * t), np.sin(w * t)
+            u = rot @ np.array([[cs, -sn], [sn, cs]])  # eigenvalues d, turning eigenvectors
+            return u @ np.diag(d) @ u.conj().T
+
+        # a varying rank-1 B keeps one exact entry pattern, so that the
+        # finite-difference S' stays rank 1 to rounding; a generic
+        # direction leaves noise near 1e-11 |S'| off the range of S, and
+        # the sandwich solve then amplifies rounding in F by up to 1e10
+        pattern = (ONES, np.array([[1.0, -1j], [1j, 1.0]]), np.diag([1.0, 0.0]))[k % 3]
+        pattern_keep = rng.normal() * I2 + cplx(0.7) @ (I2 - pattern / np.trace(pattern).real)
+
+        def beam(t, pattern=pattern, r=rng.uniform(0.5, 2.0), w=rng.uniform(0.5, 2.0)):
+            return ((1.0 + 0.5 * np.sin(w * t)) ** 2 * r) * pattern
+
+        varying = (("varying_full", a, spread), ("varying_rank1", pattern_keep, beam))
+        for shape, a_k, b_of_t in varying:
+            s = _tagged(_varying_b_scenario(f"{shape}{k}", a_k, c, b_of_t), window)
+            cases.append((f"{shape}{k}", s, window, None))
+    return cases
+
+
+def test_reduction_entries_match_matrix_reference(rng):
+    # the entry-tuple reduction against the same reduction on 2x2 arrays:
+    # constant full-rank, rank-1 and zero B, B varying through the
+    # finite-difference square root, the minimum-norm F and overrides
+    for label, s, window, override in _reduction_cases(rng):
+        assert "B_psd" in s.tags, label
+        try:
+            ref = matrix_psd_reduce(s, window, override)
+        except criteria.ResidualTooLarge as exc:
+            with pytest.raises(criteria.ResidualTooLarge) as got:
+                criteria.psd_reduce(s, window, override)
+            assert got.value.t == exc.t, label
+            continue
+        red = criteria.psd_reduce(s, window, override)
+        assert red.f_source == ref.f_source
+        assert abs(red.max_residual - ref.max_residual) <= 1e-14, label
+        ts = np.concatenate([red.grid[::17], rng.uniform(*window, 5)])
+        for t in ts:
+            for name, got, want in zip(criteria.Reduced._fields, red.at(t), ref.at(t)):
+                err = float(np.max(np.abs(np.reshape(got, (2, 2)) - want)))
+                assert err <= 1e-14 * (1.0 + float(np.max(np.abs(want)))), (label, name, t, err)
+            assert all(type(x) is complex for x in red.at(t).p), label
+
+
+def test_chi_diag_entries_match_matrix_reference(rng):
+    for k in range(40):
+        a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * rng.uniform(0.1, 3.0)
+        diag = rng.uniform(-2.0, 2.0, 2)
+        if k % 4 == 0:
+            diag[k // 4 % 2] = 0.0  # the b_{3-j} = 0 branch of one chi_j
+        b = np.diag(diag).astype(complex)
+        c = _herm(rng, 1.5)
+        entries = [m.ravel().tolist() for m in (a, b, c)]
+        for j in (1, 2):
+            got = riccati.chi_diag(*entries, j)
+            want = matrix_chi_diag(a, b, c, j)
+            assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), (k, j)
 
 
 # ---------------------------------------------------------------------------
