@@ -33,11 +33,7 @@ from .odeint import (  # noqa: F401
     Trajectory,
     adaptive_solve,
     detect_det_zeros,
-    quadrature,
-    solve_hamiltonian,
     solve_hamiltonian_frame,
-    solve_matrix_riccati,
-    solve_scalar_riccati,
 )
 
 __all__ = [
@@ -60,9 +56,5 @@ __all__ = [
     "Trajectory",
     "adaptive_solve",
     "detect_det_zeros",
-    "quadrature",
-    "solve_hamiltonian",
     "solve_hamiltonian_frame",
-    "solve_matrix_riccati",
-    "solve_scalar_riccati",
 ]

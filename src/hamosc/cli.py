@@ -20,10 +20,11 @@ Scenario files are JSON:
     {"name": ..., "family": ... | "table_csv_path": ...,
      "params": {...}, "window": [t0, T], "options": {...}}
 
-Options mirror AnalysisOptions (rtol, atol, n_min, max_points,
-sign_convention, F_override, eps_zero, sim_window, ...). F_override
-accepts "sqrt2_identity" or null. The environment variable HAMOSC_SEED
-fixes the seed for the random conjoined starts (default 42).
+Params are the family's own parameter names; an unknown name is an
+error. Options are AnalysisOptions field names: rtol, atol, n_min,
+max_points, sign_convention, eps_zero, n_starts, seed, sim_window. The
+environment variable HAMOSC_SEED fixes the seed for the random conjoined
+starts (default 42).
 
 All file output is written atomically (temp file + rename) and numbers
 are serialized with shortest round-trip decimal text.
@@ -178,13 +179,6 @@ def _json_safe(obj):
     return str(obj)
 
 
-def _options_payload(opt: criteria.AnalysisOptions) -> dict:
-    d = dataclasses.asdict(opt)
-    d["f_override"] = opt.f_override_name if opt.f_override is not None else None
-    d.pop("f_override_name", None)
-    return _json_safe(d)
-
-
 def _tolerances_payload() -> dict:
     return {
         "herm_tol": mat2.TOL_HERM,
@@ -204,7 +198,7 @@ def report_payload(result: criteria.AnalysisResult, doc: dict) -> dict:
         "tool": {"name": "hamosc", "version": __version__},
         "scenario": _json_safe(scen_block),
         "window": list(result.window),
-        "options": _options_payload(result.options),
+        "options": _json_safe(result.options),
         "tolerances": _tolerances_payload(),
         "verdict": _json_safe(result.verdict),
         "criteria": [_json_safe(r) for r in result.reports],

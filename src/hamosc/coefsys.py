@@ -103,6 +103,8 @@ class Scenario:
     tags: structural flags from {B_diagonal, B_psd, B_positive,
     real_coefficients}; set by construction or by validate_scenario.
     domain_end: right end of validity (None = unbounded).
+    params: a family's parameters as its builder resolved them,
+    defaults included.
     """
 
     name: str
@@ -126,25 +128,6 @@ class ValidationReport:
 _I2 = np.eye(2, dtype=complex)
 _ONES = np.ones((2, 2), dtype=complex)
 _Z2 = np.zeros((2, 2), dtype=complex)
-
-# parameter aliases so scenario files may use the typeset names
-_PARAM_ALIASES = {
-    "λ1": "lam1",
-    "λ2": "lam2",
-    "θ1": "theta1",
-    "θ2": "theta2",
-    "α": "alpha",
-    "lambda1": "lam1",
-    "lambda2": "lam2",
-}
-
-
-def _normalize_params(params: dict) -> dict:
-    out = {}
-    for key, val in params.items():
-        out[_PARAM_ALIASES.get(key, key)] = float(val)
-    return out
-
 
 def _require(params: dict, family: str, *names: str) -> list[float]:
     vals = []
@@ -230,22 +213,20 @@ def _make_vector_schrodinger(params):
 
 def _make_diag_b(params):
     b1, b2 = _require(params, "diag_B", "b1", "b2")
-    a11 = params.get("a11", 0.0)
-    a22 = params.get("a22", 0.0)
-    a12 = complex(params.get("a12_re", 0.0), params.get("a12_im", 0.0))
-    a21 = complex(params.get("a21_re", 0.0), params.get("a21_im", 0.0))
-    c11 = params.get("c11", 0.0)
-    c22 = params.get("c22", 0.0)
-    c12 = complex(params.get("c12_re", 0.0), params.get("c12_im", 0.0))
-    a = np.array([[a11, a12], [a21, a22]], dtype=complex)
+    optional = ("a11", "a22", "a12_re", "a12_im", "a21_re", "a21_im", "c11", "c22", "c12_re", "c12_im")
+    p = {"b1": b1, "b2": b2, **{nm: params.get(nm, 0.0) for nm in optional}}
+    a12 = complex(p["a12_re"], p["a12_im"])
+    a21 = complex(p["a21_re"], p["a21_im"])
+    c12 = complex(p["c12_re"], p["c12_im"])
+    a = np.array([[p["a11"], a12], [a21, p["a22"]]], dtype=complex)
     b = np.array([[b1, 0.0], [0.0, b2]], dtype=complex)
-    c = np.array([[c11, c12], [np.conj(c12), c22]], dtype=complex)
+    c = np.array([[p["c11"], c12], [np.conj(c12), p["c22"]]], dtype=complex)
     tags = {"B_diagonal"}
     if b1 >= 0.0 and b2 >= 0.0:
         tags.add("B_psd")
     if b1 > TOL_POS and b2 > TOL_POS:
         tags.add("B_positive")
-    if norm_max(np.imag(a) + 0j) == 0.0 and params.get("c12_im", 0.0) == 0.0:
+    if norm_max(np.imag(a) + 0j) == 0.0 and p["c12_im"] == 0.0:
         tags.add("real_coefficients")
     return Scenario(
         name="diag_B",
@@ -253,7 +234,7 @@ def _make_diag_b(params):
         eval=_const_eval(a, b, c),
         analytic_derivatives=_zero_derivs,
         tags=frozenset(tags),
-        params=dict(params),
+        params=p,
     )
 
 
@@ -330,10 +311,22 @@ FAMILIES = {
 
 
 def make_family(family_id: str, params: dict | None = None) -> Scenario:
-    """Build a Scenario from a named parametric family."""
+    """Build a Scenario from a named parametric family.
+
+    params maps the family's own parameter names to numbers. A name the
+    family does not resolve raises ValueError, so a misspelled parameter
+    cannot silently fall back to its default.
+    """
     if family_id not in FAMILIES:
         raise UnknownFamily(f"unknown family {family_id!r}; known: {sorted(FAMILIES)}")
-    scen = FAMILIES[family_id](_normalize_params(params or {}))
+    given = {key: float(val) for key, val in (params or {}).items()}
+    scen = FAMILIES[family_id](given)
+    unknown = sorted(set(given) - set(scen.params))
+    if unknown:
+        raise ValueError(
+            f"family {family_id!r} has no parameter {', '.join(map(repr, unknown))}; "
+            f"known: {sorted(scen.params)}"
+        )
     return replace(scen, family=family_id)
 
 

@@ -31,7 +31,6 @@ disagreement is reported, never suppressed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -142,7 +141,8 @@ class AnalysisOptions:
     oscillation tests); direct odeint use keeps its own tighter
     defaults. Zero counting is insensitive well below these. eps_zero,
     n_starts, seed and sim_window set the simulation of cross_validate,
-    whose own arguments can replace the first three.
+    whose own arguments can replace the first three. from_dict accepts
+    exactly the field names.
     """
 
     rtol: float = 1e-8
@@ -150,10 +150,7 @@ class AnalysisOptions:
     n_min: int = 5  # zeros required before a window counts as oscillatory
     max_points: int = 64  # partition search budget
     sign_convention: str = "minus_c12"  # envelope drive c12 sign
-    f_override: Optional[Callable] = None  # sandwich solution override
-    f_override_name: Optional[str] = None
     eps_zero: float = 1e-7  # determinant zero indicator threshold
-    burn_in: float = 0.1  # fraction of the window ignored for "no zeros"
     n_starts: int = 5  # conjoined starts in cross validation
     seed: int = 42
     sim_window: Optional[tuple] = None  # cheaper window for simulation only
@@ -161,16 +158,6 @@ class AnalysisOptions:
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisOptions":
         d = dict(raw or {})
-        if "ε_zero" in d:
-            d["eps_zero"] = d.pop("ε_zero")
-        if "F_override" in d:
-            d["f_override"] = d.pop("F_override")
-        fo = d.get("f_override")
-        if isinstance(fo, str):
-            if fo not in _F_OVERRIDES:
-                raise ValueError(f"unknown F_override {fo!r}")
-            d["f_override_name"] = fo
-            d["f_override"] = _F_OVERRIDES[fo]
         if d.get("sim_window") is not None:
             d["sim_window"] = tuple(float(x) for x in d["sim_window"])
         known = {f.name for f in cls.__dataclass_fields__.values()}
@@ -178,14 +165,6 @@ class AnalysisOptions:
         if unknown:
             raise ValueError(f"unknown options: {sorted(unknown)}")
         return cls(**d)
-
-
-def _sqrt2_identity(t):
-    return math.sqrt(2.0) * np.eye(2, dtype=complex)
-
-
-# sandwich overrides a scenario file can name: the constant sqrt(2) * I
-_F_OVERRIDES = {"sqrt2_identity": _sqrt2_identity}
 
 
 @dataclass(frozen=True)
@@ -224,6 +203,10 @@ def _quarter_threshold(lo: float, hi: float) -> float:
 
 _RENORM_LIMIT = 1e100  # rescale a fundamental-matrix column beyond this to dodge overflow
 
+# leading fraction of a window whose zeros a "no zeros" verdict ignores,
+# in the scalar test and in the simulation alike
+_BURN_IN = 0.1
+
 
 def _scan_zeros(traj: odeint.Trajectory, component: int) -> tuple:
     """Zeros of one state component at and between the accepted nodes.
@@ -250,7 +233,6 @@ def scalar_osc_test(
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    burn_in: float = 0.1,
 ) -> ScalarOscResult:
     """Oscillation of the 2d linear system by direct zero counting.
 
@@ -263,8 +245,8 @@ def scalar_osc_test(
     change between accepted nodes, plus the nodes where phi is exactly 0.
     oscillatory: both starts reach n_min zeros and the last zero lands
     in the final quarter (log-time quarter on wide positive windows).
-    non_oscillatory: no start has any zero past the burn-in prefix.
-    Anything else is undecided.
+    non_oscillatory: no start has any zero past the burn-in prefix, the
+    first 10% of the window (_BURN_IN). Anything else is undecided.
 
     The ratio y = psi / phi obeys y' + m12 y^2 + (m11 - m22) y - m21 = 0
     and blows up exactly at the zeros of phi, so these zero times are
@@ -298,7 +280,7 @@ def scalar_osc_test(
     zeros = {"1,0": _scan_zeros(traj, 0), "0,1": _scan_zeros(traj, 2)}
 
     quarter = _quarter_threshold(lo, hi)
-    burn_edge = lo + burn_in * (hi - lo)
+    burn_edge = lo + _BURN_IN * (hi - lo)
     osc = all(len(z) >= n_min and z[-1] >= quarter for z in zeros.values())
     nonosc = all(all(t <= burn_edge for t in z) for z in zeros.values())
     outcome = "oscillatory" if osc else ("non_oscillatory" if nonosc else "undecided")
@@ -377,7 +359,7 @@ def _fired(criterion: str, kind: str, window: tuple, applicability, witnesses, n
 
 def _first_oscillating(
     criterion: str, window: tuple, applicability: list, witnesses: dict,
-    system: Callable, notes: tuple, n_min: int, *, rtol, atol, burn_in,
+    system: Callable, notes: tuple, n_min: int, *, rtol, atol,
 ) -> CriterionReport:
     """Oscillatory at the first j = 1, 2 whose scalar system oscillates.
 
@@ -387,7 +369,7 @@ def _first_oscillating(
     formatted with j.
     """
     for j in (1, 2):
-        res = scalar_osc_test(system(j), window, n_min, rtol=rtol, atol=atol, burn_in=burn_in)
+        res = scalar_osc_test(system(j), window, n_min, rtol=rtol, atol=atol)
         witnesses[f"scalar_{j}"] = res
         if res.outcome == "oscillatory":
             return _fired(
@@ -432,7 +414,6 @@ def oscillation_from_diagonal(
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    burn_in: float = 0.1,
 ) -> CriterionReport:
     """Oscillatory when either diagonal scalar system is.
 
@@ -468,7 +449,7 @@ def oscillation_from_diagonal(
     return _first_oscillating(
         OSC_DIAG, window, applicability, {}, system,
         ("scalar system j={j} oscillates", "no scalar system oscillates"),
-        n_min, rtol=rtol, atol=atol, burn_in=burn_in,
+        n_min, rtol=rtol, atol=atol,
     )
 
 
@@ -595,7 +576,6 @@ class PsdReduction:
     at: Callable
     grid: np.ndarray
     max_residual: float
-    f_source: str
 
 
 def _sym(x: tuple) -> tuple:
@@ -606,19 +586,16 @@ def _sym(x: tuple) -> tuple:
     )
 
 
-def psd_reduce(
-    s: Scenario,
-    window: tuple,
-    f_override: Optional[Callable] = None,
-) -> PsdReduction:
+def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     """Reduce a PSD-B system to unit-B form through the square root.
 
-    Per time: S = sqrt of B, M = A S - S', F solves the sandwich
-    S F M = M (minimum-norm least squares, or the override), P = F M,
-    Q = S C S symmetrized. Raises ResidualTooLarge when the sandwich
-    defect exceeds 1e-8 * (1 + |M|) anywhere on the validation grid:
-    downstream criteria treat that as inapplicability. The defect and
-    |M| are computed on that grid only, not at every integrator stage.
+    Per time: S = sqrt of B, M = A S - S', F = S^+ M M^+ the
+    minimum-norm least-squares solution of the sandwich S F M = M,
+    P = F M, Q = S C S symmetrized. Raises ResidualTooLarge when the
+    sandwich defect exceeds 1e-8 * (1 + |M|) anywhere on the validation
+    grid: downstream criteria treat that as inapplicability. The defect
+    and |M| are computed on that grid only, not at every integrator
+    stage.
     """
     if "B_psd" not in s.tags:
         raise mat2.NotPSD(f"scenario {s.name!r} lacks the B_psd tag")
@@ -641,7 +618,7 @@ def psd_reduce(
     sq0 = tuple(mat2.sqrt_psd(b0).ravel().tolist()) if const_b else None
     m0 = mul(a0.ravel().tolist(), sq0) if (const_a and const_b) else None
     f0 = p0 = None
-    if m0 is not None and f_override is None:
+    if m0 is not None:
         f0 = mat2._sandwich_f(sq0, m0)
         p0 = mul(f0, m0)
     q0 = _sym(mul(mul(sq0, c0.ravel().tolist()), sq0)) if (const_b and const_c) else None
@@ -659,12 +636,7 @@ def psd_reduce(
             sq = tuple(mat2.sqrt_psd(b).ravel().tolist())
             dsq = coefsys.coeff_derivative(s, "sqrtB", key).ravel().tolist()
             m = tuple(u - v for u, v in zip(mul(a.ravel().tolist(), sq), dsq))
-        if f_override is not None:
-            f = tuple(np.asarray(f_override(key), complex).ravel().tolist())
-        elif f0 is not None:
-            f = f0
-        else:
-            f = mat2._sandwich_f(sq, m)
+        f = f0 if f0 is not None else mat2._sandwich_f(sq, m)
         p = p0 if p0 is not None else mul(f, m)
         q = q0 if q0 is not None else _sym(mul(mul(sq, c.ravel().tolist()), sq))
         out = (Reduced(sq, f, p, q), m)
@@ -683,15 +655,10 @@ def psd_reduce(
             raise ResidualTooLarge(t, res, tol)
         residuals.append(res)
 
-    return PsdReduction(
-        at=lambda t: compute(t)[0],
-        grid=ts,
-        max_residual=max(residuals),
-        f_source="override" if f_override is not None else "min_norm",
-    )
+    return PsdReduction(at=lambda t: compute(t)[0], grid=ts, max_residual=max(residuals))
 
 
-def _reduced(criterion: str, s: Scenario, window: tuple, f_override, applicability: list) -> tuple:
+def _reduced(criterion: str, s: Scenario, window: tuple, applicability: list) -> tuple:
     """The PSD prelude: (reduction, None), or (None, Inconclusive report).
 
     Appends the B_psd row and, when B is PSD, the sandwich residual row
@@ -702,7 +669,7 @@ def _reduced(criterion: str, s: Scenario, window: tuple, f_override, applicabili
     if not ok_psd:
         return None, _inconclusive(criterion, window, applicability)
     try:
-        red = psd_reduce(s, window, f_override)
+        red = psd_reduce(s, window)
     except ResidualTooLarge as exc:
         applicability.append(("sandwich residual small", False, str(exc)))
         return None, _inconclusive(criterion, window, applicability)
@@ -721,11 +688,9 @@ def oscillation_from_psd_reduction(
     s: Scenario,
     window: tuple,
     n_min: int = 5,
-    f_override: Optional[Callable] = None,
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
-    burn_in: float = 0.1,
 ) -> CriterionReport:
     """Oscillation via the reduced scalar equations.
 
@@ -734,7 +699,7 @@ def oscillation_from_psd_reduction(
     pairs and run through scalar_osc_test. Oscillatory if either one is.
     """
     applicability = []
-    red, report = _reduced(OSC_PSD, s, window, f_override, applicability)
+    red, report = _reduced(OSC_PSD, s, window, applicability)
     if red is None:
         return report
 
@@ -747,11 +712,11 @@ def oscillation_from_psd_reduction(
 
         return coeffs
 
-    witnesses = {"f_source": red.f_source, "max_residual": red.max_residual}
+    witnesses = {"max_residual": red.max_residual}
     return _first_oscillating(
         OSC_PSD, window, applicability, witnesses, system,
         ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates"),
-        n_min, rtol=rtol, atol=atol, burn_in=burn_in,
+        n_min, rtol=rtol, atol=atol,
     )
 
 
@@ -760,7 +725,6 @@ def nonoscillation_psd_envelope(
     window: tuple,
     max_points: int = 64,
     sign_convention: str = "minus_c12",
-    f_override: Optional[Callable] = None,
     *,
     rtol: float = 1e-8,
     atol: float = 1e-10,
@@ -773,7 +737,7 @@ def nonoscillation_psd_envelope(
     kernels must certify by partition search.
     """
     applicability = []
-    red, report = _reduced(NONOSC_PSD_ENVELOPE, s, window, f_override, applicability)
+    red, report = _reduced(NONOSC_PSD_ENVELOPE, s, window, applicability)
     if red is None:
         return report
 
@@ -807,11 +771,7 @@ def nonoscillation_psd_envelope(
 
     data = riccati.EnvelopeData(values, riccati.fd_slopes(values, s.t0, s.domain_end))
     env = riccati.build_envelope_terms(data, window, sign_convention, rtol=rtol, atol=atol)
-    witnesses = {
-        "sign_convention": sign_convention,
-        "f_source": red.f_source,
-        "max_residual": red.max_residual,
-    }
+    witnesses = {"sign_convention": sign_convention, "max_residual": red.max_residual}
     kernels = [("tilde3", Kernel(p_weight(1), env.chi3)), ("tilde4", Kernel(p_weight(2), env.chi4))]
     return _certified_pair(
         NONOSC_PSD_ENVELOPE, window, applicability, witnesses, kernels, max_points,
@@ -834,20 +794,14 @@ _HYPOTHESIS_ERRORS = {
 
 def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
     runs = (
-        lambda: oscillation_from_diagonal(
-            s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in
-        ),
+        lambda: oscillation_from_diagonal(s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol),
         lambda: nonoscillation_sign_split(s, window, opt.max_points, rtol=opt.rtol, atol=opt.atol),
         lambda: nonoscillation_envelope(
             s, window, opt.max_points, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
         ),
-        lambda: oscillation_from_psd_reduction(
-            s, window, opt.n_min, opt.f_override,
-            rtol=opt.rtol, atol=opt.atol, burn_in=opt.burn_in,
-        ),
+        lambda: oscillation_from_psd_reduction(s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol),
         lambda: nonoscillation_psd_envelope(
-            s, window, opt.max_points, opt.sign_convention, opt.f_override,
-            rtol=opt.rtol, atol=opt.atol,
+            s, window, opt.max_points, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
         ),
     )
     reports = []
@@ -969,7 +923,7 @@ def simulate_starts(
 
 def _start_record(label: str, traj: odeint.Trajectory, zeros: list, window: tuple) -> StartRecord:
     lo, hi = float(window[0]), float(window[1])
-    burn_edge = lo + 0.1 * (hi - lo)
+    burn_edge = lo + _BURN_IN * (hi - lo)
     # min |det Phi| over nodes, in log form: the frame determinant is
     # order one and the accumulated scale can overflow a double
     dets, log_scale = odeint.det_phi(traj, traj.times)

@@ -27,11 +27,7 @@ __all__ = [
     "NotHermitian",
     "NotPSD",
     "HermFlag",
-    "mat2",
     "as_mat2",
-    "identity",
-    "zeros",
-    "ones",
     "norm_max",
     "adjoint",
     "det2",
@@ -65,31 +61,11 @@ class HermFlag:
     max_asymmetry: float
 
 
-def mat2(e11, e12, e21, e22) -> np.ndarray:
-    """Build a complex 2x2 matrix from four entries, validating finiteness."""
-    m = np.array([[e11, e12], [e21, e22]], dtype=complex)
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValueError("non-finite entry in 2x2 matrix")
-    return m
-
-
 def as_mat2(obj) -> np.ndarray:
     m = np.asarray(obj, dtype=complex)
     if m.shape != (2, 2):
         raise ValueError(f"expected shape (2, 2), got {m.shape}")
     return m
-
-
-def identity() -> np.ndarray:
-    return np.eye(2, dtype=complex)
-
-
-def zeros() -> np.ndarray:
-    return np.zeros((2, 2), dtype=complex)
-
-
-def ones() -> np.ndarray:
-    return np.ones((2, 2), dtype=complex)
 
 
 def norm_max(m) -> float:
@@ -109,13 +85,11 @@ def tr2(m) -> complex:
     return complex(m[0, 0] + m[1, 1])
 
 
-def is_hermitian(m, tol: float | None = None) -> HermFlag:
-    """Test M == M* up to tol * (1 + max-entry norm)."""
+def is_hermitian(m) -> HermFlag:
+    """Test M == M* up to TOL_HERM * (1 + max-entry norm)."""
     m = as_mat2(m)
-    if tol is None:
-        tol = TOL_HERM
     asym = norm_max(m - adjoint(m))
-    return HermFlag(asym <= tol * (1.0 + norm_max(m)), asym)
+    return HermFlag(asym <= TOL_HERM * (1.0 + norm_max(m)), asym)
 
 
 def herm_eigvals(m) -> tuple[float, float]:
@@ -132,8 +106,8 @@ def herm_eigvals(m) -> tuple[float, float]:
     return (0.5 * (t - r), 0.5 * (t + r))
 
 
-def is_psd(m, tol: float | None = None) -> bool:
-    """True when both eigenvalues are >= -tol * (1 + max-entry norm).
+def is_psd(m) -> bool:
+    """True when both eigenvalues are >= -TOL_HERM * (1 + max-entry norm).
 
     Raises NotHermitian when the input fails the Hermitian test, since
     positivity only makes sense for Hermitian matrices.
@@ -142,10 +116,8 @@ def is_psd(m, tol: float | None = None) -> bool:
     flag = is_hermitian(m)
     if not flag.is_hermitian:
         raise NotHermitian(f"max asymmetry {flag.max_asymmetry:.3e}")
-    if tol is None:
-        tol = TOL_HERM
     lo, _ = herm_eigvals(m)
-    return lo >= -tol * (1.0 + norm_max(m))
+    return lo >= -TOL_HERM * (1.0 + norm_max(m))
 
 
 def sqrt_psd(m) -> np.ndarray:
@@ -193,14 +165,14 @@ def _mul(x: tuple, y: tuple) -> tuple:
     )
 
 
-def _pinv(x: tuple, rank_tol: float) -> tuple:
+def _pinv(x: tuple) -> tuple:
     """Moore-Penrose pseudo-inverse of a row-major 2x2 entry 4-tuple.
 
-    A singular value sigma_2 < rank_tol * sigma_1 counts as 0. Both
+    A singular value sigma_2 < TOL_RANK * sigma_1 counts as 0. Both
     follow from sigma_1^2 + sigma_2^2 = |X|_F^2 and
     sigma_1 sigma_2 = |det X|. Rank 2 inverts by the adjugate; rank 1
     uses X* / |X|_F^2, which is exact when sigma_2 = 0 and within
-    rank_tol / sigma_1 of the truncated pseudo-inverse otherwise.
+    TOL_RANK / sigma_1 of the truncated pseudo-inverse otherwise.
     """
     a, b, c, d = x
     fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
@@ -208,24 +180,24 @@ def _pinv(x: tuple, rank_tol: float) -> tuple:
         return (0j, 0j, 0j, 0j)
     det = a * d - b * c
     s1sq = 0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)))
-    if abs(det) < rank_tol * s1sq:  # sigma_2 / sigma_1 = |det X| / sigma_1^2
+    if abs(det) < TOL_RANK * s1sq:  # sigma_2 / sigma_1 = |det X| / sigma_1^2
         return tuple(v.conjugate() / fro2 for v in (a, c, b, d))
     return (d / det, -b / det, -c / det, a / det)
 
 
-def _sandwich_f(se: tuple, me: tuple, rank_tol: float = TOL_RANK) -> tuple:
+def _sandwich_f(se: tuple, me: tuple) -> tuple:
     """F = S^+ M M^+ of solve_sandwich, on row-major entry 4-tuples."""
-    return _mul(_mul(_pinv(se, rank_tol), me), _pinv(me, rank_tol))
+    return _mul(_mul(_pinv(se), me), _pinv(me))
 
 
-def solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, float]:
+def solve_sandwich(s, m) -> tuple[np.ndarray, float]:
     """Minimum-norm least-squares F with S @ F @ M = M.
 
     The minimum-norm least-squares solution of S F M = M is
     F = S^+ M M^+ (Penrose, Proc. Cambridge Philos. Soc. 52, 1956), and
     both 2x2 pseudo-inverses have closed forms (see _pinv). A singular
     value sigma_2 of S or of M is treated as zero when
-    sigma_2 < rank_tol * sigma_1 of the same matrix. Returns (F,
+    sigma_2 < TOL_RANK * sigma_1 of the same matrix. Returns (F,
     residual) where the residual is the max-entry norm of S @ F @ M - M.
 
     When both S and M are invertible the unique solution is S^{-1}. When M
@@ -235,14 +207,14 @@ def solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, float]
     The SVD least squares on the 4x4 Kronecker system (M^T kron S)
     vec(F) = vec(M) sees the products sigma_i(S) sigma_j(M) and drops
     sigma_2(S) sigma_2(M) when the product is below
-    rank_tol * sigma_1(S) sigma_1(M). Here that term drops only when one
-    of the two ratios sigma_2 / sigma_1 is below rank_tol, so the two
-    disagree when both ratios lie between rank_tol and 1 but their
-    product is below rank_tol.
+    TOL_RANK * sigma_1(S) sigma_1(M). Here that term drops only when one
+    of the two ratios sigma_2 / sigma_1 is below TOL_RANK, so the two
+    disagree when both ratios lie between TOL_RANK and 1 but their
+    product is below TOL_RANK.
     """
     se = tuple(as_mat2(s).ravel().tolist())
     me = tuple(as_mat2(m).ravel().tolist())
-    f = _sandwich_f(se, me, rank_tol)
+    f = _sandwich_f(se, me)
     back = _mul(_mul(se, f), me)
     residual = max(abs(u - v) for u, v in zip(back, me))
     return np.array(f, dtype=complex).reshape(2, 2), residual

@@ -715,7 +715,6 @@ def matrix_psd_reduce(
         at=lambda t: compute(t)[0],
         grid=ts,
         max_residual=float(np.max(residuals)),
-        f_source="override" if f_override is not None else "min_norm",
     )
 
 

@@ -104,11 +104,9 @@ def test_vector_schrodinger_reproduction():
 
 
 def test_rank_one_b_oscillatory_branch():
-    scen, window, opt, _doc = cli.load_scenario_file("example_3_2_zero_drift")
+    scen, window, _opt, _doc = cli.load_scenario_file("example_3_2_zero_drift")
     sv = coefsys.validated(scen, window)
-    rep = criteria.oscillation_from_psd_reduction(
-        sv, window, f_override=opt.f_override
-    )
+    rep = criteria.oscillation_from_psd_reduction(sv, window)
     crit_ok = rep.verdict.kind == criteria.OSCILLATORY
 
     traj = odeint.solve_hamiltonian_frame(sv, I2, Z2, window)
@@ -122,8 +120,8 @@ def test_rank_one_b_oscillatory_branch():
     )
     assert _record(
         crit_ok and sim_ok,
-        "rank-one B, zero drift: reduced scalar criterion oscillatory with the "
-        "sqrt2 override; det-zeros recur with spacing pi within 1e-3",
+        "rank-one B, zero drift: reduced scalar criterion oscillatory; "
+        "det-zeros recur with spacing pi within 1e-3",
     ), (rep.verdict, len(times))
 
 

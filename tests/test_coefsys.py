@@ -56,12 +56,24 @@ def test_vector_schrodinger_family():
     assert abs(c5[1, 1] - 25.0) <= 1e-12
 
 
-def test_param_aliases_accepted():
-    s = coefsys.make_family("vector_schrodinger", {"λ1": 2.0, "θ1": 0.25})
+def test_param_aliases_and_misspellings_rejected():
+    # a name the family does not resolve raises instead of leaving the
+    # parameter it meant at its default
+    for family, params in (
+        ("vector_schrodinger", {"λ1": 2.0}),
+        ("vector_schrodinger", {"lambda1": 2.0, "theta1": 0.25}),
+        ("ones_B_euler", {"alpha": 0.5, "α": 0.5}),
+        ("diag_B", {"b1": 1.0, "b2": 1.0, "a12": 0.5}),
+        ("harmonic", {"c": 1.0}),
+    ):
+        with pytest.raises(ValueError, match="has no parameter"):
+            coefsys.make_family(family, params)
+    s = coefsys.make_family("vector_schrodinger", {"lam1": 2.0, "theta1": 0.25})
     assert s.params["lam1"] == 2.0
     assert s.params["theta1"] == 0.25
-    s2 = coefsys.make_family("vector_schrodinger", {"lambda1": 2.0})
-    assert s2.params["lam1"] == 2.0
+    d = coefsys.make_family("diag_B", {"b1": 1.0, "b2": 1.0, "a12_re": 0.5})
+    assert len(d.params) == 12
+    assert d.eval(0.0)[0][0, 1] == 0.5
 
 
 def test_ones_b_euler_family():

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,10 +17,16 @@ from oracles import matrix_chi_diag, matrix_psd_reduce, per_start_scalar_osc_tes
 Z2 = np.zeros((2, 2), dtype=complex)
 I2 = np.eye(2, dtype=complex)
 ONES = np.ones((2, 2), dtype=complex)
+DRAWS = Path(__file__).resolve().parent.parent / "bench" / "draws.py"
 
 
 def _tagged(s, window):
     return coefsys.validated(s, window)
+
+
+def _herm(rng, scale):
+    m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
+    return 0.5 * (m + m.conj().T)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +369,6 @@ def test_reduction_is_identity_for_unit_b():
     assert float(mat2.norm_max(p - a)) <= 1e-14
     assert float(mat2.norm_max(q - c)) <= 1e-14
     assert red.max_residual <= 1e-14
-    assert red.f_source == "min_norm"
 
 
 def test_reduction_of_singular_ones_block():
@@ -372,6 +379,8 @@ def test_reduction_of_singular_ones_block():
     assert float(mat2.norm_max(sqrt_b - root * ONES)) <= 1e-12
     assert float(mat2.norm_max(p)) <= 1e-12
     assert float(mat2.norm_max(q + 0.5 * ONES)) <= 1e-12
+    # M = 0, so the minimum-norm F = 0 solves the sandwich exactly
+    assert red.max_residual == 0.0
 
 
 def test_reduction_of_drifting_ones_block():
@@ -382,20 +391,6 @@ def test_reduction_of_drifting_ones_block():
     t = 2.0
     p = np.reshape(red.at(t).p, (2, 2))
     assert float(mat2.norm_max(p - (0.5 / (2.0 * t)) * ONES)) <= 1e-12
-    assert red.f_source == "min_norm"
-
-
-def test_reduction_rejects_bad_override():
-    s = coefsys.make_family("ones_B_euler", {"alpha": 0.5})
-    with pytest.raises(criteria.ResidualTooLarge):
-        criteria.psd_reduce(s, (1.0, 10.0), criteria._F_OVERRIDES["sqrt2_identity"])
-
-
-def test_reduction_accepts_override_with_zero_drift():
-    s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
-    red = criteria.psd_reduce(s, (0.0, 10.0), criteria._F_OVERRIDES["sqrt2_identity"])
-    assert red.f_source == "override"
-    assert red.max_residual == 0.0
 
 
 def _varying_b_scenario(name, a, c, b_of_t):
@@ -409,7 +404,7 @@ def _varying_b_scenario(name, a, c, b_of_t):
 
 
 def _reduction_cases(rng):
-    """(label, scenario, window, override) over the B shapes of psd_reduce.
+    """(label, scenario, window) over the B shapes of psd_reduce.
 
     With rank-1 B the sandwich is solvable only when A maps the range of
     S into itself: a_keep does, and a general A makes both reductions
@@ -434,13 +429,7 @@ def _reduction_cases(rng):
         )
         for shape, a_k, b in consts:
             s = _tagged(const_scenario(a_k, b, c, name=f"{shape}{k}"), window)
-            cases.append((f"{shape}{k}", s, window, None))
-        # a constant-B override: F = S^-1 solves S F M = M for any M
-        root_inv = np.linalg.inv(mat2.sqrt_psd(full))
-        s = _tagged(const_scenario(a, full, c, name=f"override{k}"), window)
-        cases.append((f"override{k}", s, window, lambda t, f=root_inv: f))
-        s = _tagged(const_scenario(np.zeros((2, 2)), rank1, c, name=f"override_zero_drift{k}"), window)
-        cases.append((f"override_zero_drift{k}", s, window, criteria._F_OVERRIDES["sqrt2_identity"]))
+            cases.append((f"{shape}{k}", s, window))
 
         def spread(t, rot=rot, d=rng.uniform(0.3, 1.5, 2), w=rng.uniform(0.5, 2.0)):
             cs, sn = np.cos(w * t), np.sin(w * t)
@@ -460,25 +449,24 @@ def _reduction_cases(rng):
         varying = (("varying_full", a, spread), ("varying_rank1", pattern_keep, beam))
         for shape, a_k, b_of_t in varying:
             s = _tagged(_varying_b_scenario(f"{shape}{k}", a_k, c, b_of_t), window)
-            cases.append((f"{shape}{k}", s, window, None))
+            cases.append((f"{shape}{k}", s, window))
     return cases
 
 
 def test_reduction_entries_match_matrix_reference(rng):
     # the entry-tuple reduction against the same reduction on 2x2 arrays:
     # constant full-rank, rank-1 and zero B, B varying through the
-    # finite-difference square root, the minimum-norm F and overrides
-    for label, s, window, override in _reduction_cases(rng):
+    # finite-difference square root, and the minimum-norm F
+    for label, s, window in _reduction_cases(rng):
         assert "B_psd" in s.tags, label
         try:
-            ref = matrix_psd_reduce(s, window, override)
+            ref = matrix_psd_reduce(s, window)
         except criteria.ResidualTooLarge as exc:
             with pytest.raises(criteria.ResidualTooLarge) as got:
-                criteria.psd_reduce(s, window, override)
+                criteria.psd_reduce(s, window)
             assert got.value.t == exc.t, label
             continue
-        red = criteria.psd_reduce(s, window, override)
-        assert red.f_source == ref.f_source
+        red = criteria.psd_reduce(s, window)
         assert abs(red.max_residual - ref.max_residual) <= 1e-14, label
         ts = np.concatenate([red.grid[::17], rng.uniform(*window, 5)])
         for t in ts:
@@ -547,21 +535,19 @@ def test_reduction_identity_for_unit_b_verdicts():
 # Options plumbing.
 
 
-def test_options_from_dict_aliases():
-    opt = criteria.AnalysisOptions.from_dict(
-        {"ε_zero": 1e-6, "F_override": "sqrt2_identity", "sim_window": [0, 5]}
-    )
-    assert opt.eps_zero == 1e-6
-    assert opt.f_override_name == "sqrt2_identity"
-    assert opt.sim_window == (0.0, 5.0)
-    assert abs(opt.f_override(0.0)[0, 0] - math.sqrt(2.0)) <= 1e-15
-
-
 def test_options_from_dict_rejects_unknown():
-    with pytest.raises(ValueError):
-        criteria.AnalysisOptions.from_dict({"nope": 1})
-    with pytest.raises(ValueError):
-        criteria.AnalysisOptions.from_dict({"F_override": "mystery"})
+    # options take their field names only: no aliases, and the removed
+    # sandwich override and burn-in fraction are unknown names
+    for raw in (
+        {"nope": 1},
+        {"F_override": "mystery"},
+        {"F_override": "sqrt2_identity"},
+        {"f_override": None},
+        {"ε_zero": 1e-6},
+        {"burn_in": 0.1},
+    ):
+        with pytest.raises(ValueError):
+            criteria.AnalysisOptions.from_dict(raw)
 
 
 # ---------------------------------------------------------------------------
@@ -698,87 +684,21 @@ def test_cross_validation_start_count_validation():
 # Randomized no-conflict campaign.
 
 
-def _herm(rng, scale):
-    m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
-    return 0.5 * (m + m.conj().T)
-
-
-def _campaign_const(name, a, b, c):
-    a = np.asarray(a, complex)
-    b = np.asarray(b, complex)
-    c = np.asarray(c, complex)
-
-    def ev(t):
-        return a.copy(), b.copy(), c.copy()
-
-    def dv(t):
-        return Z2.copy(), Z2.copy(), Z2.copy()
-
-    return coefsys.Scenario(name=name, t0=0.0, eval=ev, analytic_derivatives=dv, tags=frozenset())
-
-
-def _campaign_wavy(name, b, c0, amp, freq, phase):
-    b = np.asarray(b, complex)
-    c0 = np.asarray(c0, complex)
-
-    def ev(t):
-        return Z2.copy(), b.copy(), c0 * (1.0 + amp * math.sin(freq * t + phase))
-
-    def dv(t):
-        return Z2.copy(), Z2.copy(), c0 * (amp * freq * math.cos(freq * t + phase))
-
-    return coefsys.Scenario(name=name, t0=0.0, eval=ev, analytic_derivatives=dv, tags=frozenset())
-
-
-def _campaign_draw(rng, cls):
-    # eight coefficient classes, each aimed at a different hypothesis
-    # set: positive diagonal B, split-sign B, unit B, rank-one PSD B,
-    # decisively negative / positive potentials, and slowly modulated
-    # versions of the decisive ones
-    if cls == 0:
-        b = np.diag(rng.uniform(0.2, 1.5, 2)).astype(complex)
-        a = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 0.3
-        return _campaign_const(f"cls{cls}", a, b, _herm(rng, 0.8))
-    if cls == 1:
-        b = np.diag([rng.uniform(0.2, 1.0), -rng.uniform(0.2, 1.0)]).astype(complex)
-        a = np.diag(rng.normal(size=2) * 0.4).astype(complex)
-        return _campaign_const(f"cls{cls}", a, b, _herm(rng, 0.6))
-    if cls == 2:
-        a = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 0.3
-        return _campaign_const(f"cls{cls}", a, I2, _herm(rng, 1.0))
-    if cls == 3:
-        v = rng.normal(size=2) + 1j * rng.normal(size=2)
-        b = np.outer(v, v.conj())
-        a = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 0.25
-        return _campaign_const(f"cls{cls}", a, b, _herm(rng, 0.6))
-    if cls == 4:
-        b = np.diag(rng.uniform(0.8, 1.5, 2)).astype(complex)
-        a = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * 0.1
-        c = _herm(rng, 0.2) - np.diag(rng.uniform(6.0, 12.0, 2))
-        return _campaign_const(f"cls{cls}", a, b, c)
-    if cls == 5:
-        b = np.diag(rng.uniform(0.5, 1.5, 2)).astype(complex)
-        a = np.diag(rng.normal(size=2) * 0.3).astype(complex)
-        c = _herm(rng, 0.1) + np.diag(rng.uniform(2.0, 5.0, 2))
-        return _campaign_const(f"cls{cls}", a, b, c)
-    if cls == 6:
-        b = np.diag(rng.uniform(0.8, 1.5, 2)).astype(complex)
-        c0 = -np.diag(rng.uniform(8.0, 14.0, 2)).astype(complex)
-        return _campaign_wavy(f"cls{cls}", b, c0, 0.25, rng.uniform(0.1, 0.4), rng.uniform(0, 6))
-    b = np.diag(rng.uniform(0.5, 1.5, 2)).astype(complex)
-    c0 = np.diag(rng.uniform(2.0, 5.0, 2)).astype(complex)
-    return _campaign_wavy(f"cls{cls}", b, c0, 0.25, rng.uniform(0.1, 0.4), rng.uniform(0, 6))
+def _load_draws():
+    """The benchmark's campaign draw generator, loaded by path."""
+    spec = importlib.util.spec_from_file_location("bench_draws", DRAWS)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
 
 
 def test_campaign_never_conflicts():
     # 200 random constant and slowly varying draws; the one-directional
     # criteria must never contradict each other on any of them
-    rng = np.random.default_rng(20260816)
     opts = criteria.AnalysisOptions(rtol=1e-6, atol=1e-8, n_min=3, max_points=16)
     before = len(criteria.CONFLICT_LOG)
     kinds = {criteria.OSCILLATORY: 0, criteria.NON_OSCILLATORY: 0, criteria.INCONCLUSIVE: 0}
-    for k in range(200):
-        s = _campaign_draw(rng, k % 8)
+    for _cls, s in _load_draws().campaign_draws(20260816, 200):
         res = criteria.analyze(s, (0.0, 5.0), opts)
         kinds[res.verdict.kind] += 1
     assert len(criteria.CONFLICT_LOG) == before

@@ -16,17 +16,14 @@ EPS = float(np.finfo(float).eps)
 
 _entry = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
 _centry = st.builds(complex, _entry, _entry)
-_matrix = st.builds(mat2.mat2, _centry, _centry, _centry, _centry)
+_matrix = st.builds(
+    lambda *e: np.array(e, dtype=complex).reshape(2, 2), _centry, _centry, _centry, _centry
+)
 
 
 def test_builders_validate():
     with pytest.raises(ValueError):
-        mat2.mat2(1.0, float("inf"), 0.0, 1.0)
-    with pytest.raises(ValueError):
         mat2.as_mat2(np.zeros((3, 2)))
-    assert mat2.norm_max(mat2.identity() - np.eye(2)) == 0.0
-    assert mat2.norm_max(mat2.zeros()) == 0.0
-    assert mat2.norm_max(mat2.ones() - 1.0) == 0.0
 
 
 @given(_matrix, _matrix)
