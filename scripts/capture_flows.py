@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
-"""Hash every DP5(4) flow and every report of the packaged analyses.
+"""Hash every DP5(4) flow, report and detected zero of the packaged scenarios.
 
 Runs ``criteria.analyze`` on the four packaged scenarios with their own
-windows and options, then on the first N draws of the no-conflict
+windows and options, and after each one ``criteria.cross_validate`` on
+that analysis, then ``analyze`` on the first N draws of the no-conflict
 campaign (``bench/draws.py``: seed 20260816, window (0, 5), the campaign
-options of the test suite). It prints one line per integrated flow and
-one per report:
+options of the test suite). It prints one line per integrated flow, one
+per report and one per simulated start:
 
     flow   <op> <k> <accepted steps> <sha256 of times, steps, states, dense coefficients>
     report <op> <verdict> <sha256 of the `hamosc analyze` JSON payload without generated_at>
+    zeros  <op> <start> <count> <sha256 of the zero times, residuals and kinds>
 
-Two checkouts that print the same lines integrated the same flows bit
-for bit and wrote the same reports. Run it in each and diff the output:
+The ops are ``analyze.<name>``, ``simulate.<name>`` and
+``campaign.<draw>``. Two checkouts that print the same lines integrated
+the same flows bit for bit, wrote the same reports and detected the
+same determinant zeros. Run it in each and diff the output:
 
     python3 scripts/capture_flows.py --draws 40 > flows.txt
 
@@ -48,16 +52,30 @@ def _digest(*arrays) -> str:
     return h.hexdigest()[:16]
 
 
+def _flow_lines(op: str, flows: list) -> list:
+    return [
+        f"flow {op} {k} {len(traj.times) - 1} "
+        + _digest(traj.times, traj._seg_h, traj.states, traj._seg_q)
+        for k, traj in enumerate(flows)
+    ]
+
+
 def capture(n_draws: int) -> list:
     """Output lines for the packaged scenarios and the first n_draws draws."""
     lines = []
     flows = []  # trajectories of the op now running
-    original = odeint._dp45
+    detected = []  # zero records of each start of the op now running
+    original, original_detect = odeint._dp45, odeint.detect_det_zeros
 
     def recording(*args, **kwargs):
         traj = original(*args, **kwargs)
         flows.append(traj)
         return traj
+
+    def detecting(*args, **kwargs):
+        zeros = original_detect(*args, **kwargs)
+        detected.append(zeros)
+        return zeros
 
     jobs = []
     for name in PACKAGED:
@@ -69,22 +87,32 @@ def capture(n_draws: int) -> list:
         for _cls, scen in campaign_draws(CAMPAIGN_SEED, n_draws):
             jobs.append((f"campaign.{scen.name}", scen, CAMPAIGN_WINDOW, CAMPAIGN_OPTIONS, {}))
 
-    odeint._dp45 = recording
+    odeint._dp45, odeint.detect_det_zeros = recording, detecting
     try:
         for op, scen, window, options, doc in jobs:
             flows.clear()
             result = criteria.analyze(scen, window, options)
-            for k, traj in enumerate(flows):
-                digest = _digest(traj.times, traj._seg_h, traj.states, traj._seg_q)
-                lines.append(f"flow {op} {k} {len(traj.times) - 1} {digest}")
+            lines.extend(_flow_lines(op, flows))
             payload = cli.report_payload(result, doc)
             del payload["generated_at"]
             text = json.dumps(payload, sort_keys=True).encode()
             lines.append(
                 f"report {op} {result.verdict.kind} {hashlib.sha256(text).hexdigest()[:16]}"
             )
+            if not op.startswith("analyze."):
+                continue
+            sim_op = "simulate." + op.split(".", 1)[1]
+            flows.clear()
+            detected.clear()
+            cv = criteria.cross_validate(scen, window, options=options, analysis=result)
+            lines.extend(_flow_lines(sim_op, flows))
+            for rec, zeros in zip(cv.starts, detected):
+                text = repr([(z.time, z.residual, z.kind) for z in zeros]).encode()
+                lines.append(
+                    f"zeros {sim_op} {rec.label} {len(zeros)} {hashlib.sha256(text).hexdigest()[:16]}"
+                )
     finally:
-        odeint._dp45 = original
+        odeint._dp45, odeint.detect_det_zeros = original, original_detect
     return lines
 
 

@@ -11,9 +11,9 @@ Subcommands:
 * ``list``      catalogue of built-in scenarios
 
 Exit codes: 0 a verdict was produced (Inconclusive counts: it is a
-legitimate answer); 2 scenario validation or parse error; 3 criteria
-conflict (a tool fault, never mathematics); 4 verify found a mismatch
-between criteria and simulation.
+legitimate answer); 2 scenario validation or parse error, including an
+option with a bad value; 3 criteria conflict (a tool fault, never
+mathematics); 4 verify found a mismatch between criteria and simulation.
 
 Scenario files are JSON:
 
@@ -22,7 +22,8 @@ Scenario files are JSON:
 
 Params are the family's own parameter names; an unknown name is an
 error. Options are AnalysisOptions field names: rtol, atol, n_min,
-max_points, sign_convention, eps_zero, n_starts, seed, sim_window. The
+max_points, sign_convention, eps_zero, n_starts, seed, sim_window; an
+unknown name or a value AnalysisOptions refuses is an error. The
 environment variable HAMOSC_SEED fixes the seed for the random conjoined
 starts (default 42).
 
@@ -306,15 +307,9 @@ def cmd_verify(args) -> int:
     except criteria.CriteriaConflict as exc:
         print(f"criteria conflict: {exc}", file=sys.stderr)
         return 3
-    n_starts = args.starts if args.starts else options.n_starts
+    # --starts 0 keeps the scenario's own n_starts
     cv = criteria.cross_validate(
-        scen,
-        window,
-        n_starts=n_starts,
-        eps_zero=options.eps_zero,
-        seed=options.seed,
-        options=options,
-        analysis=result,
+        scen, window, n_starts=args.starts or None, options=options, analysis=result
     )
 
     print(f"scenario: {result.scenario_name}   window: [{window[0]:g}, {window[1]:g}]")

@@ -31,6 +31,8 @@ disagreement is reported, never suppressed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -38,7 +40,7 @@ import numpy as np
 
 from . import coefsys, mat2, odeint, riccati
 from .coefsys import Scenario
-from .riccati import Kernel, Partition
+from .riccati import Kernel
 
 __all__ = [
     "OSCILLATORY",
@@ -133,16 +135,28 @@ class CriterionReport:
     applicability: tuple  # of (hypothesis, held, detail)
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class AnalysisOptions:
     """Every knob a verdict can depend on, recorded into reports.
 
-    rtol and atol govern the verdict-engine integrations (scalar
-    oscillation tests); direct odeint use keeps its own tighter
-    defaults. Zero counting is insensitive well below these. eps_zero,
-    n_starts, seed and sim_window set the simulation of cross_validate,
-    whose own arguments can replace the first three. from_dict accepts
-    exactly the field names.
+    The one source of every criterion setting: each criterion takes an
+    AnalysisOptions and reads n_min, max_points, sign_convention, rtol
+    and atol from it. rtol and atol govern the verdict-engine
+    integrations (scalar oscillation tests, partition search, envelope
+    flows); direct odeint use keeps its own tighter defaults. Zero
+    counting is insensitive well below these. eps_zero, n_starts, seed
+    and sim_window set the simulation of cross_validate, whose own
+    arguments can replace the first three. Values are checked on
+    construction (and so on every replace): a bad one raises ValueError.
+    from_dict accepts exactly the field names.
     """
 
     rtol: float = 1e-8
@@ -155,11 +169,29 @@ class AnalysisOptions:
     seed: int = 42
     sim_window: Optional[tuple] = None  # cheaper window for simulation only
 
+    def __post_init__(self):
+        for name in ("n_min", "max_points", "n_starts"):
+            v = getattr(self, name)
+            if not (_is_int(v) and v >= 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("rtol", "atol", "eps_zero"):
+            v = getattr(self, name)
+            if not (_is_real(v) and v > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {v!r}")
+        if not _is_int(self.seed):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if self.sign_convention not in ("minus_c12", "plus_c12"):
+            raise ValueError(f"sign_convention must be minus_c12 or plus_c12, got {self.sign_convention!r}")
+        w = self.sim_window
+        if w is None:
+            return
+        if not (isinstance(w, (list, tuple)) and len(w) == 2 and all(map(_is_real, w)) and w[0] < w[1]):
+            raise ValueError(f"sim_window must be None or finite [lo, hi] with lo < hi, got {w!r}")
+        object.__setattr__(self, "sim_window", (float(w[0]), float(w[1])))
+
     @classmethod
     def from_dict(cls, raw: dict) -> "AnalysisOptions":
         d = dict(raw or {})
-        if d.get("sim_window") is not None:
-            d["sim_window"] = tuple(float(x) for x in d["sim_window"])
         known = {f.name for f in cls.__dataclass_fields__.values()}
         unknown = set(d) - known
         if unknown:
@@ -359,7 +391,7 @@ def _fired(criterion: str, kind: str, window: tuple, applicability, witnesses, n
 
 def _first_oscillating(
     criterion: str, window: tuple, applicability: list, witnesses: dict,
-    system: Callable, notes: tuple, n_min: int, *, rtol, atol,
+    system: Callable, notes: tuple, opt: AnalysisOptions,
 ) -> CriterionReport:
     """Oscillatory at the first j = 1, 2 whose scalar system oscillates.
 
@@ -369,7 +401,7 @@ def _first_oscillating(
     formatted with j.
     """
     for j in (1, 2):
-        res = scalar_osc_test(system(j), window, n_min, rtol=rtol, atol=atol)
+        res = scalar_osc_test(system(j), window, opt.n_min, rtol=opt.rtol, atol=opt.atol)
         witnesses[f"scalar_{j}"] = res
         if res.outcome == "oscillatory":
             return _fired(
@@ -380,7 +412,7 @@ def _first_oscillating(
 
 def _certified_pair(
     criterion: str, window: tuple, applicability: list, witnesses: dict,
-    kernels: list, max_points: int, *, rtol, atol, notes: str = "",
+    kernels: list, opt: AnalysisOptions, notes: str = "",
 ) -> CriterionReport:
     """NonOscillatory when both (label, Kernel) pairs certify.
 
@@ -391,7 +423,7 @@ def _certified_pair(
     """
     certified = True
     for label, k in kernels:
-        part = riccati.partition_search(k, window, max_points, rtol=rtol, atol=atol)
+        part = riccati.partition_search(k, window, opt.max_points, rtol=opt.rtol, atol=opt.atol)
         witnesses[f"certificate_{label}"] = "none" if part is None else "partition"
         if part is None:
             certified = False
@@ -408,12 +440,7 @@ def _certified_pair(
 
 
 def oscillation_from_diagonal(
-    s: Scenario,
-    window: tuple,
-    n_min: int = 5,
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
 ) -> CriterionReport:
     """Oscillatory when either diagonal scalar system is.
 
@@ -448,8 +475,7 @@ def oscillation_from_diagonal(
 
     return _first_oscillating(
         OSC_DIAG, window, applicability, {}, system,
-        ("scalar system j={j} oscillates", "no scalar system oscillates"),
-        n_min, rtol=rtol, atol=atol,
+        ("scalar system j={j} oscillates", "no scalar system oscillates"), opt,
     )
 
 
@@ -458,12 +484,7 @@ def oscillation_from_diagonal(
 
 
 def nonoscillation_sign_split(
-    s: Scenario,
-    window: tuple,
-    max_points: int = 64,
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
 ) -> CriterionReport:
     """Non-oscillation for diagonal B with b_1, b_2 of opposite signs.
 
@@ -497,9 +518,7 @@ def nonoscillation_sign_split(
         chi = riccati.free_term_diag(s, j)
         kernels.append((str(j), Kernel(_a_weight(s, j), lambda t, chi=chi, sgn=sgn: sgn * chi(t))))
     witnesses = {"case": "b1>=0,b2<=0" if case_a else "b1<=0,b2>=0"}
-    return _certified_pair(
-        NONOSC_SPLIT, window, applicability, witnesses, kernels, max_points, rtol=rtol, atol=atol
-    )
+    return _certified_pair(NONOSC_SPLIT, window, applicability, witnesses, kernels, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -507,13 +526,7 @@ def nonoscillation_sign_split(
 
 
 def nonoscillation_envelope(
-    s: Scenario,
-    window: tuple,
-    max_points: int = 64,
-    sign_convention: str = "minus_c12",
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
 ) -> CriterionReport:
     """Non-oscillation for positive diagonal B via chi_3, chi_4 kernels.
 
@@ -529,7 +542,7 @@ def nonoscillation_envelope(
     if not (ok_diag and ok_pos):
         return _inconclusive(NONOSC_ENVELOPE, window, applicability)
 
-    env = riccati.envelope_terms_diag(s, window, sign_convention, rtol=rtol, atol=atol)
+    env = riccati.envelope_terms_diag(s, window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol)
     notes = ""
     a0 = s.eval(float(window[0]))[0]
     if max(abs(a0[0, 1]), abs(a0[1, 0])) > coefsys.TOL_POS * (1.0 + mat2.norm_max(a0)):
@@ -537,12 +550,9 @@ def nonoscillation_envelope(
             "coupling nonzero at window start; the envelope derivation "
             "normalizes it to zero there, so the bound is conservative"
         )
-    witnesses = {"sign_convention": sign_convention}
+    witnesses = {"sign_convention": opt.sign_convention}
     kernels = [("3", Kernel(_a_weight(s, 1), env.chi3)), ("4", Kernel(_a_weight(s, 2), env.chi4))]
-    return _certified_pair(
-        NONOSC_ENVELOPE, window, applicability, witnesses, kernels, max_points,
-        rtol=rtol, atol=atol, notes=notes,
-    )
+    return _certified_pair(NONOSC_ENVELOPE, window, applicability, witnesses, kernels, opt, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -685,12 +695,7 @@ def _chi_tilde(p: tuple, q: tuple, j: int) -> float:
 
 
 def oscillation_from_psd_reduction(
-    s: Scenario,
-    window: tuple,
-    n_min: int = 5,
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
 ) -> CriterionReport:
     """Oscillation via the reduced scalar equations.
 
@@ -715,19 +720,12 @@ def oscillation_from_psd_reduction(
     witnesses = {"max_residual": red.max_residual}
     return _first_oscillating(
         OSC_PSD, window, applicability, witnesses, system,
-        ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates"),
-        n_min, rtol=rtol, atol=atol,
+        ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates"), opt,
     )
 
 
 def nonoscillation_psd_envelope(
-    s: Scenario,
-    window: tuple,
-    max_points: int = 64,
-    sign_convention: str = "minus_c12",
-    *,
-    rtol: float = 1e-8,
-    atol: float = 1e-10,
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
 ) -> CriterionReport:
     """Non-oscillation via the envelope terms of the reduced system.
 
@@ -770,13 +768,12 @@ def nonoscillation_psd_envelope(
         return lambda t: 2.0 * red.at(t).p[jj].real
 
     data = riccati.EnvelopeData(values, riccati.fd_slopes(values, s.t0, s.domain_end))
-    env = riccati.build_envelope_terms(data, window, sign_convention, rtol=rtol, atol=atol)
-    witnesses = {"sign_convention": sign_convention, "max_residual": red.max_residual}
-    kernels = [("tilde3", Kernel(p_weight(1), env.chi3)), ("tilde4", Kernel(p_weight(2), env.chi4))]
-    return _certified_pair(
-        NONOSC_PSD_ENVELOPE, window, applicability, witnesses, kernels, max_points,
-        rtol=rtol, atol=atol,
+    env = riccati.build_envelope_terms(
+        data, window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
     )
+    witnesses = {"sign_convention": opt.sign_convention, "max_residual": red.max_residual}
+    kernels = [("tilde3", Kernel(p_weight(1), env.chi3)), ("tilde4", Kernel(p_weight(2), env.chi4))]
+    return _certified_pair(NONOSC_PSD_ENVELOPE, window, applicability, witnesses, kernels, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -793,21 +790,19 @@ _HYPOTHESIS_ERRORS = {
 
 
 def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
+    # the names are read from the module on each call, so a function
+    # patched onto it (a tracer, a test's recorder) is the one that runs
     runs = (
-        lambda: oscillation_from_diagonal(s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol),
-        lambda: nonoscillation_sign_split(s, window, opt.max_points, rtol=opt.rtol, atol=opt.atol),
-        lambda: nonoscillation_envelope(
-            s, window, opt.max_points, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
-        ),
-        lambda: oscillation_from_psd_reduction(s, window, opt.n_min, rtol=opt.rtol, atol=opt.atol),
-        lambda: nonoscillation_psd_envelope(
-            s, window, opt.max_points, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
-        ),
+        oscillation_from_diagonal,
+        nonoscillation_sign_split,
+        nonoscillation_envelope,
+        oscillation_from_psd_reduction,
+        nonoscillation_psd_envelope,
     )
     reports = []
     for cid, run in zip(CRITERION_ORDER, runs):
         try:
-            reports.append(run())
+            reports.append(run(s, window, opt))
         except tuple(_HYPOTHESIS_ERRORS) as exc:
             hypothesis = next(h for err, h in _HYPOTHESIS_ERRORS.items() if isinstance(exc, err))
             reports.append(_inconclusive(cid, window, [(hypothesis, False, str(exc))]))
@@ -968,8 +963,6 @@ def cross_validate(
     """
     given = {"n_starts": n_starts, "eps_zero": eps_zero, "seed": seed}
     opt = replace(options or AnalysisOptions(), **{k: v for k, v in given.items() if v is not None})
-    if opt.n_starts < 1:
-        raise ValueError("n_starts must be >= 1")
     if analysis is None:
         analysis = analyze(s, window, opt)
     sim_window = opt.sim_window or (float(window[0]), float(window[1]))

@@ -1011,17 +1011,17 @@ def detect_det_zeros(
     zeta, thresh_scale = _indicator_arrays(traj, ts)
     absz = np.abs(zeta)
 
-    def zeta_scalar(t: float) -> complex:
-        z, _ = _indicator_arrays(traj, np.array([t]))
-        return complex(z[0])
+    def indicator(t: float) -> tuple:
+        """(zeta, threshold scale) at one time, from one indicator read."""
+        z, sc = _indicator_arrays(traj, np.array([t]))
+        return complex(z[0]), float(sc[0])
 
     found: list[ZeroRecord] = []
 
     if real_coefficients:
-        for root in sign_change_roots(lambda t: float(np.real(zeta_scalar(t))), ts, np.real(zeta)):
-            val = zeta_scalar(root)
-            _, sc = _indicator_arrays(traj, np.array([root]))
-            if abs(val) <= eps_zero * float(sc[0]):
+        for root in sign_change_roots(lambda t: indicator(t)[0].real, ts, np.real(zeta)):
+            val, sc = indicator(root)
+            if abs(val) <= eps_zero * sc:
                 found.append(ZeroRecord(root, abs(val), "sign_change"))
 
     # modulus dips: interior minima of |zeta| over the nodes; runs of equal
@@ -1037,16 +1037,15 @@ def detect_det_zeros(
         if k < len(roots) and roots[k] <= ts[i + 1]:
             continue
         res = minimize_scalar(
-            lambda t: abs(zeta_scalar(t)),
+            lambda t: abs(indicator(t)[0]),
             bounds=(ts[i - 1], ts[i + 1]),
             method="bounded",
             options={"xatol": 1e-12},
         )
         t_star = float(res.x)
-        m_star = float(res.fun)
-        _, sc = _indicator_arrays(traj, np.array([t_star]))
-        if m_star <= eps_zero * float(sc[0]):
-            found.append(ZeroRecord(t_star, m_star, "modulus_dip"))
+        val, sc = indicator(t_star)
+        if abs(val) <= eps_zero * sc:
+            found.append(ZeroRecord(t_star, abs(val), "modulus_dip"))
     # window endpoints can sit on a zero without bracketing a node minimum
     for j in (0, len(ts) - 1):
         if absz[j] <= eps_zero * float(thresh_scale[j]):

@@ -629,17 +629,13 @@ def matrix_chi_diag(a, b, c, j: int) -> float:
     return -(cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other])))
 
 
-def matrix_psd_reduce(
-    s: Scenario,
-    window: tuple,
-    f_override: Optional[Callable] = None,
-) -> criteria.PsdReduction:
+def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     """criteria.psd_reduce as it was on 2x2 arrays, the reference of its entry tuples.
 
     Reduce a PSD-B system to unit-B form through the square root.
 
     Per time: S = sqrt of B, M = A S - S', F solves the sandwich
-    S F M = M (minimum-norm least squares, or the override), P = F M,
+    S F M = M (minimum-norm least squares), P = F M,
     Q = S C S symmetrized. Raises ResidualTooLarge when the sandwich
     defect exceeds 1e-8 * (1 + |M|) anywhere on the validation grid:
     downstream criteria treat that as inapplicability. The defect and
@@ -665,7 +661,7 @@ def matrix_psd_reduce(
     sq0 = mat2.sqrt_psd(b0) if const_b else None
     m0 = a0 @ sq0 if (const_a and const_b) else None
     f0 = None
-    if m0 is not None and f_override is None:
+    if m0 is not None:
         f0, _ = mat2.solve_sandwich(sq0, m0)
     q0 = None
     if const_b and const_c:
@@ -684,9 +680,7 @@ def matrix_psd_reduce(
             sq = mat2.sqrt_psd(b)
             dsq = coefsys.coeff_derivative(s, "sqrtB", key)
             m = a @ sq - dsq
-        if f_override is not None:
-            f = np.asarray(f_override(key), complex)
-        elif f0 is not None:
+        if f0 is not None:
             f = f0
         else:
             f, _ = mat2.solve_sandwich(sq, m)

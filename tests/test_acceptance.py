@@ -132,10 +132,10 @@ def test_rank_one_b_oscillatory_branch():
 def test_rank_one_b_euler_nonoscillatory_branch():
     scen, window, opt, _doc = cli.load_scenario_file("example_3_2_euler_a05")
     sv = coefsys.validated(scen, window)
-    # the certifying convention: c12 entering the envelope with a plus
+    # the file's options hold the certifying convention: c12 entering the envelope with a plus
     # sign, exponent weight from the reduced coefficients (the minus_c12
     # drive does not certify)
-    rep = criteria.nonoscillation_psd_envelope(sv, window, sign_convention="plus_c12")
+    rep = criteria.nonoscillation_psd_envelope(sv, window, opt)
     crit_ok = rep.verdict.kind == criteria.NON_OSCILLATORY
 
     res = criteria.analyze(scen, window, opt)

@@ -6,9 +6,26 @@ import json
 import re
 
 import numpy as np
+import pytest
 
 from hamosc import cli, coefsys, criteria, mat2, odeint
 from oracles import phi_psi_at
+
+
+@pytest.mark.parametrize(
+    "command, options",
+    [
+        ("analyze", {"sign_convention": "bogus"}),
+        ("analyze", {"n_min": "5"}),
+        ("verify", {"n_starts": 0}),
+        ("verify", {"sim_window": [5, 1]}),
+    ],
+)
+def test_bad_option_value_exits_2(tmp_path, capsys, command, options):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"family": "harmonic", "window": [0.0, 10.0], "options": options}))
+    assert cli.main([command, str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys, monkeypatch):

@@ -512,9 +512,13 @@ def test_reduced_envelope_convention_split():
     # the drifting ones block certifies under the plus drive and only
     # under it; the minus drive must withhold, not contradict
     s = coefsys.make_family("ones_B_euler", {"alpha": 0.5})
-    plus = criteria.nonoscillation_psd_envelope(s, (1.0, 1000.0), 64, "plus_c12")
+    plus = criteria.nonoscillation_psd_envelope(
+        s, (1.0, 1000.0), criteria.AnalysisOptions(sign_convention="plus_c12")
+    )
     assert plus.verdict.kind == criteria.NON_OSCILLATORY
-    minus = criteria.nonoscillation_psd_envelope(s, (1.0, 1000.0), 64, "minus_c12")
+    minus = criteria.nonoscillation_psd_envelope(
+        s, (1.0, 1000.0), criteria.AnalysisOptions(sign_convention="minus_c12")
+    )
     assert minus.verdict.kind == criteria.INCONCLUSIVE
 
 
@@ -527,7 +531,7 @@ def test_reduction_identity_for_unit_b_verdicts():
         red_osc = criteria.oscillation_from_psd_reduction(s, (0.0, 30.0))
         assert plain_osc.verdict.kind == red_osc.verdict.kind
         plain_env = criteria.nonoscillation_envelope(s, (0.0, 30.0))
-        red_env = criteria.nonoscillation_psd_envelope(s, (0.0, 30.0), 64, "minus_c12")
+        red_env = criteria.nonoscillation_psd_envelope(s, (0.0, 30.0))
         assert plain_env.verdict.kind == red_env.verdict.kind
 
 
@@ -548,6 +552,57 @@ def test_options_from_dict_rejects_unknown():
     ):
         with pytest.raises(ValueError):
             criteria.AnalysisOptions.from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"n_min": "5"}, {"n_min": 0}, {"n_min": True}, {"n_min": 2.5},
+        {"max_points": -1}, {"max_points": None},
+        {"n_starts": 0}, {"n_starts": False},
+        {"rtol": 0.0}, {"rtol": -1e-8}, {"rtol": "1e-8"}, {"rtol": True},
+        {"atol": math.inf}, {"eps_zero": math.nan}, {"eps_zero": None},
+        {"seed": 1.5}, {"seed": "42"}, {"seed": True},
+        {"sign_convention": "bogus"}, {"sign_convention": None},
+        {"sim_window": [5, 1]}, {"sim_window": [1.0, 1.0]}, {"sim_window": [0.0]},
+        {"sim_window": [0.0, "a"]}, {"sim_window": [0.0, None]},
+        {"sim_window": [0.0, math.inf]}, {"sim_window": 5}, {"sim_window": "ab"},
+    ],
+)
+def test_options_reject_bad_values(raw):
+    with pytest.raises(ValueError):
+        criteria.AnalysisOptions.from_dict(raw)
+
+
+def test_options_accept_good_values():
+    opt = criteria.AnalysisOptions.from_dict(
+        {"n_min": np.int64(3), "rtol": 1, "seed": -7, "sim_window": [0, 60]}
+    )
+    assert opt.sim_window == (0.0, 60.0) and isinstance(opt.sim_window[0], float)
+    assert replace(opt, sign_convention="plus_c12").sign_convention == "plus_c12"
+    with pytest.raises(ValueError):
+        replace(opt, n_starts=0)
+
+
+def test_analyze_calls_each_criterion_with_the_options_object(monkeypatch):
+    # analyze looks the criteria up on the module, which tracing relies
+    # on: a patched criterion must be the one called, with (s, window, opt)
+    calls = {}
+    for name in ("nonoscillation_sign_split", "oscillation_from_psd_reduction"):
+        inner = getattr(criteria, name)
+
+        def recording(*args, inner=inner, name=name, **kwargs):
+            calls.setdefault(name, []).append((args, kwargs))
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(criteria, name, recording)
+    window = (0.0, 20.0)
+    opt = criteria.AnalysisOptions(n_min=3, max_points=16, rtol=1e-7, atol=1e-9)
+    res = criteria.analyze(coefsys.make_family("harmonic", {}), window, opt)
+    assert res.verdict.kind == criteria.OSCILLATORY
+    assert sorted(calls) == ["nonoscillation_sign_split", "oscillation_from_psd_reduction"]
+    for (((s, w, o), kwargs),) in calls.values():
+        assert s.name == "harmonic" and w == window and o is opt and kwargs == {}
 
 
 # ---------------------------------------------------------------------------
