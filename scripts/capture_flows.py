@@ -10,7 +10,7 @@ per report and one per simulated start:
 
     flow   <op> <k> <accepted steps> <sha256 of times, steps, states, dense coefficients>
     report <op> <verdict> <sha256 of the `hamosc analyze` JSON payload without generated_at>
-    zeros  <op> <start> <count> <sha256 of the zero times, residuals and kinds>
+    zeros  <op> <start> <count> <sha256 of the zero times, residuals and multiplicities>
 
 The ops are ``analyze.<name>``, ``simulate.<name>`` and
 ``campaign.<draw>``. Two checkouts that print the same lines integrated
@@ -107,7 +107,7 @@ def capture(n_draws: int) -> list:
             cv = criteria.cross_validate(scen, window, options=options, analysis=result)
             lines.extend(_flow_lines(sim_op, flows))
             for rec, zeros in zip(cv.starts, detected):
-                text = repr([(z.time, z.residual, z.kind) for z in zeros]).encode()
+                text = repr([(z.time, z.residual, z.multiplicity) for z in zeros]).encode()
                 lines.append(
                     f"zeros {sim_op} {rec.label} {len(zeros)} {hashlib.sha256(text).hexdigest()[:16]}"
                 )

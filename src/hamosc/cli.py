@@ -276,7 +276,7 @@ def cmd_simulate(args) -> int:
             first_traj, first_zeros = traj, zeros
         print(f"start ({label}): {len(zeros)} det-zero(s)")
         for z in zeros:
-            print(f"  t = {z.time:.6f}  (indicator {z.residual:.3e}, {z.kind})")
+            print(f"  t = {z.time:.6f}  (indicator {z.residual:.3e}, multiplicity {z.multiplicity})")
         if not zeros:
             ts = np.linspace(window[0], window[1], 2001)
             det = _det_series(traj, ts)
@@ -348,6 +348,12 @@ def cmd_list(args) -> int:
     return 0
 
 
+def _start_count(text: str) -> int:  # argparse exits 2 when this raises
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return int(text)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="hamosc",
@@ -366,13 +372,13 @@ def main(argv=None) -> int:
     p = sub.add_parser("simulate", help="integrate the system, report det zeros")
     p.add_argument("scenario")
     p.add_argument("--csv", default=None, help="write a trajectory CSV here")
-    p.add_argument("--starts", type=int, default=1, help="number of conjoined starts")
+    p.add_argument("--starts", type=_start_count, default=1, help="number of conjoined starts")
     p.add_argument("--points", type=int, default=1000, help="uniform CSV sample count")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="criteria against simulation, consistency table")
     p.add_argument("scenario")
-    p.add_argument("--starts", type=int, default=0, help="override the start count")
+    p.add_argument("--starts", type=_start_count, default=0, help="override the start count")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("list", help="catalogue of built-in scenarios")
@@ -381,10 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (coefsys.NonHermitian, coefsys.OutOfDomain) as exc:
+    except (ScenarioError, coefsys.NonHermitian, coefsys.OutOfDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -899,13 +899,12 @@ def simulate_starts(
     The starts are (I, 0) and (I, I), then Phi0 = I with Psi0 drawn by
     random_hermitian from a generator seeded with seed; the first
     n_starts of that sequence run. The scenario is validated on the
-    window, whose real_coefficients tag switches on sign-change zero
-    detection. Yields one (label, trajectory, zero records) per start,
-    integrating each only when asked for it, so a caller that keeps no
-    trajectory holds one at a time.
+    window. Zeros come from odeint.detect_det_zeros, the one counter for
+    real and complex coefficients. Yields one (label, trajectory, zero
+    records) per start, integrating each only when asked for it, so a
+    caller that keeps no trajectory holds one at a time.
     """
     s = coefsys.validated(s, window)
-    real_coeffs = "real_coefficients" in s.tags
     eye = np.eye(2, dtype=complex)
     start_list = [("I,0", eye, np.zeros((2, 2), complex)), ("I,I", eye, eye)]
     rng = np.random.default_rng(seed)
@@ -913,7 +912,7 @@ def simulate_starts(
         start_list.append((f"rand{i}", eye, mat2.random_hermitian(rng, 1.0)))
     for label, phi0, psi0 in start_list[:n_starts]:
         traj = odeint.solve_hamiltonian_frame(s, phi0, psi0, window)
-        yield label, traj, odeint.detect_det_zeros(traj, eps_zero, real_coefficients=real_coeffs)
+        yield label, traj, odeint.detect_det_zeros(traj, eps_zero)
 
 
 def _start_record(label: str, traj: odeint.Trajectory, zeros: list, window: tuple) -> StartRecord:

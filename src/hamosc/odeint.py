@@ -35,9 +35,9 @@ Drivers provided:
   trajectory plus a blow-up record. The criteria never call them: a
   Riccati pole is a zero of the linear flow, which they count directly.
   The tests use them to check that correspondence.
-* ``detect_det_zeros``: sign-change root finding (``sign_change_roots``)
-  plus modulus-dip refinement on a normalized determinant indicator,
-  both bracketed by the trajectory's accepted nodes.
+* ``detect_det_zeros``: counts the times an eigen-angle of the unitary
+  U = (Phi - i Psi)(Phi + i Psi)^-1 passes pi, for real and complex
+  coefficients alike, bracketed by the accepted nodes.
 
 ``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule for a plain
 definite integral. The package does not call it: the tests use it as
@@ -47,12 +47,13 @@ and ``bench/tracing.py`` wraps it by name.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .mat2 import adjoint, is_hermitian
 
@@ -956,114 +957,110 @@ def sign_change_roots(fn: Callable[[float], float], ts: np.ndarray, vals: np.nda
 
 @dataclass(frozen=True)
 class ZeroRecord:
-    """A detected zero of det Phi: location, residual there, and how it was found."""
+    """A zero of det Phi: its time, the residual |det Phi / det(Phi + i Psi)|
+    there (at most 1), and its multiplicity dim ker Phi (1 or 2)."""
 
     time: float
     residual: float
-    kind: str  # "sign_change" or "modulus_dip"
+    multiplicity: int
 
 
-def _indicator_arrays(traj: Trajectory, ts: np.ndarray):
-    """Normalized determinant indicator on an array of times.
+def _focal_phases(x, sqrt, phase):
+    """The eigen-angles of U = (Phi - i Psi)(Phi + i Psi)^-1 less pi, in (-pi, pi].
 
-    zeta(t) = det Phi / (product of stacked column norms). The denominator
-    is smooth and positive for a rank-2 frame, so zeros and sign changes of
-    zeta are exactly those of det Phi (frame trajectories carry an extra
-    positive real factor which cannot affect either).
+    x is [Phi; Psi] row-major: 8 Python complexes (cmath's sqrt and phase)
+    or 8 numpy arrays (numpy's). U + I = 2 Phi (Phi + i Psi)^-1, so
+    det Phi = 0 exactly when a phase is 0, and renormalizing the frame
+    leaves U unchanged. The half-difference of U's diagonal keeps a
+    double eigenvalue double to round-off.
     """
-    phi, psi = _unpack_many(traj.dense_eval(ts))
-    det = _det2(phi)
-    stacked = np.concatenate([phi, psi], axis=1)  # (n, 4, 2)
-    colnorm = np.sqrt(np.sum(np.abs(stacked) ** 2, axis=1))  # (n, 2)
-    kappa = colnorm[:, 0] * colnorm[:, 1]
-    phin = np.max(np.abs(phi.reshape(len(ts), 4)), axis=1)
-    zeta = det / kappa
-    thresh_scale = (1.0 + phin**2) / kappa
-    return zeta, thresh_scale
+    p11, p12, p21, p22, s11, s12, s21, s22 = x
+    w11, w12, w21, w22 = p11 + 1j * s11, p12 + 1j * s12, p21 + 1j * s21, p22 + 1j * s22
+    v11, v12, v21, v22 = p11 - 1j * s11, p12 - 1j * s12, p21 - 1j * s21, p22 - 1j * s22
+    det_w = w11 * w22 - w12 * w21
+    # U = V adj(W) / det W
+    u11 = (v11 * w22 - v12 * w21) / det_w
+    u12 = (v12 * w11 - v11 * w12) / det_w
+    u21 = (v21 * w22 - v22 * w21) / det_w
+    u22 = (v22 * w11 - v21 * w12) / det_w
+    mid, half_gap = 0.5 * (u11 + u22), 0.5 * (u11 - u22)
+    root = sqrt(half_gap * half_gap + u12 * u21)
+    return phase(-mid - root), phase(root - mid)
 
 
-def detect_det_zeros(
-    traj: Trajectory,
-    eps_zero: float = 1e-7,
-    *,
-    real_coefficients: bool = False,
-) -> list[ZeroRecord]:
-    """Locate zeros of det Phi along a Hamiltonian trajectory.
+def _turn(a, b):  # distance from phase a to phase b on the circle
+    return abs((b - a + math.pi) % (2.0 * math.pi) - math.pi)
 
-    Two detectors run on a normalized indicator read at the accepted
-    nodes, whose steps the solver has already certified: sign-change
-    root finding on the real part between adjacent nodes (only meaningful
-    for real-coefficient flows, where det is real), and modulus-dip
-    refinement over the two steps around each node minimum of |zeta|,
-    which catches tangential zeros such as det = cos^2 t that never
-    change sign. The modulus path always runs, except at a node minimum
-    whose two steps already hold a recorded sign-change root.
-    A candidate t* is reported when |det Phi| <= eps_zero * (1 + |Phi|^2)
-    there, evaluated in the trajectory's own normalization. Zeros closer
-    than 1e-9 (1 + |t|) are merged, or 1e-7 (1 + |t|) when the two
-    detectors report the same zero.
+
+def _step_zeros(traj: Trajectory, i: int, eps_zero: float) -> list:
+    """The zeros of det Phi on step i, from _focal_phases of its dense output.
+
+    The step is halved until no phase moves over pi/4 (the phases at the
+    ends matched by the smaller movement). brentq refines each sign change
+    not across the cut at pi: of the phase nearer 0 when the two are over
+    pi/2 apart at both ends, else of the lower or upper one. Two roots are
+    one double zero when both phases are within eps_zero of 0 at their mean.
+    """
+    t0, h = float(traj.times[i]), float(traj._seg_h[i])
+    rows = list(zip(traj.states[i].view(complex).tolist(), *traj._seg_q[i].T.copy().view(complex).tolist()))
+
+    def phases(t: float) -> tuple:
+        th = (t - t0) / h
+        x = [y0 + h * th * (a + th * (b + th * (c + th * d))) for y0, a, b, c, d in rows]
+        return _focal_phases(x, cmath.sqrt, cmath.phase)
+
+    def record(t: float, multiplicity: int) -> list:
+        p1, p2 = phases(t)
+        residual = abs(math.sin(0.5 * p1) * math.sin(0.5 * p2))
+        return [ZeroRecord(float(t), residual, multiplicity)] if residual <= eps_zero else []
+
+    zeros = []
+    t1 = float(traj.times[i + 1])
+    pending = [(t0, phases(t0), t1, phases(t1))]
+    while pending:
+        ta, pa, tb, pb = pending.pop()
+        tm = 0.5 * (ta + tb)
+        same = max(_turn(pa[0], pb[0]), _turn(pa[1], pb[1]))
+        swap = max(_turn(pa[0], pb[1]), _turn(pa[1], pb[0]))
+        if min(same, swap) > 0.25 * math.pi and ta < tm < tb:
+            pm = phases(tm)
+            pending += [(tm, pm, tb, pb), (ta, pa, tm, pm)]
+            continue
+        picks = (min, max) if min(_turn(*pa), _turn(*pb)) <= 0.5 * math.pi else (lambda p: min(p, key=abs),)
+        roots = sorted(
+            brentq(lambda t: pick(phases(t)), ta, tb, xtol=1e-13, rtol=8.9e-16)
+            for pick in picks
+            if (pick(pa) < 0.0) != (pick(pb) < 0.0) and abs(pick(pa)) + abs(pick(pb)) < math.pi
+        )
+        tm = sum(roots) / 2
+        if len(roots) == 2 and max(map(abs, phases(tm))) <= eps_zero:
+            zeros += record(tm, 2)
+        else:
+            zeros += [z for t in roots for z in record(t, 1)]
+    return zeros
+
+
+def detect_det_zeros(traj: Trajectory, eps_zero: float = 1e-7) -> list[ZeroRecord]:
+    """Zeros of det Phi on (t0, t_end] of a Hamiltonian trajectory, one record per time.
+
+    det Phi = 0 exactly when an eigen-angle of the unitary U of
+    _focal_phases is pi; when both are, the zero has multiplicity 2. The
+    angles are read at the nodes in one array pass, and a step where one
+    moves over pi/4 or may pass pi is read on its dense output
+    (_step_zeros). A record is kept when its residual is at most eps_zero.
+    Under B >= 0 the angles move one way (Barrett, Proc. AMS 8, 1957), so
+    a crossing is missed only in a step where an angle turns more than pi;
+    for an indefinite B, also one that passes pi and returns in a sub-step.
     """
     if traj.meta.get("kind") != "hamiltonian":
         raise ValueError("detect_det_zeros expects a Hamiltonian trajectory")
-    if traj.t_end <= traj.t0:
-        return []
-    ts = traj.times
-    zeta, thresh_scale = _indicator_arrays(traj, ts)
-    absz = np.abs(zeta)
-
-    def indicator(t: float) -> tuple:
-        """(zeta, threshold scale) at one time, from one indicator read."""
-        z, sc = _indicator_arrays(traj, np.array([t]))
-        return complex(z[0]), float(sc[0])
-
-    found: list[ZeroRecord] = []
-
-    if real_coefficients:
-        for root in sign_change_roots(lambda t: indicator(t)[0].real, ts, np.real(zeta)):
-            val, sc = indicator(root)
-            if abs(val) <= eps_zero * sc:
-                found.append(ZeroRecord(root, abs(val), "sign_change"))
-
-    # modulus dips: interior minima of |zeta| over the nodes; runs of equal
-    # values (flat indicator) collapse to a single representative so a
-    # constant determinant does not trigger a refinement per node
-    interior = np.nonzero((absz[1:-1] <= absz[:-2]) & (absz[1:-1] <= absz[2:]))[0] + 1
-    clusters = np.split(interior, np.nonzero(np.diff(interior) > 1)[0] + 1) if len(interior) else []
-    # a dip whose two steps hold a recorded sign-change root is that zero
-    roots = np.array([r.time for r in found])
-    for cl in clusters:
-        i = int(cl[np.argmin(absz[cl])])
-        k = int(np.searchsorted(roots, ts[i - 1]))
-        if k < len(roots) and roots[k] <= ts[i + 1]:
-            continue
-        res = minimize_scalar(
-            lambda t: abs(indicator(t)[0]),
-            bounds=(ts[i - 1], ts[i + 1]),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        t_star = float(res.x)
-        val, sc = indicator(t_star)
-        if abs(val) <= eps_zero * sc:
-            found.append(ZeroRecord(t_star, abs(val), "modulus_dip"))
-    # window endpoints can sit on a zero without bracketing a node minimum
-    for j in (0, len(ts) - 1):
-        if absz[j] <= eps_zero * float(thresh_scale[j]):
-            found.append(ZeroRecord(float(ts[j]), float(absz[j]), "modulus_dip"))
-
-    found.sort(key=lambda r: r.time)
-    merged: list[ZeroRecord] = []
-    for rec in found:
-        if merged:
-            prev = merged[-1]
-            # the dip refiner is only good to ~1e-7 near a simple zero, so a
-            # dip landing that close to a root of another kind is the same
-            # zero seen by both detectors; keep the sharper record
-            same_kind = rec.kind == prev.kind
-            tol = (1e-9 if same_kind else 1e-7) * (1 + abs(rec.time))
-            if abs(rec.time - prev.time) <= tol:
-                if rec.residual < prev.residual:
-                    merged[-1] = rec
-                continue
-        merged.append(rec)
-    return merged
+    a = np.array(_focal_phases(traj.states.view(complex).T, np.sqrt, np.angle))
+    a, b = a[:, :-1], a[:, 1:]
+    same = np.maximum(_turn(a[0], b[0]), _turn(a[1], b[1]))
+    swap = np.maximum(_turn(a[0], b[1]), _turn(a[1], b[0]))
+    # a phase that passes 0 over a step is within pi/4 of 0 at both ends;
+    # the 1e-9 covers numpy's phases against cmath's
+    lo, hi = np.minimum(a[:, None], b), np.maximum(a[:, None], b)
+    passes = (lo < 1e-9) & (hi > -1e-9) & (hi - lo < 0.25 * math.pi + 1e-9)
+    keep = (np.minimum(same, swap) > 0.25 * math.pi - 1e-9) | passes.any(axis=(0, 1))
+    return [z for i in np.nonzero(keep)[0].tolist() for z in _step_zeros(traj, i, eps_zero)]

@@ -21,7 +21,11 @@
 * ``window_grid_det_zeros``: ``odeint.detect_det_zeros`` as it was
   before it scanned the accepted nodes. Its grid spans the window at
   the smaller of 1% of the window and the shortest step, between 101
-  and 262,145 points, and it refines at most 4,096 modulus dips.
+  and 262,145 points, and it refines at most 4,096 modulus dips. Its
+  sign-change and modulus-dip detectors read the normalized indicator
+  ``_indicator_arrays``, and its ``ZeroRecord`` says which one found
+  each zero; both are the package's as they were before it counted
+  the eigen-angles of U.
 * ``matrix_chi_diag``, ``matrix_psd_reduce``: ``riccati.chi_diag`` and
   ``criteria.psd_reduce`` as they were on 2x2 numpy arrays, before their
   per-stage reads moved to entry 4-tuples of Python scalars. They give
@@ -34,6 +38,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,8 +53,8 @@ from hamosc.odeint import (
     DEFAULT_Y_MAX,
     BlowupRecord,
     Trajectory,
-    ZeroRecord,
-    _indicator_arrays,
+    _det2,
+    _unpack_many,
     adaptive_solve,
     sign_change_roots,
     solve_scalar_riccati,
@@ -420,6 +425,34 @@ def per_start_scalar_osc_test(
         n_min=n_min,
         notes=f"burn_in_edge={burn_edge:.6g} quarter_threshold={quarter:.6g}",
     )
+
+
+@dataclass(frozen=True)
+class ZeroRecord:
+    """A detected zero of det Phi: location, residual there, and how it was found."""
+
+    time: float
+    residual: float
+    kind: str  # "sign_change" or "modulus_dip"
+
+
+def _indicator_arrays(traj: Trajectory, ts: np.ndarray):
+    """Normalized determinant indicator on an array of times.
+
+    zeta(t) = det Phi / (product of stacked column norms). The denominator
+    is smooth and positive for a rank-2 frame, so zeros and sign changes of
+    zeta are exactly those of det Phi (frame trajectories carry an extra
+    positive real factor which cannot affect either).
+    """
+    phi, psi = _unpack_many(traj.dense_eval(ts))
+    det = _det2(phi)
+    stacked = np.concatenate([phi, psi], axis=1)  # (n, 4, 2)
+    colnorm = np.sqrt(np.sum(np.abs(stacked) ** 2, axis=1))  # (n, 2)
+    kappa = colnorm[:, 0] * colnorm[:, 1]
+    phin = np.max(np.abs(phi.reshape(len(ts), 4)), axis=1)
+    zeta = det / kappa
+    thresh_scale = (1.0 + phin**2) / kappa
+    return zeta, thresh_scale
 
 
 def window_grid_det_zeros(

@@ -50,7 +50,7 @@ def _record(ok: bool, label: str) -> bool:
 def test_harmonic_ground_truth():
     s = coefsys.make_family("harmonic", {})
     traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 100.0))
-    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
     times = np.array([z.time for z in zeros])
     expected = np.pi / 2.0 + np.pi * np.arange(32)
     zeros_ok = len(times) == 32 and float(np.max(np.abs(times - expected))) <= 1e-6
@@ -110,7 +110,7 @@ def test_rank_one_b_oscillatory_branch():
     crit_ok = rep.verdict.kind == criteria.OSCILLATORY
 
     traj = odeint.solve_hamiltonian_frame(sv, I2, Z2, window)
-    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
     times = np.array([z.time for z in zeros])
     gaps = np.diff(times)
     sim_ok = (

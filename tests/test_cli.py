@@ -28,12 +28,25 @@ def test_bad_option_value_exits_2(tmp_path, capsys, command, options):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["verify", "simulate"])
+def test_negative_start_count_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "harmonic.json"
+    path.write_text(json.dumps({"family": "harmonic", "window": [0.0, 10.0]}))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, str(path), "--starts", "-1"])
+    assert exc.value.code == 2
+    assert "--starts: must be >= 0" in capsys.readouterr().err
+
+
 def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("HAMOSC_SEED", raising=False)
     path = tmp_path / "harmonic.json"
     path.write_text(json.dumps({"family": "harmonic", "window": [0.0, 10.0]}))
     assert cli.main(["simulate", str(path), "--starts", "3"]) == 0
-    printed = dict(re.findall(r"^start \((.+)\): (\d+) det-zero", capsys.readouterr().out, re.M))
+    out = capsys.readouterr().out
+    printed = dict(re.findall(r"^start \((.+)\): (\d+) det-zero", out, re.M))
+    # det Phi = cos^2 t and 2 sin^2(t + pi/4) for the first two starts: double zeros
+    assert re.findall(r"multiplicity (\d)", out) == ["2"] * 6 + ["1"] * 6
 
     opt = criteria.AnalysisOptions()
     cv = criteria.cross_validate(

@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hamosc import coefsys, mat2, odeint
+from hamosc import coefsys, criteria, mat2, odeint
 from conftest import const_scenario, hermitian
 from oracles import phi_psi_at, riccati_z_at, window_grid_det_zeros
 
 I2 = np.eye(2, dtype=complex)
 Z2 = np.zeros((2, 2), dtype=complex)
+DRAWS = Path(__file__).resolve().parent.parent / "bench" / "draws.py"
 
 
 # ---------------------------------------------------------------------------
@@ -282,8 +285,8 @@ def test_frame_solver_matches_plain_on_moderate_window():
     s = coefsys.make_family("harmonic", {})
     plain = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 10.0))
     frame = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 10.0))
-    zp = odeint.detect_det_zeros(plain, real_coefficients=True)
-    zf = odeint.detect_det_zeros(frame, real_coefficients=True)
+    zp = odeint.detect_det_zeros(plain)
+    zf = odeint.detect_det_zeros(frame)
     assert len(zp) == len(zf) == 3
     for a, b in zip(zp, zf):
         assert abs(a.time - b.time) <= 1e-6
@@ -391,7 +394,7 @@ def test_defect_and_scale_match_the_matrix_formulas():
 def test_detect_det_zeros_harmonic():
     s = coefsys.make_family("harmonic", {})
     traj = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 10.0))
-    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
     times = [z.time for z in zeros]
     expected = [math.pi / 2.0, 3.0 * math.pi / 2.0, 5.0 * math.pi / 2.0]
     assert len(times) == 3
@@ -401,13 +404,13 @@ def test_detect_det_zeros_harmonic():
 def test_detect_det_zeros_constant_flow_has_none():
     s = const_scenario(Z2, Z2, Z2)
     traj = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 10.0))
-    assert odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True) == []
+    assert odeint.detect_det_zeros(traj, 1e-7) == []
 
 
 def test_detect_det_zeros_euler():
     s = coefsys.make_family("euler", {"c": 2.5})
     traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (1.0, 100.0))
-    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
     times = [z.time for z in zeros]
     assert len(times) == 2
     assert abs(times[0] - 2.2995125865799344) <= 1e-4
@@ -415,19 +418,27 @@ def test_detect_det_zeros_euler():
 
 
 def test_detect_det_zeros_matches_the_window_grid_reference():
-    """Scanning the accepted nodes finds the zeros the window grid finds."""
+    """Counting eigen-angle crossings finds the zeros the window grid finds."""
     cases = [
-        ("harmonic", {}, (0.0, 20.0)),
-        ("ones_B_zero_drift", {"c_sum": -1.0}, (0.0, 30.0)),
-        ("euler", {"c": 2.5}, (1.0, 100.0)),
+        ("harmonic", {}, (0.0, 20.0), (True, False)),
+        ("ones_B_zero_drift", {"c_sum": -1.0}, (0.0, 30.0), (True, False)),
+        ("euler", {"c": 2.5}, (1.0, 100.0), (True, False)),
+        # B = diag(1, -0.5) is indefinite, so the angles may turn back;
+        # det Phi is real and the reference's sign changes find its zeros
+        (
+            "diag_B",
+            {"b1": 1.0, "b2": -0.5, "c11": -1.0, "c22": 1.0, "a12_re": 0.3, "a21_re": -0.2},
+            (0.0, 20.0),
+            (True,),
+        ),
     ]
     n_zeros = 0
-    for family, params, window in cases:
+    for family, params, window, real_modes in cases:
         s = coefsys.make_family(family, params)
         for psi0 in (Z2, I2):
             traj = odeint.solve_hamiltonian_frame(s, I2, psi0, window)
-            for real in (True, False):
-                got = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=real)
+            got = odeint.detect_det_zeros(traj, 1e-7)
+            for real in real_modes:
                 want = window_grid_det_zeros(traj, 1e-7, real_coefficients=real)
                 case = (family, psi0[0, 0].real, real)
                 assert len(got) == len(want), case
@@ -438,47 +449,65 @@ def test_detect_det_zeros_matches_the_window_grid_reference():
 
 
 def test_detect_det_zeros_reads_the_indicator_at_the_nodes(monkeypatch):
-    # det Phi = cos^2 t: three tangential zeros, found from the accepted
-    # nodes alone with no denser grid of the detector's own
+    # det Phi = cos^2 t: both eigen-angles of U pass pi together, three
+    # times; the angles are read in one pass over the accepted nodes and
+    # at single times inside the steps, never on a denser grid
     s = coefsys.make_family("harmonic", {})
     traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 10.0))
     sizes = []
-    inner = odeint._indicator_arrays
+    inner = odeint._focal_phases
 
-    def recorded(tr, ts):
-        sizes.append(len(ts))
-        return inner(tr, ts)
+    def recorded(x, sqrt, phase):
+        sizes.append(np.size(x[0]))
+        return inner(x, sqrt, phase)
 
-    monkeypatch.setattr(odeint, "_indicator_arrays", recorded)
-    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    monkeypatch.setattr(odeint, "_focal_phases", recorded)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
     assert max(sizes) == len(traj.times)
-    times = [z.time for z in zeros]
+    assert sizes.count(len(traj.times)) == 1
     expected = [math.pi / 2.0, 3.0 * math.pi / 2.0, 5.0 * math.pi / 2.0]
-    assert len(times) == 3
-    assert max(abs(a - b) for a, b in zip(times, expected)) <= 1e-6
+    assert [z.multiplicity for z in zeros] == [2, 2, 2]
+    assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-6
 
 
-def test_detect_det_zeros_skips_dips_at_sign_change_roots(monkeypatch):
+def test_detect_det_zeros_skips_dips_at_sign_change_roots():
     # Phi = diag(cos t + 0.5 sin t, cos t - 2 sin t): seven simple zeros on
-    # (0, 10), each bracketed by brentq, so no dip needs refining
+    # (0, 10), one eigen-angle of U passing pi at each
     s = coefsys.make_family("harmonic", {})
     traj = odeint.solve_hamiltonian_frame(s, I2, np.diag([0.5, -2.0]).astype(complex), (0.0, 10.0))
-    calls = []
-    inner = odeint.minimize_scalar
-
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("bounds"))
-        return inner(*args, **kwargs)
-
-    monkeypatch.setattr(odeint, "minimize_scalar", counted)
-    zeros = odeint.detect_det_zeros(traj, 1e-7, real_coefficients=True)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
     expected = sorted(
         [math.atan(0.5) + k * math.pi for k in range(4)]
         + [math.pi - math.atan(2.0) + k * math.pi for k in range(3)]
     )
-    assert calls == []
-    assert [z.kind for z in zeros] == ["sign_change"] * 7
+    assert [z.multiplicity for z in zeros] == [1] * 7
     assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-8
+    # at rtol 1e-3 a phase turns up to about 1.6 over one accepted step;
+    # halving such steps on the dense output keeps all 13 zeros on (0, 20)
+    loose = odeint.solve_hamiltonian_frame(
+        s, I2, np.diag([0.5, -2.0]).astype(complex), (0.0, 20.0), rtol=1e-3, atol=1e-5
+    )
+    zeros = odeint.detect_det_zeros(loose, 1e-7)
+    expected = sorted(
+        [math.atan(0.5) + k * math.pi for k in range(7)]
+        + [math.pi - math.atan(2.0) + k * math.pi for k in range(6)]
+    )
+    assert len(zeros) == 13
+    assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-2
+
+
+def test_detect_det_zeros_keeps_two_close_zeros():
+    # campaign draws 12 and 180 (complex coefficients, B > 0) each have two
+    # zeros about 0.013 apart that sit around one node minimum of |det Phi|;
+    # the exact flow of their constant coefficients has 10 zeros on (0, 5)
+    # for each of the five starts
+    spec = importlib.util.spec_from_file_location("bench_draws", DRAWS)
+    draws = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(draws)
+    picked = {k: s for k, (_cls, s) in enumerate(draws.campaign_draws(20260816, 200)) if k in (12, 180)}
+    for k, s in picked.items():
+        counts = {label: len(zeros) for label, _traj, zeros in criteria.simulate_starts(s, (0.0, 5.0), 5)}
+        assert counts == {"I,0": 10, "I,I": 10, "rand0": 10, "rand1": 10, "rand2": 10}, k
 
 
 def test_detect_det_zeros_wants_hamiltonian_meta():
