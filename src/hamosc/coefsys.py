@@ -1,11 +1,15 @@
 """Coefficient providers: the map t -> (A(t), B(t), C(t)) with metadata.
 
 A Scenario bundles the coefficient triple of the 4d Hamiltonian system
-with its left endpoint, optional analytic derivatives, and structural
-tags (diagonal B, PSD / positive B, real coefficients). Tags are verified
-by sampling, never trusted from the caller: validate_scenario is the one
-place that sets them, and the built-in families wire them in because
-their structure is known by construction.
+with its left endpoint, its derivatives, and structural tags (diagonal
+B, PSD / positive B, real coefficients). Tags are verified by sampling,
+never trusted from the caller: validate_scenario is the one place that
+sets them, and the built-in families wire them in because their
+structure is known by construction.
+
+The derivatives (A', B', C') are required, and are the package's only
+source of coefficient derivatives: families wire them in closed form,
+tables differentiate their splines, and nothing is differenced.
 
 Built-in families:
 
@@ -39,7 +43,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .mat2 import TOL_HERM, is_hermitian, norm_max, sqrt_psd
+from .mat2 import TOL_HERM, is_hermitian, norm_max
 
 __all__ = [
     "Scenario",
@@ -53,7 +57,6 @@ __all__ = [
     "make_family",
     "from_table",
     "load_table_csv",
-    "coeff_derivative",
     "validate_scenario",
     "validated",
     "FAMILIES",
@@ -99,7 +102,10 @@ class Scenario:
     """Coefficient triple with metadata.
 
     eval: t -> (A, B, C), each a 2x2 complex ndarray.
-    analytic_derivatives: t -> (A', B', C') when the family knows them.
+    analytic_derivatives: t -> (A', B', C'), the exact derivatives of
+    eval's blocks in the same form, defined where eval is (raising
+    OutOfDomain where it does). psd_reduce counts a block as constant
+    when its derivative is exactly 0 at its probes.
     tags: structural flags from {B_diagonal, B_psd, B_positive,
     real_coefficients}; set by construction or by validate_scenario.
     domain_end: right end of validity (None = unbounded).
@@ -110,7 +116,7 @@ class Scenario:
     name: str
     t0: float
     eval: Callable
-    analytic_derivatives: Callable | None = None
+    analytic_derivatives: Callable
     tags: frozenset = frozenset()
     domain_end: float | None = None
     family: str | None = None
@@ -419,49 +425,6 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
     )
     report = validate_scenario(scen, (lo, hi), n_samples=max(64, 4 * len(tab.times)))
     return replace(scen, tags=report.tags)
-
-
-# ---------------------------------------------------------------------------
-# Derivatives.
-
-_FD_EPS = np.finfo(float).eps ** (1.0 / 3.0)
-
-
-def _fd_step(t: float) -> float:
-    return _FD_EPS * max(1.0, abs(t))
-
-
-def _central_fd(fn, t, lo, hi):
-    h = _fd_step(t)
-    if lo is not None and t - h < lo:
-        # second-order one-sided at the left edge
-        return (-3.0 * fn(t) + 4.0 * fn(t + h) - fn(t + 2 * h)) / (2.0 * h)
-    if hi is not None and t + h > hi:
-        return (3.0 * fn(t) - 4.0 * fn(t - h) + fn(t - 2 * h)) / (2.0 * h)
-    return (fn(t + h) - fn(t - h)) / (2.0 * h)
-
-
-def coeff_derivative(s: Scenario, which: str, t: float):
-    """Derivative of A, B, C, or sqrtB at t.
-
-    Analytic when the scenario provides one; otherwise a central finite
-    difference with step eps^(1/3) * max(1, |t|), one-sided at domain
-    edges. sqrtB always differentiates the sqrt_psd composition by the
-    finite-difference scheme, since the square-root path has no wired
-    analytic derivative.
-    """
-    t = float(t)
-    hi = s.domain_end
-    if t < s.t0 - 1e-12 * (1 + abs(s.t0)) or (hi is not None and t > hi + 1e-12 * (1 + abs(hi))):
-        raise OutOfDomain(t, s.t0, hi if hi is not None else math.inf)
-    idx = {"A": 0, "B": 1, "C": 2}
-    if which == "sqrtB":
-        return _central_fd(lambda u: sqrt_psd(s.eval(u)[1]), t, s.t0, hi)
-    if which not in idx:
-        raise ValueError(f"which must be A, B, C, or sqrtB, got {which!r}")
-    if s.analytic_derivatives is not None:
-        return s.analytic_derivatives(t)[idx[which]]
-    return _central_fd(lambda u: s.eval(u)[idx[which]], t, s.t0, hi)
 
 
 def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:

@@ -601,7 +601,9 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
 
     Per time: S = sqrt of B, M = A S - S', F = S^+ M M^+ the
     minimum-norm least-squares solution of the sandwich S F M = M,
-    P = F M, Q = S C S symmetrized. Raises ResidualTooLarge when the
+    P = F M, Q = S C S symmetrized, with S' from B' in closed form
+    (mat2._sqrt_derivative, which raises NotDifferentiable where sqrt B
+    has no derivative). Raises ResidualTooLarge when the
     sandwich defect exceeds 1e-8 * (1 + |M|) anywhere on the validation
     grid: downstream criteria treat that as inapplicability. The defect
     and |M| are computed on that grid only, not at every integrator
@@ -612,18 +614,16 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     memo = {}
     mul = mat2._mul
 
-    # Constant coefficients are the common case and the pointwise path
-    # (matrix square root, FD derivative, sandwich solve) is far too slow
-    # to repeat per integrator stage. A block counts as constant when the
-    # scenario's own declared derivative vanishes at several probes.
+    # Constant coefficients are the common case, and the pointwise path
+    # (matrix square root, its derivative, sandwich solve) is too slow to
+    # repeat per integrator stage. A block counts as constant when the
+    # scenario's derivative vanishes at several probes.
     lo, hi = float(window[0]), float(window[1])
-    const_a = const_b = const_c = False
-    if s.analytic_derivatives is not None:
-        probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
-        ders = [s.analytic_derivatives(t) for t in probes]
-        const_a = all(mat2.norm_max(np.asarray(d[0])) == 0.0 for d in ders)
-        const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
-        const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
+    probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
+    ders = [s.analytic_derivatives(t) for t in probes]
+    const_a, const_b, const_c = (
+        all(mat2.norm_max(np.asarray(d[k])) == 0.0 for d in ders) for k in range(3)
+    )
     a0, b0, c0 = s.eval(lo)
     sq0 = tuple(mat2.sqrt_psd(b0).ravel().tolist()) if const_b else None
     m0 = mul(a0.ravel().tolist(), sq0) if (const_a and const_b) else None
@@ -644,7 +644,7 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
             m = m0 if m0 is not None else mul(a.ravel().tolist(), sq)
         else:
             sq = tuple(mat2.sqrt_psd(b).ravel().tolist())
-            dsq = coefsys.coeff_derivative(s, "sqrtB", key).ravel().tolist()
+            dsq = mat2._sqrt_derivative(sq, s.analytic_derivatives(key)[1].ravel().tolist())
             m = tuple(u - v for u, v in zip(mul(a.ravel().tolist(), sq), dsq))
         f = f0 if f0 is not None else mat2._sandwich_f(sq, m)
         p = p0 if p0 is not None else mul(f, m)
@@ -784,6 +784,7 @@ def nonoscillation_psd_envelope(
 # each failure becomes an Inconclusive row that names it
 _HYPOTHESIS_ERRORS = {
     mat2.NotPSD: "B positive semidefinite",
+    mat2.NotDifferentiable: "sqrt B differentiable",
     coefsys.ZeroDiagonalB: "b_1, b_2 nonzero",
     coefsys.OutOfDomain: "window inside the coefficient domain",
 }

@@ -3,14 +3,14 @@
 Matrices are numpy arrays of shape (2, 2) and dtype complex128 throughout
 the public API. Everything here is closed-form: determinants, traces,
 pseudo-inverses, Hermitian and positive-semidefinite predicates, the
-principal PSD square root, and the minimum-norm solution of the sandwich
-equation S @ X @ M = M.
+principal PSD square root and its derivative, and the minimum-norm
+solution of the sandwich equation S @ X @ M = M.
 
 Code that reads a 2x2 at every integrator stage works on Python scalars
 instead: the row-major entry 4-tuple (e11, e12, e21, e22), read from an
-array as ``m.ravel().tolist()``. ``_mul``, ``_pinv`` and ``_sandwich_f``
-take and return that form, and the per-stage readers of ``criteria`` and
-``riccati`` index it (entry (i, j) at 2 (i - 1) + (j - 1)).
+array as ``m.ravel().tolist()``. ``_mul``, ``_pinv``, ``_sandwich_f`` and
+``_sqrt_derivative`` take and return that form, and the per-stage readers
+of ``criteria`` and ``riccati`` index it (entry (i, j) at 2 (i-1) + (j-1)).
 
 Norms are max-absolute-entry unless stated otherwise; all tolerances scale
 as tol * (1 + norm) so the checks behave identically across magnitudes.
@@ -26,6 +26,7 @@ import numpy as np
 __all__ = [
     "NotHermitian",
     "NotPSD",
+    "NotDifferentiable",
     "HermFlag",
     "as_mat2",
     "norm_max",
@@ -51,6 +52,10 @@ class NotHermitian(ValueError):
 
 class NotPSD(ValueError):
     """Operation requires a positive semidefinite input."""
+
+
+class NotDifferentiable(ValueError):
+    """sqrt B has no derivative: B' does not vanish on the kernel of B."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +162,34 @@ def sqrt_psd(m) -> np.ndarray:
     return 0.5 * (s + adjoint(s))
 
 
+def _sqrt_derivative(se: tuple, de: tuple) -> tuple:
+    """S' with S S' + S' S = B' for S = sqrt B, on entry 4-tuples se, de.
+
+    In an eigenbasis of S, S'_ij = B'_ij / (sigma_i + sigma_j) (Higham,
+    Functions of Matrices, SIAM 2008, ch. 6). A sum at most
+    TOL_HERM * (1 + sigma_1) counts as 0: there S'_ij = 0, the minimum-
+    norm choice, and B'_ij must vanish to TOL_HERM * (1 + |B'|), else
+    NotDifferentiable. The eigenvector of sigma_1 is a column of
+    S - sigma_2 I, so U* S U is diagonal to rounding however close the
+    eigenvalues.
+    """
+    p, q, r = se[0].real, se[1], se[3].real
+    half = 0.5 * (p - r)
+    rho = math.hypot(half, abs(q))
+    sig = (0.5 * (p + r) + rho, 0.5 * (p + r) - rho)
+    x, y = (half + rho, q.conjugate()) if half >= 0.0 else (q, rho - half)
+    n = math.hypot(abs(x), abs(y))
+    x, y = (x / n, y / n) if n > 0.0 else (1.0, 0.0)  # n = 0: S = sigma I
+    u, uh = (x, -y.conjugate(), y, x.conjugate()), (x.conjugate(), y.conjugate(), -y, x)
+    d = _mul(_mul(uh, de), u)
+    den = [sig[k // 2] + sig[k % 2] for k in range(4)]
+    zero, small = TOL_HERM * (1.0 + sig[0]), TOL_HERM * (1.0 + max(map(abs, de)))
+    bad = [abs(dk) for dk, nk in zip(d, den) if nk <= zero and abs(dk) > small]
+    if bad:
+        raise NotDifferentiable(f"B' has {max(bad):.3e} on the kernel of B, where sqrt B is 0")
+    return _mul(_mul(u, tuple(dk / nk if nk > zero else 0j for dk, nk in zip(d, den))), uh)
+
+
 def _mul(x: tuple, y: tuple) -> tuple:
     """Product of two 2x2 matrices given as row-major entry 4-tuples."""
     return (
@@ -180,7 +213,9 @@ def _pinv(x: tuple) -> tuple:
         return (0j, 0j, 0j, 0j)
     det = a * d - b * c
     s1sq = 0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)))
-    if abs(det) < TOL_RANK * s1sq:  # sigma_2 / sigma_1 = |det X| / sigma_1^2
+    # sigma_2 / sigma_1 = |det X| / sigma_1^2, tested as a ratio: the
+    # product TOL_RANK * s1sq underflows to 0 at entries near 1e-160
+    if abs(det) / s1sq < TOL_RANK:
         return tuple(v.conjugate() / fro2 for v in (a, c, b, d))
     return (d / det, -b / det, -c / det, a / det)
 

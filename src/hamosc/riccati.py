@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefsys import TOL_POS, Scenario, ZeroDiagonalB, _central_fd, eval_entries
+from .coefsys import TOL_POS, Scenario, ZeroDiagonalB, eval_entries
 from .odeint import Trajectory, adaptive_solve, segment_states
 
 __all__ = [
@@ -263,27 +263,30 @@ class EnvelopeTerms:
     chi4: Callable
 
 
+_FD_EPS = np.finfo(float).eps ** (1.0 / 3.0)
+
+
 def fd_slopes(values: Callable, lo: float, hi: Optional[float]) -> Callable:
     """slopes(t, v) of the ratios in values by central differences.
 
-    The differences are one-sided near the domain ends lo and hi (hi None
-    for an unbounded domain), where v = values(t) stands in for the read
-    at t. Both ratios difference the same reads, so a call reads values
-    twice.
+    The package's one difference quotient: the PSD envelope's reduced
+    ratios need S'' for their slopes, and so B'', which Scenario does not
+    carry. Step eps^(1/3) * max(1, |t|), second-order one-sided near the
+    domain ends lo and hi (hi None for an unbounded domain), where
+    v = values(t) stands in for the read at t. Both ratios difference the
+    same reads, so a call reads values twice.
     """
 
     def slopes(t, v):
-        reads = {t: v}
-
-        def ratio(j):
-            def at(u):
-                if u not in reads:
-                    reads[u] = values(u)
-                return reads[u][j]
-
-            return at
-
-        return _central_fd(ratio(1), t, lo, hi), _central_fd(ratio(2), t, lo, hi)
+        h = _FD_EPS * max(1.0, abs(t))
+        if lo is not None and t - h < lo:
+            f1, f2 = values(t + h), values(t + 2 * h)
+            return tuple((-3.0 * v[j] + 4.0 * f1[j] - f2[j]) / (2.0 * h) for j in (1, 2))
+        if hi is not None and t + h > hi:
+            f1, f2 = values(t - h), values(t - 2 * h)
+            return tuple((3.0 * v[j] - 4.0 * f1[j] + f2[j]) / (2.0 * h) for j in (1, 2))
+        fp, fm = values(t + h), values(t - h)
+        return tuple((fp[j] - fm[j]) / (2.0 * h) for j in (1, 2))
 
     return slopes
 
@@ -368,9 +371,9 @@ def _diag_envelope_data(s: Scenario) -> EnvelopeData:
     """Envelope inputs of a diagonal-B scenario, one s.eval per values read.
 
     Both readers work on the blocks' entry 4-tuples (coefsys.eval_entries).
-    slopes uses the scenario's analytic derivatives when it has them,
-    with the ratios and b_j of the values it is handed, else fd_slopes.
-    A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
+    slopes differentiates the ratios by the quotient rule, from the
+    scenario's A' and B' and the ratios and b_j of the values it is
+    handed. A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
     """
 
     def values(t):
@@ -385,9 +388,6 @@ def _diag_envelope_data(s: Scenario) -> EnvelopeData:
             a[0].conjugate() + a[3], a[1] / b1, a[2].conjugate() / b2,
             c[1], b1, b2, c[0].real, c[3].real,
         )
-
-    if s.analytic_derivatives is None:
-        return EnvelopeData(values=values, slopes=fd_slopes(values, s.t0, s.domain_end))
 
     def slopes(t, v):
         r1, r2, b1, b2 = v[1], v[2], v[4], v[5]

@@ -30,6 +30,10 @@
   ``criteria.psd_reduce`` as they were on 2x2 numpy arrays, before their
   per-stage reads moved to entry 4-tuples of Python scalars. They give
   the references of chi_j and of the reduced coefficients S, F, P, Q.
+  ``matrix_psd_reduce`` takes S' from ``lstsq_sqrt_derivative``, the
+  least-squares solve of S S' + S' S = B', not from the package's
+  closed form;
+* ``central_difference``: the reference of every wired derivative.
 * ``per_sample_validate_scenario``: ``coefsys.validate_scenario`` as it
   was before it checked the stacked samples, with the mat2 predicates
   called on one sample at a time.
@@ -44,7 +48,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from hamosc import coefsys, criteria, mat2, riccati
+from hamosc import criteria, mat2, riccati
 from hamosc.coefsys import TOL_POS, NonHermitian, Scenario, ValidationReport
 from hamosc.mat2 import TOL_HERM, TOL_RANK, TOL_SING, as_mat2, det2, is_hermitian, is_psd, norm_max, tr2
 from hamosc.odeint import (
@@ -561,6 +565,26 @@ def lstsq_solve_sandwich(s, m, rank_tol: float = TOL_RANK) -> tuple[np.ndarray, 
     return f, residual
 
 
+def lstsq_sqrt_derivative(s, db, rank_tol: float = TOL_RANK) -> np.ndarray:
+    """Minimum-norm least-squares S' with S S' + S' S = B'.
+
+    Vectorizes to the 4x4 Kronecker system
+    (I kron S + S^T kron I) vec(S') = vec(B') and solves by SVD-backed
+    least squares with singular values below rank_tol * s_max treated
+    as zero.
+    """
+    s = as_mat2(s)
+    k = np.kron(np.eye(2), s) + np.kron(s.T, np.eye(2))
+    rhs = as_mat2(db).reshape(-1, order="F")
+    sol, _, _, _ = np.linalg.lstsq(k, rhs, rcond=rank_tol)
+    return sol.reshape((2, 2), order="F")
+
+
+def central_difference(fn: Callable, t: float, h: float = 1e-5):
+    """(fn(t + h) - fn(t - h)) / (2 h), the reference of a wired derivative."""
+    return (np.asarray(fn(t + h)) - np.asarray(fn(t - h))) / (2.0 * h)
+
+
 class Singular(ValueError):
     """Determinant too small for a trustworthy inverse."""
 
@@ -679,17 +703,15 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     memo = {}
 
     # Constant coefficients are the common case and the pointwise path
-    # (matrix square root, FD derivative, least squares) is far too slow
+    # (matrix square root, its derivative, least squares) is far too slow
     # to repeat per integrator stage. A block counts as constant when the
     # scenario's own declared derivative vanishes at several probes.
     lo, hi = float(window[0]), float(window[1])
-    const_a = const_b = const_c = False
-    if s.analytic_derivatives is not None:
-        probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
-        ders = [s.analytic_derivatives(t) for t in probes]
-        const_a = all(mat2.norm_max(np.asarray(d[0])) == 0.0 for d in ders)
-        const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
-        const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
+    probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
+    ders = [s.analytic_derivatives(t) for t in probes]
+    const_a = all(mat2.norm_max(np.asarray(d[0])) == 0.0 for d in ders)
+    const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
+    const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
     a0, b0, c0 = s.eval(lo)
     sq0 = mat2.sqrt_psd(b0) if const_b else None
     m0 = a0 @ sq0 if (const_a and const_b) else None
@@ -711,7 +733,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
             m = m0 if m0 is not None else a @ sq
         else:
             sq = mat2.sqrt_psd(b)
-            dsq = coefsys.coeff_derivative(s, "sqrtB", key)
+            dsq = lstsq_sqrt_derivative(sq, s.analytic_derivatives(key)[1])
             m = a @ sq - dsq
         if f0 is not None:
             f = f0

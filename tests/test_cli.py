@@ -28,6 +28,16 @@ def test_bad_option_value_exits_2(tmp_path, capsys, command, options):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_analyze_exits_0_on_a_drift_near_underflow(tmp_path, capsys):
+    # a11 = 1e-160 makes |det M| and TOL_RANK sigma_1^2 underflow in the
+    # reduction's pseudo-inverse, which then divided by det = 0
+    path = tmp_path / "tiny.json"
+    params = {"b1": 1, "b2": 1, "a11": 1e-160, "c11": -1, "c22": -1}
+    path.write_text(json.dumps({"family": "diag_B", "params": params, "window": [0.0, 10.0]}))
+    assert cli.main(["analyze", str(path)]) == 0
+    assert capsys.readouterr().err == "tiny.json: Inconclusive\n"
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_negative_start_count_exits_2(tmp_path, capsys, command):
     path = tmp_path / "harmonic.json"

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from hamosc import coefsys, mat2
 from conftest import const_scenario
-from oracles import per_sample_validate_scenario
+from oracles import central_difference, per_sample_validate_scenario
 
 I2 = np.eye(2, dtype=complex)
 
@@ -34,13 +32,10 @@ def test_euler_family_values_and_derivative():
     s = coefsys.make_family("euler", {"c": 2.5})
     _, _, c = s.eval(1.0)
     assert mat2.norm_max(c + 2.5 * I2) <= 1e-14
-    # analytic derivative of the C entry at t = 1 is 2c
-    dc = coefsys.coeff_derivative(s, "C", 1.0)
-    assert abs(dc[0, 0] - 5.0) <= 1e-12
-    # finite differences must land on the same value without the wiring
-    fd = dataclasses.replace(s, analytic_derivatives=None)
-    dc_fd = coefsys.coeff_derivative(fd, "C", 1.0)
-    assert mat2.norm_max(dc_fd - dc) <= 1e-8
+    # the derivative of C = -(c / t^2) I at t = 1 is 2c I
+    da, db, dc = s.analytic_derivatives(1.0)
+    assert mat2.norm_max(dc - 5.0 * I2) <= 1e-12
+    assert mat2.norm_max(da) == 0.0 and mat2.norm_max(db) == 0.0
 
 
 def test_vector_schrodinger_family():
@@ -84,9 +79,10 @@ def test_ones_b_euler_family():
     assert abs(c[0, 0] + 2.0 * np.real(c[0, 1]) + c[1, 1] - 0.25) <= 1e-14
     # rank-one B: semidefinite but not strictly positive
     assert "B_psd" in s.tags and "B_positive" not in s.tags
-    # B is constant, so the square root must not drift either
-    droot = coefsys.coeff_derivative(s, "sqrtB", 2.0)
-    assert mat2.norm_max(droot) <= 1e-8
+    # B is constant, so the derivative of its square root is exactly 0
+    root = mat2.sqrt_psd(b).ravel().tolist()
+    droot = mat2._sqrt_derivative(root, s.analytic_derivatives(2.0)[1].ravel().tolist())
+    assert droot == (0j, 0j, 0j, 0j)
 
 
 def test_family_errors():
@@ -99,32 +95,29 @@ def test_family_errors():
 
 
 def test_analytic_derivatives_match_finite_differences():
-    # every wired derivative agrees with central differences on 100 points
+    # every family's wired A', B', C' against central differences on 100 points
     cases = [
+        coefsys.make_family("harmonic", {}),
         coefsys.make_family("euler", {"c": 1.7}),
+        coefsys.make_family(
+            "diag_B", {"b1": 1.0, "b2": -0.5, "a12_im": 0.5, "c11": -1.0, "c12_re": 0.3}
+        ),
         coefsys.make_family("vector_schrodinger", {"p1": 0.8, "lam2": 2.2}),
+        coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}),
         coefsys.make_family("ones_B_euler", {"alpha": 0.3}),
         coefsys.make_family("ones_B_alpha_conditions", {"a0": 0.5, "a1": 0.2, "s0": -1.0}),
     ]
+    assert {s.family for s in cases} == set(coefsys.FAMILIES)
     rng = np.random.default_rng(21)
     for s in cases:
-        fd = dataclasses.replace(s, analytic_derivatives=None)
         ts = s.t0 + rng.uniform(0.05, 10.0, 100)
-        for which in ("A", "B", "C"):
+        for k, which in enumerate("ABC"):
             for t in ts:
-                ana = coefsys.coeff_derivative(s, which, float(t))
-                num = coefsys.coeff_derivative(fd, which, float(t))
+                ana = s.analytic_derivatives(float(t))[k]
+                num = central_difference(lambda u: s.eval(u)[k], float(t))
                 assert mat2.norm_max(ana - num) <= 1e-6 * (
                     1.0 + mat2.norm_max(ana)
                 ), (s.name, which, t)
-
-
-def test_coeff_derivative_guards():
-    s = coefsys.make_family("euler", {"c": 1.0})
-    with pytest.raises(coefsys.OutOfDomain):
-        coefsys.coeff_derivative(s, "C", 0.5)  # before t0 = 1
-    with pytest.raises(ValueError):
-        coefsys.coeff_derivative(s, "D", 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -181,6 +174,11 @@ def test_from_table_no_extrapolation():
     with pytest.raises(coefsys.OutOfDomain):
         s.eval(3.2)
     s.eval(3.0 + 1e-13)  # within the domain slack
+    # the spline derivatives check the domain the same way
+    for t in (0.9, 3.2):
+        with pytest.raises(coefsys.OutOfDomain):
+            s.analytic_derivatives(t)
+    s.analytic_derivatives(3.0 + 1e-13)
 
 
 def test_table_validation():
@@ -298,7 +296,11 @@ def _validation_draw(rng, k):
                 (bt, ct)[i][...] += skew
         return a.copy(), bt, ct
 
-    return coefsys.Scenario(name=f"draw{k}", t0=0.0, eval=ev)
+    def dv(t):
+        z = np.zeros((2, 2), complex)
+        return z, w * np.cos(w * t) * db if varying else z.copy(), z.copy()
+
+    return coefsys.Scenario(name=f"draw{k}", t0=0.0, eval=ev, analytic_derivatives=dv)
 
 
 def _spiked(block, value):

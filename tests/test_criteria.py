@@ -261,8 +261,12 @@ def _half_vanishing_b():
         b = np.diag([max(0.0, math.cos(t)), -1.0]).astype(complex)
         return a.copy(), b, -I2.copy()
 
+    def dv(t):
+        db = np.diag([-math.sin(t) if math.cos(t) > 0.0 else 0.0, 0.0]).astype(complex)
+        return Z2.copy(), db, Z2.copy()
+
     return coefsys.Scenario(
-        name="half_vanishing_b", t0=0.0, eval=ev, analytic_derivatives=None,
+        name="half_vanishing_b", t0=0.0, eval=ev, analytic_derivatives=dv,
         tags=frozenset({"B_diagonal"}), params={},
     )
 
@@ -393,14 +397,28 @@ def test_reduction_of_drifting_ones_block():
     assert float(mat2.norm_max(p - (0.5 / (2.0 * t)) * ONES)) <= 1e-12
 
 
-def _varying_b_scenario(name, a, c, b_of_t):
-    """A, C constant and B(t) given, with no derivatives wired: every
-    block counts as varying and sqrt B' comes from finite differences."""
+def _varying_b_scenario(name, a, c, b_and_db):
+    """A, C constant and (B(t), B'(t)) given: B is the varying block, and
+    the reduction solves sqrt B' from B'."""
     a = np.asarray(a, complex)
     c = np.asarray(c, complex)
+
+    def block(t, k):
+        return np.asarray(b_and_db(t)[k], complex)
+
     return coefsys.Scenario(
-        name=name, t0=0.0, eval=lambda t: (a.copy(), np.asarray(b_of_t(t), complex), c.copy())
+        name=name, t0=0.0, eval=lambda t: (a.copy(), block(t, 0), c.copy()),
+        analytic_derivatives=lambda t: (Z2.copy(), block(t, 1), Z2.copy()),
     )
+
+
+def _p8_beam(t):
+    """ROADMAP probe P8: B = (1 + 0.5 sin t)^2 v v* in a generic complex
+    direction v, and its derivative."""
+    v = np.array([[1.0 + 0.3j], [-0.7 + 1.1j]])
+    vv = v @ v.conj().T
+    g = 1.0 + 0.5 * math.sin(t)
+    return g * g * vv, g * math.cos(t) * vv
 
 
 def _reduction_cases(rng):
@@ -434,29 +452,32 @@ def _reduction_cases(rng):
         def spread(t, rot=rot, d=rng.uniform(0.3, 1.5, 2), w=rng.uniform(0.5, 2.0)):
             cs, sn = np.cos(w * t), np.sin(w * t)
             u = rot @ np.array([[cs, -sn], [sn, cs]])  # eigenvalues d, turning eigenvectors
-            return u @ np.diag(d) @ u.conj().T
+            du = w * rot @ np.array([[-sn, -cs], [cs, -sn]])
+            b = u @ np.diag(d) @ u.conj().T
+            db = du @ np.diag(d) @ u.conj().T
+            return b, db + db.conj().T
 
-        # a varying rank-1 B keeps one exact entry pattern, so that the
-        # finite-difference S' stays rank 1 to rounding; a generic
-        # direction leaves noise near 1e-11 |S'| off the range of S, and
-        # the sandwich solve then amplifies rounding in F by up to 1e10
         pattern = (ONES, np.array([[1.0, -1j], [1j, 1.0]]), np.diag([1.0, 0.0]))[k % 3]
         pattern_keep = rng.normal() * I2 + cplx(0.7) @ (I2 - pattern / np.trace(pattern).real)
 
         def beam(t, pattern=pattern, r=rng.uniform(0.5, 2.0), w=rng.uniform(0.5, 2.0)):
-            return ((1.0 + 0.5 * np.sin(w * t)) ** 2 * r) * pattern
+            g = 1.0 + 0.5 * np.sin(w * t)
+            return (g * g * r) * pattern, (g * w * np.cos(w * t) * r) * pattern
 
         varying = (("varying_full", a, spread), ("varying_rank1", pattern_keep, beam))
-        for shape, a_k, b_of_t in varying:
-            s = _tagged(_varying_b_scenario(f"{shape}{k}", a_k, c, b_of_t), window)
+        for shape, a_k, b_and_db in varying:
+            s = _tagged(_varying_b_scenario(f"{shape}{k}", a_k, c, b_and_db), window)
             cases.append((f"{shape}{k}", s, window))
+    # a varying rank-1 B in a generic complex direction (P8)
+    p8 = _tagged(_varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam), window)
+    cases.append(("p8", p8, window))
     return cases
 
 
 def test_reduction_entries_match_matrix_reference(rng):
     # the entry-tuple reduction against the same reduction on 2x2 arrays:
-    # constant full-rank, rank-1 and zero B, B varying through the
-    # finite-difference square root, and the minimum-norm F
+    # constant full-rank, rank-1 and zero B, varying B, whose S' the
+    # reference solves by least squares, and the minimum-norm F
     for label, s, window in _reduction_cases(rng):
         assert "B_psd" in s.tags, label
         try:
@@ -474,6 +495,33 @@ def test_reduction_entries_match_matrix_reference(rng):
                 err = float(np.max(np.abs(np.reshape(got, (2, 2)) - want)))
                 assert err <= 1e-14 * (1.0 + float(np.max(np.abs(want)))), (label, name, t, err)
             assert all(type(x) is complex for x in red.at(t).p), label
+
+
+def test_varying_rank_one_b_reduces_exactly():
+    # P8: S' = (g' / |v|) v v* lies in the range of S, so the sandwich is
+    # solvable exactly; a differenced S' left part of it off that range
+    window = (0.0, 3.0)
+    s = _tagged(_varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam), window)
+    assert criteria.psd_reduce(s, window).max_residual <= 1e-12
+
+
+def test_non_differentiable_root_is_a_named_inconclusive_row():
+    # B = diag(t, 1): at t = 0, B' = diag(1, 0) lies on the kernel of B,
+    # and sqrt t has no derivative there
+    def b_and_db(t):
+        return np.diag([t, 1.0]), np.diag([1.0, 0.0])
+
+    window = (0.0, 2.0)
+    s = _varying_b_scenario("root_t", 0.3 * I2, -I2, b_and_db)
+    with pytest.raises(mat2.NotDifferentiable):
+        criteria.psd_reduce(_tagged(s, window), window)
+    reports = {r.criterion: r for r in criteria.analyze(s, window).reports}
+    for cid in (criteria.OSC_PSD, criteria.NONOSC_PSD_ENVELOPE):
+        rep = reports[cid]
+        assert rep.verdict.kind == criteria.INCONCLUSIVE
+        assert [(name, held) for name, held, _ in rep.applicability] == [
+            ("sqrt B differentiable", False)
+        ]
 
 
 def test_chi_diag_entries_match_matrix_reference(rng):

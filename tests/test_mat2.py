@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from hamosc import mat2
 from conftest import hermitian
-from oracles import Singular, det_tr_inv, lstsq_solve_sandwich
+from oracles import Singular, det_tr_inv, lstsq_solve_sandwich, lstsq_sqrt_derivative
 
 EPS = float(np.finfo(float).eps)
 
@@ -120,6 +120,56 @@ def test_sqrt_psd_rejections():
         mat2.sqrt_psd(np.diag([1.0, -1.0]))
     with pytest.raises(mat2.NotHermitian):
         mat2.sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _sqrt_derivative(s, db):
+    se, de = (np.asarray(m, dtype=complex).ravel().tolist() for m in (s, db))
+    return np.reshape(mat2._sqrt_derivative(se, de), (2, 2))
+
+
+def test_sqrt_derivative_matches_kronecker_least_squares():
+    # S' against the SVD solve of (I kron S + S^T kron I) vec S' = vec B',
+    # for S of rank 2 (close eigenvalues too), rank 1 and 0, with B'
+    # vanishing on the kernel of S where S is singular
+    rng = np.random.default_rng(17)
+    for rank in (2, 1, 0):
+        for k in range(100):
+            g = _psd_of_rank(rng, rank) * rng.uniform(0.1, 10.0)
+            if rank == 2 and k % 4 == 0:
+                g = 1e-5 * g + np.eye(2)  # eigenvalues about 1e-5 apart
+            s = mat2.sqrt_psd(g)
+            db = hermitian(rng, rng.uniform(0.1, 10.0))
+            if rank < 2:
+                keep = g / np.trace(g).real if rank else np.zeros((2, 2))  # onto the range
+                db = db @ keep + keep @ db - keep @ db @ keep  # zero on the kernel
+            got = _sqrt_derivative(s, db)
+            want = lstsq_sqrt_derivative(s, db)
+            scale = 1.0 + mat2.norm_max(want)
+            assert mat2.norm_max(got - want) <= 1e-10 * scale, (rank, k)
+            assert mat2.norm_max(s @ got + got @ s - db) <= 1e-10 * (1.0 + mat2.norm_max(db))
+
+
+def test_sqrt_derivative_rejects_derivative_on_the_kernel():
+    # sqrt of diag(t, 1) at t = 0, and of t I at t = 0
+    with pytest.raises(mat2.NotDifferentiable):
+        _sqrt_derivative(np.diag([0.0, 1.0]), np.diag([1.0, 0.0]))
+    with pytest.raises(mat2.NotDifferentiable):
+        _sqrt_derivative(np.zeros((2, 2)), np.eye(2))
+    # a B' on the range alone differentiates, with S'_22 = 0 on the kernel
+    got = _sqrt_derivative(np.diag([0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 3.0]]))
+    assert mat2.norm_max(got - np.array([[0.0, 0.5], [0.5, 0.75]])) <= 1e-15
+
+
+def test_pinv_rank_test_survives_underflow():
+    # TOL_RANK * sigma_1^2 underflows to 0 at these scales: a rank test
+    # on that product sent X to the adjugate branch, to divide by det = 0
+    got = mat2._pinv((1e-160, 0, 0, 0))
+    assert got[1:] == (0, 0, 0) and abs(got[0] * 1e-160 - 1.0) <= 1e-3
+    f, res = mat2.solve_sandwich(np.eye(2), np.diag([1e-160, 0.0]))
+    assert np.all(np.isfinite(f)) and res <= 1e-3 * 1e-160  # subnormal rounding
+    # at finite scale both branches are as before
+    assert mat2._pinv((2.0, 0.0, 0.0, 4.0)) == (0.5, 0.0, 0.0, 0.25)
+    assert mat2._pinv((1.0, 1.0, 1.0, 1.0)) == (0.25, 0.25, 0.25, 0.25)
 
 
 def test_solve_sandwich_invertible_case():

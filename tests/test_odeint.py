@@ -321,7 +321,10 @@ def test_pair_field_is_the_block_hamiltonian_product():
         reads.append(t)
         return a0 + math.sin(t) * a1, b0 + math.cos(t) * b1, c0 + t * c1
 
-    s = coefsys.Scenario(name="complex_a", t0=0.0, eval=coeffs)
+    def derivs(t):
+        return math.cos(t) * a1, -math.sin(t) * b1, c1
+
+    s = coefsys.Scenario(name="complex_a", t0=0.0, eval=coeffs, analytic_derivatives=derivs)
     field = odeint._hamiltonian_field(s)
     for t in (0.0, 0.7, 2.5, 11.0):
         phi, psi = cplx(), cplx()
