@@ -19,6 +19,18 @@ same determinant zeros. Run it in each and diff the output:
 
     python3 scripts/capture_flows.py --draws 40 > flows.txt
 
+With ``--values`` it prints, in place of the hashes, what each report
+decided and the numbers it decided on, so that two checkouts whose
+flows differ only by rounding can be compared against a tolerance. It
+skips the simulation:
+
+    verdict <op> <overall verdict> <criterion that fired>
+    value   <op> <criterion> verdict <verdict>
+    value   <op> <criterion> certificate_<label> partition | none
+    value   <op> <criterion> partition_<label> <repr of the points>
+    value   <op> <criterion> scalar_<j> <outcome> <repr of the zero times per start>
+    value   <op> <criterion> max_residual <repr>
+
 The hamosc sources imported are the ones of the checkout holding this
 script.
 """
@@ -60,7 +72,27 @@ def _flow_lines(op: str, flows: list) -> list:
     ]
 
 
-def capture(n_draws: int) -> list:
+def _value_lines(op: str, result) -> list:
+    """The --values lines of one analysis."""
+    lines = [f"verdict {op} {result.verdict.kind} {result.verdict.criterion or '-'}"]
+    for rep in result.reports:
+        lines.append(f"value {op} {rep.criterion} verdict {rep.verdict.kind}")
+        for key, w in sorted(rep.witnesses.items()):
+            if key.startswith("certificate_"):
+                text = w
+            elif key.startswith("partition_"):
+                text = repr(list(w.points))
+            elif key.startswith("scalar_"):
+                text = f"{w.outcome} " + repr({lbl: list(ts) for lbl, ts in sorted(w.zeros.items())})
+            elif key == "max_residual":
+                text = repr(w)
+            else:
+                continue
+            lines.append(f"value {op} {rep.criterion} {key} {text}")
+    return lines
+
+
+def capture(n_draws: int, values: bool = False) -> list:
     """Output lines for the packaged scenarios and the first n_draws draws."""
     lines = []
     flows = []  # trajectories of the op now running
@@ -92,6 +124,9 @@ def capture(n_draws: int) -> list:
         for op, scen, window, options, doc in jobs:
             flows.clear()
             result = criteria.analyze(scen, window, options)
+            if values:
+                lines.extend(_value_lines(op, result))
+                continue
             lines.extend(_flow_lines(op, flows))
             payload = cli.report_payload(result, doc)
             del payload["generated_at"]
@@ -119,8 +154,12 @@ def capture(n_draws: int) -> list:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--draws", type=int, default=0, help="campaign draws to analyze after the packaged scenarios")
+    p.add_argument(
+        "--values", action="store_true",
+        help="print verdicts, certificates, partitions, zero times and residuals instead of hashes",
+    )
     args = p.parse_args(argv)
-    for line in capture(args.draws):
+    for line in capture(args.draws, args.values):
         print(line)
     return 0
 

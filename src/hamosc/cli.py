@@ -23,9 +23,8 @@ Scenario files are JSON:
 Params are the family's own parameter names; an unknown name is an
 error. Options are AnalysisOptions field names: rtol, atol, n_min,
 max_points, sign_convention, eps_zero, n_starts, seed, sim_window; an
-unknown name or a value AnalysisOptions refuses is an error. The
-environment variable HAMOSC_SEED fixes the seed for the random conjoined
-starts (default 42).
+unknown name or a value AnalysisOptions refuses is an error. The seed
+option fixes the random conjoined starts (default 42).
 
 All file output is written atomically (temp file + rename) and numbers
 are serialized with shortest round-trip decimal text.
@@ -136,13 +135,6 @@ def load_scenario_file(arg: str):
         raise
     except (ValueError, OSError) as exc:
         raise ScenarioError(str(exc)) from exc
-
-    seed_env = os.environ.get("HAMOSC_SEED")
-    if seed_env is not None:
-        try:
-            options = dataclasses.replace(options, seed=int(seed_env))
-        except ValueError as exc:
-            raise ScenarioError(f"HAMOSC_SEED must be an integer, got {seed_env!r}") from exc
     return scen, (lo, hi), options, doc
 
 
@@ -183,7 +175,6 @@ def _json_safe(obj):
 def _tolerances_payload() -> dict:
     return {
         "herm_tol": mat2.TOL_HERM,
-        "sing_tol": mat2.TOL_SING,
         "rank_tol": mat2.TOL_RANK,
         "pos_tol": coefsys.TOL_POS,
         "conjoined_tol": odeint.CONJ_TOL,
@@ -387,7 +378,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ScenarioError, coefsys.NonHermitian, coefsys.OutOfDomain) as exc:
+    except (ScenarioError, mat2.NotHermitian, coefsys.OutOfDomain) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

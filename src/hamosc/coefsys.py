@@ -43,6 +43,7 @@ from typing import Callable
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from . import mat2
 from .mat2 import TOL_HERM, is_hermitian, norm_max
 
 __all__ = [
@@ -51,7 +52,6 @@ __all__ = [
     "ValidationReport",
     "UnknownFamily",
     "MissingParam",
-    "NonHermitian",
     "OutOfDomain",
     "ZeroDiagonalB",
     "make_family",
@@ -73,15 +73,6 @@ class UnknownFamily(ValueError):
 
 class MissingParam(ValueError):
     pass
-
-
-class NonHermitian(ValueError):
-    """A scenario violated the standing Hermitian hypothesis on B or C."""
-
-    def __init__(self, t: float, which: str, asym: float):
-        super().__init__(f"{which}({t!r}) is not Hermitian (asymmetry {asym:.3e})")
-        self.t = t
-        self.which = which
 
 
 class OutOfDomain(ValueError):
@@ -391,7 +382,7 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
         for which, mat in (("B", tab.samples[i, 1]), ("C", tab.samples[i, 2])):
             flag = is_hermitian(mat)
             if not flag.is_hermitian:
-                raise NonHermitian(float(t), which, flag.max_asymmetry)
+                raise mat2.NotHermitian(flag.max_asymmetry, which, float(t))
 
     bc = "not-a-knot" if len(tab.times) >= 4 else "natural"
     flat = tab.samples.reshape(len(tab.times), 12)
@@ -431,7 +422,7 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     """Sample the window and derive the structural tags.
 
     Hermitian violation of B or C is a hard error: the entire theory
-    assumes it. NonHermitian names the first violating sample, B before
+    assumes it. mat2.NotHermitian names the first violating sample, B before
     C at the same sample. Tags are set from what the samples show, with
     the strict positivity margin TOL_POS * (1 + |B|) separating
     B_positive from B_psd.
@@ -476,8 +467,8 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     if (bad_b | bad_c).any():
         i = int((bad_b | bad_c).argmax())
         if bad_b[i]:
-            raise NonHermitian(float(ts[i]), "B", float(asym_b[i]))
-        raise NonHermitian(float(ts[i]), "C", float(asym_c[i]))
+            raise mat2.NotHermitian(float(asym_b[i]), "B", float(ts[i]))
+        raise mat2.NotHermitian(float(asym_c[i]), "C", float(ts[i]))
     scale = 1.0 + nb
     off = (np.abs(b[:, 0, 1]) > TOL_HERM * scale) | (np.abs(b[:, 1, 0]) > TOL_HERM * scale)
     b_psd = psd(b)

@@ -10,8 +10,10 @@ Five criteria are implemented, each one-directional:
 * nonoscillation-envelope: diagonal positive B; uses the coupling
   envelope free terms chi_3, chi_4.
 * oscillation-psd-reduction: positive semidefinite B; reduces through
-  the square-root sandwich to a unit-B system and applies the scalar
-  oscillation test to the reduced second-order equations.
+  S = sqrt B to a unit-B system with drift P = S^+ (A S - S') and
+  C-block Q = S C S, all from one eigendecomposition of B per time, and
+  applies the scalar oscillation test to the reduced second-order
+  equations.
 * nonoscillation-psd-envelope: the envelope criterion applied to the
   reduced coefficients.
 
@@ -568,7 +570,6 @@ class Reduced(NamedTuple):
     """
 
     sqrt_b: tuple
-    f: tuple
     p: tuple
     q: tuple
 
@@ -577,10 +578,10 @@ class Reduced(NamedTuple):
 class PsdReduction:
     """Pointwise reduced coefficients of a PSD-B system.
 
-    at(t) returns Reduced(sqrt_b, f, p, q), each an entry 4-tuple, from
+    at(t) returns Reduced(sqrt_b, p, q), each an entry 4-tuple, from
     one (memoized) read of the reduction. grid carries the validation
-    samples the sandwich residual tolerance was enforced on, and
-    max_residual the largest defect |S F M - M| there.
+    samples the reduction residual tolerance was enforced on, and
+    max_residual the largest defect |S P - M| there.
     """
 
     at: Callable
@@ -599,12 +600,15 @@ def _sym(x: tuple) -> tuple:
 def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     """Reduce a PSD-B system to unit-B form through the square root.
 
-    Per time: S = sqrt of B, M = A S - S', F = S^+ M M^+ the
-    minimum-norm least-squares solution of the sandwich S F M = M,
-    P = F M, Q = S C S symmetrized, with S' from B' in closed form
-    (mat2._sqrt_derivative, which raises NotDifferentiable where sqrt B
-    has no derivative). Raises ResidualTooLarge when the
-    sandwich defect exceeds 1e-8 * (1 + |M|) anywhere on the validation
+    Per time: S = sqrt B, its pseudo-inverse S^+ and its derivative S'
+    from one eigendecomposition of B (mat2._psd_root, which raises
+    NotHermitian, NotPSD, or NotDifferentiable where sqrt B has no
+    derivative), M = A S - S', P = S^+ M and Q = S C S symmetrized.
+    P is the minimum-norm solution of S P = M, and equals F M for the
+    minimum-norm F = S^+ M M^+ of the sandwich S F M = M, since
+    M M^+ M = M (Penrose, Proc. Cambridge Philos. Soc. 52, 1956).
+    Raises ResidualTooLarge when the defect |S P - M|, the part of M off
+    the range of S, exceeds 1e-8 * (1 + |M|) anywhere on the validation
     grid: downstream criteria treat that as inapplicability. The defect
     and |M| are computed on that grid only, not at every integrator
     stage.
@@ -615,7 +619,7 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     mul = mat2._mul
 
     # Constant coefficients are the common case, and the pointwise path
-    # (matrix square root, its derivative, sandwich solve) is too slow to
+    # (square root, pseudo-inverse and derivative of B) is too slow to
     # repeat per integrator stage. A block counts as constant when the
     # scenario's derivative vanishes at several probes.
     lo, hi = float(window[0]), float(window[1])
@@ -625,13 +629,14 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         all(mat2.norm_max(np.asarray(d[k])) == 0.0 for d in ders) for k in range(3)
     )
     a0, b0, c0 = s.eval(lo)
-    sq0 = tuple(mat2.sqrt_psd(b0).ravel().tolist()) if const_b else None
-    m0 = mul(a0.ravel().tolist(), sq0) if (const_a and const_b) else None
-    f0 = p0 = None
-    if m0 is not None:
-        f0 = mat2._sandwich_f(sq0, m0)
-        p0 = mul(f0, m0)
-    q0 = _sym(mul(mul(sq0, c0.ravel().tolist()), sq0)) if (const_b and const_c) else None
+    sq0 = pinv0 = m0 = p0 = q0 = None
+    if const_b:
+        sq0, pinv0, _ = mat2._psd_root(b0.ravel().tolist(), (0j, 0j, 0j, 0j))
+        if const_a:
+            m0 = mul(a0.ravel().tolist(), sq0)
+            p0 = mul(pinv0, m0)
+        if const_c:
+            q0 = _sym(mul(mul(sq0, c0.ravel().tolist()), sq0))
 
     def compute(t: float):
         key = float(t)
@@ -640,16 +645,18 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         # with all three blocks constant, every entry below is precomputed
         a, b, c = (None, None, None) if (const_a and const_b and const_c) else s.eval(key)
         if const_b:
-            sq = sq0
+            sq, pinv = sq0, pinv0
             m = m0 if m0 is not None else mul(a.ravel().tolist(), sq)
         else:
-            sq = tuple(mat2.sqrt_psd(b).ravel().tolist())
-            dsq = mat2._sqrt_derivative(sq, s.analytic_derivatives(key)[1].ravel().tolist())
+            db = s.analytic_derivatives(key)[1].ravel().tolist()
+            try:
+                sq, pinv, dsq = mat2._psd_root(b.ravel().tolist(), db)
+            except mat2.NotHermitian as exc:
+                raise mat2.NotHermitian(exc.max_asymmetry, "B", key) from None
             m = tuple(u - v for u, v in zip(mul(a.ravel().tolist(), sq), dsq))
-        f = f0 if f0 is not None else mat2._sandwich_f(sq, m)
-        p = p0 if p0 is not None else mul(f, m)
+        p = p0 if p0 is not None else mul(pinv, m)
         q = q0 if q0 is not None else _sym(mul(mul(sq, c.ravel().tolist()), sq))
-        out = (Reduced(sq, f, p, q), m)
+        out = (Reduced(sq, p, q), m)
         if len(memo) > 4096:
             memo.clear()
         memo[key] = out
@@ -658,8 +665,8 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     ts = _grid(window)
     residuals = []
     for t in ts.tolist():
-        (sq, f, _, _), m = compute(t)
-        res = max(abs(u - v) for u, v in zip(mul(mul(sq, f), m), m))
+        (sq, p, _), m = compute(t)
+        res = max(abs(u - v) for u, v in zip(mul(sq, p), m))
         tol = 1e-8 * (1.0 + max(map(abs, m)))
         if res > tol:
             raise ResidualTooLarge(t, res, tol)
@@ -712,7 +719,7 @@ def oscillation_from_psd_reduction(
         jj = 3 * j - 3  # index of the (j, j) entry
 
         def coeffs(t):
-            _, _, p, q = red.at(t)
+            _, p, q = red.at(t)
             return (0.0, 1.0, -_chi_tilde(p, q, j), -2.0 * p[jj].real)
 
         return coeffs
@@ -757,7 +764,7 @@ def nonoscillation_psd_envelope(
         return _inconclusive(NONOSC_PSD_ENVELOPE, window, applicability)
 
     def values(t):
-        _, _, p, q = red.at(t)
+        _, p, q = red.at(t)
         return (
             p[0].conjugate() + p[3], p[1], p[2].conjugate(),
             q[1], 1.0, 1.0, q[0].real, q[3].real,

@@ -3,14 +3,16 @@
 Matrices are numpy arrays of shape (2, 2) and dtype complex128 throughout
 the public API. Everything here is closed-form: determinants, traces,
 pseudo-inverses, Hermitian and positive-semidefinite predicates, the
-principal PSD square root and its derivative, and the minimum-norm
-solution of the sandwich equation S @ X @ M = M.
+principal PSD square root, and the minimum-norm solution of the sandwich
+equation S @ X @ M = M.
 
 Code that reads a 2x2 at every integrator stage works on Python scalars
 instead: the row-major entry 4-tuple (e11, e12, e21, e22), read from an
-array as ``m.ravel().tolist()``. ``_mul``, ``_pinv``, ``_sandwich_f`` and
-``_sqrt_derivative`` take and return that form, and the per-stage readers
-of ``criteria`` and ``riccati`` index it (entry (i, j) at 2 (i-1) + (j-1)).
+array as ``m.ravel().tolist()``. ``_mul``, ``_pinv`` and ``_psd_root``
+take and return that form, and the per-stage readers of ``criteria`` and
+``riccati`` index it (entry (i, j) at 2 (i-1) + (j-1)). ``_psd_root``
+gives S = sqrt B, its pseudo-inverse and its derivative from one
+eigendecomposition of B, with one rank decision for all three.
 
 Norms are max-absolute-entry unless stated otherwise; all tolerances scale
 as tol * (1 + norm) so the checks behave identically across magnitudes.
@@ -42,12 +44,20 @@ __all__ = [
 ]
 
 TOL_HERM = 1e-10
-TOL_SING = 1e-12
 TOL_RANK = 1e-10
 
 
 class NotHermitian(ValueError):
-    """Operation requires a Hermitian input."""
+    """A matrix that must be Hermitian is not.
+
+    which names it ("B" and "C" for a scenario's blocks, with t the time
+    they were read at); max_asymmetry is its max-entry |M - M*|.
+    """
+
+    def __init__(self, asym: float, which: str = "matrix", t: float | None = None):
+        at = "" if t is None else f"({t!r})"
+        super().__init__(f"{which}{at} is not Hermitian (asymmetry {asym:.3e})")
+        self.max_asymmetry, self.which, self.t = asym, which, t
 
 
 class NotPSD(ValueError):
@@ -120,18 +130,13 @@ def is_psd(m) -> bool:
     m = as_mat2(m)
     flag = is_hermitian(m)
     if not flag.is_hermitian:
-        raise NotHermitian(f"max asymmetry {flag.max_asymmetry:.3e}")
+        raise NotHermitian(flag.max_asymmetry)
     lo, _ = herm_eigvals(m)
     return lo >= -TOL_HERM * (1.0 + norm_max(m))
 
 
 def sqrt_psd(m) -> np.ndarray:
-    """Principal square root of a Hermitian PSD 2x2 matrix, closed form.
-
-    For nondegenerate M the root is (M + sqrt(det) I) / sqrt(tr + 2 sqrt(det)).
-    When the denominator degenerates (M close to 0 or rank deficient with
-    vanishing trace shift) the rank-1 fallback M / sqrt(tr M) applies, and
-    sqrt(0) = 0.
+    """Principal square root of a Hermitian PSD 2x2 matrix (see _psd_root).
 
     Raises
     ------
@@ -140,54 +145,57 @@ def sqrt_psd(m) -> np.ndarray:
     NotHermitian
         When the input is not Hermitian to tolerance.
     """
-    m = as_mat2(m)
-    if not is_psd(m):
-        lo, hi = herm_eigvals(m)
-        raise NotPSD(f"eigenvalues ({lo:.3e}, {hi:.3e})")
-    h = 0.5 * (m + adjoint(m))
-    t = float(np.real(tr2(h)))
-    d = max(float(np.real(det2(h))), 0.0)
-    scale = 1.0 + norm_max(h)
-    lo, hi = herm_eigvals(h)
-    if hi <= TOL_SING * scale:
-        return np.zeros((2, 2), dtype=complex)
-    if lo <= TOL_HERM * scale:
-        # Small eigenvalue below the positivity resolution. Treat it as an
-        # exact zero and use the rank-1 root M / sqrt(tr M): the closed form
-        # below would lift the noise eigenvalue from ~eps to ~sqrt(eps),
-        # which is large enough to poison least-squares solves against S.
-        return h / math.sqrt(t)
-    root_d = math.sqrt(d)
-    s = (h + root_d * np.eye(2)) / math.sqrt(t + 2.0 * root_d)
-    return 0.5 * (s + adjoint(s))
+    root, _, _ = _psd_root(as_mat2(m).ravel().tolist(), (0j, 0j, 0j, 0j))
+    return np.array(root, dtype=complex).reshape(2, 2)
 
 
-def _sqrt_derivative(se: tuple, de: tuple) -> tuple:
-    """S' with S S' + S' S = B' for S = sqrt B, on entry 4-tuples se, de.
+def _psd_root(be: tuple, de: tuple) -> tuple:
+    """(S, S^+, S') for S = sqrt B, from B and B' as entry 4-tuples.
 
-    In an eigenbasis of S, S'_ij = B'_ij / (sigma_i + sigma_j) (Higham,
-    Functions of Matrices, SIAM 2008, ch. 6). A sum at most
-    TOL_HERM * (1 + sigma_1) counts as 0: there S'_ij = 0, the minimum-
-    norm choice, and B'_ij must vanish to TOL_HERM * (1 + |B'|), else
-    NotDifferentiable. The eigenvector of sigma_1 is a column of
-    S - sigma_2 I, so U* S U is diagonal to rounding however close the
-    eigenvalues.
+    One eigendecomposition B = U diag(l_1, l_2) U* gives all three, with
+    one rank decision: l_k <= TOL_HERM (1 + |B|) counts as 0. Then
+    sigma_k = sqrt(l_k) or 0, S = U diag(sigma) U*, S^+ = U diag(1 /
+    sigma_k or 0) U*, and S'_ij = (U* B' U)_ij / (sigma_i + sigma_j)
+    (Higham, Functions of Matrices, SIAM 2008, ch. 6). Where both sigmas
+    are 0, S'_ij = 0, the minimum-norm choice, and (U* B' U)_ij must
+    vanish to TOL_HERM (1 + |B'|), else NotDifferentiable. The
+    eigenvector of l_1 is a column of B - l_2 I, so U* B U is diagonal to
+    rounding however close the eigenvalues.
+
+    Raises NotHermitian and NotPSD on the tests of is_psd.
     """
-    p, q, r = se[0].real, se[1], se[3].real
+    b11, b12, b21, b22 = be
+    scale = 1.0 + max(map(abs, be))
+    asym = max(2.0 * abs(b11.imag), 2.0 * abs(b22.imag), abs(b12 - b21.conjugate()))
+    if asym > TOL_HERM * scale:
+        raise NotHermitian(asym, "B")
+    p, q, r = b11.real, 0.5 * (b12 + b21.conjugate()), b22.real
     half = 0.5 * (p - r)
     rho = math.hypot(half, abs(q))
-    sig = (0.5 * (p + r) + rho, 0.5 * (p + r) - rho)
+    lam = (0.5 * (p + r) + rho, 0.5 * (p + r) - rho)
+    if lam[1] < -TOL_HERM * scale:
+        raise NotPSD(f"eigenvalues ({lam[1]:.3e}, {lam[0]:.3e})")
+    sig = [math.sqrt(lk) if lk > TOL_HERM * scale else 0.0 for lk in lam]
     x, y = (half + rho, q.conjugate()) if half >= 0.0 else (q, rho - half)
     n = math.hypot(abs(x), abs(y))
-    x, y = (x / n, y / n) if n > 0.0 else (1.0, 0.0)  # n = 0: S = sigma I
+    x, y = (x / n, y / n) if n > 0.0 else (1.0, 0.0)  # n = 0: B = l I
+    xx, yy, xy = abs(x) ** 2, abs(y) ** 2, complex(x * y.conjugate())
+
+    def spectral(f1, f2):  # U diag(f1, f2) U*
+        off = (f1 - f2) * xy
+        return (f1 * xx + f2 * yy + 0j, off, off.conjugate(), f1 * yy + f2 * xx + 0j)
+
+    root = spectral(*sig)
+    pinv = spectral(*(1.0 / sk if sk > 0.0 else 0.0 for sk in sig))
     u, uh = (x, -y.conjugate(), y, x.conjugate()), (x.conjugate(), y.conjugate(), -y, x)
     d = _mul(_mul(uh, de), u)
     den = [sig[k // 2] + sig[k % 2] for k in range(4)]
-    zero, small = TOL_HERM * (1.0 + sig[0]), TOL_HERM * (1.0 + max(map(abs, de)))
-    bad = [abs(dk) for dk, nk in zip(d, den) if nk <= zero and abs(dk) > small]
+    small = TOL_HERM * (1.0 + max(map(abs, de)))
+    bad = [abs(dk) for dk, nk in zip(d, den) if nk == 0.0 and abs(dk) > small]
     if bad:
         raise NotDifferentiable(f"B' has {max(bad):.3e} on the kernel of B, where sqrt B is 0")
-    return _mul(_mul(u, tuple(dk / nk if nk > zero else 0j for dk, nk in zip(d, den))), uh)
+    deriv = _mul(_mul(u, tuple(dk / nk if nk > 0.0 else 0j for dk, nk in zip(d, den))), uh)
+    return root, pinv, deriv
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -203,26 +211,25 @@ def _pinv(x: tuple) -> tuple:
 
     A singular value sigma_2 < TOL_RANK * sigma_1 counts as 0. Both
     follow from sigma_1^2 + sigma_2^2 = |X|_F^2 and
-    sigma_1 sigma_2 = |det X|. Rank 2 inverts by the adjugate; rank 1
-    uses X* / |X|_F^2, which is exact when sigma_2 = 0 and within
-    TOL_RANK / sigma_1 of the truncated pseudo-inverse otherwise.
+    sigma_1 sigma_2 = |det X|, taken of Y = X / m with m the power of 2
+    just above max |x_ij|, so that neither squares to 0 below entries of
+    1e-160; the scaling is exact and X^+ = Y^+ / m. Rank 2 inverts by
+    the adjugate; rank 1 uses X* / |X|_F^2, which is exact when
+    sigma_2 = 0 and within TOL_RANK / sigma_1 of the truncated
+    pseudo-inverse otherwise.
     """
-    a, b, c, d = x
-    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
-    if fro2 == 0.0:
+    top = max(map(abs, x))
+    if top == 0.0:
         return (0j, 0j, 0j, 0j)
+    m = math.ldexp(1.0, math.frexp(top)[1])
+    a, b, c, d = (v / m for v in x)
+    fro2 = abs(a) ** 2 + abs(b) ** 2 + abs(c) ** 2 + abs(d) ** 2
     det = a * d - b * c
     s1sq = 0.5 * (fro2 + math.sqrt(max(fro2 * fro2 - 4.0 * abs(det) ** 2, 0.0)))
-    # sigma_2 / sigma_1 = |det X| / sigma_1^2, tested as a ratio: the
-    # product TOL_RANK * s1sq underflows to 0 at entries near 1e-160
-    if abs(det) / s1sq < TOL_RANK:
-        return tuple(v.conjugate() / fro2 for v in (a, c, b, d))
+    if abs(det) < TOL_RANK * s1sq:
+        return tuple(v.conjugate() / (fro2 * m) for v in (a, c, b, d))
+    det *= m
     return (d / det, -b / det, -c / det, a / det)
-
-
-def _sandwich_f(se: tuple, me: tuple) -> tuple:
-    """F = S^+ M M^+ of solve_sandwich, on row-major entry 4-tuples."""
-    return _mul(_mul(_pinv(se), me), _pinv(me))
 
 
 def solve_sandwich(s, m) -> tuple[np.ndarray, float]:
@@ -249,7 +256,7 @@ def solve_sandwich(s, m) -> tuple[np.ndarray, float]:
     """
     se = tuple(as_mat2(s).ravel().tolist())
     me = tuple(as_mat2(m).ravel().tolist())
-    f = _sandwich_f(se, me)
+    f = _mul(_mul(_pinv(se), me), _pinv(me))
     back = _mul(_mul(se, f), me)
     residual = max(abs(u - v) for u, v in zip(back, me))
     return np.array(f, dtype=complex).reshape(2, 2), residual

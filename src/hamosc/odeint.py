@@ -887,7 +887,7 @@ def solve_matrix_riccati(
     if not flag.is_hermitian:
         from .mat2 import NotHermitian
 
-        raise NotHermitian(f"Z0 asymmetry {flag.max_asymmetry:.3e}")
+        raise NotHermitian(flag.max_asymmetry, "Z0")
     ev = scenario.eval
 
     def field(t, y):

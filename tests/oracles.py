@@ -29,10 +29,11 @@
 * ``matrix_chi_diag``, ``matrix_psd_reduce``: ``riccati.chi_diag`` and
   ``criteria.psd_reduce`` as they were on 2x2 numpy arrays, before their
   per-stage reads moved to entry 4-tuples of Python scalars. They give
-  the references of chi_j and of the reduced coefficients S, F, P, Q.
-  ``matrix_psd_reduce`` takes S' from ``lstsq_sqrt_derivative``, the
-  least-squares solve of S S' + S' S = B', not from the package's
-  closed form;
+  the references of chi_j and of the reduced coefficients S, P, Q.
+  ``matrix_psd_reduce`` takes nothing from the package's square root:
+  S from ``np.linalg.eigh`` (``eigh_sqrt``), S' from
+  ``lstsq_sqrt_derivative``, the least-squares solve of
+  S S' + S' S = B', and P = F M with F from ``mat2.solve_sandwich``;
 * ``central_difference``: the reference of every wired derivative.
 * ``per_sample_validate_scenario``: ``coefsys.validate_scenario`` as it
   was before it checked the stacked samples, with the mat2 predicates
@@ -49,8 +50,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from hamosc import criteria, mat2, riccati
-from hamosc.coefsys import TOL_POS, NonHermitian, Scenario, ValidationReport
-from hamosc.mat2 import TOL_HERM, TOL_RANK, TOL_SING, as_mat2, det2, is_hermitian, is_psd, norm_max, tr2
+from hamosc.coefsys import TOL_POS, Scenario, ValidationReport
+from hamosc.mat2 import TOL_HERM, TOL_RANK, NotHermitian, as_mat2, det2, is_hermitian, is_psd, norm_max, tr2
 from hamosc.odeint import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -585,6 +586,9 @@ def central_difference(fn: Callable, t: float, h: float = 1e-5):
     return (np.asarray(fn(t + h)) - np.asarray(fn(t - h))) / (2.0 * h)
 
 
+SINGULAR_TOL = 1e-12
+
+
 class Singular(ValueError):
     """Determinant too small for a trustworthy inverse."""
 
@@ -601,7 +605,7 @@ def det_tr_inv(m) -> tuple[complex, complex, np.ndarray]:
     m = as_mat2(m)
     d = det2(m)
     t = tr2(m)
-    if abs(d) <= TOL_SING * (1.0 + norm_max(m)):
+    if abs(d) <= SINGULAR_TOL * (1.0 + norm_max(m)):
         raise Singular(f"matrix is singular to tolerance (|det| = {abs(d):.3e})")
     inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex) / d
     return d, t, inv
@@ -686,6 +690,14 @@ def matrix_chi_diag(a, b, c, j: int) -> float:
     return -(cjj + abs(complex(a[other, j - 1])) ** 2 / float(np.real(b[other, other])))
 
 
+def eigh_sqrt(b) -> np.ndarray:
+    """sqrt B from np.linalg.eigh, eigenvalues <= TOL_HERM (1 + |B|) set to 0."""
+    b = as_mat2(b)
+    lam, u = np.linalg.eigh(0.5 * (b + b.conj().T))
+    lam = np.where(lam <= TOL_HERM * (1.0 + norm_max(b)), 0.0, lam)
+    return (u * np.sqrt(lam)) @ u.conj().T
+
+
 def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     """criteria.psd_reduce as it was on 2x2 arrays, the reference of its entry tuples.
 
@@ -713,7 +725,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
     const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
     a0, b0, c0 = s.eval(lo)
-    sq0 = mat2.sqrt_psd(b0) if const_b else None
+    sq0 = eigh_sqrt(b0) if const_b else None
     m0 = a0 @ sq0 if (const_a and const_b) else None
     f0 = None
     if m0 is not None:
@@ -732,7 +744,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
             sq = sq0
             m = m0 if m0 is not None else a @ sq
         else:
-            sq = mat2.sqrt_psd(b)
+            sq = eigh_sqrt(b)
             dsq = lstsq_sqrt_derivative(sq, s.analytic_derivatives(key)[1])
             m = a @ sq - dsq
         if f0 is not None:
@@ -744,7 +756,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
         else:
             q = sq @ c @ sq
             q = 0.5 * (q + q.conj().T)
-        out = (criteria.Reduced(sq, f, f @ m, q), m)
+        out = ((criteria.Reduced(sq, f @ m, q), f), m)
         if len(memo) > 4096:
             memo.clear()
         memo[key] = out
@@ -753,15 +765,15 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     ts = criteria._grid(window)
     residuals = []
     for t in ts:
-        (sq, f, _, _), m = compute(t)
-        res = float(mat2.norm_max(sq @ f @ m - m))
+        (red, f), m = compute(t)
+        res = float(mat2.norm_max(red.sqrt_b @ f @ m - m))
         tol = 1e-8 * (1.0 + float(mat2.norm_max(m)))
         if res > tol:
             raise criteria.ResidualTooLarge(float(t), res, tol)
         residuals.append(res)
 
     return criteria.PsdReduction(
-        at=lambda t: compute(t)[0],
+        at=lambda t: compute(t)[0][0],
         grid=ts,
         max_residual=float(np.max(residuals)),
     )
@@ -794,7 +806,7 @@ def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 25
             flag = is_hermitian(m)
             worst_asym = max(worst_asym, flag.max_asymmetry)
             if not flag.is_hermitian:
-                raise NonHermitian(float(t), which, flag.max_asymmetry)
+                raise NotHermitian(flag.max_asymmetry, which, float(t))
         scale = 1.0 + norm_max(b)
         if abs(b[0, 1]) > TOL_HERM * scale or abs(b[1, 0]) > TOL_HERM * scale:
             diag = False

@@ -38,6 +38,41 @@ def test_analyze_exits_0_on_a_drift_near_underflow(tmp_path, capsys):
     assert capsys.readouterr().err == "tiny.json: Inconclusive\n"
 
 
+def test_analyze_exits_2_on_b_not_hermitian_between_samples(capsys, monkeypatch):
+    # B has a non-Hermitian bump of width 2e-4 midway between validation
+    # samples 127 and 128: validation passes, and the PSD reduction's
+    # per-stage Hermitian check is the one that sees it
+    window = (0.0, 4.0)
+    grid = np.linspace(*window, 256)
+    tp = 0.5 * (grid[127] + grid[128])
+
+    def bump(t):
+        return 0.5 * np.exp(-(((t - tp) / 2e-4) ** 2))
+
+    def ev(t):
+        b = np.array([[1.5 + 0.5 * np.sin(t), bump(t)], [0.0, 1.0]], complex)
+        return np.zeros((2, 2), complex), b, -4.0 * np.eye(2, dtype=complex)
+
+    def dv(t):
+        db = np.array([[0.5 * np.cos(t), -2.0 * (t - tp) / 4e-8 * bump(t)], [0.0, 0.0]], complex)
+        return np.zeros((2, 2), complex), db, np.zeros((2, 2), complex)
+
+    s = coefsys.Scenario(name="bump", t0=0.0, eval=ev, analytic_derivatives=dv)
+    loaded = (s, window, criteria.AnalysisOptions(), {"name": "bump"})
+    monkeypatch.setattr(cli, "load_scenario_file", lambda arg: loaded)
+    assert cli.main(["analyze", "bump"]) == 2
+    assert re.fullmatch(r"error: B\(.+\) is not Hermitian \(asymmetry .+\)\n", capsys.readouterr().err)
+
+
+def test_seed_environment_variable_is_not_an_option(tmp_path, monkeypatch):
+    # the seed has one spelling, the file's option
+    path = tmp_path / "seeded.json"
+    path.write_text(json.dumps({"family": "harmonic", "window": [0.0, 10.0], "options": {"seed": 7}}))
+    monkeypatch.setenv("HAMOSC_SEED", "99")
+    _, _, options, _ = cli.load_scenario_file(str(path))
+    assert options.seed == 7
+
+
 @pytest.mark.parametrize("command", ["verify", "simulate"])
 def test_negative_start_count_exits_2(tmp_path, capsys, command):
     path = tmp_path / "harmonic.json"
@@ -48,8 +83,7 @@ def test_negative_start_count_exits_2(tmp_path, capsys, command):
     assert "--starts: must be >= 0" in capsys.readouterr().err
 
 
-def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("HAMOSC_SEED", raising=False)
+def test_simulate_prints_the_cross_validation_zero_counts(tmp_path, capsys):
     path = tmp_path / "harmonic.json"
     path.write_text(json.dumps({"family": "harmonic", "window": [0.0, 10.0]}))
     assert cli.main(["simulate", str(path), "--starts", "3"]) == 0

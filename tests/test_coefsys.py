@@ -80,8 +80,7 @@ def test_ones_b_euler_family():
     # rank-one B: semidefinite but not strictly positive
     assert "B_psd" in s.tags and "B_positive" not in s.tags
     # B is constant, so the derivative of its square root is exactly 0
-    root = mat2.sqrt_psd(b).ravel().tolist()
-    droot = mat2._sqrt_derivative(root, s.analytic_derivatives(2.0)[1].ravel().tolist())
+    _, _, droot = mat2._psd_root(b.ravel().tolist(), s.analytic_derivatives(2.0)[1].ravel().tolist())
     assert droot == (0j, 0j, 0j, 0j)
 
 
@@ -161,7 +160,7 @@ def test_from_table_reproduces_linear_data():
 def test_from_table_rejects_non_hermitian_sample():
     bad_c = np.array([[1.0, 1.0], [0.0, 1.0]])
     tab = _const_table([0.0, 1.0, 2.0], np.zeros((2, 2)), np.eye(2), bad_c)
-    with pytest.raises(coefsys.NonHermitian) as exc:
+    with pytest.raises(mat2.NotHermitian) as exc:
         coefsys.from_table(tab)
     assert exc.value.which == "C"
 
@@ -245,16 +244,16 @@ def test_validate_scenario_rejects_non_hermitian_c():
     bad = const_scenario(
         np.zeros((2, 2)), np.eye(2), np.array([[1.0, 1.0], [0.0, 1.0]])
     )
-    with pytest.raises(coefsys.NonHermitian):
+    with pytest.raises(mat2.NotHermitian):
         coefsys.validate_scenario(bad, (0.0, 1.0))
 
 
 def _validation_outcome(validate, s, window, n_samples):
-    """The report, or what NonHermitian said and where."""
+    """The report, or what NotHermitian said and where."""
     try:
         return validate(s, window, n_samples)
-    except coefsys.NonHermitian as exc:
-        return ("NonHermitian", exc.t, exc.which, str(exc))
+    except mat2.NotHermitian as exc:
+        return ("NotHermitian", exc.t, exc.which, str(exc))
 
 
 def _validation_draw(rng, k):
@@ -314,7 +313,7 @@ def _spiked(block, value):
 
 def test_validation_matches_per_sample_reference(rng):
     # the stacked checks against the parent's one-sample-at-a-time loop:
-    # tags, max_asymmetry and the sample NonHermitian names
+    # tags, max_asymmetry and the sample NotHermitian names
     cases = [
         (coefsys.make_family(fam, params), window)
         for fam, params, window in (

@@ -368,7 +368,7 @@ def test_reduction_is_identity_for_unit_b():
     c = np.array([[1.0, 0.4j], [-0.4j, -0.7]], dtype=complex)
     s = _tagged(const_scenario(a, I2, c, name="unitB"), (0.0, 2.0))
     red = criteria.psd_reduce(s, (0.0, 2.0))
-    sqrt_b, _, p, q = (np.reshape(m, (2, 2)) for m in red.at(0.7))
+    sqrt_b, p, q = (np.reshape(m, (2, 2)) for m in red.at(0.7))
     assert float(mat2.norm_max(sqrt_b - I2)) == 0.0
     assert float(mat2.norm_max(p - a)) <= 1e-14
     assert float(mat2.norm_max(q - c)) <= 1e-14
@@ -379,18 +379,18 @@ def test_reduction_of_singular_ones_block():
     s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
     red = criteria.psd_reduce(s, (0.0, 10.0))
     root = math.sqrt(2.0) / 2.0
-    sqrt_b, _, p, q = (np.reshape(m, (2, 2)) for m in red.at(3.0))
+    sqrt_b, p, q = (np.reshape(m, (2, 2)) for m in red.at(3.0))
     assert float(mat2.norm_max(sqrt_b - root * ONES)) <= 1e-12
     assert float(mat2.norm_max(p)) <= 1e-12
     assert float(mat2.norm_max(q + 0.5 * ONES)) <= 1e-12
-    # M = 0, so the minimum-norm F = 0 solves the sandwich exactly
+    # M = 0, so P = S^+ M = 0 and S P = M exactly
     assert red.max_residual == 0.0
 
 
 def test_reduction_of_drifting_ones_block():
     s = coefsys.make_family("ones_B_euler", {"alpha": 0.5})
     red = criteria.psd_reduce(s, (1.0, 10.0))
-    # the minimum-norm sandwich keeps the reduced drift spread over the
+    # the minimum-norm P = S^+ M keeps the reduced drift spread over the
     # block: p = alpha / (2 t) in every entry
     t = 2.0
     p = np.reshape(red.at(t).p, (2, 2))
@@ -424,7 +424,7 @@ def _p8_beam(t):
 def _reduction_cases(rng):
     """(label, scenario, window) over the B shapes of psd_reduce.
 
-    With rank-1 B the sandwich is solvable only when A maps the range of
+    With rank-1 B, S P = M is solvable only when A maps the range of
     S into itself: a_keep does, and a general A makes both reductions
     raise.
     """
@@ -477,7 +477,8 @@ def _reduction_cases(rng):
 def test_reduction_entries_match_matrix_reference(rng):
     # the entry-tuple reduction against the same reduction on 2x2 arrays:
     # constant full-rank, rank-1 and zero B, varying B, whose S' the
-    # reference solves by least squares, and the minimum-norm F
+    # reference solves by least squares, and P = S^+ M against the
+    # reference's F M with the minimum-norm sandwich F = S^+ M M^+
     for label, s, window in _reduction_cases(rng):
         assert "B_psd" in s.tags, label
         try:
@@ -498,7 +499,7 @@ def test_reduction_entries_match_matrix_reference(rng):
 
 
 def test_varying_rank_one_b_reduces_exactly():
-    # P8: S' = (g' / |v|) v v* lies in the range of S, so the sandwich is
+    # P8: S' = (g' / |v|) v v* lies in the range of S, so S P = M is
     # solvable exactly; a differenced S' left part of it off that range
     window = (0.0, 3.0)
     s = _tagged(_varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam), window)

@@ -10,7 +10,7 @@ from hypothesis import given, strategies as st
 
 from hamosc import mat2
 from conftest import hermitian
-from oracles import Singular, det_tr_inv, lstsq_solve_sandwich, lstsq_sqrt_derivative
+from oracles import Singular, det_tr_inv, eigh_sqrt, lstsq_solve_sandwich, lstsq_sqrt_derivative
 
 EPS = float(np.finfo(float).eps)
 
@@ -122,9 +122,29 @@ def test_sqrt_psd_rejections():
         mat2.sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def _sqrt_derivative(s, db):
-    se, de = (np.asarray(m, dtype=complex).ravel().tolist() for m in (s, db))
-    return np.reshape(mat2._sqrt_derivative(se, de), (2, 2))
+def test_psd_root_matches_eigh_and_numpy_pseudo_inverse():
+    # S and S^+ of the one eigendecomposition against np.linalg.eigh and
+    # np.linalg.pinv, for B of rank 2 (close eigenvalues too), 1 and 0
+    rng = np.random.default_rng(19)
+    for rank in (2, 1, 0):
+        for k in range(100):
+            b = _psd_of_rank(rng, rank) * rng.uniform(0.1, 10.0)
+            if rank == 2 and k % 4 == 0:
+                b = 1e-5 * b + np.eye(2)
+            root, pinv, deriv = (
+                np.reshape(m, (2, 2)) for m in mat2._psd_root(b.ravel().tolist(), (0j, 0j, 0j, 0j))
+            )
+            want = eigh_sqrt(b)
+            assert mat2.norm_max(root - want) <= 1e-12 * (1.0 + mat2.norm_max(want)), (rank, k)
+            want = np.linalg.pinv(want, rcond=1e-8)
+            assert mat2.norm_max(pinv - want) <= 1e-12 * (1.0 + mat2.norm_max(want)), (rank, k)
+            assert mat2.norm_max(deriv) == 0.0
+
+
+def _sqrt_derivative(b, db):
+    """S' of _psd_root for S = sqrt B, as an array."""
+    be, de = (np.asarray(m, dtype=complex).ravel().tolist() for m in (b, db))
+    return np.reshape(mat2._psd_root(be, de)[2], (2, 2))
 
 
 def test_sqrt_derivative_matches_kronecker_least_squares():
@@ -142,7 +162,7 @@ def test_sqrt_derivative_matches_kronecker_least_squares():
             if rank < 2:
                 keep = g / np.trace(g).real if rank else np.zeros((2, 2))  # onto the range
                 db = db @ keep + keep @ db - keep @ db @ keep  # zero on the kernel
-            got = _sqrt_derivative(s, db)
+            got = _sqrt_derivative(g, db)
             want = lstsq_sqrt_derivative(s, db)
             scale = 1.0 + mat2.norm_max(want)
             assert mat2.norm_max(got - want) <= 1e-10 * scale, (rank, k)
@@ -156,8 +176,24 @@ def test_sqrt_derivative_rejects_derivative_on_the_kernel():
     with pytest.raises(mat2.NotDifferentiable):
         _sqrt_derivative(np.zeros((2, 2)), np.eye(2))
     # a B' on the range alone differentiates, with S'_22 = 0 on the kernel
-    got = _sqrt_derivative(np.diag([0.0, 2.0]), np.array([[0.0, 1.0], [1.0, 3.0]]))
+    got = _sqrt_derivative(np.diag([0.0, 4.0]), np.array([[0.0, 1.0], [1.0, 3.0]]))
     assert mat2.norm_max(got - np.array([[0.0, 0.5], [0.5, 0.75]])) <= 1e-15
+
+
+def test_pinv_scales_entries_before_squaring():
+    # |x|^2 underflows to 0 below entries of about 1e-162, and the
+    # Frobenius norm with it: X^+ came back as the zero matrix
+    tiny = 1e-170
+    got = mat2._pinv((tiny, 0, 0, 0))
+    assert got[1:] == (0, 0, 0) and abs(got[0] * tiny - 1.0) <= 1e-15
+    for x, want in (
+        ((1.0, 2.0, 3.0, 4.0), (-2.0, 1.0, 1.5, -0.5)),  # rank 2: the adjugate
+        ((1.0, 1.0, 1.0, 1.0), (0.25, 0.25, 0.25, 0.25)),  # rank 1: X* / |X|_F^2
+    ):
+        got = mat2._pinv(tuple(tiny * v for v in x))
+        assert max(abs(g * tiny - w) for g, w in zip(got, want)) <= 1e-15, x
+    f, res = mat2.solve_sandwich(np.eye(2), np.diag([tiny, 0.0]))
+    assert mat2.norm_max(f - np.diag([1.0, 0.0])) <= 1e-15 and res == 0.0
 
 
 def test_pinv_rank_test_survives_underflow():
