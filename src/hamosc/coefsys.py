@@ -96,7 +96,8 @@ class Scenario:
     analytic_derivatives: t -> (A', B', C'), the exact derivatives of
     eval's blocks in the same form, defined where eval is (raising
     OutOfDomain where it does). psd_reduce counts a block as constant
-    when its derivative is exactly 0 at its probes.
+    when its derivative is exactly 0 on its 256-point validation grid;
+    a bump narrower than one grid cell is missed.
     tags: structural flags from {B_diagonal, B_psd, B_positive,
     real_coefficients}; set by construction or by validate_scenario.
     domain_end: right end of validity (None = unbounded).

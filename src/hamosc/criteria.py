@@ -17,6 +17,12 @@ Five criteria are implemented, each one-directional:
 * nonoscillation-psd-envelope: the envelope criterion applied to the
   reduced coefficients.
 
+Scenario adapters (chi_diag, _diag_envelope_data, psd_reduce, the
+kernel weights) turn the coefficients into the callables of t that
+``riccati`` integrates. Each hypothesis is gated once, as an
+applicability row from the scenario's tags or grid; one that fails
+inside a flow (NotPSD, ZeroDiagonalB, ...) becomes an Inconclusive row.
+
 ``analyze`` runs all five in a fixed order and takes the first verdict
 that is not Inconclusive. A criterion can only ever strengthen
 Inconclusive into its own direction, so an Oscillatory answer next to a
@@ -373,6 +379,60 @@ def _a_weight(s: Scenario, j: int) -> Callable:
     return lambda t: 2.0 * s.eval(t)[0].item(jj).real
 
 
+# chi_diag is left out of __all__: it runs once per integrator stage, and
+# bench/tracing.py times every function listed there as a span
+def chi_diag(a, b, c, j: int) -> float:
+    """The free term chi_j of the scalar criteria from (a, b, c) at one time.
+
+    Each block is a row-major entry 4-tuple (coefsys.eval_entries).
+    chi_j = -c_jj - |a_{3-j,j}|^2 / b_{3-j} where b_{3-j} is nonzero,
+    and chi_j = -c_jj on the branch |b_{3-j}| <= TOL_POS * (1 + |b|).
+    The sign is the corrected convention: it makes the scalar pair for
+    the harmonic system literally phi'' + phi = 0, and matches the free
+    term of the ratio-substituted flow.
+    """
+    jj = 3 * j - 3  # index of the (j, j) entry
+    cjj = c[jj].real
+    b_other = b[3 - jj].real  # b_{3-j}
+    if abs(b_other) <= coefsys.TOL_POS * (1.0 + max(map(abs, b))):
+        return -cjj
+    return -(cjj + abs(a[3 - j]) ** 2 / b_other)  # a_{3-j,j}
+
+
+def _diag_envelope_data(s: Scenario) -> riccati.EnvelopeData:
+    """Envelope inputs of a diagonal-B scenario, one s.eval per values read.
+
+    Both readers work on the blocks' entry 4-tuples (coefsys.eval_entries).
+    slopes differentiates the ratios by the quotient rule, from the
+    scenario's A' and B' and the ratios and b_j of the values it is
+    handed. A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
+    """
+
+    def values(t):
+        t = float(t)
+        a, b, c = coefsys.eval_entries(s, t)
+        tol = coefsys.TOL_POS * (1.0 + max(map(abs, b)))
+        b1, b2 = b[0].real, b[3].real
+        for j, bj in ((1, b1), (2, b2)):
+            if abs(bj) <= tol:
+                raise coefsys.ZeroDiagonalB(t, j)
+        return (
+            a[0].conjugate() + a[3], a[1] / b1, a[2].conjugate() / b2,
+            c[1], b1, b2, c[0].real, c[3].real,
+        )
+
+    def slopes(t, v):
+        r1, r2, b1, b2 = v[1], v[2], v[4], v[5]
+        da, db, _ = s.analytic_derivatives(t)
+        da, db = da.ravel().tolist(), db.ravel().tolist()
+        return (
+            da[1] / b1 - r1 * db[0].real / b1,
+            da[2].conjugate() / b2 - r2 * db[3].real / b2,
+        )
+
+    return riccati.EnvelopeData(values=values, slopes=slopes)
+
+
 def _inconclusive(criterion: str, window: tuple, applicability, witnesses=None, notes="") -> CriterionReport:
     return CriterionReport(
         criterion=criterion,
@@ -420,21 +480,19 @@ def _certified_pair(
 
     Each kernel certifies by greedy partition search, which integrates
     the partition condition along its own flow whatever the sign of h.
-    Both kernels are tried, so each leaves its witnesses; when either
-    fails the report is Inconclusive.
+    The kernels are tried in order, and the first that fails ends the
+    search with an Inconclusive report: its certificate_ witness reads
+    "none", and a kernel after it leaves no witness, since it could not
+    change the answer.
     """
-    certified = True
     for label, k in kernels:
         part = riccati.partition_search(k, window, opt.max_points, rtol=opt.rtol, atol=opt.atol)
         witnesses[f"certificate_{label}"] = "none" if part is None else "partition"
         if part is None:
-            certified = False
-        else:
-            witnesses[f"partition_{label}"] = part
-    if certified:
-        return _fired(criterion, NON_OSCILLATORY, window, applicability, witnesses, notes)
-    notes = (notes + " " if notes else "") + "partition search failed"
-    return _inconclusive(criterion, window, applicability, witnesses, notes)
+            notes = (notes + " " if notes else "") + "partition search failed"
+            return _inconclusive(criterion, window, applicability, witnesses, notes)
+        witnesses[f"partition_{label}"] = part
+    return _fired(criterion, NON_OSCILLATORY, window, applicability, witnesses, notes)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +529,7 @@ def oscillation_from_diagonal(
 
         def coeffs(t):
             a, b, c = coefsys.eval_entries(s, t)
-            return (2.0 * a[jj].real, b[jj].real, -riccati.chi_diag(a, b, c, j), 0.0)
+            return (2.0 * a[jj].real, b[jj].real, -chi_diag(a, b, c, j), 0.0)
 
         return coeffs
 
@@ -517,8 +575,10 @@ def nonoscillation_sign_split(
 
     kernels = []
     for j, sgn in zip((1, 2), (1.0, -1.0) if case_a else (-1.0, 1.0)):
-        chi = riccati.free_term_diag(s, j)
-        kernels.append((str(j), Kernel(_a_weight(s, j), lambda t, chi=chi, sgn=sgn: sgn * chi(t))))
+        def h(t, j=j, sgn=sgn):
+            return sgn * chi_diag(*coefsys.eval_entries(s, t), j)
+
+        kernels.append((str(j), Kernel(_a_weight(s, j), h)))
     witnesses = {"case": "b1>=0,b2<=0" if case_a else "b1<=0,b2>=0"}
     return _certified_pair(NONOSC_SPLIT, window, applicability, witnesses, kernels, opt)
 
@@ -544,7 +604,8 @@ def nonoscillation_envelope(
     if not (ok_diag and ok_pos):
         return _inconclusive(NONOSC_ENVELOPE, window, applicability)
 
-    env = riccati.envelope_terms_diag(s, window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol)
+    data = _diag_envelope_data(s)
+    env = riccati.build_envelope_terms(data, window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol)
     notes = ""
     a0 = s.eval(float(window[0]))[0]
     if max(abs(a0[0, 1]), abs(a0[1, 0])) > coefsys.TOL_POS * (1.0 + mat2.norm_max(a0)):
@@ -611,24 +672,21 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     the range of S, exceeds 1e-8 * (1 + |M|) anywhere on the validation
     grid: downstream criteria treat that as inapplicability. The defect
     and |M| are computed on that grid only, not at every integrator
-    stage.
+    stage. No tag is read: an indefinite B raises NotPSD where it is
+    first read.
+
+    Constant blocks, the common case, are read once, since the pointwise
+    path is too slow to repeat per integrator stage. A block counts as
+    constant when its derivative is exactly 0 on the whole validation
+    grid (_grid(window), 256 points), so a bump narrower than one grid
+    cell is missed, as flows step over one (ROADMAP probe P4).
     """
-    if "B_psd" not in s.tags:
-        raise mat2.NotPSD(f"scenario {s.name!r} lacks the B_psd tag")
     memo = {}
     mul = mat2._mul
-
-    # Constant coefficients are the common case, and the pointwise path
-    # (square root, pseudo-inverse and derivative of B) is too slow to
-    # repeat per integrator stage. A block counts as constant when the
-    # scenario's derivative vanishes at several probes.
-    lo, hi = float(window[0]), float(window[1])
-    probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
-    ders = [s.analytic_derivatives(t) for t in probes]
-    const_a, const_b, const_c = (
-        all(mat2.norm_max(np.asarray(d[k])) == 0.0 for d in ders) for k in range(3)
-    )
-    a0, b0, c0 = s.eval(lo)
+    ts = _grid(window)
+    ders = [s.analytic_derivatives(t) for t in ts.tolist()]
+    const_a, const_b, const_c = (not np.any([d[k] for d in ders]) for k in range(3))
+    a0, b0, c0 = s.eval(float(window[0]))
     sq0 = pinv0 = m0 = p0 = q0 = None
     if const_b:
         sq0, pinv0, _ = mat2._psd_root(b0.ravel().tolist(), (0j, 0j, 0j, 0j))
@@ -662,7 +720,6 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         memo[key] = out
         return out
 
-    ts = _grid(window)
     residuals = []
     for t in ts.tolist():
         (sq, p, _), m = compute(t)

@@ -1,6 +1,7 @@
-"""Scalar Riccati criterion kernels for the 4d Hamiltonian system.
+"""Scalar Riccati kernel machinery on callables of t.
 
-The verdict engines in ``criteria`` use:
+Nothing here reads a scenario: ``criteria`` checks each hypothesis once
+and hands over the kernels and envelope inputs it built. Provided are:
 
 * the partition condition that certifies global existence of a scalar
   Riccati solution: on each subinterval [t_k, t_{k+1}) the running
@@ -10,11 +11,10 @@ The verdict engines in ``criteria`` use:
   partition greedily along the condition's own flow, which carries I in
   its state; it is the only way a kernel is certified, whatever the
   sign of h;
-* the free terms chi_1, chi_2 distilled from the diagonal-B structure,
-  in the sign-corrected convention (see free_term_diag);
-* the coupling envelope machinery: the weighted running maximum of
-  |a12/b1 - conj(a21)/b2|, the exponentially weighted integrals of the
-  off-diagonal drive, and the derived free terms chi_3, chi_4.
+* the coupling envelope flow on ratio-form inputs (EnvelopeData): the
+  weighted running maximum of |r1 - r2|, the exponentially weighted
+  integrals of the off-diagonal drive, and the free terms chi_3, chi_4;
+* ``fd_slopes``, difference slopes for ratios with no closed form.
 
 The envelope's c12 term carries a sign ambiguity (two reasonable
 derivations disagree on it); both variants are computable via
@@ -30,7 +30,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .coefsys import TOL_POS, Scenario, ZeroDiagonalB, eval_entries
 from .odeint import Trajectory, adaptive_solve, segment_states
 
 __all__ = [
@@ -38,11 +37,7 @@ __all__ = [
     "Partition",
     "EnvelopeData",
     "EnvelopeTerms",
-    "NotDiagonalB",
-    "NotPositiveB",
     "partition_search",
-    "free_term_diag",
-    "envelope_terms_diag",
     "build_envelope_terms",
     "TOL_COND",
     "GRID_PER_WINDOW",
@@ -56,14 +51,6 @@ TOL_COND = 1e-10
 GRID_PER_WINDOW = 1024
 
 _EXP_CAP = 700.0  # exp argument cap; overflow becomes a huge finite value
-
-
-class NotDiagonalB(ValueError):
-    pass
-
-
-class NotPositiveB(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -190,43 +177,6 @@ def partition_search(
 
 
 # ---------------------------------------------------------------------------
-# Free terms of the scalar criteria, diagonal-B case.
-
-
-# chi_diag is left out of __all__: it runs once per integrator stage, and
-# bench/tracing.py times every function listed there as a span
-def chi_diag(a, b, c, j: int) -> float:
-    """chi_j from the coefficients (a, b, c) at one time.
-
-    Each block is a row-major entry 4-tuple (coefsys.eval_entries). The
-    formula of free_term_diag, for callers that already hold one read
-    and need chi_j next to other entries of it.
-    """
-    jj = 3 * j - 3  # index of the (j, j) entry
-    cjj = c[jj].real
-    b_other = b[3 - jj].real  # b_{3-j}
-    if abs(b_other) <= TOL_POS * (1.0 + max(map(abs, b))):
-        return -cjj
-    return -(cjj + abs(a[3 - j]) ** 2 / b_other)  # a_{3-j,j}
-
-
-def free_term_diag(s: Scenario, j: int) -> Callable:
-    """The free term t -> chi_j of the scalar oscillation criteria.
-
-    chi_j = -c_jj - |a_{3-j,j}|^2 / b_{3-j} where b_{3-j} is nonzero,
-    and chi_j = -c_jj on the b_{3-j} = 0 branch. The sign is the
-    corrected convention: it makes the scalar pair for the harmonic
-    system literally phi'' + phi = 0, and matches the free term of the
-    ratio-substituted flow.
-    """
-    if j not in (1, 2):
-        raise ValueError("j must be 1 or 2")
-    if "B_diagonal" not in s.tags:
-        raise NotDiagonalB(f"scenario {s.name!r} lacks the B_diagonal tag")
-    return lambda t: chi_diag(*eval_entries(s, t), j)
-
-
-# ---------------------------------------------------------------------------
 # Coupling envelope machinery.
 
 
@@ -238,9 +188,9 @@ class EnvelopeData:
     read of the coefficients: a_sum = conj(a11) + a22 and c12 complex,
     r1, r2 the coupling ratios, the rest real. slopes(t, v) returns
     (dr1, dr2) given v = values(t), so the envelope flow, its only
-    reader, reads the coefficients once per stage. For diagonal B the
-    ratios are r1 = a12/b1, r2 = conj(a21)/b2 with the actual b_j; the
-    reduced (PSD) path reuses the same machinery with unit b and the
+    reader, reads the coefficients once per stage. The criteria build
+    one for diagonal B, with r1 = a12/b1, r2 = conj(a21)/b2 and the
+    actual b_j, and one for the PSD reduction, with unit b and the
     reduced coefficients in place of a and c.
     """
 
@@ -365,52 +315,3 @@ def build_envelope_terms(
         chi3=chi3,
         chi4=chi4,
     )
-
-
-def _diag_envelope_data(s: Scenario) -> EnvelopeData:
-    """Envelope inputs of a diagonal-B scenario, one s.eval per values read.
-
-    Both readers work on the blocks' entry 4-tuples (coefsys.eval_entries).
-    slopes differentiates the ratios by the quotient rule, from the
-    scenario's A' and B' and the ratios and b_j of the values it is
-    handed. A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
-    """
-
-    def values(t):
-        t = float(t)
-        a, b, c = eval_entries(s, t)
-        tol = TOL_POS * (1.0 + max(map(abs, b)))
-        b1, b2 = b[0].real, b[3].real
-        for j, bj in ((1, b1), (2, b2)):
-            if abs(bj) <= tol:
-                raise ZeroDiagonalB(t, j)
-        return (
-            a[0].conjugate() + a[3], a[1] / b1, a[2].conjugate() / b2,
-            c[1], b1, b2, c[0].real, c[3].real,
-        )
-
-    def slopes(t, v):
-        r1, r2, b1, b2 = v[1], v[2], v[4], v[5]
-        da, db, _ = s.analytic_derivatives(t)
-        da, db = da.ravel().tolist(), db.ravel().tolist()
-        return (
-            da[1] / b1 - r1 * db[0].real / b1,
-            da[2].conjugate() / b2 - r2 * db[3].real / b2,
-        )
-
-    return EnvelopeData(values=values, slopes=slopes)
-
-
-def _require_positive_diag(s: Scenario):
-    if "B_diagonal" not in s.tags:
-        raise NotDiagonalB(f"scenario {s.name!r} lacks the B_diagonal tag")
-    if "B_positive" not in s.tags:
-        raise NotPositiveB(f"scenario {s.name!r} lacks the B_positive tag")
-
-
-def envelope_terms_diag(
-    s: Scenario, window: tuple, sign_convention: str = "minus_c12", **kw
-) -> EnvelopeTerms:
-    """chi_3 and chi_4 for a positive diagonal-B scenario."""
-    _require_positive_diag(s)
-    return build_envelope_terms(_diag_envelope_data(s), window, sign_convention, **kw)

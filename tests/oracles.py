@@ -26,7 +26,7 @@
   ``_indicator_arrays``, and its ``ZeroRecord`` says which one found
   each zero; both are the package's as they were before it counted
   the eigen-angles of U.
-* ``matrix_chi_diag``, ``matrix_psd_reduce``: ``riccati.chi_diag`` and
+* ``matrix_chi_diag``, ``matrix_psd_reduce``: ``criteria.chi_diag`` and
   ``criteria.psd_reduce`` as they were on 2x2 numpy arrays, before their
   per-stage reads moved to entry 4-tuples of Python scalars. They give
   the references of chi_j and of the reduced coefficients S, P, Q.
@@ -155,7 +155,7 @@ def subsystem_solve(
     """
     if which not in ("first", "second"):
         raise ValueError("which must be 'first' or 'second'")
-    data = riccati._diag_envelope_data(s)
+    data = criteria._diag_envelope_data(s)
     z0, w0 = float(init[0]), complex(init[1])
     oz0, ow0 = (z0, w0) if other_init is None else (float(other_init[0]), complex(other_init[1]))
     if which == "first":
@@ -238,13 +238,15 @@ def coupling_bound_check(
     and, provided both diagonal components stay nonnegative on the
     window, asserts |y| <= M + E_y and |v| <= M + E_v within
     tol * (1 + bound) on a uniform grid. A negative diagonal component
-    raises HypothesisViolated: the bound promises nothing there. The
-    envelope uses the plus_c12 drive, which is the form produced by the
-    variation-of-constants representation of y and v.
+    raises HypothesisViolated: the bound promises nothing there. A
+    scenario without the B_diagonal and B_positive tags raises
+    ValueError. The envelope uses the plus_c12 drive, which is the form
+    produced by the variation-of-constants representation of y and v.
     """
     if z0 < 0.0:
         raise ValueError("z0 must be nonnegative")
-    riccati._require_positive_diag(s)
+    if not {"B_diagonal", "B_positive"} <= s.tags:
+        raise ValueError(f"scenario {s.name!r} lacks the B_diagonal or B_positive tag")
     traj, record = subsystem_solve(s, "first", (z0, 0.0), window)
     joint = traj.meta["joint"]
     hi = joint.t_end
@@ -254,7 +256,7 @@ def coupling_bound_check(
         raise HypothesisViolated("z >= 0", tneg)
 
     env = riccati.build_envelope_terms(
-        riccati._diag_envelope_data(s), (float(window[0]), hi), "plus_c12"
+        criteria._diag_envelope_data(s), (float(window[0]), hi), "plus_c12"
     )
     ts = np.linspace(float(window[0]), hi, n_grid)
     states = joint.dense_eval(ts)
@@ -676,12 +678,10 @@ def check_partition_condition(
 
 
 def matrix_chi_diag(a, b, c, j: int) -> float:
-    """riccati.chi_diag as it was on 2x2 arrays, the reference of its entry-tuple form.
+    """criteria.chi_diag as it was on 2x2 arrays, the reference of its entry-tuple form.
 
-    chi_j from the coefficient matrices (a, b, c) at one time.
-
-    The formula of free_term_diag, for callers that already hold one
-    s.eval(t) and need chi_j next to other entries of it.
+    chi_j from the coefficient matrices (a, b, c) at one time, for
+    callers that already hold one s.eval(t).
     """
     other = 2 - j  # 0-based index of 3-j
     cjj = float(np.real(c[j - 1, j - 1]))
@@ -717,10 +717,9 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     # Constant coefficients are the common case and the pointwise path
     # (matrix square root, its derivative, least squares) is far too slow
     # to repeat per integrator stage. A block counts as constant when the
-    # scenario's own declared derivative vanishes at several probes.
-    lo, hi = float(window[0]), float(window[1])
-    probes = [lo + f * (hi - lo) for f in (0.0, 0.137, 0.55, 0.83, 1.0)]
-    ders = [s.analytic_derivatives(t) for t in probes]
+    # scenario's own declared derivative vanishes on the validation grid.
+    lo = float(window[0])
+    ders = [s.analytic_derivatives(t) for t in criteria._grid(window)]
     const_a = all(mat2.norm_max(np.asarray(d[0])) == 0.0 for d in ders)
     const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
     const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)

@@ -372,7 +372,7 @@ def test_riccati_hamiltonian_correspondence():
     b = np.diag(rng.uniform(0.5, 1.5, 2)).astype(complex)
     a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 0.2
     s = coefsys.validated(const_scenario(a, b, hermitian(rng, 0.3)), (0.0, 1.2))
-    ratios = riccati._diag_envelope_data(s).values
+    ratios = criteria._diag_envelope_data(s).values
     z0 = hermitian(rng, 0.3)
     full, _ = odeint.solve_matrix_riccati(s, z0, (0.0, 1.2))
     sub, _ = subsystem_solve(

@@ -337,6 +337,24 @@ def test_envelope_withholds_on_harmonic():
     assert rep.verdict.kind == criteria.INCONCLUSIVE
 
 
+def test_diagonal_tag_gates_are_the_rows():
+    # the rows are the only check of the tags: nothing under them raises
+    window = (0.0, 1.0)
+    ones = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
+    semidefinite = _tagged(const_scenario(Z2, np.diag([1.0, 0.0]), Z2, name="bz"), window)
+    assert "B_diagonal" in semidefinite.tags and "B_positive" not in semidefinite.tags
+    cases = (
+        (criteria.nonoscillation_sign_split, ones, (("B diagonal", False, ""),)),
+        (criteria.nonoscillation_envelope, ones, (("B diagonal", False, ""), ("B positive definite", False, ""))),
+        (criteria.nonoscillation_envelope, semidefinite, (("B diagonal", True, ""), ("B positive definite", False, ""))),
+    )
+    for run, s, rows in cases:
+        rep = run(s, window)
+        assert rep.verdict.kind == criteria.INCONCLUSIVE
+        assert rep.applicability == rows
+        assert rep.witnesses == {}
+
+
 def _spiked_table(name, b, c, block, value):
     """1001 knots on [0, 10] with constant B, C, except entry 11 of one
     block (1 for B, 2 for C) set to value at the knot t = 3."""
@@ -410,6 +428,47 @@ def _varying_b_scenario(name, a, c, b_and_db):
         name=name, t0=0.0, eval=lambda t: (a.copy(), block(t, 0), c.copy()),
         analytic_derivatives=lambda t: (Z2.copy(), block(t, 1), Z2.copy()),
     )
+
+
+def test_reduction_of_indefinite_b_raises_from_the_square_root():
+    # psd_reduce reads no tag: an untagged indefinite B, constant or
+    # varying, meets the square root at the window start
+    window = (0.0, 1.0)
+    constant = const_scenario(Z2, np.diag([1.0, -1.0]), Z2, name="indefinite")
+    varying = _varying_b_scenario(
+        "indefinite_t", Z2, -I2, lambda t: (np.diag([1.0, t - 0.5]), np.diag([0.0, 1.0]))
+    )
+    for s in (constant, varying):
+        assert "B_psd" not in s.tags
+        with pytest.raises(mat2.NotPSD, match="eigenvalues"):
+            criteria.psd_reduce(s, window)
+
+
+def _bump(t):
+    """A smooth bump supported on (2, 5) with peak 1 at t = 3.5, and its derivative."""
+    u = (t - 3.5) / 1.5
+    if abs(u) >= 1.0:
+        return 0.0, 0.0
+    v = math.exp(1.0 - 1.0 / (1.0 - u * u))
+    return v, v * (-2.0 * u / (1.0 - u * u) ** 2) / 1.5
+
+
+def test_reduction_reads_constancy_on_its_grid():
+    # B = (1 + 1e4 bump) I varies on (2, 5) only, between the five points
+    # lo + {0, 0.137, 0.55, 0.83, 1} (hi - lo) that once decided it was
+    # constant; the 256-point grid sees the bump, and sqrt B at its peak
+    # is sqrt(10001) = 100.005, not the I read at lo
+    def b_and_db(t):
+        v, dv = _bump(t)
+        return (1.0 + 1e4 * v) * I2, (1e4 * dv) * I2
+
+    window = (0.0, 10.0)
+    s = _tagged(_varying_b_scenario("bump", Z2, -0.01 * I2, b_and_db), window)
+    red = criteria.psd_reduce(s, window)
+    want = math.sqrt(1.0 + 1e4)
+    sqrt_b = np.reshape(red.at(3.5).sqrt_b, (2, 2))
+    assert float(mat2.norm_max(sqrt_b - want * I2)) <= 1e-12 * want
+    assert red.max_residual <= 1e-12
 
 
 def _p8_beam(t):
@@ -535,7 +594,7 @@ def test_chi_diag_entries_match_matrix_reference(rng):
         c = _herm(rng, 1.5)
         entries = [m.ravel().tolist() for m in (a, b, c)]
         for j in (1, 2):
-            got = riccati.chi_diag(*entries, j)
+            got = criteria.chi_diag(*entries, j)
             want = matrix_chi_diag(a, b, c, j)
             assert abs(got - want) <= 1e-14 * (1.0 + abs(want)), (k, j)
 

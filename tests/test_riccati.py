@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hamosc import coefsys, odeint, riccati
+from hamosc import coefsys, criteria, odeint, riccati
 from conftest import const_scenario
 from oracles import (
     GRID_PER_SUBINTERVAL,
@@ -30,9 +30,19 @@ ONE = lambda t: 1.0
 
 
 def _tagged(s, window=(0.0, 2.0)):
-    # const_scenario ships without tags; the kernel-facing operations
-    # gate on them, so recompute from samples like a caller would
+    # const_scenario ships without tags; recompute them from samples like
+    # a caller of the criteria would
     return coefsys.validated(s, window)
+
+
+def _chi(s, j):
+    """The free term t -> chi_j of a diagonal-B scenario."""
+    return lambda t: criteria.chi_diag(*coefsys.eval_entries(s, t), j)
+
+
+def _envelope(s, window, conv="minus_c12", **kw):
+    """The envelope terms of a diagonal-B scenario, built as nonoscillation_envelope builds them."""
+    return riccati.build_envelope_terms(criteria._diag_envelope_data(s), window, conv, **kw)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +222,7 @@ def test_search_stops_at_the_first_violated_sample():
     # of 7 h evaluations each
     window = (0.0, 100.0)
     s = coefsys.validated(coefsys.make_family("harmonic", {}), window)
-    env = riccati.envelope_terms_diag(s, window, rtol=1e-8, atol=1e-10)
+    env = _envelope(s, window, rtol=1e-8, atol=1e-10)
     calls = [0]
 
     def h(t):
@@ -270,8 +280,8 @@ def test_oracle_hypothesis_checks():
 def test_free_term_tracks_potential():
     # A = 0, B = I: the first free term is minus the (1,1) potential entry
     s = coefsys.make_family("vector_schrodinger", {})
-    chi1 = riccati.free_term_diag(s, 1)
-    chi2 = riccati.free_term_diag(s, 2)
+    chi1 = _chi(s, 1)
+    chi2 = _chi(s, 2)
     for t in (0.0, 0.7, 2.0, 5.3):
         mu = math.sin(t) + math.sin(math.sqrt(2.0) * t)
         assert abs(chi1(t) - mu) <= 1e-12 * (1.0 + abs(mu))
@@ -280,8 +290,8 @@ def test_free_term_tracks_potential():
 
 def test_free_term_zero_coefficients():
     s = _tagged(const_scenario(Z2, I2, Z2, name="flat"))
-    assert riccati.free_term_diag(s, 1)(0.3) == 0.0
-    assert riccati.free_term_diag(s, 2)(1.7) == 0.0
+    assert _chi(s, 1)(0.3) == 0.0
+    assert _chi(s, 2)(1.7) == 0.0
 
 
 def test_free_term_coupling_penalty():
@@ -290,7 +300,7 @@ def test_free_term_coupling_penalty():
     c = Z2.copy()
     c[0, 0] = 1.0
     s = _tagged(const_scenario(a, np.diag([1.0, 2.0]), c, name="mixed"))
-    chi1 = riccati.free_term_diag(s, 1)
+    chi1 = _chi(s, 1)
     assert abs(chi1(0.5) - (-3.0)) <= 1e-12
 
 
@@ -298,17 +308,9 @@ def test_free_term_zero_branch():
     a = Z2.copy()
     a[1, 0] = 5.0
     s = _tagged(const_scenario(a, np.diag([1.0, 0.0]), np.diag([2.0, 0.0]).astype(complex), name="bzero"))
-    chi1 = riccati.free_term_diag(s, 1)
+    chi1 = _chi(s, 1)
     # the coupling penalty is dropped on the degenerate branch
     assert chi1(0.4) == -2.0
-
-
-def test_free_term_guards():
-    with pytest.raises(riccati.NotDiagonalB):
-        riccati.free_term_diag(coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}), 1)
-    s = _tagged(const_scenario(Z2, I2, Z2))
-    with pytest.raises(ValueError):
-        riccati.free_term_diag(s, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +338,7 @@ def _ratio_test_scenario():
 
 
 def test_diag_envelope_ratios_linear_coupling():
-    data = riccati._diag_envelope_data(_ratio_test_scenario())
+    data = criteria._diag_envelope_data(_ratio_test_scenario())
     vals = data.values(2.0)
     _, r1, r2 = vals[:3]
     dr1, dr2 = data.slopes(2.0, vals)
@@ -373,7 +375,7 @@ def test_fd_slopes_read_values_twice_per_call():
 def test_diag_envelope_zero_diagonal_entry():
     s = const_scenario(np.ones((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2)))
     s = dataclasses.replace(s, tags=frozenset({"B_diagonal", "B_psd"}))
-    data = riccati._diag_envelope_data(s)
+    data = criteria._diag_envelope_data(s)
     with pytest.raises(coefsys.ZeroDiagonalB) as exc:
         data.values(5.0)
     assert exc.value.t == 5.0 and exc.value.j == 2
@@ -382,7 +384,7 @@ def test_diag_envelope_zero_diagonal_entry():
 def test_chi_terms_read_the_envelope_flow_once(monkeypatch):
     a = np.array([[0.0, 0.3], [0.2j, 0.0]], dtype=complex)
     c = np.array([[1.0, 0.1], [0.1, 2.0]], dtype=complex)
-    env = riccati.envelope_terms_diag(_tagged(const_scenario(a, I2, c, name="chiread")), (0.0, 2.0))
+    env = _envelope(_tagged(const_scenario(a, I2, c, name="chiread")), (0.0, 2.0))
     reads = []
     inner = odeint.Trajectory.dense_eval
 
@@ -400,11 +402,13 @@ def test_chi_terms_read_the_envelope_flow_once(monkeypatch):
 def test_envelope_without_coupling_is_potential_only():
     s = _tagged(const_scenario(Z2, I2, np.diag([1.5, -0.5]).astype(complex), name="plaindiag"))
     for conv in ("minus_c12", "plus_c12"):
-        env = riccati.envelope_terms_diag(s, (0.0, 2.0), conv)
+        env = _envelope(s, (0.0, 2.0), conv)
         assert abs(env.chi3(0.8) + 1.5) <= 1e-10
         assert abs(env.chi4(1.3) - 0.5) <= 1e-10
         assert env.m_peak(1.0) == 0.0
         assert env.e_y(2.0) <= 1e-12
+    with pytest.raises(ValueError):
+        riccati.build_envelope_terms(None, (0.0, 2.0), "bogus")
 
 
 def test_envelope_integrates_offdiagonal_drive():
@@ -412,7 +416,7 @@ def test_envelope_integrates_offdiagonal_drive():
     # the quadratic free term follows (10 t)^2 + mu(t) for both signs
     s = coefsys.make_family("vector_schrodinger", {})
     for conv in ("minus_c12", "plus_c12"):
-        env = riccati.envelope_terms_diag(s, (0.0, 1.0), conv)
+        env = _envelope(s, (0.0, 1.0), conv)
         for t in (0.0, 0.25, 0.5, 0.9):
             mu = math.sin(t) + math.sin(math.sqrt(2.0) * t)
             want = (10.0 * t) ** 2 + mu
@@ -423,14 +427,14 @@ def test_gap_peak_constant_coupling():
     a = Z2.copy()
     a[0, 1] = 1.0
     s = _tagged(const_scenario(a, I2, Z2, name="gap1"))
-    peak = riccati.envelope_terms_diag(s, (0.0, 2.0)).m_peak
+    peak = _envelope(s, (0.0, 2.0)).m_peak
     assert abs(peak(0.5) - 1.0) <= 1e-12
     assert abs(peak(2.0) - 1.0) <= 1e-12
 
 
 def test_gap_peak_no_coupling():
     s = _tagged(const_scenario(Z2, I2, np.diag([1.0, 2.0]).astype(complex), name="nocouple"))
-    assert riccati.envelope_terms_diag(s, (0.0, 2.0)).m_peak(1.7) == 0.0
+    assert _envelope(s, (0.0, 2.0)).m_peak(1.7) == 0.0
 
 
 def test_gap_peak_grows_against_damping():
@@ -438,18 +442,8 @@ def test_gap_peak_grows_against_damping():
     # constant unit gap the running maximum is e^t
     a = np.array([[-0.5, 1.0], [0.0, -0.5]], dtype=complex)
     s = _tagged(const_scenario(a, I2, Z2, name="growgap"), (0.0, 1.0))
-    peak = riccati.envelope_terms_diag(s, (0.0, 1.0)).m_peak
+    peak = _envelope(s, (0.0, 1.0)).m_peak
     assert abs(peak(1.0) - math.e) <= 1e-8
-
-
-def test_envelope_guards():
-    with pytest.raises(riccati.NotDiagonalB):
-        riccati.envelope_terms_diag(coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}), (0.0, 1.0))
-    psd_only = _tagged(const_scenario(Z2, np.diag([1.0, 0.0]), Z2, name="bz"))
-    with pytest.raises(riccati.NotPositiveB):
-        riccati.envelope_terms_diag(psd_only, (0.0, 1.0))
-    with pytest.raises(ValueError):
-        riccati.build_envelope_terms(None, (0.0, 1.0), "bogus")
 
 
 # ---------------------------------------------------------------------------
