@@ -373,10 +373,27 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     return signs, float(np.min(b_real)), coupling
 
 
-def _a_weight(s: Scenario, j: int) -> Callable:
-    """The kernel weight t -> 2 Re a_jj(t)."""
+def _last_read(s: Scenario) -> Callable:
+    """t -> coefsys.eval_entries(s, t), keeping the read at the last t.
+
+    A condition flow reads its kernel weight and then its free term at
+    the same t, so both, built on one reader, share one s.eval.
+    """
+    last = [None, None]  # t, entries
+
+    def read(t):
+        if t != last[0]:
+            last[1] = coefsys.eval_entries(s, t)
+            last[0] = t
+        return last[1]
+
+    return read
+
+
+def _a_weight(read: Callable, j: int) -> Callable:
+    """The kernel weight t -> 2 Re a_jj(t), from an entries reader."""
     jj = 3 * j - 3  # flat index of the (j, j) entry
-    return lambda t: 2.0 * s.eval(t)[0].item(jj).real
+    return lambda t: 2.0 * read(t)[0][jj].real
 
 
 # chi_diag is left out of __all__: it runs once per integrator stage, and
@@ -399,18 +416,21 @@ def chi_diag(a, b, c, j: int) -> float:
     return -(cjj + abs(a[3 - j]) ** 2 / b_other)  # a_{3-j,j}
 
 
-def _diag_envelope_data(s: Scenario) -> riccati.EnvelopeData:
-    """Envelope inputs of a diagonal-B scenario, one s.eval per values read.
+def _diag_envelope_data(s: Scenario, read: Optional[Callable] = None) -> riccati.EnvelopeData:
+    """Envelope inputs of a diagonal-B scenario, one read per values call.
 
-    Both readers work on the blocks' entry 4-tuples (coefsys.eval_entries).
+    read(t) gives the blocks' entry 4-tuples (default: a _last_read of
+    s), and both readers work on them.
     slopes differentiates the ratios by the quotient rule, from the
     scenario's A' and B' and the ratios and b_j of the values it is
     handed. A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
     """
 
+    read = read or _last_read(s)
+
     def values(t):
         t = float(t)
-        a, b, c = coefsys.eval_entries(s, t)
+        a, b, c = read(t)
         tol = coefsys.TOL_POS * (1.0 + max(map(abs, b)))
         b1, b2 = b[0].real, b[3].real
         for j, bj in ((1, b1), (2, b2)):
@@ -457,14 +477,17 @@ def _first_oscillating(
 ) -> CriterionReport:
     """Oscillatory at the first j = 1, 2 whose scalar system oscillates.
 
-    system(j) returns the coefficients for scalar_osc_test. Either
-    system suffices, so the possibly stiff twin of one that oscillates
-    is skipped. notes is the (fired, not fired) pair; the first is
-    formatted with j.
+    system(j) returns the coefficients for scalar_osc_test. A result
+    already in witnesses["scalar_j"], counted on an equation with the
+    same zeros, stands in for that test. Either system suffices, so the
+    possibly stiff twin of one that oscillates is skipped. notes is the
+    (fired, not fired) pair; the first is formatted with j.
     """
     for j in (1, 2):
-        res = scalar_osc_test(system(j), window, opt.n_min, rtol=opt.rtol, atol=opt.atol)
-        witnesses[f"scalar_{j}"] = res
+        key = f"scalar_{j}"
+        if key not in witnesses:
+            witnesses[key] = scalar_osc_test(system(j), window, opt.n_min, rtol=opt.rtol, atol=opt.atol)
+        res = witnesses[key]
         if res.outcome == "oscillatory":
             return _fired(
                 criterion, OSCILLATORY, window, applicability, witnesses, notes[0].format(j=j)
@@ -573,12 +596,13 @@ def nonoscillation_sign_split(
     if not ((case_a or case_b) and coupling[1]):
         return _inconclusive(NONOSC_SPLIT, window, applicability)
 
+    read = _last_read(s)
     kernels = []
     for j, sgn in zip((1, 2), (1.0, -1.0) if case_a else (-1.0, 1.0)):
         def h(t, j=j, sgn=sgn):
-            return sgn * chi_diag(*coefsys.eval_entries(s, t), j)
+            return sgn * chi_diag(*read(t), j)
 
-        kernels.append((str(j), Kernel(_a_weight(s, j), h)))
+        kernels.append((str(j), Kernel(_a_weight(read, j), h)))
     witnesses = {"case": "b1>=0,b2<=0" if case_a else "b1<=0,b2>=0"}
     return _certified_pair(NONOSC_SPLIT, window, applicability, witnesses, kernels, opt)
 
@@ -604,8 +628,10 @@ def nonoscillation_envelope(
     if not (ok_diag and ok_pos):
         return _inconclusive(NONOSC_ENVELOPE, window, applicability)
 
-    data = _diag_envelope_data(s)
-    env = riccati.build_envelope_terms(data, window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol)
+    read = _last_read(s)
+    env = riccati.build_envelope_terms(
+        _diag_envelope_data(s, read), window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
+    )
     notes = ""
     a0 = s.eval(float(window[0]))[0]
     if max(abs(a0[0, 1]), abs(a0[1, 0])) > coefsys.TOL_POS * (1.0 + mat2.norm_max(a0)):
@@ -614,7 +640,7 @@ def nonoscillation_envelope(
             "normalizes it to zero there, so the bound is conservative"
         )
     witnesses = {"sign_convention": opt.sign_convention}
-    kernels = [("3", Kernel(_a_weight(s, 1), env.chi3)), ("4", Kernel(_a_weight(s, 2), env.chi4))]
+    kernels = [("3", Kernel(_a_weight(read, 1), env.chi3)), ("4", Kernel(_a_weight(read, 2), env.chi4))]
     return _certified_pair(NONOSC_ENVELOPE, window, applicability, witnesses, kernels, opt, notes)
 
 
@@ -642,12 +668,14 @@ class PsdReduction:
     at(t) returns Reduced(sqrt_b, p, q), each an entry 4-tuple, from
     one (memoized) read of the reduction. grid carries the validation
     samples the reduction residual tolerance was enforced on, and
-    max_residual the largest defect |S P - M| there.
+    max_residual the largest defect |S P - M| there. const_b says B'
+    was exactly 0 on that grid, so S was read once, at the window start.
     """
 
     at: Callable
     grid: np.ndarray
     max_residual: float
+    const_b: bool
 
 
 def _sym(x: tuple) -> tuple:
@@ -729,7 +757,9 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
             raise ResidualTooLarge(t, res, tol)
         residuals.append(res)
 
-    return PsdReduction(at=lambda t: compute(t)[0], grid=ts, max_residual=max(residuals))
+    return PsdReduction(
+        at=lambda t: compute(t)[0], grid=ts, max_residual=max(residuals), const_b=const_b
+    )
 
 
 def _reduced(criterion: str, s: Scenario, window: tuple, applicability: list) -> tuple:
@@ -759,18 +789,45 @@ def _chi_tilde(p: tuple, q: tuple, j: int) -> float:
 
 
 def oscillation_from_psd_reduction(
-    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions(),
+    *, diagonal: Optional[CriterionReport] = None,
 ) -> CriterionReport:
     """Oscillation via the reduced scalar equations.
 
     After reduction the candidate scalar equations are
     phi'' + 2 Re(p_jj) phi' + chi~_j phi = 0, encoded as first-order
     pairs and run through scalar_osc_test. Oscillatory if either one is.
+
+    diagonal is the oscillation-diagonal report of the same analysis.
+    On a diagonal B > 0 that the reduction found constant, and when that
+    report holds scalar_1, its scalar_j results stand in for the reduced
+    tests: S = diag(sqrt b_j) gives p_jj = a_jj and chi~_j = b_j chi_j,
+    and the gauge w~ = b_j w maps the diagonal Riccati equation
+    w' + b_j w^2 + 2 Re(a_jj) w + chi_j = 0 onto the reduced one, so both
+    count the zeros of one function. A varying B keeps its own flows,
+    which are where a B that leaves PSD between validation samples is
+    caught. The reduction and its applicability rows run either way.
     """
     applicability = []
     red, report = _reduced(OSC_PSD, s, window, applicability)
     if red is None:
         return report
+
+    witnesses = {"max_residual": red.max_residual}
+    notes = ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates")
+    if (
+        {"B_diagonal", "B_positive"} <= s.tags
+        and red.const_b
+        and diagonal is not None
+        and "scalar_1" in diagonal.witnesses
+    ):
+        witnesses.update((k, v) for k, v in diagonal.witnesses.items() if k.startswith("scalar_"))
+        gauge = (
+            "; zeros counted on the diagonal form, which the gauge w~ = b_j w "
+            "maps onto the reduced one (its (0, 1) start is the reduced one "
+            "scaled by b_j(lo), which moves no zero)"
+        )
+        notes = tuple(n + gauge for n in notes)
 
     def system(j):
         jj = 3 * j - 3  # index of the (j, j) entry
@@ -781,11 +838,7 @@ def oscillation_from_psd_reduction(
 
         return coeffs
 
-    witnesses = {"max_residual": red.max_residual}
-    return _first_oscillating(
-        OSC_PSD, window, applicability, witnesses, system,
-        ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates"), opt,
-    )
+    return _first_oscillating(OSC_PSD, window, applicability, witnesses, system, notes, opt)
 
 
 def nonoscillation_psd_envelope(
@@ -851,6 +904,7 @@ _HYPOTHESIS_ERRORS = {
     mat2.NotDifferentiable: "sqrt B differentiable",
     coefsys.ZeroDiagonalB: "b_1, b_2 nonzero",
     coefsys.OutOfDomain: "window inside the coefficient domain",
+    odeint.StepBudgetExhausted: "flow within the step budget",
 }
 
 
@@ -866,8 +920,10 @@ def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
     )
     reports = []
     for cid, run in zip(CRITERION_ORDER, runs):
+        # the PSD oscillation test may read the diagonal one's scalar flows
+        kwargs = {"diagonal": reports[0]} if cid == OSC_PSD else {}
         try:
-            reports.append(run(s, window, opt))
+            reports.append(run(s, window, opt, **kwargs))
         except tuple(_HYPOTHESIS_ERRORS) as exc:
             hypothesis = next(h for err, h in _HYPOTHESIS_ERRORS.items() if isinstance(exc, err))
             reports.append(_inconclusive(cid, window, [(hypothesis, False, str(exc))]))
@@ -895,6 +951,13 @@ def resolve_reports(reports) -> tuple:
 
 def analyze(s: Scenario, window: tuple, options: Optional[AnalysisOptions] = None) -> AnalysisResult:
     """Run all criteria in fixed order and aggregate.
+
+    The criteria run as standalone calls would, except that
+    oscillation-psd-reduction is handed the oscillation-diagonal report:
+    on a constant diagonal B > 0 it reads that report's scalar flows
+    instead of integrating the same equations again (the gauge
+    w~ = b_j w; see oscillation_from_psd_reduction). Nothing is kept
+    between calls.
 
     A report out of its slot in CRITERION_ORDER, a report answering
     against its criterion's direction, and a cross-criterion conflict

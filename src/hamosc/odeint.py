@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -59,6 +60,7 @@ from .mat2 import adjoint, is_hermitian
 
 __all__ = [
     "StepUnderflow",
+    "StepBudgetExhausted",
     "ConjoinedDrift",
     "QuadratureNoConvergence",
     "Event",
@@ -98,6 +100,14 @@ class StepUnderflow(RuntimeError):
         super().__init__(f"step underflow at t = {t!r}")
         self.t = t
         self.state = state
+
+
+class StepBudgetExhausted(RuntimeError):
+    """A solve took more than _MAX_STEPS step attempts before its window end."""
+
+    def __init__(self, t: float):
+        super().__init__(f"step budget of {_MAX_STEPS} attempts exhausted at t = {t!r}")
+        self.t = t
 
 
 class ConjoinedDrift(RuntimeError):
@@ -157,7 +167,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
 _BETA1 = 0.7 / 5  # PI controller gains
 _BETA2 = 0.4 / 5
-_MAX_STEPS = 5_000_000  # step budget per solve; exhausting it raises
+_MAX_STEPS = 5_000_000  # step budget per solve; exhausting it raises StepBudgetExhausted
 
 
 @dataclass(frozen=True)
@@ -273,6 +283,7 @@ def _dp45(
 ) -> Trajectory:
     if not t_end > t0:
         raise ValueError("window must satisfy t_end > t0")
+    wall0 = time.perf_counter()
     # stages probing toward a blow-up overflow on purpose, and the
     # non-finite checks below turn that into a rejected step; the
     # warnings stay off for the whole flow, hooks included
@@ -306,7 +317,7 @@ def _dp45(
         while t < t_last:
             steps += 1
             if steps > _MAX_STEPS:
-                raise RuntimeError("step budget exhausted")
+                raise StepBudgetExhausted(t)
             h = min(h, t_end - t)
 
             k[0] = f0
@@ -430,7 +441,10 @@ def _dp45(
             h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             err_prev = max(err, 1e-10)
 
-    stats = dict(n_accept=n_accept, n_reject=n_reject, nfev=nfev, h_min=h_min, h_max=h_max)
+    stats = dict(
+        n_accept=n_accept, n_reject=n_reject, nfev=nfev, h_min=h_min, h_max=h_max,
+        wall_s=time.perf_counter() - wall0,
+    )
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states),
@@ -460,8 +474,10 @@ def adaptive_solve(
     field and hooks included, and the caller's error state is restored
     on return or raise. meta["stats"] holds n_accept (the nodes after
     the first), n_reject, nfev (every field call, the two of the initial
-    step choice included), and h_min and h_max over the accepted steps
-    (inf and 0 when none was accepted).
+    step choice included), h_min and h_max over the accepted steps
+    (inf and 0 when none was accepted), and wall_s, the solve's wall
+    time in seconds. A solve that makes more than _MAX_STEPS step
+    attempts raises StepBudgetExhausted.
 
     The optional ``post_step(t, y)`` sees each accepted state y at t and
     returns the state to store and continue from. It must not change y in

@@ -775,6 +775,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
         at=lambda t: compute(t)[0][0],
         grid=ts,
         max_residual=float(np.max(residuals)),
+        const_b=const_b,
     )
 
 

@@ -210,6 +210,37 @@ def test_diagonal_criterion_reads_the_scenario_once_per_field_call(monkeypatch):
     assert rec.reads == rec.fev > 0
 
 
+def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
+    # the kernel weight and the free term of a condition flow share one
+    # read at each t: 256 grid reads for the sign rows, then at most one
+    # per field call (two per call, 1,272 reads in all, when each of the
+    # pair read the scenario itself)
+    window = (0.0, 20.0)
+    d = np.diag([1.0, -1.0]).astype(complex)
+    s = _tagged(const_scenario(Z2, d, d, name="split"), window)
+    rec = _FlowRecorder(monkeypatch)
+    monkeypatch.setattr(riccati, "adaptive_solve", odeint.adaptive_solve)
+    total = [0]
+
+    def counted(t):
+        total[0] += 1
+        return s.eval(t)
+
+    opt = criteria.AnalysisOptions()
+    rep = criteria.nonoscillation_sign_split(replace(s, eval=rec.counted(counted)), window, opt)
+    assert rep.verdict.kind == criteria.NON_OSCILLATORY
+    assert 0 < rec.reads <= rec.fev
+    assert total[0] <= 256 + rec.fev
+    # the same partitions as kernels that read the scenario twice per call
+    for j, sgn in ((1, 1.0), (2, -1.0)):
+        k = riccati.Kernel(
+            lambda t, j=j: 2.0 * s.eval(t)[0][j - 1, j - 1].real,
+            lambda t, j=j, sgn=sgn: sgn * criteria.chi_diag(*coefsys.eval_entries(s, t), j),
+        )
+        part = riccati.partition_search(k, window, opt.max_points, rtol=opt.rtol, atol=opt.atol)
+        assert rep.witnesses[f"partition_{j}"] == part
+
+
 def test_psd_criterion_reads_the_reduction_once_per_field_call(monkeypatch):
     s = _tagged(coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}), (0.0, 30.0))
     rec = _FlowRecorder(monkeypatch)
@@ -643,6 +674,85 @@ def test_reduction_identity_for_unit_b_verdicts():
         assert plain_env.verdict.kind == red_env.verdict.kind
 
 
+def _twin_blocks(k):
+    """A and C of the oscillation-twin scenarios (ROADMAP P14)."""
+    a = np.array([[0.3 + 0.2j, 0.4], [0.25 + 0.1j, -0.2]])
+    c = np.array([[-k, 0.3], [0.3, -0.8 * k]], dtype=complex)
+    return a, c
+
+
+def _count_scalar_tests(monkeypatch) -> list:
+    calls = [0]
+    inner = criteria.scalar_osc_test
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(criteria, "scalar_osc_test", counted)
+    return calls
+
+
+def _zeros_close(ours, theirs):
+    """Same zero counts per start, with times within 1e-8 (1 + |t|)."""
+    assert ours.zeros.keys() == theirs.zeros.keys()
+    for start, zs in theirs.zeros.items():
+        mine = np.asarray(ours.zeros[start])
+        assert len(mine) == len(zs)
+        assert np.all(np.abs(mine - zs) <= 1e-8 * (1.0 + np.abs(zs)))
+
+
+@pytest.mark.parametrize("k", [1.0, 4.0])
+def test_psd_twin_reads_the_diagonal_flows_on_a_constant_b(monkeypatch, k):
+    # on a constant diagonal B > 0 the two oscillation criteria count the
+    # zeros of one Riccati equation (the gauge w~ = b_j w), so in analyze
+    # the PSD one reads the diagonal one's scalar flows instead of its own
+    window = (0.0, 30.0)
+    a, c = _twin_blocks(k)
+    s = _tagged(const_scenario(a, np.diag([0.5, 2.0]), c, name=f"twin_k{k:g}"), window)
+    calls = _count_scalar_tests(monkeypatch)
+    res = criteria.analyze(s, window)
+    in_analyze, calls[0] = calls[0], 0
+    own = criteria.oscillation_from_psd_reduction(s, window)
+    criteria.oscillation_from_diagonal(s, window)
+    assert 2 * in_analyze == calls[0] > 0
+    diag, psd = res.reports[0], res.reports[3]
+    assert diag.verdict.kind == psd.verdict.kind == own.verdict.kind == criteria.OSCILLATORY
+    assert "gauge" in psd.verdict.notes and "gauge" not in own.verdict.notes
+    assert psd.applicability == own.applicability
+    shared = [key for key in psd.witnesses if key.startswith("scalar_")]
+    assert shared == [key for key in own.witnesses if key.startswith("scalar_")]
+    for key in shared:
+        assert psd.witnesses[key] is diag.witnesses[key]
+        _zeros_close(own.witnesses[key], psd.witnesses[key])
+
+
+def test_psd_twin_keeps_its_own_flows_on_a_varying_b(monkeypatch):
+    # P14's varying B: the gauge holds there too, but the PSD flow is
+    # also where a B that leaves PSD between samples is caught, so the
+    # twin still integrates its own equations
+    window = (0.0, 30.0)
+    a, c = _twin_blocks(1.0)
+
+    def b_and_db(t):
+        b = np.diag([1.0 + 0.5 * math.sin(t), 2.0 + math.cos(1.3 * t)])
+        return b, np.diag([0.5 * math.cos(t), -1.3 * math.sin(1.3 * t)])
+
+    s = _tagged(_varying_b_scenario("twin_varying_b", a, c, b_and_db), window)
+    assert {"B_diagonal", "B_positive"} <= s.tags
+    calls = _count_scalar_tests(monkeypatch)
+    res = criteria.analyze(s, window)
+    in_analyze, calls[0] = calls[0], 0
+    criteria.oscillation_from_diagonal(s, window)
+    criteria.oscillation_from_psd_reduction(s, window)
+    assert in_analyze == calls[0] > 0
+    diag, psd = res.reports[0], res.reports[3]
+    assert diag.verdict.kind == psd.verdict.kind == criteria.OSCILLATORY
+    assert "gauge" not in psd.verdict.notes
+    assert psd.witnesses["scalar_1"] is not diag.witnesses["scalar_1"]
+    _zeros_close(psd.witnesses["scalar_1"], diag.witnesses["scalar_1"])
+
+
 # ---------------------------------------------------------------------------
 # Options plumbing.
 
@@ -709,8 +819,12 @@ def test_analyze_calls_each_criterion_with_the_options_object(monkeypatch):
     res = criteria.analyze(coefsys.make_family("harmonic", {}), window, opt)
     assert res.verdict.kind == criteria.OSCILLATORY
     assert sorted(calls) == ["nonoscillation_sign_split", "oscillation_from_psd_reduction"]
-    for (((s, w, o), kwargs),) in calls.values():
-        assert s.name == "harmonic" and w == window and o is opt and kwargs == {}
+    for (((s, w, o), _),) in calls.values():
+        assert s.name == "harmonic" and w == window and o is opt
+    # the PSD oscillation test alone is also handed the diagonal report
+    assert calls["nonoscillation_sign_split"][0][1] == {}
+    (diagonal_kw,) = (kw for _, kw in calls["oscillation_from_psd_reduction"])
+    assert list(diagonal_kw) == ["diagonal"] and diagonal_kw["diagonal"] is res.reports[0]
 
 
 # ---------------------------------------------------------------------------
@@ -784,6 +898,19 @@ def test_hypothesis_failing_inside_a_criterion_is_inconclusive():
     ((hypothesis, held, detail),) = psd.applicability
     assert hypothesis == "B positive semidefinite" and not held
     assert detail.startswith("eigenvalues")
+
+
+def test_step_budget_is_a_named_inconclusive_row(monkeypatch):
+    # 50 step attempts end harmonic's scalar flows early; the diagonal
+    # report then holds no scalar_1, so the PSD twin runs its own flow,
+    # which meets the same budget
+    monkeypatch.setattr(odeint, "_MAX_STEPS", 50)
+    res = criteria.analyze(coefsys.make_family("harmonic", {}), (0.0, 20.0))
+    assert res.verdict.kind == criteria.INCONCLUSIVE
+    for cid in (criteria.OSC_DIAG, criteria.OSC_PSD):
+        ((hypothesis, held, detail),) = res.reports[criteria.CRITERION_ORDER.index(cid)].applicability
+        assert hypothesis == "flow within the step budget" and not held
+        assert "step budget of 50" in detail
 
 
 def test_analyze_reports_in_fixed_order():

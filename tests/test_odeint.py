@@ -183,6 +183,7 @@ def test_solver_stats_count_the_flow(copy_hook):
     steps = np.diff(traj.times)
     assert stats["h_min"] == pytest.approx(steps.min(), rel=1e-9)
     assert stats["h_max"] == pytest.approx(steps.max(), rel=1e-12)
+    assert stats["wall_s"] >= 0.0
 
 
 def test_flow_keeps_overflow_warnings_off_and_restores_the_error_state():
