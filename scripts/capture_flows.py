@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
-"""Hash every DP5(4) flow, report and detected zero of the packaged scenarios.
+"""Hash every integrated flow, report and detected zero of the packaged scenarios.
 
 Runs ``criteria.analyze`` on the four packaged scenarios with their own
 windows and options, and after each one ``criteria.cross_validate`` on
 that analysis, then ``analyze`` on the first N draws of the no-conflict
 campaign (``bench/draws.py``: seed 20260816, window (0, 5), the campaign
-options of the test suite). It prints one line per integrated flow, one
-per report and one per simulated start:
+options of the test suite). It prints one line per integrated flow (each
+DP5(4) solve and each Magnus flow of a scalar oscillation test, in the
+order they ran), one per report and one per simulated start:
 
-    flow   <op> <k> <accepted steps> <sha256 of times, steps, states, dense coefficients>
+    flow   <op> <k> <accepted steps> <sha256 of the flow>
     report <op> <verdict> <sha256 of the `hamosc analyze` JSON payload without generated_at>
     zeros  <op> <start> <count> <sha256 of the zero times, residuals and multiplicities>
 
-The ops are ``analyze.<name>``, ``simulate.<name>`` and
-``campaign.<draw>``. Two checkouts that print the same lines integrated
+A DP5(4) flow hashes its times, steps, states and dense coefficients,
+and a Magnus flow its nodes and states. The ops are ``analyze.<name>``,
+``simulate.<name>`` and ``campaign.<draw>``. Two checkouts that print the same lines integrated
 the same flows bit for bit, wrote the same reports and detected the
 same determinant zeros. Run it in each and diff the output:
 
@@ -65,11 +67,8 @@ def _digest(*arrays) -> str:
 
 
 def _flow_lines(op: str, flows: list) -> list:
-    return [
-        f"flow {op} {k} {len(traj.times) - 1} "
-        + _digest(traj.times, traj._seg_h, traj.states, traj._seg_q)
-        for k, traj in enumerate(flows)
-    ]
+    """flows holds (accepted steps, digest) per flow, in the order they ran."""
+    return [f"flow {op} {k} {steps} {digest}" for k, (steps, digest) in enumerate(flows)]
 
 
 def _value_lines(op: str, result) -> list:
@@ -95,14 +94,22 @@ def _value_lines(op: str, result) -> list:
 def capture(n_draws: int, values: bool = False) -> list:
     """Output lines for the packaged scenarios and the first n_draws draws."""
     lines = []
-    flows = []  # trajectories of the op now running
+    flows = []  # (accepted steps, digest) of each flow of the op now running
     detected = []  # zero records of each start of the op now running
-    original, original_detect = odeint._dp45, odeint.detect_det_zeros
+    original, original_magnus = odeint._dp45, odeint.magnus_flow
+    original_detect = odeint.detect_det_zeros
 
     def recording(*args, **kwargs):
         traj = original(*args, **kwargs)
-        flows.append(traj)
+        flows.append(
+            (len(traj.times) - 1, _digest(traj.times, traj._seg_h, traj.states, traj._seg_q))
+        )
         return traj
+
+    def recording_magnus(*args, **kwargs):
+        flow = original_magnus(*args, **kwargs)
+        flows.append((len(flow.times) - 1, _digest(flow.times, flow.states)))
+        return flow
 
     def detecting(*args, **kwargs):
         zeros = original_detect(*args, **kwargs)
@@ -119,7 +126,7 @@ def capture(n_draws: int, values: bool = False) -> list:
         for _cls, scen in campaign_draws(CAMPAIGN_SEED, n_draws):
             jobs.append((f"campaign.{scen.name}", scen, CAMPAIGN_WINDOW, CAMPAIGN_OPTIONS, {}))
 
-    odeint._dp45, odeint.detect_det_zeros = recording, detecting
+    odeint._dp45, odeint.magnus_flow, odeint.detect_det_zeros = recording, recording_magnus, detecting
     try:
         for op, scen, window, options, doc in jobs:
             flows.clear()
@@ -147,7 +154,8 @@ def capture(n_draws: int, values: bool = False) -> list:
                     f"zeros {sim_op} {rec.label} {len(zeros)} {hashlib.sha256(text).hexdigest()[:16]}"
                 )
     finally:
-        odeint._dp45, odeint.detect_det_zeros = original, original_detect
+        odeint._dp45, odeint.magnus_flow = original, original_magnus
+        odeint.detect_det_zeros = original_detect
     return lines
 
 

@@ -103,6 +103,9 @@ class Scenario:
     domain_end: right end of validity (None = unbounded).
     params: a family's parameters as its builder resolved them,
     defaults included.
+    knots: the sample times of a table (from_table), empty otherwise.
+    psd_reduce reads B at those inside its window as well as on its
+    grid, so a table entry that leaves PSD between grid points is met.
     """
 
     name: str
@@ -113,6 +116,7 @@ class Scenario:
     domain_end: float | None = None
     family: str | None = None
     params: dict = field(default_factory=dict)
+    knots: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -414,6 +418,7 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
         eval=ev,
         analytic_derivatives=dv,
         domain_end=hi,
+        knots=tuple(tab.times.tolist()),
     )
     report = validate_scenario(scen, (lo, hi), n_samples=max(64, 4 * len(tab.times)))
     return replace(scen, tags=report.tags)

@@ -241,27 +241,22 @@ def _quarter_threshold(lo: float, hi: float) -> float:
     return lo + 0.75 * (hi - lo)
 
 
-_RENORM_LIMIT = 1e100  # rescale a fundamental-matrix column beyond this to dodge overflow
-
 # leading fraction of a window whose zeros a "no zeros" verdict ignores,
 # in the scalar test and in the simulation alike
 _BURN_IN = 0.1
 
 
-def _scan_zeros(traj: odeint.Trajectory, component: int) -> tuple:
+def _scan_zeros(flow: odeint.MagnusFlow, component: int) -> tuple:
     """Zeros of one state component at and between the accepted nodes.
 
     A node where the component is exactly 0 is a zero; a step whose end
-    values have opposite signs holds one, found on the dense output.
-    Values are read from the dense output at the nodes, which is the
-    function the root finder brackets (at the window end it can differ
-    from the stored state by rounding).
+    values have opposite signs holds one, found on the propagator from
+    the step's node (MagnusFlow.state_at), which at a node is the stored
+    state.
     """
-    ts = traj.times
-    phi = traj.dense_eval(ts)[:, component]
-    zeros = odeint.sign_change_roots(
-        lambda t: float(traj.dense_eval(float(t))[component]), ts, phi
-    )
+    ts = flow.times
+    phi = flow.states[:, component]
+    zeros = odeint.sign_change_roots(lambda t: flow.state_at(float(t))[component], ts, phi)
     zeros.extend(float(t) for t in ts[phi == 0.0])
     return tuple(sorted(zeros))
 
@@ -276,13 +271,15 @@ def scalar_osc_test(
 ) -> ScalarOscResult:
     """Oscillation of the 2d linear system by direct zero counting.
 
-    coeffs(t) returns the entries (m11, m12, m21, m22) of M(t) in
-    phi' = m11 phi + m12 psi, psi' = m21 phi + m22 psi. One flow
-    Y' = M(t) Y carries the 2x2 fundamental matrix Y from the identity,
-    so its columns are the starts (1, 0) and (0, 1); the state holds
-    them one after the other as (phi, psi, phi, psi), and M(t) is read
-    once per stage. Zeros of each column's phi are counted by sign
-    change between accepted nodes, plus the nodes where phi is exactly 0.
+    coeffs(t) returns the real entries (m11, m12, m21, m22) of M(t) in
+    phi' = m11 phi + m12 psi, psi' = m21 phi + m22 psi. One sixth-order
+    Magnus flow (odeint.magnus_flow) carries the 2x2 fundamental matrix
+    Y' = M(t) Y from the identity, so its columns are the starts (1, 0)
+    and (0, 1), and each step reads M(t) four times for both. Zeros of
+    each column's phi are counted by sign change between accepted nodes,
+    refined on the propagator from the step's node, plus the nodes where
+    phi is exactly 0. The flow's turn cap keeps phi from crossing 0
+    twice within one step.
     oscillatory: both starts reach n_min zeros and the last zero lands
     in the final quarter (log-time quarter on wide positive windows).
     non_oscillatory: no start has any zero past the burn-in prefix, the
@@ -290,34 +287,13 @@ def scalar_osc_test(
 
     The ratio y = psi / phi obeys y' + m12 y^2 + (m11 - m22) y - m21 = 0
     and blows up exactly at the zeros of phi, so these zero times are
-    also the pole times of the Riccati flow. A column whose largest
-    entry exceeds 1e100 is divided by that entry: scaling a column by a
-    positive factor moves none of its zeros.
+    also the pole times of the Riccati flow. The flow divides a column
+    whose largest entry exceeds odeint._RENORM_LIMIT by that entry:
+    scaling a column by a positive factor moves none of its zeros.
     """
     lo, hi = float(window[0]), float(window[1])
-
-    def fld(t, y):
-        m11, m12, m21, m22 = coeffs(t)
-        phi1, psi1, phi2, psi2 = y.tolist()
-        return np.array(
-            [
-                m11 * phi1 + m12 * psi1,
-                m21 * phi1 + m22 * psi1,
-                m11 * phi2 + m12 * psi2,
-                m21 * phi2 + m22 * psi2,
-            ]
-        )
-
-    def renorm(t, y):
-        if np.max(np.abs(y)) <= _RENORM_LIMIT:
-            return y
-        cols = y.reshape(2, 2)
-        m = np.max(np.abs(cols), axis=1)
-        return (cols / np.where(m > _RENORM_LIMIT, m, 1.0)[:, None]).ravel()
-
-    y0 = np.array([1.0, 0.0, 0.0, 1.0])
-    traj = odeint.adaptive_solve(fld, y0, (lo, hi), rtol, atol, post_step=renorm)
-    zeros = {"1,0": _scan_zeros(traj, 0), "0,1": _scan_zeros(traj, 2)}
+    flow = odeint.magnus_flow(coeffs, (lo, hi), rtol, atol)
+    zeros = {"1,0": _scan_zeros(flow, 0), "0,1": _scan_zeros(flow, 2)}
 
     quarter = _quarter_threshold(lo, hi)
     burn_edge = lo + _BURN_IN * (hi - lo)
@@ -698,10 +674,12 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     M M^+ M = M (Penrose, Proc. Cambridge Philos. Soc. 52, 1956).
     Raises ResidualTooLarge when the defect |S P - M|, the part of M off
     the range of S, exceeds 1e-8 * (1 + |M|) anywhere on the validation
-    grid: downstream criteria treat that as inapplicability. The defect
-    and |M| are computed on that grid only, not at every integrator
+    grid or at a table knot (Scenario.knots) inside the window:
+    downstream criteria treat that as inapplicability. The defect and
+    |M| are computed at those points only, not at every integrator
     stage. No tag is read: an indefinite B raises NotPSD where it is
-    first read.
+    first read, so a table entry that leaves PSD at a knot between grid
+    points is met here, not left to the flows' reads.
 
     Constant blocks, the common case, are read once, since the pointwise
     path is too slow to repeat per integrator stage. A block counts as
@@ -748,8 +726,9 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         memo[key] = out
         return out
 
+    lo, hi = float(window[0]), float(window[1])
     residuals = []
-    for t in ts.tolist():
+    for t in ts.tolist() + [k for k in s.knots if lo < k < hi]:
         (sq, p, _), m = compute(t)
         res = max(abs(u - v) for u, v in zip(mul(sq, p), m))
         tol = 1e-8 * (1.0 + max(map(abs, m)))

@@ -4,7 +4,7 @@ The core is a hand-rolled Dormand-Prince 5(4) embedded pair with PI step
 control and a quartic dense interpolant. It is deliberately self-contained:
 the drivers below need hooks that library integrators do not expose, namely
 ``post_step``, which sees and may replace each accepted state (frame
-orthonormalization, the conjoinedness check, rescaling), escape-norm
+orthonormalization and the conjoinedness check), escape-norm
 truncation that preserves the partial trajectory for blow-up diagnostics,
 and ``stop``, a predicate on each new dense segment that ends the flow
 early (the partition-condition search stops at its first violated sample).
@@ -17,6 +17,15 @@ carries the solver's counts in ``meta["stats"]``.
 Drivers provided:
 
 * ``adaptive_solve``: any field y' = f(t, y), with the hooks above.
+* ``magnus_flow``: the 2x2 fundamental matrix of a real linear flow
+  Y' = M(t) Y from the identity, by an adaptive sixth-order Magnus
+  propagator: three reads of M per step attempt at the Gauss-Legendre
+  points, one closed-form 2x2 exponential per step for both columns, an
+  embedded fourth-order exponent on Simpson's nodes for error control
+  (one more read, at the step end), a cap of a quarter turn per step,
+  and column rescaling past 1e100. ``MagnusFlow.state_at`` reads the
+  state between nodes from the same propagator. The scalar oscillation
+  test of ``criteria`` counts its zeros on it.
 * ``solve_hamiltonian`` / ``solve_hamiltonian_frame``: the linear system
   Phi' = A Phi + B Psi, Psi' = C Phi - A* Psi, integrated as 16 reals by
   one pair driver. The 16 reals are the 4x2 complex frame X = [Phi; Psi]
@@ -69,6 +78,8 @@ __all__ = [
     "BlowupRecord",
     "adaptive_solve",
     "segment_states",
+    "MagnusFlow",
+    "magnus_flow",
     "quadrature",
     "solve_hamiltonian",
     "solve_hamiltonian_frame",
@@ -168,6 +179,23 @@ _MAX_FACTOR = 10.0
 _BETA1 = 0.7 / 5  # PI controller gains
 _BETA2 = 0.4 / 5
 _MAX_STEPS = 5_000_000  # step budget per solve; exhausting it raises StepBudgetExhausted
+
+
+def _pi_factor(err: float, err_prev: float | None) -> float:
+    """Step factor after an accepted step of error err <= 1: PI control
+    on err and the last accepted step's err_prev (None on the first)."""
+    if err == 0.0:
+        factor = _MAX_FACTOR
+    elif err_prev is None:
+        factor = _SAFETY * err ** (-0.2)
+    else:
+        factor = _SAFETY * err ** (-_BETA1) * err_prev ** (_BETA2)
+    return min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+
+
+def _reject_factor(err: float) -> float:
+    """Step factor after a step rejected with finite error err > 1."""
+    return min(max(_MIN_FACTOR, _SAFETY * err ** (-0.2)), 1.0)
 
 
 @dataclass(frozen=True)
@@ -362,8 +390,7 @@ def _dp45(
 
             if err > 1.0:
                 n_reject += 1
-                factor = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-                h *= min(factor, 1.0)
+                h *= _reject_factor(err)
                 if h < 1e-14 * max(1.0, abs(t)):
                     if underflow == "raise":
                         raise StepUnderflow(t, y)
@@ -432,13 +459,7 @@ def _dp45(
                 nfev += 1
             y = y_stored
 
-            if err == 0.0:
-                factor = _MAX_FACTOR
-            elif err_prev is None:
-                factor = _SAFETY * err ** (-0.2)
-            else:
-                factor = _SAFETY * err ** (-_BETA1) * err_prev ** (_BETA2)
-            h *= min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            h *= _pi_factor(err, err_prev)
             err_prev = max(err, 1e-10)
 
     stats = dict(
@@ -496,6 +517,273 @@ def adaptive_solve(
     """
     t0, t_end = float(window[0]), float(window[1])
     return _dp45(field, t0, t_end, np.atleast_1d(np.asarray(y0, float)), rtol, atol, **kwargs)
+
+
+# ---------------------------------------------------------------------------
+# Sixth-order Magnus propagator for the real 2x2 linear flow.
+
+# Gauss-Legendre nodes on [0, 1]; the middle one is 1/2
+_GL_C1 = 0.5 - math.sqrt(15.0) / 10.0
+_GL_C3 = 0.5 + math.sqrt(15.0) / 10.0
+_SQRT15_3 = math.sqrt(15.0) / 3.0
+_TURN_CAP = 0.5 * math.pi  # largest rotation angle of one accepted step
+_RENORM_LIMIT = 1e100  # rescale a fundamental-matrix column beyond this to dodge overflow
+
+
+def _gauss_reads(coeffs, t: float, h: float) -> tuple:
+    """M read at the three Gauss-Legendre points of [t, t + h]."""
+    return coeffs(t + _GL_C1 * h), coeffs(t + 0.5 * h), coeffs(t + _GL_C3 * h)
+
+
+def _omega6(ma: tuple, mb: tuple, mc: tuple, h: float) -> tuple:
+    """Omega6 of Y' = M Y over [t, t + h] from M at the Gauss points.
+
+    Returns (tau, p, q, r): the exponent is tau I plus the traceless
+    part [[p, q], [r, -p]]. With alpha1 = h Mb,
+    alpha2 = (sqrt 15 h / 3)(Mc - Ma) and
+    alpha3 = (10 h / 3)(Mc - 2 Mb + Ma); C1 = [alpha1, alpha2] and
+    C2 = -[alpha1, 2 alpha3 + C1] / 60 (Blanes, Casas, Oteo and Ros,
+    Phys. Rep. 470, 2009):
+        Omega6 = alpha1 + alpha3 / 12 + [-20 alpha1 - alpha3 + C1, alpha2 + C2] / 240.
+    Commutators are traceless, so tau is the trace part of the Gauss
+    integral. For traceless X and Y in (p, q, r) form,
+    [X, Y] = (qx ry - qy rx, 2 (px qy - qx py), 2 (rx py - px ry)).
+    """
+    a11, a12, a21, a22 = ma
+    b11, b12, b21, b22 = mb
+    c11, c12, c21, c22 = mc
+    k2 = _SQRT15_3 * h
+    k3 = h * (10.0 / 3.0)
+    p1, q1, r1 = 0.5 * h * (b11 - b22), h * b12, h * b21
+    p2, q2, r2 = 0.5 * k2 * ((c11 - c22) - (a11 - a22)), k2 * (c12 - a12), k2 * (c21 - a21)
+    p3 = 0.5 * k3 * ((c11 - c22) - 2.0 * (b11 - b22) + (a11 - a22))
+    q3 = k3 * (c12 - 2.0 * b12 + a12)
+    r3 = k3 * (c21 - 2.0 * b21 + a21)
+    tau = 0.5 * h * (b11 + b22) + k3 * ((c11 + c22) - 2.0 * (b11 + b22) + (a11 + a22)) / 24.0
+    # C1
+    pc, qc, rc = q1 * r2 - q2 * r1, 2.0 * (p1 * q2 - q1 * p2), 2.0 * (r1 * p2 - p1 * r2)
+    # alpha2 + C2
+    u, v, w = 2.0 * p3 + pc, 2.0 * q3 + qc, 2.0 * r3 + rc
+    pd = p2 - (q1 * w - v * r1) / 60.0
+    qd = q2 - (p1 * v - q1 * u) / 30.0
+    rd = r2 - (r1 * u - p1 * w) / 30.0
+    # -20 alpha1 - alpha3 + C1
+    u, v, w = pc - 20.0 * p1 - p3, qc - 20.0 * q1 - q3, rc - 20.0 * r1 - r3
+    return (
+        tau,
+        p1 + p3 / 12.0 + (v * rd - qd * w) / 240.0,
+        q1 + q3 / 12.0 + (u * qd - v * pd) / 120.0,
+        r1 + r3 / 12.0 + (w * pd - u * rd) / 120.0,
+    )
+
+
+def _omega4(m0: tuple, mb: tuple, m1: tuple, h: float) -> tuple:
+    """Omega4 of Y' = M Y over [t, t + h] from M at its start, middle
+    and end, as (tau, p, q, r) like _omega6: Simpson's rule for the
+    integral of M, less (h^2 / 12) [M0, M1].
+
+    Its quadrature is not the Gauss rule of Omega6, so Omega6 - Omega4
+    holds the quadrature error as well as the commutator terms: it does
+    not vanish where M(t) commutes with itself, as M = f(t) K does.
+    """
+    a11, a12, a21, a22 = m0
+    b11, b12, b21, b22 = mb
+    c11, c12, c21, c22 = m1
+    k = h / 6.0
+    pa, pc = 0.5 * (a11 - a22), 0.5 * (c11 - c22)
+    g = h * h / 12.0
+    return (
+        0.5 * k * ((a11 + a22) + 4.0 * (b11 + b22) + (c11 + c22)),
+        k * (pa + 2.0 * (b11 - b22) + pc) - g * (a12 * c21 - c12 * a21),
+        k * (a12 + 4.0 * b12 + c12) - 2.0 * g * (pa * c12 - a12 * pc),
+        k * (a21 + 4.0 * b21 + c21) - 2.0 * g * (a21 * pc - pa * c21),
+    )
+
+
+def _expm2(tau: float, p: float, q: float, r: float) -> tuple:
+    """exp(tau I + N), N = [[p, q], [r, -p]], in closed form, row-major.
+
+    N^2 = d I with d = p^2 + q r. For d < 0, exp(N) = cos w I + sin w / w N
+    with w = sqrt(-d), and for 0 < d <= 1 the same with cosh and sinh.
+    For w = sqrt(d) > 1 the eigenvalues tau +- w are far apart, and
+    cosh w - sinh w would lose the smaller one to cancellation, so
+    exp = e^(tau + w) [(w I + N) + e^(-2w) (w I - N)] / (2 w), with the
+    diagonal terms w +- p formed without cancellation from
+    (w + p)(w - p) = q r. Raises OverflowError when the exponential
+    overflows.
+    """
+    d = p * p + q * r
+    if d > 1.0:
+        w = math.sqrt(d)
+        g = math.exp(tau + w) / (2.0 * w)
+        small = math.exp(-2.0 * w)
+        if p >= 0.0:
+            sp = w + p
+            sm = q * r / sp
+        else:
+            sm = w - p
+            sp = q * r / sm
+        off = g * (1.0 - small)
+        return g * (sp + small * sm), off * q, off * r, g * (sm + small * sp)
+    e = math.exp(tau)
+    if d > 0.0:
+        w = math.sqrt(d)
+        c, k = math.cosh(w), math.sinh(w) / w
+    elif d < 0.0:
+        w = math.sqrt(-d)
+        c, k = math.cos(w), math.sin(w) / w
+    else:
+        c = k = 1.0
+    ec, ek = e * c, e * k
+    return ec + ek * p, ek * q, ek * r, ec - ek * p
+
+
+@dataclass(frozen=True)
+class MagnusFlow:
+    """Nodes and states of the 2x2 fundamental matrix of Y' = M(t) Y.
+
+    states[i] is (phi, psi, phi, psi): the columns of Y(times[i]) one
+    after the other, Y(times[0]) = I, each column divided by its largest
+    entry whenever that entry passes _RENORM_LIMIT. stats holds n_accept,
+    n_reject, reads (coefficient reads of the flow: one at the start and
+    four per step attempt) and wall_s.
+    """
+
+    times: np.ndarray
+    states: np.ndarray
+    stats: dict
+    coeffs: Callable = field(repr=False)
+
+    def state_at(self, t: float) -> tuple:
+        """The state at t: the Omega6 propagator from the last node at or
+        before t, with three fresh reads of M."""
+        i = max(int(np.searchsorted(self.times, t, side="right")) - 1, 0)
+        t_i = float(self.times[i])
+        h = t - t_i
+        e11, e12, e21, e22 = _expm2(*_omega6(*_gauss_reads(self.coeffs, t_i, h), h))
+        y1, y2, y3, y4 = self.states[i].tolist()
+        return e11 * y1 + e12 * y2, e21 * y1 + e22 * y2, e11 * y3 + e12 * y4, e21 * y3 + e22 * y4
+
+
+def magnus_flow(
+    coeffs: Callable,
+    window: tuple[float, float],
+    rtol: float = DEFAULT_RTOL,
+    atol: float = DEFAULT_ATOL,
+) -> MagnusFlow:
+    """The 2x2 fundamental matrix of Y' = M(t) Y from Y(t0) = I.
+
+    coeffs(t) returns the real entries (m11, m12, m21, m22) of M(t). Each
+    step attempt reads M at the three Gauss-Legendre points of [t, t + h]
+    and forms the sixth-order Magnus exponent Omega6, which advances Y,
+    and reads M at t + h for the embedded fourth-order Omega4 on
+    Simpson's nodes t, t + h / 2, t + h; an accepted step hands that
+    last read on as the next step's start. Both exponents are
+    exponentiated in closed form. The local error estimate is
+    (exp Omega6 - exp Omega4) Y, scaled entrywise by
+    atol + rtol * max(|y|, |y_new|) and combined as an RMS, with the PI
+    step control and step factors of the DP5(4) solver. The two
+    quadratures differ, so the estimate sees quadrature error even
+    where M(t) commutes with itself. A constant M is propagated exactly.
+
+    Turn cap: when the traceless part of Omega6 has eigenvalues
+    +-i beta, a step is accepted only with beta <= pi / 2, and the next
+    step is shrunk to keep within it, so no step's flow crosses a line
+    through the origin twice. An OverflowError of the exponential or a
+    non-finite state rejects the step and halves it. A step below
+    1e-14 * max(1, |t|) raises StepUnderflow; more than _MAX_STEPS step
+    attempts raise StepBudgetExhausted. After each accepted step, a
+    column whose largest entry exceeds _RENORM_LIMIT is divided by that
+    entry, which moves none of its zeros.
+    """
+    t0, t_end = float(window[0]), float(window[1])
+    if not t_end > t0:
+        raise ValueError("window must satisfy t_end > t0")
+    wall0 = time.perf_counter()
+    t = t0
+    y1, y2, y3, y4 = 1.0, 0.0, 0.0, 1.0
+    times = [t]
+    states = [(y1, y2, y3, y4)]
+    m0 = coeffs(t)
+    # a small first step costs little: where M is constant the error
+    # estimate is 0, and the step grows tenfold per accepted step
+    h = 1e-4 * (t_end - t0)
+    err_prev = None
+    n_accept = n_reject = 0
+    t_last = t_end - 1e-14 * max(1.0, abs(t_end))  # a node at or past this ends the flow
+    steps = 0
+    while t < t_last:
+        steps += 1
+        if steps > _MAX_STEPS:
+            raise StepBudgetExhausted(t)
+        h = min(h, t_end - t)
+        ma, mb, mc = _gauss_reads(coeffs, t, h)
+        m1 = coeffs(t + h)
+        tau, p, q, r = _omega6(ma, mb, mc, h)
+        d = p * p + q * r
+        beta = math.sqrt(-d) if d < 0.0 else 0.0
+        err = math.inf
+        if beta > _TURN_CAP:
+            shrink = _SAFETY * _TURN_CAP / beta
+        else:
+            shrink = 0.5
+            try:
+                e11, e12, e21, e22 = _expm2(tau, p, q, r)
+                f11, f12, f21, f22 = _expm2(*_omega4(m0, mb, m1, h))
+            except OverflowError:
+                pass
+            else:
+                n1, n2 = e11 * y1 + e12 * y2, e21 * y1 + e22 * y2
+                n3, n4 = e11 * y3 + e12 * y4, e21 * y3 + e22 * y4
+                if math.isfinite(n1) and math.isfinite(n2) and math.isfinite(n3) and math.isfinite(n4):
+                    d11, d12, d21, d22 = e11 - f11, e12 - f12, e21 - f21, e22 - f22
+                    err = math.sqrt(
+                        (
+                            ((d11 * y1 + d12 * y2) / (atol + rtol * max(abs(y1), abs(n1)))) ** 2
+                            + ((d21 * y1 + d22 * y2) / (atol + rtol * max(abs(y2), abs(n2)))) ** 2
+                            + ((d11 * y3 + d12 * y4) / (atol + rtol * max(abs(y3), abs(n3)))) ** 2
+                            + ((d21 * y3 + d22 * y4) / (atol + rtol * max(abs(y4), abs(n4)))) ** 2
+                        )
+                        / 4.0
+                    )
+                    if err > 1.0:
+                        shrink = _reject_factor(err)
+
+        if not err <= 1.0:
+            # over the turn cap, a failed exponential, a non-finite state or
+            # error estimate, or too large an error
+            n_reject += 1
+            h *= shrink
+            if h < 1e-14 * max(1.0, abs(t)):
+                raise StepUnderflow(t, np.array((y1, y2, y3, y4)))
+            continue
+
+        n_accept += 1
+        t += h
+        m0 = m1
+        m = max(abs(n1), abs(n2))
+        if m > _RENORM_LIMIT:
+            n1, n2 = n1 / m, n2 / m
+        m = max(abs(n3), abs(n4))
+        if m > _RENORM_LIMIT:
+            n3, n4 = n3 / m, n4 / m
+        y1, y2, y3, y4 = n1, n2, n3, n4
+        times.append(t)
+        states.append((y1, y2, y3, y4))
+
+        h_next = h * _pi_factor(err, err_prev)
+        if beta > 0.0:
+            h_next = min(h_next, _SAFETY * _TURN_CAP * h / beta)
+        h = h_next
+        err_prev = max(err, 1e-10)
+
+    stats = dict(
+        n_accept=n_accept, n_reject=n_reject, reads=1 + 4 * steps,
+        wall_s=time.perf_counter() - wall0,
+    )
+    return MagnusFlow(
+        times=np.asarray(times), states=np.asarray(states), stats=stats, coeffs=coeffs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from hamosc.odeint import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
     DEFAULT_Y_MAX,
+    _RENORM_LIMIT,
     BlowupRecord,
     Trajectory,
     _det2,
@@ -413,7 +414,7 @@ def per_start_scalar_osc_test(
 
     def renorm(t, y):
         m = np.max(np.abs(y))
-        return y / m if m > criteria._RENORM_LIMIT else y
+        return y / m if m > _RENORM_LIMIT else y
 
     zeros = {}
     for label, y0 in (("1,0", (1.0, 0.0)), ("0,1", (0.0, 1.0))):

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hamosc import coefsys, criteria, mat2, odeint, riccati
 from conftest import const_scenario
@@ -134,6 +135,58 @@ def test_scalar_test_finds_every_zero_of_a_fast_euler_equation():
         assert all(abs(a - b) <= 1e-8 * (1.0 + b) for a, b in zip(got, expected)), label
 
 
+def test_scalar_test_counts_a_constant_rotation_exactly_at_loose_tolerance():
+    # phi = cos 3t and sin(3t) / 3: 95 and 96 zeros on [0, 100]; with a
+    # constant M every step is exact, so even rtol 1e-2 counts them all
+    res = criteria.scalar_osc_test(
+        lambda t: (0.0, 1.0, -9.0, 0.0), (0.0, 100.0), 5, rtol=1e-2, atol=1e-4
+    )
+    assert (len(res.zeros["1,0"]), len(res.zeros["0,1"])) == (95, 96)
+
+
+def test_scalar_test_finds_every_zero_of_a_fast_rotation():
+    # phi = cos 40t and sin(40t) / 40 on (0, 10): zeros pi / 40 apart. The
+    # exact steps of a constant M would grow past them; the turn cap keeps
+    # each step to a quarter turn
+    res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, -1600.0, 0.0), (0.0, 10.0), 5)
+    want = {
+        "1,0": [(0.5 + k) * math.pi / 40.0 for k in range(127)],
+        "0,1": [k * math.pi / 40.0 for k in range(128)],
+    }
+    for label, expected in want.items():
+        got = res.zeros[label]
+        assert len(got) == len(expected), label
+        assert max(abs(a - b) for a, b in zip(got, expected)) <= 1e-9, label
+
+
+def test_scalar_test_times_the_zeros_of_a_time_changed_rotation():
+    # M = f(t) J commutes with itself at all times, so Y = exp(F(t) J) with
+    # F = t + 0.3 (1 - cos 3t): phi = cos F and sin F, zero where F is an
+    # odd or a whole multiple of pi / 2. Only the quadrature of f steers
+    # the step size here
+    def big_f(t):
+        return t + 0.3 * (1.0 - math.cos(3.0 * t))
+
+    res = criteria.scalar_osc_test(
+        lambda t: (0.0, 1.0 + 0.9 * math.sin(3.0 * t), -(1.0 + 0.9 * math.sin(3.0 * t)), 0.0),
+        (0.0, 50.0),
+        5,
+    )
+    for label, offset in (("1,0", 0.5), ("0,1", 0.0)):
+        targets = [(k + offset) * math.pi for k in range(int(big_f(50.0) / math.pi - offset) + 1)]
+        want = [brentq(lambda t: big_f(t) - x, 0.0, 50.0, xtol=1e-15) if x else 0.0 for x in targets]
+        got = res.zeros[label]
+        assert len(got) == len(want), label
+        assert all(abs(a - b) <= 1e-7 * (1.0 + abs(b)) for a, b in zip(got, want)), label
+
+
+def test_scalar_test_survives_growth_past_the_float_range():
+    # cosh 2000 overflows a double; exp(Omega) overflowing rejects the step
+    res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, 1.0, 0.0), (0.0, 2000.0), 5)
+    assert res.outcome == "non_oscillatory"
+    assert res.zeros == {"1,0": (), "0,1": (0.0,)}
+
+
 class _FlowRecorder:
     """Wraps odeint.adaptive_solve to record each flow and count reads.
 
@@ -178,36 +231,99 @@ class _FlowRecorder:
         return sum(f["fev"] for f in self.flows)
 
 
+class _MagnusRecorder:
+    """Wraps odeint.magnus_flow and odeint.sign_change_roots to record each
+    scalar flow and count coefficient reads.
+
+    flows holds each flow; refinements counts the root finder's
+    evaluations. counted(fn) wraps a coefficient source; reads counts
+    its calls made while a flow reads its coefficients, in its steps or
+    in a refinement.
+    """
+
+    def __init__(self, monkeypatch):
+        self.flows = []
+        self.reads = 0
+        self.refinements = 0
+        self._inside = False
+        inner_flow, inner_roots = odeint.magnus_flow, odeint.sign_change_roots
+
+        def flow(coeffs, *args, **kwargs):
+            def inside(t):
+                self._inside = True
+                try:
+                    return coeffs(t)
+                finally:
+                    self._inside = False
+
+            out = inner_flow(inside, *args, **kwargs)
+            self.flows.append(out)
+            return out
+
+        def roots(fn, *args):
+            def refined(t):
+                self.refinements += 1
+                return fn(t)
+
+            return inner_roots(refined, *args)
+
+        monkeypatch.setattr(odeint, "magnus_flow", flow)
+        monkeypatch.setattr(odeint, "sign_change_roots", roots)
+
+    def counted(self, fn):
+        def read(t):
+            if self._inside:
+                self.reads += 1
+            return fn(t)
+
+        return read
+
+    def flow_reads(self) -> int:
+        """Coefficient reads of all flows' steps; each flow's stats must
+        count one read at its start and four per step attempt."""
+        total = 0
+        for f in self.flows:
+            n = f.stats["n_accept"] + f.stats["n_reject"]
+            assert f.stats["reads"] == 1 + 4 * n
+            total += f.stats["reads"]
+        return total
+
+
 def test_scalar_test_rescales_each_column(monkeypatch):
     # cosh 400 ~ 1e173: both columns of the fundamental matrix pass the
     # rescaling limit long before the window end
-    rec = _FlowRecorder(monkeypatch)
+    rec = _MagnusRecorder(monkeypatch)
     res = criteria.scalar_osc_test(lambda t: (0.0, 1.0, 1.0, 0.0), (0.0, 400.0), 5)
     assert res.outcome == "non_oscillatory"
     assert res.zeros["1,0"] == ()
     assert res.zeros["0,1"] == (0.0,)
     (flow,) = rec.flows
-    states = flow["traj"].states
+    states = flow.states
     assert np.all(np.isfinite(states))
     # unscaled, both columns would end near 1e173
-    assert np.abs(states).max() <= criteria._RENORM_LIMIT
+    assert np.abs(states).max() <= odeint._RENORM_LIMIT
 
 
 def test_scalar_test_is_one_flow_reading_coeffs_once_per_field_call(monkeypatch):
-    rec = _FlowRecorder(monkeypatch)
+    # one flow for both starts, reading M once at its start, four times
+    # per step attempt and three times per refinement evaluation
+    rec = _MagnusRecorder(monkeypatch)
     coeffs = rec.counted(lambda t: (0.0, 1.0, -1.0, 0.0))
     res = criteria.scalar_osc_test(coeffs, (0.0, 50.0), 5)
     assert res.outcome == "oscillatory"
     assert len(rec.flows) == 1
-    assert rec.reads == rec.fev > 0
+    assert rec.refinements > 0
+    assert rec.reads == rec.flow_reads() + 3 * rec.refinements
 
 
 def test_diagonal_criterion_reads_the_scenario_once_per_field_call(monkeypatch):
+    # each coefficient read of a scalar flow is one scenario read
     s = coefsys.make_family("harmonic", {})
-    rec = _FlowRecorder(monkeypatch)
+    rec = _MagnusRecorder(monkeypatch)
     rep = criteria.oscillation_from_diagonal(replace(s, eval=rec.counted(s.eval)), (0.0, 30.0))
     assert rep.verdict.kind == criteria.OSCILLATORY
-    assert rec.reads == rec.fev > 0
+    assert rec.refinements > 0
+    assert rec.reads == rec.flow_reads() + 3 * rec.refinements
 
 
 def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
@@ -243,7 +359,7 @@ def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
 
 def test_psd_criterion_reads_the_reduction_once_per_field_call(monkeypatch):
     s = _tagged(coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}), (0.0, 30.0))
-    rec = _FlowRecorder(monkeypatch)
+    rec = _MagnusRecorder(monkeypatch)
     reduce = criteria.psd_reduce
 
     def counted_reduce(*args, **kwargs):
@@ -253,7 +369,8 @@ def test_psd_criterion_reads_the_reduction_once_per_field_call(monkeypatch):
     monkeypatch.setattr(criteria, "psd_reduce", counted_reduce)
     rep = criteria.oscillation_from_psd_reduction(s, (0.0, 30.0))
     assert rep.verdict.kind == criteria.OSCILLATORY
-    assert rec.reads == rec.fev > 0
+    assert rec.refinements > 0
+    assert rec.reads == rec.flow_reads() + 3 * rec.refinements
 
 
 # ---------------------------------------------------------------------------
@@ -885,32 +1002,43 @@ def test_analyze_surfaces_contradiction(monkeypatch):
 
 
 def test_hypothesis_failing_inside_a_criterion_is_inconclusive():
+    window = (0.0, 10.0)
     # b11 = -3 at one knot: the table's own 4004-sample validation withholds
     # B_psd, the 256-sample one of analyze grants it, and the square root
-    # inside the PSD reduction's flow then meets an indefinite B
-    s = _spiked_table("b11_dip", I2, -I2, 1, -3.0)
-    assert "B_psd" not in s.tags
-    assert "B_psd" in coefsys.validated(s, (0.0, 10.0)).tags
-    res = criteria.analyze(s, (0.0, 10.0))
-    assert res.verdict.kind == criteria.INCONCLUSIVE
-    psd = res.reports[criteria.CRITERION_ORDER.index("oscillation-psd-reduction")]
-    assert psd.criterion == "oscillation-psd-reduction"
-    ((hypothesis, held, detail),) = psd.applicability
-    assert hypothesis == "B positive semidefinite" and not held
-    assert detail.startswith("eigenvalues")
+    # the PSD reduction takes at that knot then meets an indefinite B
+    dip = _spiked_table("b11_dip", I2, -I2, 1, -3.0)
+    assert "B_psd" not in dip.tags
+    # b11 = cos(51 pi t) reads 1 at every point of the 256-point grid on
+    # (0, 10) and is negative between them: the square root inside the
+    # PSD reduction's flow meets the indefinite B
+    w = 51.0 * math.pi
+    between = _varying_b_scenario(
+        "between_samples", Z2, -I2,
+        lambda t: (np.diag([math.cos(w * t), 1.0]), np.diag([-w * math.sin(w * t), 0.0])),
+    )
+    for s in (dip, between):
+        assert "B_psd" in coefsys.validated(s, window).tags, s.name
+        res = criteria.analyze(s, window)
+        assert res.verdict.kind == criteria.INCONCLUSIVE, s.name
+        psd = res.reports[criteria.CRITERION_ORDER.index("oscillation-psd-reduction")]
+        assert psd.criterion == "oscillation-psd-reduction"
+        ((hypothesis, held, detail),) = psd.applicability
+        assert hypothesis == "B positive semidefinite" and not held, s.name
+        assert detail.startswith("eigenvalues"), s.name
 
 
 def test_step_budget_is_a_named_inconclusive_row(monkeypatch):
-    # 50 step attempts end harmonic's scalar flows early; the diagonal
-    # report then holds no scalar_1, so the PSD twin runs its own flow,
-    # which meets the same budget
-    monkeypatch.setattr(odeint, "_MAX_STEPS", 50)
+    # 10 step attempts end harmonic's scalar flows early (each takes
+    # about 16 steps on this window); the diagonal report then holds no
+    # scalar_1, so the PSD twin runs its own flow, which meets the same
+    # budget
+    monkeypatch.setattr(odeint, "_MAX_STEPS", 10)
     res = criteria.analyze(coefsys.make_family("harmonic", {}), (0.0, 20.0))
     assert res.verdict.kind == criteria.INCONCLUSIVE
     for cid in (criteria.OSC_DIAG, criteria.OSC_PSD):
         ((hypothesis, held, detail),) = res.reports[criteria.CRITERION_ORDER.index(cid)].applicability
         assert hypothesis == "flow within the step budget" and not held
-        assert "step budget of 50" in detail
+        assert "step budget of 10" in detail
 
 
 def test_analyze_reports_in_fixed_order():

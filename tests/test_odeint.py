@@ -214,6 +214,99 @@ def test_flow_keeps_overflow_warnings_off_and_restores_the_error_state():
 
 
 # ---------------------------------------------------------------------------
+# Magnus propagator of the real 2x2 flow.
+
+
+def _wavy_m(t):
+    return (
+        0.3 * math.sin(1.3 * t),
+        1.0 + 0.4 * math.cos(0.7 * t),
+        -(1.5 + 0.5 * math.sin(2.1 * t)),
+        0.2 * math.cos(t),
+    )
+
+
+def test_magnus_exponents_are_sixth_and_fourth_order():
+    # one step from t = 0.3 against a tight DP5 flow: halving h divides the
+    # local error of exp(Omega6) by about 2^7 and of exp(Omega4) by 2^5
+    def field(t, y):
+        m11, m12, m21, m22 = _wavy_m(t)
+        return np.array(
+            [m11 * y[0] + m12 * y[1], m21 * y[0] + m22 * y[1],
+             m11 * y[2] + m12 * y[3], m21 * y[2] + m22 * y[3]]
+        )
+
+    errs = []
+    for h in (0.4, 0.2, 0.1):
+        ref = odeint.adaptive_solve(field, [1.0, 0.0, 0.0, 1.0], (0.3, 0.3 + h), 1e-13, 1e-15).states[-1]
+        want = ref[[0, 2, 1, 3]]  # row-major Y from its columns
+        o6 = odeint._omega6(*odeint._gauss_reads(_wavy_m, 0.3, h), h)
+        o4 = odeint._omega4(_wavy_m(0.3), _wavy_m(0.3 + 0.5 * h), _wavy_m(0.3 + h), h)
+        errs.append([np.abs(np.array(odeint._expm2(*o)) - want).max() for o in (o6, o4)])
+    for coarse, fine in zip(errs, errs[1:]):
+        assert coarse[0] / fine[0] > 2.0**6
+        assert coarse[1] / fine[1] > 2.0**4
+
+
+def test_magnus_flow_is_exact_for_constant_m_within_the_turn_cap():
+    # phi'' + phi = 0: exact steps, each turning by at most pi / 2
+    flow = odeint.magnus_flow(lambda t: (0.0, 1.0, -1.0, 0.0), (0.0, 100.0), 1e-8, 1e-10)
+    stats = flow.stats
+    assert stats["n_accept"] == len(flow.times) - 1 <= 100
+    assert stats["reads"] == 1 + 4 * (stats["n_accept"] + stats["n_reject"])
+    assert stats["wall_s"] >= 0.0
+    assert flow.times[0] == 0.0 and abs(flow.times[-1] - 100.0) <= 1e-12
+    assert np.diff(flow.times).max() <= math.pi / 2.0
+    t = flow.times
+    want = np.stack([np.cos(t), -np.sin(t), np.sin(t), np.cos(t)], axis=1)
+    assert np.abs(flow.states - want).max() <= 1e-12
+    # between nodes, the propagator from the step's node
+    for tq in (0.05, 37.3, 99.99):
+        got = flow.state_at(tq)
+        assert max(abs(a - b) for a, b in zip(got, (math.cos(tq), -math.sin(tq), math.sin(tq), math.cos(tq)))) <= 1e-12
+
+
+def test_magnus_flow_rejects_overflow_and_rescales():
+    # phi = e^(800 t) and psi = 1: exp(Omega) overflows for h > 0.89, which
+    # rejects and halves the step, and the first column is rescaled after
+    # every accepted step. The second eigenvalue, 0, is kept exactly
+    # beside the first, e^(800 h)
+    flow = odeint.magnus_flow(lambda t: (800.0, 0.0, 0.0, 0.0), (0.0, 10.0), 1e-8, 1e-10)
+    assert flow.stats["n_reject"] > 0
+    assert abs(flow.times[-1] - 10.0) <= 1e-12
+    assert np.all(np.isfinite(flow.states))
+    assert np.abs(flow.states).max() <= odeint._RENORM_LIMIT
+    assert np.abs(flow.states[-1] - [1.0, 0.0, 0.0, 1.0]).max() <= 1e-12
+
+
+def test_magnus_exponential_keeps_a_decaying_eigenvalue():
+    # diag(-40, 0): cosh 20 - sinh 20 = e^-20 would cancel to rounding
+    for m, want in (((-40.0, 0.0, 0.0, 0.0), (math.exp(-40.0), 1.0)),
+                    ((0.0, 0.0, 0.0, -40.0), (1.0, math.exp(-40.0)))):
+        tau = 0.5 * (m[0] + m[3])
+        e11, e12, e21, e22 = odeint._expm2(tau, 0.5 * (m[0] - m[3]), m[1], m[2])
+        assert e12 == e21 == 0.0
+        assert abs(e11 / want[0] - 1.0) <= 1e-14 and abs(e22 / want[1] - 1.0) <= 1e-14
+    # and a non-normal one: [[-21, 1], [0, 19]] = V diag(-21, 19) V^-1
+    e = np.array(odeint._expm2(-1.0, -20.0, 1.0, 0.0)).reshape(2, 2)
+    v = np.array([[1.0, 1.0], [0.0, 40.0]])
+    want = v @ np.diag([math.exp(-21.0), math.exp(19.0)]) @ np.linalg.inv(v)
+    assert np.abs(e - want).max() <= 1e-14 * np.abs(want).max()
+    assert abs(e[0, 0] / math.exp(-21.0) - 1.0) <= 1e-13
+
+
+def test_magnus_flow_underflows_on_non_finite_coefficients():
+    # a NaN read is a non-finite state: the step halves until it underflows
+    def coeffs(t):
+        return (0.0, 1.0, -1.0 if t < 1.0 else math.nan, 0.0)
+
+    with pytest.raises(odeint.StepUnderflow) as info:
+        odeint.magnus_flow(coeffs, (0.0, 3.0), 1e-8, 1e-10)
+    assert info.value.t < 1.5
+    assert np.all(np.isfinite(info.value.state))
+
+
+# ---------------------------------------------------------------------------
 # Quadrature.
 
 
