@@ -275,7 +275,7 @@ def cmd_simulate(args) -> int:
 
     if args.csv:
         ts = np.linspace(window[0], window[1], max(1000, args.points))
-        extra = [z.time for z in first_zeros] + [e.time for e in first_traj.events]
+        extra = [z.time for z in first_zeros]
         ts = np.unique(np.concatenate([ts, np.array(extra)])) if extra else ts
         ts = ts[(ts >= window[0]) & (ts <= first_traj.t_end)]
         det = _det_series(first_traj, ts)

@@ -17,9 +17,9 @@ Five criteria are implemented, each one-directional:
 * nonoscillation-psd-envelope: the envelope criterion applied to the
   reduced coefficients.
 
-Scenario adapters (chi_diag, _diag_envelope_data, psd_reduce, the
-kernel weights) turn the coefficients into the callables of t that
-``riccati`` integrates. Each hypothesis is gated once, as an
+Scenario adapters (chi_diag, _diag_envelope_data, psd_reduce) turn the
+coefficients into the callables of t that ``riccati`` integrates, each
+kernel t -> (g, h) from one read. Each hypothesis is gated once, as an
 applicability row from the scenario's tags or grid; one that fails
 inside a flow (NotPSD, ZeroDiagonalB, ...) becomes an Inconclusive row.
 
@@ -48,7 +48,6 @@ import numpy as np
 
 from . import coefsys, mat2, odeint, riccati
 from .coefsys import Scenario
-from .riccati import Kernel
 
 __all__ = [
     "OSCILLATORY",
@@ -317,8 +316,14 @@ def _grid(window: tuple, n: int = 256) -> np.ndarray:
     return np.linspace(float(window[0]), float(window[1]), n)
 
 
+def _check_times(s: Scenario, window: tuple) -> list:
+    """The validation grid, then a table's knots (Scenario.knots) inside the window."""
+    lo, hi = float(window[0]), float(window[1])
+    return _grid(window).tolist() + [k for k in s.knots if lo < k < hi]
+
+
 def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
-    """Diagonal-B hypotheses on the grid: (sign patterns, min b, coupling row).
+    """Diagonal-B hypotheses at _check_times: (sign patterns, min b, coupling row).
 
     Each sign pattern is (b_j >= -tol everywhere, b_j <= tol everywhere)
     for j = 1, 2, with tol = TOL_POS * (1 + max |b|). The coupling row
@@ -328,7 +333,7 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     disagree on which coupling entry is tied to which b; requiring both
     is conservative: it can only withhold a verdict, never fabricate one.
     """
-    ts = _grid(window)
+    ts = np.array(_check_times(s, window))
     evs = [s.eval(t) for t in ts]
     a = np.array([e[0] for e in evs])
     b = np.array([e[1] for e in evs])
@@ -347,29 +352,6 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
         f"violation near t = {float(bad[0]):g}" if len(bad) else "",
     )
     return signs, float(np.min(b_real)), coupling
-
-
-def _last_read(s: Scenario) -> Callable:
-    """t -> coefsys.eval_entries(s, t), keeping the read at the last t.
-
-    A condition flow reads its kernel weight and then its free term at
-    the same t, so both, built on one reader, share one s.eval.
-    """
-    last = [None, None]  # t, entries
-
-    def read(t):
-        if t != last[0]:
-            last[1] = coefsys.eval_entries(s, t)
-            last[0] = t
-        return last[1]
-
-    return read
-
-
-def _a_weight(read: Callable, j: int) -> Callable:
-    """The kernel weight t -> 2 Re a_jj(t), from an entries reader."""
-    jj = 3 * j - 3  # flat index of the (j, j) entry
-    return lambda t: 2.0 * read(t)[0][jj].real
 
 
 # chi_diag is left out of __all__: it runs once per integrator stage, and
@@ -392,21 +374,18 @@ def chi_diag(a, b, c, j: int) -> float:
     return -(cjj + abs(a[3 - j]) ** 2 / b_other)  # a_{3-j,j}
 
 
-def _diag_envelope_data(s: Scenario, read: Optional[Callable] = None) -> riccati.EnvelopeData:
+def _diag_envelope_data(s: Scenario) -> riccati.EnvelopeData:
     """Envelope inputs of a diagonal-B scenario, one read per values call.
 
-    read(t) gives the blocks' entry 4-tuples (default: a _last_read of
-    s), and both readers work on them.
-    slopes differentiates the ratios by the quotient rule, from the
-    scenario's A' and B' and the ratios and b_j of the values it is
-    handed. A b_j within TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
+    values carries the kernel weights 2 Re a_jj. slopes differentiates
+    the ratios by the quotient rule, from the scenario's A' and B' and
+    the ratios and b_j of the values it is handed. A b_j within
+    TOL_POS * (1 + |B|) of zero raises ZeroDiagonalB.
     """
-
-    read = read or _last_read(s)
 
     def values(t):
         t = float(t)
-        a, b, c = read(t)
+        a, b, c = coefsys.eval_entries(s, t)
         tol = coefsys.TOL_POS * (1.0 + max(map(abs, b)))
         b1, b2 = b[0].real, b[3].real
         for j, bj in ((1, b1), (2, b2)):
@@ -414,7 +393,7 @@ def _diag_envelope_data(s: Scenario, read: Optional[Callable] = None) -> riccati
                 raise coefsys.ZeroDiagonalB(t, j)
         return (
             a[0].conjugate() + a[3], a[1] / b1, a[2].conjugate() / b2,
-            c[1], b1, b2, c[0].real, c[3].real,
+            c[1], b1, b2, c[0].real, c[3].real, 2.0 * a[0].real, 2.0 * a[3].real,
         )
 
     def slopes(t, v):
@@ -475,7 +454,7 @@ def _certified_pair(
     criterion: str, window: tuple, applicability: list, witnesses: dict,
     kernels: list, opt: AnalysisOptions, notes: str = "",
 ) -> CriterionReport:
-    """NonOscillatory when both (label, Kernel) pairs certify.
+    """NonOscillatory when both (label, kernel) pairs certify.
 
     Each kernel certifies by greedy partition search, which integrates
     the partition condition along its own flow whatever the sign of h.
@@ -572,13 +551,13 @@ def nonoscillation_sign_split(
     if not ((case_a or case_b) and coupling[1]):
         return _inconclusive(NONOSC_SPLIT, window, applicability)
 
-    read = _last_read(s)
     kernels = []
     for j, sgn in zip((1, 2), (1.0, -1.0) if case_a else (-1.0, 1.0)):
-        def h(t, j=j, sgn=sgn):
-            return sgn * chi_diag(*read(t), j)
+        def kernel(t, j=j, sgn=sgn):
+            a, b, c = coefsys.eval_entries(s, t)
+            return 2.0 * a[3 * j - 3].real, sgn * chi_diag(a, b, c, j)
 
-        kernels.append((str(j), Kernel(_a_weight(read, j), h)))
+        kernels.append((str(j), kernel))
     witnesses = {"case": "b1>=0,b2<=0" if case_a else "b1<=0,b2>=0"}
     return _certified_pair(NONOSC_SPLIT, window, applicability, witnesses, kernels, opt)
 
@@ -604,9 +583,8 @@ def nonoscillation_envelope(
     if not (ok_diag and ok_pos):
         return _inconclusive(NONOSC_ENVELOPE, window, applicability)
 
-    read = _last_read(s)
     env = riccati.build_envelope_terms(
-        _diag_envelope_data(s, read), window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
+        _diag_envelope_data(s), window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
     )
     notes = ""
     a0 = s.eval(float(window[0]))[0]
@@ -616,7 +594,7 @@ def nonoscillation_envelope(
             "normalizes it to zero there, so the bound is conservative"
         )
     witnesses = {"sign_convention": opt.sign_convention}
-    kernels = [("3", Kernel(_a_weight(read, 1), env.chi3)), ("4", Kernel(_a_weight(read, 2), env.chi4))]
+    kernels = [("3", env.kernel3), ("4", env.kernel4)]
     return _certified_pair(NONOSC_ENVELOPE, window, applicability, witnesses, kernels, opt, notes)
 
 
@@ -726,9 +704,8 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         memo[key] = out
         return out
 
-    lo, hi = float(window[0]), float(window[1])
     residuals = []
-    for t in ts.tolist() + [k for k in s.knots if lo < k < hi]:
+    for t in _check_times(s, window):
         (sq, p, _), m = compute(t)
         res = max(abs(u - v) for u, v in zip(mul(sq, p), m))
         tol = 1e-8 * (1.0 + max(map(abs, m)))
@@ -856,19 +833,15 @@ def nonoscillation_psd_envelope(
         _, p, q = red.at(t)
         return (
             p[0].conjugate() + p[3], p[1], p[2].conjugate(),
-            q[1], 1.0, 1.0, q[0].real, q[3].real,
+            q[1], 1.0, 1.0, q[0].real, q[3].real, 2.0 * p[0].real, 2.0 * p[3].real,
         )
-
-    def p_weight(j):
-        jj = 3 * j - 3  # index of the (j, j) entry
-        return lambda t: 2.0 * red.at(t).p[jj].real
 
     data = riccati.EnvelopeData(values, riccati.fd_slopes(values, s.t0, s.domain_end))
     env = riccati.build_envelope_terms(
         data, window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
     )
     witnesses = {"sign_convention": opt.sign_convention, "max_residual": red.max_residual}
-    kernels = [("tilde3", Kernel(p_weight(1), env.chi3)), ("tilde4", Kernel(p_weight(2), env.chi4))]
+    kernels = [("tilde3", env.kernel3), ("tilde4", env.kernel4)]
     return _certified_pair(NONOSC_PSD_ENVELOPE, window, applicability, witnesses, kernels, opt)
 
 

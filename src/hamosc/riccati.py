@@ -1,7 +1,9 @@
 """Scalar Riccati kernel machinery on callables of t.
 
 Nothing here reads a scenario: ``criteria`` checks each hypothesis once
-and hands over the kernels and envelope inputs it built. Provided are:
+and hands over the kernels and envelope inputs it built. A kernel is one
+callable k(t) -> (g, h), the coefficients of y' + f y^2 + g y + h = 0
+that the conditions see, read together. Provided are:
 
 * the partition condition that certifies global existence of a scalar
   Riccati solution: on each subinterval [t_k, t_{k+1}) the running
@@ -13,7 +15,8 @@ and hands over the kernels and envelope inputs it built. Provided are:
   sign of h;
 * the coupling envelope flow on ratio-form inputs (EnvelopeData): the
   weighted running maximum of |r1 - r2|, the exponentially weighted
-  integrals of the off-diagonal drive, and the free terms chi_3, chi_4;
+  integrals of the off-diagonal drive, and the kernels of the free
+  terms chi_3, chi_4;
 * ``fd_slopes``, difference slopes for ratios with no closed form.
 
 The envelope's c12 term carries a sign ambiguity (two reasonable
@@ -33,7 +36,6 @@ import numpy as np
 from .odeint import Trajectory, adaptive_solve, segment_states
 
 __all__ = [
-    "Kernel",
     "Partition",
     "EnvelopeData",
     "EnvelopeTerms",
@@ -54,14 +56,6 @@ _EXP_CAP = 700.0  # exp argument cap; overflow becomes a huge finite value
 
 
 @dataclass(frozen=True)
-class Kernel:
-    """Coefficients of y' + f y^2 + g y + h = 0 that the conditions see."""
-
-    g: Callable
-    h: Callable
-
-
-@dataclass(frozen=True)
 class Partition:
     points: tuple
 
@@ -76,7 +70,7 @@ _PROFILE_ESCAPE = 1e300  # condition-profile magnitude treated as escape
 
 
 def _condition_profile(
-    k: Kernel, lo: float, sample: np.ndarray, rtol: float, atol: float
+    k: Callable, lo: float, sample: np.ndarray, rtol: float, atol: float
 ) -> tuple[Optional[int], Trajectory]:
     """Flow of the partition condition from lo, up to its first failed sample.
 
@@ -86,7 +80,7 @@ def _condition_profile(
     and drops out of the sign condition, so T accumulates exp(-L(tau)) h
     and Tabs the same with |h|, which sets the violation tolerance scale.
     This is pure quadrature (no feedback from T into its own rate), so
-    stiffness cannot arise.
+    stiffness cannot arise. Each field call reads the kernel once.
 
     The flow runs toward sample[-1] and is checked on the increasing
     times ``sample`` (all >= lo) as each accepted step covers them; it
@@ -103,8 +97,7 @@ def _condition_profile(
 
     def field(s, y):
         i, ell = y[0], y[1]
-        gv = k.g(s)
-        hv = k.h(s)
+        gv, hv = k(s)
         w = math.exp(min(-ell, _EXP_CAP))
         return np.array([hv - gv * i, gv - i, w * hv, w * abs(hv)])
 
@@ -136,14 +129,14 @@ def _condition_profile(
 
 
 def partition_search(
-    k: Kernel,
+    k: Callable,
     window: tuple,
     max_points: int = 64,
     *,
     rtol: float = 1e-10,
     atol: float = 1e-12,
 ) -> Optional[Partition]:
-    """Greedy left-to-right search for a conforming partition.
+    """Greedy left-to-right search for a partition conforming for k(t) -> (g, h).
 
     From the current point the condition flow runs over the global grid
     points to its right and stops at the first one where the condition
@@ -184,14 +177,15 @@ def partition_search(
 class EnvelopeData:
     """Inputs of the coupling envelope, already in ratio form.
 
-    values(t) returns (a_sum, r1, r2, c12, b1, b2, c11, c22) from one
-    read of the coefficients: a_sum = conj(a11) + a22 and c12 complex,
-    r1, r2 the coupling ratios, the rest real. slopes(t, v) returns
-    (dr1, dr2) given v = values(t), so the envelope flow, its only
-    reader, reads the coefficients once per stage. The criteria build
-    one for diagonal B, with r1 = a12/b1, r2 = conj(a21)/b2 and the
-    actual b_j, and one for the PSD reduction, with unit b and the
-    reduced coefficients in place of a and c.
+    values(t) returns (a_sum, r1, r2, c12, b1, b2, c11, c22, w1, w2)
+    from one read of the coefficients: a_sum = conj(a11) + a22 and c12
+    complex, r1, r2 the coupling ratios, the rest real, with w1, w2 the
+    weights g of the chi_3, chi_4 kernels. slopes(t, v) returns
+    (dr1, dr2) given v = values(t), so the envelope flow reads the
+    coefficients once per stage. The criteria build one for diagonal B,
+    with r1 = a12/b1, r2 = conj(a21)/b2, the actual b_j and
+    w_j = 2 Re a_jj, and one for the PSD reduction, with unit b and the
+    reduced coefficients in place of a and c (w_j = 2 Re p_jj).
     """
 
     values: Callable
@@ -200,17 +194,18 @@ class EnvelopeData:
 
 @dataclass(frozen=True)
 class EnvelopeTerms:
-    """Envelope profiles and the derived free terms chi_3, chi_4.
+    """Envelope profiles and the kernels of the free terms chi_3, chi_4.
 
-    Each is a callable t -> float that reads the envelope inputs and the
-    envelope trajectory once per call.
+    Each is a callable of t that reads the envelope inputs and the
+    envelope trajectory once per call. The profiles return a float, and
+    kernel3, kernel4 the kernel (g, h) = (w_j, chi) for partition_search.
     """
 
     m_peak: Callable  # weighted running maximum of |r1 - r2|
     e_y: Callable  # weighted integral envelope for the y drive
     e_v: Callable
-    chi3: Callable
-    chi4: Callable
+    kernel3: Callable
+    kernel4: Callable
 
 
 _FD_EPS = np.finfo(float).eps ** (1.0 / 3.0)
@@ -260,8 +255,8 @@ def build_envelope_terms(
 
     The flow field reads values once and hands them to slopes, and the gap grid
     reads values once per point. chi_3 = b2 (M + E_y)^2 - b2 |r2|^2 - c11
-    and symmetrically chi_4; sign_convention picks the sign of c12
-    inside the drives w.
+    and symmetrically chi_4, each paired with its kernel weight;
+    sign_convention picks the sign of c12 inside the drives w.
     """
     if sign_convention not in ("minus_c12", "plus_c12"):
         raise ValueError("sign_convention must be 'minus_c12' or 'plus_c12'")
@@ -298,20 +293,20 @@ def build_envelope_terms(
         decayed = m[i] * math.exp(min(rs[i] - float(y[0]), _EXP_CAP))
         return v, max(decayed, abs(v[1] - v[2])), float(y[1]), float(y[2])
 
-    def chi3(t):
+    def kernel3(t):
         v, peak, e_y, _ = at(t)
         env = peak + e_y
-        return v[5] * env * env - v[5] * abs(v[2]) ** 2 - v[6]
+        return v[8], v[5] * env * env - v[5] * abs(v[2]) ** 2 - v[6]
 
-    def chi4(t):
+    def kernel4(t):
         v, peak, _, e_v = at(t)
         env = peak + e_v
-        return v[4] * env * env - v[4] * abs(v[1]) ** 2 - v[7]
+        return v[9], v[4] * env * env - v[4] * abs(v[1]) ** 2 - v[7]
 
     return EnvelopeTerms(
         m_peak=lambda t: at(t)[1],
         e_y=lambda t: at(t)[2],
         e_v=lambda t: at(t)[3],
-        chi3=chi3,
-        chi4=chi4,
+        kernel3=kernel3,
+        kernel4=kernel4,
     )

@@ -35,6 +35,10 @@
   ``lstsq_sqrt_derivative``, the least-squares solve of
   S S' + S' S = B', and P = F M with F from ``mat2.solve_sandwich``;
 * ``central_difference``: the reference of every wired derivative.
+* ``constant_focal_points``: the exact zeros of det Phi of a
+  constant-coefficient system, with their multiplicities, from one
+  eigendecomposition of the Hamiltonian matrix (``scipy.linalg.expm``
+  when it is defective). The reference of ``criteria.simulate_starts``.
 * ``per_sample_validate_scenario``: ``coefsys.validate_scenario`` as it
   was before it checked the stacked samples, with the mat2 predicates
   called on one sample at a time.
@@ -47,6 +51,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
 from hamosc import criteria, mat2, riccati
@@ -66,7 +71,7 @@ from hamosc.odeint import (
     solve_scalar_riccati,
     unpack_pair,
 )
-from hamosc.riccati import Kernel, Partition, _condition_profile
+from hamosc.riccati import Partition, _condition_profile
 
 # samples of the partition condition check per subinterval
 GRID_PER_SUBINTERVAL = 64
@@ -272,7 +277,7 @@ def coupling_bound_check(
 
 
 def full_window_condition_profile(
-    k: riccati.Kernel, lo: float, hi: float, rtol: float, atol: float
+    k: Callable, lo: float, hi: float, rtol: float, atol: float
 ) -> Trajectory:
     """Augmented flow of the partition condition on one subinterval.
 
@@ -290,8 +295,7 @@ def full_window_condition_profile(
 
     def field(s, y):
         i, ell = y[0], y[1]
-        gv = k.g(s)
-        hv = k.h(s)
+        gv, hv = k(s)
         w = math.exp(min(-ell, riccati._EXP_CAP))
         return np.array([hv - gv * i, gv - i, w * hv, w * abs(hv)])
 
@@ -308,7 +312,7 @@ def full_window_condition_profile(
 
 
 def full_window_partition_search(
-    k: riccati.Kernel,
+    k: Callable,
     window: tuple,
     max_points: int = 64,
     *,
@@ -596,6 +600,74 @@ class Singular(ValueError):
     """Determinant too small for a trustworthy inverse."""
 
 
+def constant_focal_points(
+    s: Scenario, phi0, psi0, window: tuple, cells_per_unit: int = 25
+) -> list[tuple[float, int]]:
+    """Zeros of det Phi on (lo, hi] for constant coefficients, as (time, multiplicity).
+
+    The blocks are read once, at lo, into H = [[A, B], [C, -A*]], and
+    (Phi, Psi) = exp((t - lo) H) (phi0, psi0) comes from one
+    eigendecomposition of H, or from scipy's expm where H is defective
+    (its eigenvector matrix has condition number over 1e6). det Phi = 0
+    exactly when an eigenvalue of the unitary U = (Phi + i Psi)
+    (Phi - i Psi)^{-1} is -1, and dim ker Phi is the number of them.
+    Over a short interval, each crossing of pi by an eigen-angle of U
+    moves the sum of the principal eigen-angles by 2 pi against the
+    continuous phase of det U, so their drift counts the crossings. For
+    B >= 0, where the angles move one way, that count is exact. The window is split into cells of
+    1 / cells_per_unit, each crossing is bisected to round-off within
+    its cell, and crossings at the same time make one zero.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    a, b, c = s.eval(lo)
+    h = np.block([[a, b], [c, -a.conj().T]])
+    z0 = np.vstack([phi0, psi0]).astype(complex)
+    lam, vec = np.linalg.eig(h)
+    if np.linalg.cond(vec) < 1e6:
+        coef = np.linalg.solve(vec, z0)
+
+        def flow(ts):
+            return np.einsum("ij,tj,jk->tik", vec, np.exp(np.outer(ts - lo, lam)), coef)
+
+    else:
+
+        def flow(ts):
+            return expm((ts - lo)[:, None, None] * h) @ z0
+
+    def phases(ts):
+        """(det U, sum of principal eigen-angles of U) at each time."""
+        z = flow(np.asarray(ts, dtype=float))
+        x, y = z[:, :2] + 1j * z[:, 2:], z[:, :2] - 1j * z[:, 2:]
+        u_t = np.linalg.solve(np.swapaxes(y, 1, 2), np.swapaxes(x, 1, 2))  # U transposed
+        return np.linalg.det(u_t), np.angle(np.linalg.eigvals(u_t)).sum(axis=1)
+
+    def crossings(det0, sum0, det1, sum1):
+        return np.rint((sum1 - sum0 - np.angle(det1 / det0)) / (2.0 * math.pi)).astype(int)
+
+    ts = np.linspace(lo, hi, int(math.ceil(cells_per_unit * (hi - lo))) + 1)
+    dets, sums = phases(ts)
+    turn = np.abs(np.angle(dets[1:] / dets[:-1]))
+    if turn.max() > 0.25 * math.pi:
+        raise ValueError(f"det U turns {turn.max():.3f} in one cell; raise cells_per_unit")
+    per_cell = np.abs(crossings(dets[:-1], sums[:-1], dets[1:], sums[1:]))
+    # one bisection per crossing: the k-th of a cell is where k are done
+    cell = np.repeat(np.arange(len(per_cell)), per_cell)
+    k = np.concatenate([np.arange(1, n + 1) for n in per_cell]) if len(cell) else cell
+    left, right = ts[cell], ts[cell + 1]
+    for _ in range(50):
+        mid = 0.5 * (left + right)
+        d, sm = phases(mid)
+        done = np.abs(crossings(dets[cell], sums[cell], d, sm)) >= k
+        left, right = np.where(done, left, mid), np.where(done, mid, right)
+    zeros = []
+    for t in np.sort(right).tolist():
+        if zeros and t - zeros[-1][0] <= 1e-9 * (1.0 + abs(t)):
+            zeros[-1] = (zeros[-1][0], zeros[-1][1] + 1)
+        else:
+            zeros.append((t, 1))
+    return zeros
+
+
 def det_tr_inv(m) -> tuple[complex, complex, np.ndarray]:
     """Return (det, tr, inv) by the adjugate formula.
 
@@ -627,7 +699,7 @@ def riccati_z_at(traj: Trajectory, t: float) -> np.ndarray:
 
 
 def exp_weighted_integral(
-    k: Kernel,
+    k: Callable,
     xi: float,
     t: float,
     rtol: float = 1e-10,
@@ -643,8 +715,13 @@ def exp_weighted_integral(
         raise ValueError("need t >= xi")
     if t == xi:
         return 0.0
+
+    def field(s, y):
+        g, h = k(s)
+        return np.array([h - g * y[0]])
+
     traj = adaptive_solve(
-        lambda s, y: np.array([k.h(s) - k.g(s) * y[0]]),
+        field,
         np.array([0.0]),
         (xi, t),
         rtol,
@@ -654,7 +731,7 @@ def exp_weighted_integral(
 
 
 def check_partition_condition(
-    k: Kernel,
+    k: Callable,
     part: Partition,
     *,
     rtol: float = 1e-10,

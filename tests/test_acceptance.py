@@ -242,14 +242,14 @@ def test_partition_condition_sign_cases():
         base = _random_trig(rng)
         floor = rng.uniform(0.05, 0.5)
 
-        k_neg = riccati.Kernel(g=g, h=lambda t, b=base, f=floor: -f - b(t) ** 2)
+        k_neg = lambda t, g=g, b=base, f=floor: (g(t), -f - b(t) ** 2)
         ok, violation = check_partition_condition(
             k_neg, riccati.Partition((0.0, 5.0))
         )
         if ok and violation is None:
             neg_ok += 1
 
-        k_pos = riccati.Kernel(g=g, h=lambda t, b=base, f=floor: f + b(t) ** 2)
+        k_pos = lambda t, g=g, b=base, f=floor: (g(t), f + b(t) ** 2)
         ok, violation = check_partition_condition(
             k_pos, riccati.Partition((0.0, 2.5, 5.0))
         )

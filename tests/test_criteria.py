@@ -13,7 +13,12 @@ from scipy.optimize import brentq
 
 from hamosc import coefsys, criteria, mat2, odeint, riccati
 from conftest import const_scenario
-from oracles import matrix_chi_diag, matrix_psd_reduce, per_start_scalar_osc_test
+from oracles import (
+    constant_focal_points,
+    matrix_chi_diag,
+    matrix_psd_reduce,
+    per_start_scalar_osc_test,
+)
 
 Z2 = np.zeros((2, 2), dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -327,10 +332,10 @@ def test_diagonal_criterion_reads_the_scenario_once_per_field_call(monkeypatch):
 
 
 def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
-    # the kernel weight and the free term of a condition flow share one
-    # read at each t: 256 grid reads for the sign rows, then at most one
-    # per field call (two per call, 1,272 reads in all, when each of the
-    # pair read the scenario itself)
+    # each kernel call reads the weight and the free term from one read:
+    # 256 grid reads for the sign rows, then one per field call (two per
+    # call, 1,272 reads in all, when each of the pair reads the scenario
+    # itself)
     window = (0.0, 20.0)
     d = np.diag([1.0, -1.0]).astype(complex)
     s = _tagged(const_scenario(Z2, d, d, name="split"), window)
@@ -345,14 +350,16 @@ def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
     opt = criteria.AnalysisOptions()
     rep = criteria.nonoscillation_sign_split(replace(s, eval=rec.counted(counted)), window, opt)
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
-    assert 0 < rec.reads <= rec.fev
-    assert total[0] <= 256 + rec.fev
+    assert 0 < rec.reads == rec.fev
+    assert total[0] == 256 + rec.fev
     # the same partitions as kernels that read the scenario twice per call
     for j, sgn in ((1, 1.0), (2, -1.0)):
-        k = riccati.Kernel(
-            lambda t, j=j: 2.0 * s.eval(t)[0][j - 1, j - 1].real,
-            lambda t, j=j, sgn=sgn: sgn * criteria.chi_diag(*coefsys.eval_entries(s, t), j),
-        )
+        def k(t, j=j, sgn=sgn):
+            return (
+                2.0 * s.eval(t)[0][j - 1, j - 1].real,
+                sgn * criteria.chi_diag(*coefsys.eval_entries(s, t), j),
+            )
+
         part = riccati.partition_search(k, window, opt.max_points, rtol=opt.rtol, atol=opt.atol)
         assert rep.witnesses[f"partition_{j}"] == part
 
@@ -512,6 +519,16 @@ def _spiked_table(name, b, c, block, value):
     samples[:, 2] = c
     samples[300, block, 0, 0] = value
     return coefsys.from_table(coefsys.TabulatedCoeffs(times=times, samples=samples), name)
+
+
+def test_diagonal_rows_read_b_at_table_knots():
+    # b11 = -3 at the knot t = 3 only, between the points of the 256-point
+    # grid on (0, 10): the diagonal-B rows read the table's knots too
+    window = (0.0, 10.0)
+    s = coefsys.validated(_spiked_table("b11_dip", I2, -I2, 1, -3.0), window)
+    rep = criteria.oscillation_from_diagonal(s, window)
+    assert rep.verdict.kind == criteria.INCONCLUSIVE
+    assert ("b_1, b_2 nonnegative", False, "min b = -3.000e+00") in rep.applicability
 
 
 def test_spike_between_samples_is_not_certified():
@@ -1051,6 +1068,34 @@ def test_analyze_reports_in_fixed_order():
 
 # ---------------------------------------------------------------------------
 # Simulation cross-validation.
+
+
+@pytest.mark.parametrize(
+    "family, params, counts",
+    [
+        ("harmonic", {}, [32, 32, 64, 64, 64]),
+        ("ones_B_zero_drift", {"c_sum": -1.0}, [32, 31, 32, 32, 32]),
+    ],
+)
+def test_simulation_matches_the_exact_constant_focal_points(family, params, counts):
+    # the packaged harmonic and example_3_2_zero_drift on (0, 100). On
+    # harmonic, Phi is cos t I from (I, 0) and (cos t + sin t) I from
+    # (I, I), with double zeros; on zero_drift, det Phi is cos t and
+    # cos t + 2 sin t, with simple ones
+    window = (0.0, 100.0)
+    s = coefsys.make_family(family, params)
+    # simulate_starts' own: (I, 0), (I, I), then Psi0 drawn with seed 42
+    eye = np.eye(2, dtype=complex)
+    rng = np.random.default_rng(42)
+    starts = [(eye, 0.0 * eye), (eye, eye)]
+    starts += [(eye, mat2.random_hermitian(rng, 1.0)) for _ in range(3)]
+    sims = list(criteria.simulate_starts(s, window, len(starts)))
+    assert [len(zeros) for _, _, zeros in sims] == counts
+    for (label, _, zeros), (phi0, psi0) in zip(sims, starts):
+        exact = constant_focal_points(s, phi0, psi0, window)
+        assert [z.multiplicity for z in zeros] == [m for _, m in exact], label
+        for z, (t, _) in zip(zeros, exact):
+            assert abs(z.time - t) <= 1e-6 * (1.0 + abs(t)), (label, z.time, t)
 
 
 def test_cross_validation_agrees_on_harmonic():

@@ -50,25 +50,25 @@ def _envelope(s, window, conv="minus_c12", **kw):
 
 
 def test_tail_integral_flat_weight():
-    k = riccati.Kernel(g=ZERO, h=ONE)
+    k = lambda t: (0.0, 1.0)
     assert abs(exp_weighted_integral(k, 0.0, 2.5) - 2.5) <= 1e-9
     assert abs(exp_weighted_integral(k, 1.0, 1.5) - 0.5) <= 1e-9
 
 
 def test_tail_integral_zero_free_term():
-    k = riccati.Kernel(g=lambda t: math.cos(t), h=ZERO)
+    k = lambda t: (math.cos(t), 0.0)
     assert exp_weighted_integral(k, 0.0, 3.0) == 0.0
 
 
 def test_tail_integral_exponential_weight():
     # g = h = 1 gives 1 - e^{-(t - xi)}
-    k = riccati.Kernel(g=ONE, h=ONE)
+    k = lambda t: (1.0, 1.0)
     got = exp_weighted_integral(k, 0.0, 1.0)
     assert abs(got - (1.0 - math.exp(-1.0))) <= 1e-9
 
 
 def test_tail_integral_domain_checks():
-    k = riccati.Kernel(g=ZERO, h=ONE)
+    k = lambda t: (0.0, 1.0)
     assert exp_weighted_integral(k, 2.0, 2.0) == 0.0
     with pytest.raises(ValueError):
         exp_weighted_integral(k, 1.0, 0.5)
@@ -81,7 +81,7 @@ def test_tail_integral_domain_checks():
 )
 def test_tail_integral_constant_kernel_closed_form(gam, eta, span):
     # for constant g, h the IVP route must land on the closed form
-    k = riccati.Kernel(g=lambda t: gam, h=lambda t: eta)
+    k = lambda t: (gam, eta)
     got = exp_weighted_integral(k, 0.0, span)
     # expm1 keeps the reference accurate when gam * span is tiny; below
     # 1e-300 (subnormal gam included) it underflows, and eta * span is
@@ -104,7 +104,7 @@ def test_tail_integral_matches_nested_quadrature(rng):
         h = lambda t, A=ha, w=hw, p=hp, o=off: o + A * math.cos(w * t + p)
         xi = rng.uniform(0, 1)
         t = xi + rng.uniform(0.5, 2)
-        via_ivp = exp_weighted_integral(riccati.Kernel(g=g, h=h), xi, t)
+        via_ivp = exp_weighted_integral(lambda s: (g(s), h(s)), xi, t)
         inner = lambda tau, g=g, h=h, t=t: math.exp(-odeint.quadrature(g, (tau, t))) * h(tau)
         nested = odeint.quadrature(inner, (xi, t))
         worst = max(worst, abs(via_ivp - nested) / (1.0 + abs(nested)))
@@ -128,19 +128,19 @@ def test_partition_validation():
 def test_condition_holds_for_cosine_free_term():
     # h = -cos changes sign, so the early negative mass has to carry the
     # positive half-waves; the trivial partition still certifies [0, 2pi]
-    k = riccati.Kernel(g=ZERO, h=lambda t: -math.cos(t))
+    k = lambda t: (0.0, -math.cos(t))
     ok, viol = check_partition_condition(k, riccati.Partition((0.0, 2.0 * math.pi)))
     assert ok and viol is None
 
 
 def test_condition_holds_for_negative_free_term():
-    k = riccati.Kernel(g=lambda t: 2.0 * math.cos(t), h=lambda t: -4.5 - math.cos(t) ** 2)
+    k = lambda t: (2.0 * math.cos(t), -4.5 - math.cos(t) ** 2)
     ok, viol = check_partition_condition(k, riccati.Partition((0.0, 3.0, 10.0)))
     assert ok and viol is None
 
 
 def test_condition_fails_immediately_for_positive_free_term():
-    k = riccati.Kernel(g=ZERO, h=ONE)
+    k = lambda t: (0.0, 1.0)
     ok, viol = check_partition_condition(k, riccati.Partition((0.0, 1.0)))
     assert not ok
     assert viol[0] == 0
@@ -152,7 +152,7 @@ def test_condition_refuses_truncated_profile():
     # strongly negative g makes the inner integral overflow around t ~ 7:
     # the flow ends early with an underflow event, not with a stop, and
     # the unreachable tail must not be certified
-    k = riccati.Kernel(g=lambda t: -100.0, h=lambda t: -1.0)
+    k = lambda t: (-100.0, -1.0)
     ts = np.linspace(0.0, 8.0, GRID_PER_SUBINTERVAL + 1)
     bad, traj = riccati._condition_profile(k, 0.0, ts, 1e-10, 1e-12)
     assert [e.kind for e in traj.events] == ["underflow"]
@@ -176,15 +176,15 @@ def test_condition_refuses_truncated_profile():
 
 
 def test_search_certifies_sign_definite_free_term():
-    k = riccati.Kernel(g=ZERO, h=lambda t: -1.0 + 0.5 * math.sin(t))
+    k = lambda t: (0.0, -1.0 + 0.5 * math.sin(t))
     part = riccati.partition_search(k, (0.0, 40.0))
     assert part is not None
     assert part.points == (0.0, 40.0)
 
 
 def test_search_gives_up_on_positive_free_term():
-    assert riccati.partition_search(riccati.Kernel(g=ZERO, h=ONE), (0.0, 2.0)) is None
-    k = riccati.Kernel(g=ZERO, h=lambda t: math.sin(t))
+    assert riccati.partition_search(lambda t: (0.0, 1.0), (0.0, 2.0)) is None
+    k = lambda t: (0.0, math.sin(t))
     assert riccati.partition_search(k, (0.0, math.pi)) is None
 
 
@@ -203,9 +203,9 @@ def test_search_matches_full_window_reference():
     for _ in range(12):
         g, b, off = _trig(rng), _trig(rng), rng.uniform(-1.0, 0.3)
         h = lambda t, b=b, off=off: off + 0.5 * b(t)
-        cases.append((riccati.Kernel(g=g, h=h), (0.0, 20.0)))
+        cases.append((lambda t, g=g, h=h: (g(t), h(t)), (0.0, 20.0)))
     # this flow blows up near t ~ 7.07, so the search restarts there
-    cases.append((riccati.Kernel(g=lambda t: -100.0, h=lambda t: -1.0), (0.0, 8.0)))
+    cases.append((lambda t: (-100.0, -1.0), (0.0, 8.0)))
     outcomes = set()
     for k, window in cases:
         for max_points in (8, 64):
@@ -225,18 +225,48 @@ def test_search_stops_at_the_first_violated_sample():
     env = _envelope(s, window, rtol=1e-8, atol=1e-10)
     calls = [0]
 
-    def h(t):
+    def k(t):
         calls[0] += 1
-        return env.chi3(t)
+        return env.kernel3(t)
 
-    k = riccati.Kernel(g=lambda t: 2.0 * float(np.real(s.eval(t)[0][0, 0])), h=h)
     assert riccati.partition_search(k, window, rtol=1e-8, atol=1e-10) is None
     assert 0 < calls[0] <= 200
 
 
+def test_condition_flow_reads_its_kernel_once_per_field_call(monkeypatch):
+    # one k(t) -> (g, h) call per field call, over a one-flow search and
+    # over one that restarts where its first flow blew up
+    fev = [0]
+    inner = riccati.adaptive_solve
+
+    def solve(field, *args, **kwargs):
+        def counted(t, y):
+            fev[0] += 1
+            return field(t, y)
+
+        return inner(counted, *args, **kwargs)
+
+    monkeypatch.setattr(riccati, "adaptive_solve", solve)
+    cases = (
+        (lambda t: (0.0, -1.0 + 0.5 * math.sin(t)), (0.0, 40.0), 2),
+        (lambda t: (-100.0, -1.0), (0.0, 8.0), 3),
+    )
+    for kernel, window, n_points in cases:
+        fev[0] = 0
+        reads = [0]
+
+        def k(t, kernel=kernel):
+            reads[0] += 1
+            return kernel(t)
+
+        part = riccati.partition_search(k, window, 8, rtol=1e-8, atol=1e-10)
+        assert len(part.points) == n_points
+        assert reads[0] == fev[0] > 0
+
+
 def test_search_window_validation():
     with pytest.raises(ValueError):
-        riccati.partition_search(riccati.Kernel(g=ZERO, h=ONE), (1.0, 1.0))
+        riccati.partition_search(lambda t: (0.0, 1.0), (1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +423,9 @@ def test_chi_terms_read_the_envelope_flow_once(monkeypatch):
         return inner(self, t)
 
     monkeypatch.setattr(odeint.Trajectory, "dense_eval", dense_eval)
-    for chi in (env.chi3, env.chi4):
+    for kernel in (env.kernel3, env.kernel4):
         reads.clear()
-        chi(1.3)
+        kernel(1.3)
         assert len(reads) == 1
 
 
@@ -403,8 +433,8 @@ def test_envelope_without_coupling_is_potential_only():
     s = _tagged(const_scenario(Z2, I2, np.diag([1.5, -0.5]).astype(complex), name="plaindiag"))
     for conv in ("minus_c12", "plus_c12"):
         env = _envelope(s, (0.0, 2.0), conv)
-        assert abs(env.chi3(0.8) + 1.5) <= 1e-10
-        assert abs(env.chi4(1.3) - 0.5) <= 1e-10
+        assert abs(env.kernel3(0.8)[1] + 1.5) <= 1e-10
+        assert abs(env.kernel4(1.3)[1] - 0.5) <= 1e-10
         assert env.m_peak(1.0) == 0.0
         assert env.e_y(2.0) <= 1e-12
     with pytest.raises(ValueError):
@@ -420,7 +450,7 @@ def test_envelope_integrates_offdiagonal_drive():
         for t in (0.0, 0.25, 0.5, 0.9):
             mu = math.sin(t) + math.sin(math.sqrt(2.0) * t)
             want = (10.0 * t) ** 2 + mu
-            assert abs(env.chi3(t) - want) <= 1e-8 * (1.0 + abs(want))
+            assert abs(env.kernel3(t)[1] - want) <= 1e-8 * (1.0 + abs(want))
 
 
 def test_gap_peak_constant_coupling():
@@ -442,8 +472,10 @@ def test_gap_peak_grows_against_damping():
     # constant unit gap the running maximum is e^t
     a = np.array([[-0.5, 1.0], [0.0, -0.5]], dtype=complex)
     s = _tagged(const_scenario(a, I2, Z2, name="growgap"), (0.0, 1.0))
-    peak = _envelope(s, (0.0, 1.0)).m_peak
-    assert abs(peak(1.0) - math.e) <= 1e-8
+    env = _envelope(s, (0.0, 1.0))
+    assert abs(env.m_peak(1.0) - math.e) <= 1e-8
+    # each kernel's weight is 2 Re a_jj
+    assert env.kernel3(0.5)[0] == env.kernel4(0.5)[0] == -1.0
 
 
 # ---------------------------------------------------------------------------
