@@ -30,7 +30,9 @@ C diagonal. Any other representative with the same sums behaves the
 same under the all-ones B reduction.
 
 Tabulated scenarios interpolate CSV samples with cubic splines, entrywise
-on real and imaginary parts, and never extrapolate.
+on real and imaginary parts, and never extrapolate. The splines are
+scipy's: from_table imports scipy.interpolate on first use, so only
+loading a table pays for it and the package imports without scipy.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import mat2
 from .mat2 import TOL_HERM, is_hermitian, norm_max
@@ -104,8 +105,9 @@ class Scenario:
     params: a family's parameters as its builder resolved them,
     defaults included.
     knots: the sample times of a table (from_table), empty otherwise.
-    psd_reduce reads B at those inside its window as well as on its
-    grid, so a table entry that leaves PSD between grid points is met.
+    Validation and the criteria's hypothesis checks read the scenario
+    at those inside their window as well as on their grid (check_times),
+    so a table entry that leaves PSD between grid points is met.
     """
 
     name: str
@@ -383,6 +385,8 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
     range raises OutOfDomain: no extrapolation, per the finite-window
     policy for every downstream operation.
     """
+    from scipy.interpolate import CubicSpline
+
     for i, t in enumerate(tab.times):
         for which, mat in (("B", tab.samples[i, 1]), ("C", tab.samples[i, 2])):
             flag = is_hermitian(mat)
@@ -424,17 +428,32 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
     return replace(scen, tags=report.tags)
 
 
+# check_times is left out of __all__, like eval_entries below: bench/tracing.py
+# times every function listed there
+def check_times(s: Scenario, window: tuple, n_samples: int = 256) -> list:
+    """Where a scenario's hypotheses are read on a window, in increasing order.
+
+    The n_samples-point grid of the window, merged with a table's knots
+    (Scenario.knots) strictly inside it, so that a table entry between
+    grid points is read and a check that fails names its earliest time.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    return sorted(np.linspace(lo, hi, n_samples).tolist() + [k for k in s.knots if lo < k < hi])
+
+
 def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
     """Sample the window and derive the structural tags.
 
-    Hermitian violation of B or C is a hard error: the entire theory
-    assumes it. mat2.NotHermitian names the first violating sample, B before
-    C at the same sample. Tags are set from what the samples show, with
-    the strict positivity margin TOL_POS * (1 + |B|) separating
-    B_positive from B_psd.
+    The samples are check_times: the n_samples-point grid and a table's
+    knots inside the window, so a tag that a table's own knots refute is
+    never granted. Hermitian violation of B or C is a hard error: the
+    entire theory assumes it. mat2.NotHermitian names the earliest
+    violating sample, B before C at the same sample. Tags are set from
+    what the samples show, with the strict positivity margin
+    TOL_POS * (1 + |B|) separating B_positive from B_psd.
 
     Each sample is one s.eval; the checks then run on the stacked
-    (n_samples, 2, 2) blocks with the per-matrix tests of mat2 written
+    (samples, 2, 2) blocks with the per-matrix tests of mat2 written
     out over the stack (max-entry norms, the closed-form eigenvalues of
     herm_eigvals).
     """
@@ -443,11 +462,11 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
         raise ValueError("window must satisfy T > t0")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    ts = np.linspace(lo, hi, n_samples)
-    evs = [s.eval(t) for t in ts.tolist()]
+    ts = check_times(s, (lo, hi), n_samples)
+    evs = [s.eval(t) for t in ts]
     a, b, c = (np.array([e[k] for e in evs], dtype=complex) for k in range(3))
     for m in (a, b, c):
-        if m.shape != (n_samples, 2, 2):
+        if m.shape != (len(ts), 2, 2):
             raise ValueError(f"expected shape (2, 2), got {m.shape[1:]}")
 
     def norm(m):

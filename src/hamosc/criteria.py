@@ -316,14 +316,8 @@ def _grid(window: tuple, n: int = 256) -> np.ndarray:
     return np.linspace(float(window[0]), float(window[1]), n)
 
 
-def _check_times(s: Scenario, window: tuple) -> list:
-    """The validation grid, then a table's knots (Scenario.knots) inside the window."""
-    lo, hi = float(window[0]), float(window[1])
-    return _grid(window).tolist() + [k for k in s.knots if lo < k < hi]
-
-
 def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
-    """Diagonal-B hypotheses at _check_times: (sign patterns, min b, coupling row).
+    """Diagonal-B hypotheses at coefsys.check_times: (sign patterns, min b, coupling row).
 
     Each sign pattern is (b_j >= -tol everywhere, b_j <= tol everywhere)
     for j = 1, 2, with tol = TOL_POS * (1 + max |b|). The coupling row
@@ -333,7 +327,7 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     disagree on which coupling entry is tied to which b; requiring both
     is conservative: it can only withhold a verdict, never fabricate one.
     """
-    ts = np.array(_check_times(s, window))
+    ts = np.array(coefsys.check_times(s, window))
     evs = [s.eval(t) for t in ts]
     a = np.array([e[0] for e in evs])
     b = np.array([e[1] for e in evs])
@@ -705,7 +699,7 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         return out
 
     residuals = []
-    for t in _check_times(s, window):
+    for t in coefsys.check_times(s, window):
         (sq, p, _), m = compute(t)
         res = max(abs(u - v) for u, v in zip(mul(sq, p), m))
         tol = 1e-8 * (1.0 + max(map(abs, m)))

@@ -48,6 +48,12 @@ Drivers provided:
   U = (Phi - i Psi)(Phi + i Psi)^-1 passes pi, for real and complex
   coefficients alike, bracketed by the accepted nodes.
 
+Zero times (``detect_det_zeros``, ``sign_change_roots``) are refined by
+``_brentq``, Brent's method (Brent, *Algorithms for Minimization without
+Derivatives*, 1973, ch. 4) written out in the float operations of
+scipy's brentq.c, so it returns scipy's roots bit for bit and importing
+the package loads no scipy.
+
 ``quadrature`` is an adaptive Gauss-Kronrod (7, 15) rule for a plain
 definite integral. The package does not call it: the tests use it as
 the nested-quadrature reference for ``tests/oracles.exp_weighted_integral``,
@@ -63,7 +69,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .mat2 import adjoint, is_hermitian
 
@@ -1247,16 +1252,78 @@ def solve_matrix_riccati(
 # Determinant zero detection.
 
 
+def _brentq(f: Callable, a: float, b: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    Netlib's zeroin as scipy's brentq.c has it, with the same float
+    operations in the same order, so it returns scipy.optimize.brentq's
+    root bit for bit. The result is within xtol + rtol |x| of a sign
+    change. An end where f is exactly 0 is returned as it is. Raises
+    ValueError when f(a) and f(b) have the same sign or f gives NaN, and
+    RuntimeError after maxiter iterations without convergence.
+    """
+
+    def call(x):  # a Python float, as the C code reads one double
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = call(xpre), call(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                try:
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+                except ZeroDivisionError:  # an underflowed product: C's inf or nan bisects
+                    stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = call(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+
+
 def sign_change_roots(fn: Callable[[float], float], ts: np.ndarray, vals: np.ndarray) -> list:
     """Roots of fn in the grid cells [ts[i], ts[i + 1]] where vals changes sign.
 
     vals holds fn on the grid ts. Every cell whose end values have
-    strictly opposite signs is refined by Brent's method to about 1e-13;
-    a grid value of exactly 0 brackets nothing.
+    strictly opposite signs is refined by Brent's method (_brentq) to
+    about 1e-13; a grid value of exactly 0 brackets nothing.
     """
     sign = np.sign(vals)
     cells = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    return [float(brentq(fn, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16)) for i in cells]
+    return [_brentq(fn, ts[i], ts[i + 1], xtol=1e-13, rtol=8.9e-16) for i in cells]
 
 
 @dataclass(frozen=True)
@@ -1300,7 +1367,7 @@ def _step_zeros(traj: Trajectory, i: int, eps_zero: float) -> list:
     """The zeros of det Phi on step i, from _focal_phases of its dense output.
 
     The step is halved until no phase moves over pi/4 (the phases at the
-    ends matched by the smaller movement). brentq refines each sign change
+    ends matched by the smaller movement). _brentq refines each sign change
     not across the cut at pi: of the phase nearer 0 when the two are over
     pi/2 apart at both ends, else of the lower or upper one. Two roots are
     one double zero when both phases are within eps_zero of 0 at their mean.
@@ -1332,7 +1399,7 @@ def _step_zeros(traj: Trajectory, i: int, eps_zero: float) -> list:
             continue
         picks = (min, max) if min(_turn(*pa), _turn(*pb)) <= 0.5 * math.pi else (lambda p: min(p, key=abs),)
         roots = sorted(
-            brentq(lambda t: pick(phases(t)), ta, tb, xtol=1e-13, rtol=8.9e-16)
+            _brentq(lambda t: pick(phases(t)), ta, tb, xtol=1e-13, rtol=8.9e-16)
             for pick in picks
             if (pick(pa) < 0.0) != (pick(pb) < 0.0) and abs(pick(pa)) + abs(pick(pb)) < math.pi
         )

@@ -860,7 +860,8 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
 def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
     """coefsys.validate_scenario as it was, one sample at a time: its reference.
 
-    Sample the window and derive the structural tags.
+    Sample the window, and a table's knots inside it, in increasing
+    time, and derive the structural tags.
 
     Hermitian violation of B or C is a hard error: the entire theory
     assumes it. Tags are set from what the samples show, with the strict
@@ -872,7 +873,7 @@ def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 25
         raise ValueError("window must satisfy T > t0")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    ts = np.linspace(lo, hi, n_samples)
+    ts = sorted(list(np.linspace(lo, hi, n_samples)) + [k for k in s.knots if lo < k < hi])
     diag = True
     psd = True
     positive = True

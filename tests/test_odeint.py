@@ -485,6 +485,69 @@ def test_defect_and_scale_match_the_matrix_formulas():
 
 
 # ---------------------------------------------------------------------------
+# Root finding.
+
+
+def _smooth_brackets(n):
+    """n seeded (f, a, b) with f(a) and f(b) of strictly opposite signs:
+    trigonometric, cubic, exponential and arctangent shapes, some with a
+    root near 0 (where xtol rules) and some near 1e3 (where rtol does).
+    Every eighth is scaled by 1e-200, where the denominator of Brent's
+    extrapolation step can underflow to 0."""
+    rng = np.random.default_rng(20260816)
+    out = []
+    while len(out) < n:
+        k = len(out) % 5
+        p, q, r = rng.standard_normal(3)
+        w, c = rng.uniform(0.2, 8.0), rng.uniform(-0.9, 0.9)
+        shift = (0.0, 0.0, 0.0, 0.0, 1e3)[k] + rng.uniform(-3.0, 3.0)
+        f = (
+            lambda x, w=w, c=c: math.sin(w * x) + c,
+            lambda x, p=p, q=q, r=r: p + q * x + r * x**3,
+            lambda x, p=p, c=c: math.expm1(p * x) + 0.5 * c,
+            lambda x, w=w, q=q: math.atan(w * (x - q)) + 0.1 * math.cos(3.0 * x),
+            lambda x, w=w, s=shift, c=c: math.tanh(w * (x - s)) + 0.5 * c,
+        )[k]
+        if len(out) % 8 == 7:
+            f = lambda x, f=f: 1e-200 * f(x)  # noqa: E731
+        a = shift + rng.uniform(-2.0, 0.0)
+        b = a + rng.uniform(1e-3, 4.0)
+        fa, fb = f(a), f(b)
+        if fa != 0.0 and fb != 0.0 and (fa < 0.0) != (fb < 0.0):
+            out.append((f, a, b))
+    return out
+
+
+def test_brentq_returns_scipys_root_bit_for_bit():
+    from scipy.optimize import brentq
+
+    brackets = _smooth_brackets(2000)
+    # the package's tolerances, then scipy's defaults
+    for xtol, rtol in ((1e-13, 8.9e-16), (2e-12, 4.0 * np.finfo(float).eps)):
+        differ = [
+            (a, b)
+            for f, a, b in brackets
+            if odeint._brentq(f, a, b, xtol, rtol) != brentq(f, a, b, xtol=xtol, rtol=rtol)
+        ]
+        assert differ == [], (xtol, len(differ))
+
+
+def test_brentq_ends_and_failures():
+    # an exact zero at an end is returned as it is, a at once before b
+    assert odeint._brentq(lambda x: x - 1.0, 1.0, 3.0, 1e-13, 8.9e-16) == 1.0
+    assert odeint._brentq(lambda x: x - 3.0, 1.0, 3.0, 1e-13, 8.9e-16) == 3.0
+    assert odeint._brentq(lambda x: x * (x - 3.0), 0.0, 3.0, 1e-13, 8.9e-16) == 0.0
+    with pytest.raises(ValueError, match="different signs"):
+        odeint._brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 8.9e-16)
+    with pytest.raises(ValueError, match="NaN"):
+        odeint._brentq(lambda x: math.nan, -1.0, 1.0, 1e-13, 8.9e-16)
+    with pytest.raises(RuntimeError, match="after 3 iterations"):
+        odeint._brentq(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-13, 8.9e-16, maxiter=3)
+    root = odeint._brentq(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-13, 8.9e-16)
+    assert abs(root - 2.0 ** (1.0 / 3.0)) <= 1e-13 + 8.9e-16 * root
+
+
+# ---------------------------------------------------------------------------
 # Determinant zeros.
 
 
