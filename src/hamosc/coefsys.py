@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from . import mat2
-from .mat2 import TOL_HERM, is_hermitian, norm_max
+from .mat2 import TOL_HERM, is_hermitian
 
 __all__ = [
     "Scenario",
@@ -93,7 +93,10 @@ class ZeroDiagonalB(ValueError):
 class Scenario:
     """Coefficient triple with metadata.
 
-    eval: t -> (A, B, C), each a 2x2 complex ndarray.
+    eval: t -> (A, B, C), each block the row-major entry 4-tuple
+    (e11, e12, e21, e22) of Python complexes, mat2's per-stage form:
+    entry (i, j) sits at index 2 (i - 1) + (j - 1). Constant blocks may
+    be shared between reads, since a tuple cannot be changed.
     analytic_derivatives: t -> (A', B', C'), the exact derivatives of
     eval's blocks in the same form, defined where eval is (raising
     OutOfDomain where it does). psd_reduce counts a block as constant
@@ -108,6 +111,10 @@ class Scenario:
     Validation and the criteria's hypothesis checks read the scenario
     at those inside their window as well as on their grid (check_times),
     so a table entry that leaves PSD between grid points is met.
+
+    Either callable may return 2x2 numpy arrays instead: building the
+    Scenario, dataclasses.replace included, reads each once at t0 and
+    wraps one that does in a converter to the entry form.
     """
 
     name: str
@@ -120,6 +127,25 @@ class Scenario:
     params: dict = field(default_factory=dict)
     knots: tuple = ()
 
+    def __post_init__(self):
+        for name in ("eval", "analytic_derivatives"):
+            read = getattr(self, name)
+            if not isinstance(read(self.t0)[0], tuple):
+                object.__setattr__(self, name, _entry_form(read))
+
+
+def _entry_form(read: Callable) -> Callable:
+    """read with its three numpy 2x2 blocks returned as entry 4-tuples."""
+
+    def entries(t):
+        a, b, c = read(t)
+        (a11, a12), (a21, a22) = np.asarray(a, dtype=complex).tolist()
+        (b11, b12), (b21, b22) = np.asarray(b, dtype=complex).tolist()
+        (c11, c12), (c21, c22) = np.asarray(c, dtype=complex).tolist()
+        return (a11, a12, a21, a22), (b11, b12, b21, b22), (c11, c12, c21, c22)
+
+    return entries
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -129,9 +155,18 @@ class ValidationReport:
     window: tuple
 
 
-_I2 = np.eye(2, dtype=complex)
-_ONES = np.ones((2, 2), dtype=complex)
-_Z2 = np.zeros((2, 2), dtype=complex)
+# Shared constant blocks as entry 4-tuples. _NEG_I is numpy's -I, every zero
+# negative, so the families read the same doubles as their arrays did.
+_Z = (0j, 0j, 0j, 0j)
+_I = (1 + 0j, 0j, 0j, 1 + 0j)
+_NEG_I = tuple(-e for e in _I)
+_ONES = (1 + 0j, 1 + 0j, 1 + 0j, 1 + 0j)
+
+
+def _times(x: float, m: tuple) -> tuple:
+    """x m for a real x, entry by entry: the doubles of numpy's x * (2x2 complex array)."""
+    return (x * m[0], x * m[1], x * m[2], x * m[3])
+
 
 def _require(params: dict, family: str, *names: str) -> list[float]:
     vals = []
@@ -142,24 +177,13 @@ def _require(params: dict, family: str, *names: str) -> list[float]:
     return vals
 
 
-def _const_eval(a, b, c):
-    def ev(t):
-        return a.copy(), b.copy(), c.copy()
-
-    return ev
-
-
-def _zero_derivs(t):
-    return _Z2.copy(), _Z2.copy(), _Z2.copy()
-
-
 def _make_harmonic(params):
-    ev = _const_eval(_Z2, _I2, -_I2)
+    blocks = (_Z, _I, _NEG_I)
     return Scenario(
         name="harmonic",
         t0=0.0,
-        eval=ev,
-        analytic_derivatives=_zero_derivs,
+        eval=lambda t: blocks,
+        analytic_derivatives=lambda t: (_Z, _Z, _Z),
         tags=frozenset({"B_diagonal", "B_psd", "B_positive", "real_coefficients"}),
     )
 
@@ -168,10 +192,10 @@ def _make_euler(params):
     (c,) = _require(params, "euler", "c")
 
     def ev(t):
-        return _Z2.copy(), _I2.copy(), (-c / (t * t)) * _I2
+        return _Z, _I, _times(-c / (t * t), _I)
 
     def dv(t):
-        return _Z2.copy(), _Z2.copy(), (2.0 * c / (t * t * t)) * _I2
+        return _Z, _Z, _times(2.0 * c / (t * t * t), _I)
 
     return Scenario(
         name=f"euler(c={c:g})",
@@ -193,17 +217,13 @@ def _make_vector_schrodinger(params):
     th1 = params.get("theta1", 0.0)
     th2 = params.get("theta2", 0.0)
 
-    def mu(t):
-        return p1 * math.sin(lam1 * t + th1) + p2 * math.sin(lam2 * t + th2)
-
     def ev(t):
-        c = np.array([[-mu(t), -10j], [10j, t * t]], dtype=complex)
-        return _Z2.copy(), _I2.copy(), c
+        mu = p1 * math.sin(lam1 * t + th1) + p2 * math.sin(lam2 * t + th2)
+        return _Z, _I, (complex(-mu), -10j, 10j, complex(t * t))
 
     def dv(t):
         dmu = p1 * lam1 * math.cos(lam1 * t + th1) + p2 * lam2 * math.cos(lam2 * t + th2)
-        dc = np.array([[-dmu, 0.0], [0.0, 2.0 * t]], dtype=complex)
-        return _Z2.copy(), _Z2.copy(), dc
+        return _Z, _Z, (complex(-dmu), 0j, 0j, complex(2.0 * t))
 
     return Scenario(
         name="vector_schrodinger",
@@ -222,21 +242,21 @@ def _make_diag_b(params):
     a12 = complex(p["a12_re"], p["a12_im"])
     a21 = complex(p["a21_re"], p["a21_im"])
     c12 = complex(p["c12_re"], p["c12_im"])
-    a = np.array([[p["a11"], a12], [a21, p["a22"]]], dtype=complex)
-    b = np.array([[b1, 0.0], [0.0, b2]], dtype=complex)
-    c = np.array([[p["c11"], c12], [np.conj(c12), p["c22"]]], dtype=complex)
+    a = (complex(p["a11"]), a12, a21, complex(p["a22"]))
+    b = (complex(b1), 0j, 0j, complex(b2))
+    c = (complex(p["c11"]), c12, c12.conjugate(), complex(p["c22"]))
     tags = {"B_diagonal"}
     if b1 >= 0.0 and b2 >= 0.0:
         tags.add("B_psd")
     if b1 > TOL_POS and b2 > TOL_POS:
         tags.add("B_positive")
-    if norm_max(np.imag(a) + 0j) == 0.0 and p["c12_im"] == 0.0:
+    if all(e.imag == 0.0 for e in a) and p["c12_im"] == 0.0:
         tags.add("real_coefficients")
     return Scenario(
         name="diag_B",
         t0=0.0,
-        eval=_const_eval(a, b, c),
-        analytic_derivatives=_zero_derivs,
+        eval=lambda t: (a, b, c),
+        analytic_derivatives=lambda t: (_Z, _Z, _Z),
         tags=frozenset(tags),
         params=p,
     )
@@ -244,15 +264,12 @@ def _make_diag_b(params):
 
 def _make_ones_b_zero_drift(params):
     (c_sum,) = _require(params, "ones_B_zero_drift", "c_sum")
-
-    def ev(t):
-        return _Z2.copy(), _ONES.copy(), (c_sum / 2.0) * _I2
-
+    blocks = (_Z, _ONES, _times(c_sum / 2.0, _I))
     return Scenario(
         name="ones_B_zero_drift",
         t0=0.0,
-        eval=ev,
-        analytic_derivatives=_zero_derivs,
+        eval=lambda t: blocks,
+        analytic_derivatives=lambda t: (_Z, _Z, _Z),
         tags=frozenset({"B_psd", "real_coefficients"}),
         params={"c_sum": c_sum},
     )
@@ -262,14 +279,12 @@ def _make_ones_b_euler(params):
     (alpha,) = _require(params, "ones_B_euler", "alpha")
 
     def ev(t):
-        a = (alpha / (2.0 * t)) * _ONES
-        c = ((alpha - alpha * alpha) / (2.0 * t * t)) * _I2
-        return a, _ONES.copy(), c
+        c = _times((alpha - alpha * alpha) / (2.0 * t * t), _I)
+        return _times(alpha / (2.0 * t), _ONES), _ONES, c
 
     def dv(t):
-        da = (-alpha / (2.0 * t * t)) * _ONES
-        dc = ((alpha * alpha - alpha) / (t * t * t)) * _I2
-        return da, _Z2.copy(), dc
+        dc = _times((alpha * alpha - alpha) / (t * t * t), _I)
+        return _times(-alpha / (2.0 * t * t), _ONES), _Z, dc
 
     return Scenario(
         name=f"ones_B_euler(alpha={alpha:g})",
@@ -285,19 +300,17 @@ def _make_ones_b_alpha_conditions(params):
     a0, a1, s0 = _require(params, "ones_B_alpha_conditions", "a0", "a1", "s0")
     if a0 <= 0.0 or a1 < 0.0:
         raise ValueError("row-sum a0 + a1*t must be positive and nondecreasing")
+    c = _times(s0 / 2.0, _I)
+    derivs = (_times(a1 / 2.0, _ONES), _Z, _Z)
 
     def ev(t):
-        a = ((a0 + a1 * t) / 2.0) * _ONES
-        return a, _ONES.copy(), (s0 / 2.0) * _I2
-
-    def dv(t):
-        return (a1 / 2.0) * _ONES, _Z2.copy(), _Z2.copy()
+        return _times((a0 + a1 * t) / 2.0, _ONES), _ONES, c
 
     return Scenario(
         name="ones_B_alpha_conditions",
         t0=0.0,
         eval=ev,
-        analytic_derivatives=dv,
+        analytic_derivatives=lambda t: derivs,
         tags=frozenset({"B_psd", "real_coefficients"}),
         params={"a0": a0, "a1": a1, "s0": s0},
     )
@@ -408,13 +421,13 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
 
     def ev(t):
         t = _check(float(t))
-        v = (spl_re(t) + 1j * spl_im(t)).reshape(3, 2, 2)
-        return v[0], v[1], v[2]
+        v = (spl_re(t) + 1j * spl_im(t)).tolist()
+        return tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12])
 
     def dv(t):
         t = _check(float(t))
-        v = (dre(t) + 1j * dim(t)).reshape(3, 2, 2)
-        return v[0], v[1], v[2]
+        v = (dre(t) + 1j * dim(t)).tolist()
+        return tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12])
 
     scen = Scenario(
         name=name,
@@ -428,17 +441,27 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
     return replace(scen, tags=report.tags)
 
 
-# check_times is left out of __all__, like eval_entries below: bench/tracing.py
+# window_grid, check_times and stacked are left out of __all__: bench/tracing.py
 # times every function listed there
+def window_grid(window: tuple, n: int = 256) -> np.ndarray:
+    """The n-point uniform grid of the window, both ends included."""
+    return np.linspace(float(window[0]), float(window[1]), n)
+
+
 def check_times(s: Scenario, window: tuple, n_samples: int = 256) -> list:
     """Where a scenario's hypotheses are read on a window, in increasing order.
 
-    The n_samples-point grid of the window, merged with a table's knots
+    The n_samples-point window_grid, merged with a table's knots
     (Scenario.knots) strictly inside it, so that a table entry between
     grid points is read and a check that fails names its earliest time.
     """
     lo, hi = float(window[0]), float(window[1])
-    return sorted(np.linspace(lo, hi, n_samples).tolist() + [k for k in s.knots if lo < k < hi])
+    return sorted(window_grid((lo, hi), n_samples).tolist() + [k for k in s.knots if lo < k < hi])
+
+
+def stacked(read: Callable, ts) -> np.ndarray:
+    """s.eval or s.analytic_derivatives at each time: [k, i] is block i at ts[k]."""
+    return np.array([read(t) for t in ts], dtype=complex).reshape(len(ts), 3, 2, 2)
 
 
 def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
@@ -453,9 +476,8 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     TOL_POS * (1 + |B|) separating B_positive from B_psd.
 
     Each sample is one s.eval; the checks then run on the stacked
-    (samples, 2, 2) blocks with the per-matrix tests of mat2 written
-    out over the stack (max-entry norms, the closed-form eigenvalues of
-    herm_eigvals).
+    blocks with the per-matrix tests of mat2 written out over the stack
+    (max-entry norms, the closed-form eigenvalues of herm_eigvals).
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -463,11 +485,8 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     ts = check_times(s, (lo, hi), n_samples)
-    evs = [s.eval(t) for t in ts]
-    a, b, c = (np.array([e[k] for e in evs], dtype=complex) for k in range(3))
-    for m in (a, b, c):
-        if m.shape != (len(ts), 2, 2):
-            raise ValueError(f"expected shape (2, 2), got {m.shape[1:]}")
+    v = stacked(s.eval, ts)
+    a, b, c = v[:, 0], v[:, 1], v[:, 2]
 
     def norm(m):
         return np.abs(m).max(axis=(1, 2))
@@ -518,15 +537,3 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
 def validated(s: Scenario, window: tuple, n_samples: int = 256) -> Scenario:
     """Copy of the scenario carrying freshly verified tags."""
     return replace(s, tags=validate_scenario(s, window, n_samples).tags)
-
-
-# eval_entries is left out of __all__: it runs once per integrator stage,
-# and bench/tracing.py times every function listed there
-def eval_entries(s: Scenario, t: float) -> tuple:
-    """(A, B, C) at t from one s.eval, each in mat2's entry 4-tuple form.
-
-    Each block is a list of its entries (e11, e12, e21, e22) as Python
-    complexes, row-major.
-    """
-    a, b, c = s.eval(t)
-    return a.ravel().tolist(), b.ravel().tolist(), c.ravel().tolist()

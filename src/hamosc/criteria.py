@@ -312,10 +312,6 @@ def scalar_osc_test(
 # Shared hypothesis checks and criterion skeletons.
 
 
-def _grid(window: tuple, n: int = 256) -> np.ndarray:
-    return np.linspace(float(window[0]), float(window[1]), n)
-
-
 def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     """Diagonal-B hypotheses at coefsys.check_times: (sign patterns, min b, coupling row).
 
@@ -327,10 +323,9 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     disagree on which coupling entry is tied to which b; requiring both
     is conservative: it can only withhold a verdict, never fabricate one.
     """
-    ts = np.array(coefsys.check_times(s, window))
-    evs = [s.eval(t) for t in ts]
-    a = np.array([e[0] for e in evs])
-    b = np.array([e[1] for e in evs])
+    ts = coefsys.check_times(s, window)
+    v = coefsys.stacked(s.eval, ts)
+    a, b = v[:, 0], v[:, 1]
     b_diag = np.stack([b[:, 0, 0], b[:, 1, 1]], axis=1)
     b_real = np.real(b_diag)
     tol = coefsys.TOL_POS * (1.0 + float(np.max(np.abs(b_real))))
@@ -339,7 +334,7 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     tol_b = coefsys.TOL_POS * (1.0 + np.max(np.abs(b), axis=(1, 2)))
     b_zero = np.any(np.abs(b_diag) <= tol_b[:, None], axis=1)
     coupled = (np.abs(a[:, 0, 1]) > tol_a) | (np.abs(a[:, 1, 0]) > tol_a)
-    bad = ts[b_zero & coupled]
+    bad = np.array(ts)[b_zero & coupled]
     coupling = (
         "couplings vanish where b does",
         len(bad) == 0,
@@ -353,7 +348,7 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
 def chi_diag(a, b, c, j: int) -> float:
     """The free term chi_j of the scalar criteria from (a, b, c) at one time.
 
-    Each block is a row-major entry 4-tuple (coefsys.eval_entries).
+    Each block is a row-major entry 4-tuple, the form of Scenario.eval.
     chi_j = -c_jj - |a_{3-j,j}|^2 / b_{3-j} where b_{3-j} is nonzero,
     and chi_j = -c_jj on the branch |b_{3-j}| <= TOL_POS * (1 + |b|).
     The sign is the corrected convention: it makes the scalar pair for
@@ -379,7 +374,7 @@ def _diag_envelope_data(s: Scenario) -> riccati.EnvelopeData:
 
     def values(t):
         t = float(t)
-        a, b, c = coefsys.eval_entries(s, t)
+        a, b, c = s.eval(t)
         tol = coefsys.TOL_POS * (1.0 + max(map(abs, b)))
         b1, b2 = b[0].real, b[3].real
         for j, bj in ((1, b1), (2, b2)):
@@ -393,7 +388,6 @@ def _diag_envelope_data(s: Scenario) -> riccati.EnvelopeData:
     def slopes(t, v):
         r1, r2, b1, b2 = v[1], v[2], v[4], v[5]
         da, db, _ = s.analytic_derivatives(t)
-        da, db = da.ravel().tolist(), db.ravel().tolist()
         return (
             da[1] / b1 - r1 * db[0].real / b1,
             da[2].conjugate() / b2 - r2 * db[3].real / b2,
@@ -500,7 +494,7 @@ def oscillation_from_diagonal(
         jj = 3 * j - 3  # index of the (j, j) entry
 
         def coeffs(t):
-            a, b, c = coefsys.eval_entries(s, t)
+            a, b, c = s.eval(t)
             return (2.0 * a[jj].real, b[jj].real, -chi_diag(a, b, c, j), 0.0)
 
         return coeffs
@@ -548,7 +542,7 @@ def nonoscillation_sign_split(
     kernels = []
     for j, sgn in zip((1, 2), (1.0, -1.0) if case_a else (-1.0, 1.0)):
         def kernel(t, j=j, sgn=sgn):
-            a, b, c = coefsys.eval_entries(s, t)
+            a, b, c = s.eval(t)
             return 2.0 * a[3 * j - 3].real, sgn * chi_diag(a, b, c, j)
 
         kernels.append((str(j), kernel))
@@ -582,7 +576,7 @@ def nonoscillation_envelope(
     )
     notes = ""
     a0 = s.eval(float(window[0]))[0]
-    if max(abs(a0[0, 1]), abs(a0[1, 0])) > coefsys.TOL_POS * (1.0 + mat2.norm_max(a0)):
+    if max(abs(a0[1]), abs(a0[2])) > coefsys.TOL_POS * (1.0 + max(map(abs, a0))):
         notes = (
             "coupling nonzero at window start; the envelope derivation "
             "normalizes it to zero there, so the bound is conservative"
@@ -656,23 +650,23 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     Constant blocks, the common case, are read once, since the pointwise
     path is too slow to repeat per integrator stage. A block counts as
     constant when its derivative is exactly 0 on the whole validation
-    grid (_grid(window), 256 points), so a bump narrower than one grid
-    cell is missed, as flows step over one (ROADMAP probe P4).
+    grid (coefsys.window_grid, 256 points), so a bump narrower than one
+    grid cell is missed, as flows step over one (ROADMAP probe P4).
     """
     memo = {}
     mul = mat2._mul
-    ts = _grid(window)
-    ders = [s.analytic_derivatives(t) for t in ts.tolist()]
-    const_a, const_b, const_c = (not np.any([d[k] for d in ders]) for k in range(3))
+    grid = coefsys.window_grid(window)
+    ders = coefsys.stacked(s.analytic_derivatives, grid.tolist())
+    const_a, const_b, const_c = (not ders[:, k].any() for k in range(3))
     a0, b0, c0 = s.eval(float(window[0]))
     sq0 = pinv0 = m0 = p0 = q0 = None
     if const_b:
-        sq0, pinv0, _ = mat2._psd_root(b0.ravel().tolist(), (0j, 0j, 0j, 0j))
+        sq0, pinv0, _ = mat2._psd_root(b0, (0j, 0j, 0j, 0j))
         if const_a:
-            m0 = mul(a0.ravel().tolist(), sq0)
+            m0 = mul(a0, sq0)
             p0 = mul(pinv0, m0)
         if const_c:
-            q0 = _sym(mul(mul(sq0, c0.ravel().tolist()), sq0))
+            q0 = _sym(mul(mul(sq0, c0), sq0))
 
     def compute(t: float):
         key = float(t)
@@ -682,16 +676,16 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         a, b, c = (None, None, None) if (const_a and const_b and const_c) else s.eval(key)
         if const_b:
             sq, pinv = sq0, pinv0
-            m = m0 if m0 is not None else mul(a.ravel().tolist(), sq)
+            m = m0 if m0 is not None else mul(a, sq)
         else:
-            db = s.analytic_derivatives(key)[1].ravel().tolist()
+            db = s.analytic_derivatives(key)[1]
             try:
-                sq, pinv, dsq = mat2._psd_root(b.ravel().tolist(), db)
+                sq, pinv, dsq = mat2._psd_root(b, db)
             except mat2.NotHermitian as exc:
                 raise mat2.NotHermitian(exc.max_asymmetry, "B", key) from None
-            m = tuple(u - v for u, v in zip(mul(a.ravel().tolist(), sq), dsq))
+            m = tuple(u - v for u, v in zip(mul(a, sq), dsq))
         p = p0 if p0 is not None else mul(pinv, m)
-        q = q0 if q0 is not None else _sym(mul(mul(sq, c.ravel().tolist()), sq))
+        q = q0 if q0 is not None else _sym(mul(mul(sq, c), sq))
         out = (Reduced(sq, p, q), m)
         if len(memo) > 4096:
             memo.clear()
@@ -708,7 +702,7 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         residuals.append(res)
 
     return PsdReduction(
-        at=lambda t: compute(t)[0], grid=ts, max_residual=max(residuals), const_b=const_b
+        at=lambda t: compute(t)[0], grid=grid, max_residual=max(residuals), const_b=const_b
     )
 
 

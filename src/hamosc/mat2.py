@@ -7,10 +7,10 @@ principal PSD square root, and the minimum-norm solution of the sandwich
 equation S @ X @ M = M.
 
 Code that reads a 2x2 at every integrator stage works on Python scalars
-instead: the row-major entry 4-tuple (e11, e12, e21, e22), read from an
-array as ``m.ravel().tolist()``. ``_mul``, ``_pinv`` and ``_psd_root``
-take and return that form, and the per-stage readers of ``criteria`` and
-``riccati`` index it (entry (i, j) at 2 (i-1) + (j-1)). ``_psd_root``
+instead: the row-major entry 4-tuple (e11, e12, e21, e22), the form in
+which ``coefsys.Scenario`` returns its blocks. ``_mul``, ``_pinv`` and
+``_psd_root`` take and return that form, and the per-stage readers of
+``criteria`` and ``riccati`` index it (entry (i, j) at 2 (i-1) + (j-1)). ``_psd_root``
 gives S = sqrt B, its pseudo-inverse and its derivative from one
 eigendecomposition of B, with one rank decision for all three.
 

@@ -934,16 +934,13 @@ def _hamiltonian_field(scenario):
 
     X = [Phi; Psi] is the 4x2 view of the 16 reals (see pack_pair) and
     H = [[A, B], [C, -A*]]. The 32 complex products are Python complex
-    arithmetic on the entries, which at this size costs less than filling
-    a 4x4 array and calling np.dot.
+    arithmetic on the read's entry 4-tuples, which at this size costs
+    less than filling a 4x4 array and calling np.dot.
     """
     ev = scenario.eval
 
     def field(t, y):
-        a, b, c = ev(t)
-        (a11, a12), (a21, a22) = a.tolist()
-        (b11, b12), (b21, b22) = b.tolist()
-        (c11, c12), (c21, c22) = c.tolist()
+        (a11, a12, a21, a22), (b11, b12, b21, b22), (c11, c12, c21, c22) = ev(t)
         # -A* = [[d11, d12], [d21, d22]]
         d11, d12, d21, d22 = -a11.conjugate(), -a21.conjugate(), -a12.conjugate(), -a22.conjugate()
         p11, p12, p21, p22, s11, s12, s21, s22 = y.view(complex).tolist()
@@ -1202,7 +1199,7 @@ def solve_matrix_riccati(
     def field(t, y):
         z11, z22 = y[0], y[1]
         z12 = y[2] + 1j * y[3]
-        a, b, c = ev(t)
+        a, b, c = (np.reshape(m, (2, 2)) for m in ev(t))
         z = np.array([[z11, z12], [np.conj(z12), z22]])
         rhs = c - z @ b @ z - adjoint(a) @ z - z @ a
         dg = float(np.real(np.trace(b @ z)))

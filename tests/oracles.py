@@ -34,6 +34,8 @@
   S from ``np.linalg.eigh`` (``eigh_sqrt``), S' from
   ``lstsq_sqrt_derivative``, the least-squares solve of
   S S' + S' S = B', and P = F M with F from ``mat2.solve_sandwich``;
+* ``as_blocks``: one Scenario read (three entry 4-tuples) as three 2x2
+  arrays, the form every reference here computes on.
 * ``central_difference``: the reference of every wired derivative.
 * ``constant_focal_points``: the exact zeros of det Phi of a
   constant-coefficient system, with their multiplicities, from one
@@ -173,7 +175,7 @@ def subsystem_solve(
         z11, z22 = st[0], st[1]
         y = st[2] + 1j * st[3]
         v = st[4] + 1j * st[5]
-        a, b, c = s.eval(t)
+        a, b, c = as_blocks(s.eval(t))
         b1 = float(np.real(b[0, 0]))
         b2 = float(np.real(b[1, 1]))
         a11, a12, a21, a22 = a[0, 0], a[0, 1], a[1, 0], a[1, 1]
@@ -588,6 +590,11 @@ def lstsq_sqrt_derivative(s, db, rank_tol: float = TOL_RANK) -> np.ndarray:
     return sol.reshape((2, 2), order="F")
 
 
+def as_blocks(read) -> tuple:
+    """One Scenario read, three entry 4-tuples, as three 2x2 complex arrays."""
+    return tuple(np.reshape(m, (2, 2)) for m in read)
+
+
 def central_difference(fn: Callable, t: float, h: float = 1e-5):
     """(fn(t + h) - fn(t - h)) / (2 h), the reference of a wired derivative."""
     return (np.asarray(fn(t + h)) - np.asarray(fn(t - h))) / (2.0 * h)
@@ -619,7 +626,7 @@ def constant_focal_points(
     its cell, and crossings at the same time make one zero.
     """
     lo, hi = float(window[0]), float(window[1])
-    a, b, c = s.eval(lo)
+    a, b, c = as_blocks(s.eval(lo))
     h = np.block([[a, b], [c, -a.conj().T]])
     z0 = np.vstack([phi0, psi0]).astype(complex)
     lam, vec = np.linalg.eig(h)
@@ -759,7 +766,7 @@ def matrix_chi_diag(a, b, c, j: int) -> float:
     """criteria.chi_diag as it was on 2x2 arrays, the reference of its entry-tuple form.
 
     chi_j from the coefficient matrices (a, b, c) at one time, for
-    callers that already hold one s.eval(t).
+    callers that already hold one read as arrays (as_blocks).
     """
     other = 2 - j  # 0-based index of 3-j
     cjj = float(np.real(c[j - 1, j - 1]))
@@ -797,11 +804,12 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     # to repeat per integrator stage. A block counts as constant when the
     # scenario's own declared derivative vanishes on the validation grid.
     lo = float(window[0])
-    ders = [s.analytic_derivatives(t) for t in criteria._grid(window)]
+    grid = np.linspace(lo, float(window[1]), 256)
+    ders = [as_blocks(s.analytic_derivatives(t)) for t in grid]
     const_a = all(mat2.norm_max(np.asarray(d[0])) == 0.0 for d in ders)
     const_b = all(mat2.norm_max(np.asarray(d[1])) == 0.0 for d in ders)
     const_c = all(mat2.norm_max(np.asarray(d[2])) == 0.0 for d in ders)
-    a0, b0, c0 = s.eval(lo)
+    a0, b0, c0 = as_blocks(s.eval(lo))
     sq0 = eigh_sqrt(b0) if const_b else None
     m0 = a0 @ sq0 if (const_a and const_b) else None
     f0 = None
@@ -816,13 +824,13 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
         key = float(t)
         if key in memo:
             return memo[key]
-        a, b, c = (a0, b0, c0) if (const_a and const_b and const_c) else s.eval(key)
+        a, b, c = (a0, b0, c0) if (const_a and const_b and const_c) else as_blocks(s.eval(key))
         if const_b:
             sq = sq0
             m = m0 if m0 is not None else a @ sq
         else:
             sq = eigh_sqrt(b)
-            dsq = lstsq_sqrt_derivative(sq, s.analytic_derivatives(key)[1])
+            dsq = lstsq_sqrt_derivative(sq, as_blocks(s.analytic_derivatives(key))[1])
             m = a @ sq - dsq
         if f0 is not None:
             f = f0
@@ -839,9 +847,8 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
         memo[key] = out
         return out
 
-    ts = criteria._grid(window)
     residuals = []
-    for t in ts:
+    for t in grid:
         (red, f), m = compute(t)
         res = float(mat2.norm_max(red.sqrt_b @ f @ m - m))
         tol = 1e-8 * (1.0 + float(mat2.norm_max(m)))
@@ -851,7 +858,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
 
     return criteria.PsdReduction(
         at=lambda t: compute(t)[0][0],
-        grid=ts,
+        grid=grid,
         max_residual=float(np.max(residuals)),
         const_b=const_b,
     )
@@ -880,7 +887,7 @@ def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 25
     realc = True
     worst_asym = 0.0
     for t in ts:
-        a, b, c = s.eval(float(t))
+        a, b, c = as_blocks(s.eval(float(t)))
         for which, m in (("B", b), ("C", c)):
             flag = is_hermitian(m)
             worst_asym = max(worst_asym, flag.max_asymmetry)

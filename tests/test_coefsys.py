@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hamosc import coefsys, mat2
+from hamosc import cli, coefsys, criteria, mat2
 from conftest import const_scenario
-from oracles import central_difference, per_sample_validate_scenario
+from oracles import as_blocks, central_difference, per_sample_validate_scenario
 
 I2 = np.eye(2, dtype=complex)
 
@@ -18,7 +21,7 @@ I2 = np.eye(2, dtype=complex)
 
 def test_harmonic_family():
     s = coefsys.make_family("harmonic", {})
-    a, b, c = s.eval(3.7)
+    a, b, c = as_blocks(s.eval(3.7))
     assert mat2.norm_max(a) == 0.0
     assert mat2.norm_max(b - I2) == 0.0
     assert mat2.norm_max(c + I2) == 0.0
@@ -30,24 +33,24 @@ def test_harmonic_family():
 
 def test_euler_family_values_and_derivative():
     s = coefsys.make_family("euler", {"c": 2.5})
-    _, _, c = s.eval(1.0)
+    _, _, c = as_blocks(s.eval(1.0))
     assert mat2.norm_max(c + 2.5 * I2) <= 1e-14
     # the derivative of C = -(c / t^2) I at t = 1 is 2c I
-    da, db, dc = s.analytic_derivatives(1.0)
+    da, db, dc = as_blocks(s.analytic_derivatives(1.0))
     assert mat2.norm_max(dc - 5.0 * I2) <= 1e-12
     assert mat2.norm_max(da) == 0.0 and mat2.norm_max(db) == 0.0
 
 
 def test_vector_schrodinger_family():
     s = coefsys.make_family("vector_schrodinger", {})
-    a, b, c = s.eval(0.0)
+    a, b, c = as_blocks(s.eval(0.0))
     assert mat2.norm_max(a) == 0.0 and mat2.norm_max(b - I2) == 0.0
     expected = np.array([[0.0, -10.0j], [10.0j, 0.0]])
     assert mat2.norm_max(c - expected) <= 1e-14
     assert "B_positive" in s.tags and "real_coefficients" not in s.tags
     # the C diagonal picks up t^2 growth
     _, _, c5 = s.eval(5.0)
-    assert abs(c5[1, 1] - 25.0) <= 1e-12
+    assert abs(c5[3] - 25.0) <= 1e-12
 
 
 def test_param_aliases_and_misspellings_rejected():
@@ -67,12 +70,12 @@ def test_param_aliases_and_misspellings_rejected():
     assert s.params["theta1"] == 0.25
     d = coefsys.make_family("diag_B", {"b1": 1.0, "b2": 1.0, "a12_re": 0.5})
     assert len(d.params) == 12
-    assert d.eval(0.0)[0][0, 1] == 0.5
+    assert d.eval(0.0)[0][1] == 0.5
 
 
 def test_ones_b_euler_family():
     s = coefsys.make_family("ones_B_euler", {"alpha": 0.5})
-    a, b, c = s.eval(1.0)
+    a, b, c = as_blocks(s.eval(1.0))
     assert abs(a[0, 0] + a[0, 1] - 0.5) <= 1e-14  # row sum = alpha
     assert abs(a[1, 0] + a[1, 1] - 0.5) <= 1e-14
     assert mat2.norm_max(b - np.ones((2, 2))) == 0.0
@@ -80,7 +83,7 @@ def test_ones_b_euler_family():
     # rank-one B: semidefinite but not strictly positive
     assert "B_psd" in s.tags and "B_positive" not in s.tags
     # B is constant, so the derivative of its square root is exactly 0
-    _, _, droot = mat2._psd_root(b.ravel().tolist(), s.analytic_derivatives(2.0)[1].ravel().tolist())
+    _, _, droot = mat2._psd_root(s.eval(2.0)[1], s.analytic_derivatives(2.0)[1])
     assert droot == (0j, 0j, 0j, 0j)
 
 
@@ -120,6 +123,100 @@ def test_analytic_derivatives_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
+# The read form: three row-major entry 4-tuples of Python complexes.
+
+_ONE_OF_EACH = {
+    "harmonic": {},
+    "euler": {"c": 2.5},
+    "diag_B": {"b1": 1.0, "b2": -0.5, "a12_im": 0.5, "c11": -1.0, "c12_re": 0.3},
+    "vector_schrodinger": {},
+    "ones_B_zero_drift": {"c_sum": -1.0},
+    "ones_B_euler": {"alpha": 0.5},
+    "ones_B_alpha_conditions": {"a0": 1.0, "a1": 0.5, "s0": -1.0},
+}
+
+
+def _is_entry_read(read) -> bool:
+    return (
+        type(read) is tuple
+        and len(read) == 3
+        and all(type(m) is tuple and len(m) == 4 for m in read)
+        and all(type(e) is complex for m in read for e in m)
+    )
+
+
+def test_every_read_is_three_entry_tuples():
+    assert set(_ONE_OF_EACH) == set(coefsys.FAMILIES)
+    scenarios = [coefsys.make_family(fam, params) for fam, params in _ONE_OF_EACH.items()]
+    times = np.linspace(0.0, 2.0, 5)
+    samples = np.stack([np.stack([0.1 * t * I2, I2, -(1.0 + t) * I2]) for t in times])
+    scenarios.append(coefsys.from_table(coefsys.TabulatedCoeffs(times=times, samples=samples)))
+    scenarios.append(const_scenario(np.zeros((2, 2)), np.eye(2), -np.eye(2)))
+    for s in scenarios:
+        for t in (s.t0, s.t0 + 0.7, s.t0 + 2.0):
+            assert _is_entry_read(s.eval(t)), (s.name, t)
+            assert _is_entry_read(s.analytic_derivatives(t)), (s.name, t)
+
+
+def test_numpy_blocks_are_converted_once_when_built():
+    reads = []
+
+    def ev(t):
+        reads.append(t)
+        return np.zeros((2, 2)), np.eye(2), np.array([[-1.0, 0.5j], [-0.5j, -2.0]])
+
+    def dv(t):
+        return np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2))
+
+    s = coefsys.Scenario(name="arrays", t0=0.5, eval=ev, analytic_derivatives=dv)
+    assert reads == [0.5]  # the one read that finds the form
+    assert s.eval(1.0) == ((0j,) * 4, (1 + 0j, 0j, 0j, 1 + 0j), (-1 + 0j, 0.5j, -0.5j, -2 + 0j))
+    assert _is_entry_read(s.analytic_derivatives(1.0))
+    # a replaced Scenario keeps the converter as it is, and a wrapper of
+    # the converted read (as a tracing copy makes) stays in entry form;
+    # each build reads once more, at t0
+    assert replace(s, name="again").eval is s.eval
+    wrapped = replace(s, eval=lambda t: s.eval(t))
+    assert _is_entry_read(wrapped.eval(1.0))
+    assert reads == [0.5, 1.0, 0.5, 0.5, 1.0]
+
+
+def _entry_twin(a, b, c):
+    """Constant coefficients written straight into entry 4-tuples."""
+    blocks = tuple(tuple(complex(e) for e in np.asarray(m, complex).ravel()) for m in (a, b, c))
+    return coefsys.Scenario(
+        name="twin", t0=0.0, eval=lambda t: blocks, analytic_derivatives=lambda t: ((0j,) * 4,) * 3
+    )
+
+
+def test_numpy_block_twin_analyzes_and_simulates_as_its_entry_twin():
+    # a diagonal B > 0 with coupling (the diagonal criterion fires) and a
+    # rank-one B (the reduction's criterion fires); both twins read the
+    # same doubles, so reports and zero records are equal, not close
+    opt = criteria.AnalysisOptions(rtol=1e-6, atol=1e-8, n_min=3, max_points=16)
+    v = np.array([1.0, 0.5j])
+    cases = [
+        (np.array([[0.1, 0.3 + 0.2j], [-0.2j, -0.1]]), np.diag([1.0, 0.6]),
+         np.array([[-4.0, 0.5 + 0.5j], [0.5 - 0.5j, -3.0]])),
+        (0.2 * np.eye(2), np.outer(v, v.conj()), np.array([[-9.0, 0.2], [0.2, -6.0]])),
+    ]
+    for a, b, c in cases:
+        outcomes = []
+        for s in (const_scenario(a, b, c, name="twin"), _entry_twin(a, b, c)):
+            result = criteria.analyze(s, (0.0, 4.0), opt)
+            payload = cli.report_payload(result, {})
+            del payload["generated_at"]
+            zeros = [
+                (label, [(z.time, z.residual, z.multiplicity) for z in found])
+                for label, _, found in criteria.simulate_starts(s, (0.0, 4.0), 3)
+            ]
+            outcomes.append((result.verdict.kind, json.dumps(payload, sort_keys=True), zeros))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == criteria.OSCILLATORY
+        assert all(len(found) == 4 for _, found in outcomes[0][2])
+
+
+# ---------------------------------------------------------------------------
 # Tabulated scenarios.
 
 
@@ -134,7 +231,7 @@ def test_from_table_constant_nodes_exact():
     tab = _const_table([0.0, 0.5, 1.0, 1.5, 2.0], a, np.eye(2), c)
     s = coefsys.from_table(tab)
     for t in tab.times:
-        av, bv, cv = s.eval(float(t))
+        av, bv, cv = as_blocks(s.eval(float(t)))
         assert mat2.norm_max(av - a) == 0.0
         assert mat2.norm_max(bv - np.eye(2)) == 0.0
         assert mat2.norm_max(cv - c) == 0.0
@@ -148,10 +245,10 @@ def test_from_table_reproduces_linear_data():
     c = np.array([[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -1.0]])
     samples = np.stack([np.stack([a * t, np.eye(2) + 0j, c * (1 + t)]) for t in times])
     s = coefsys.from_table(coefsys.TabulatedCoeffs(times=times, samples=samples))
-    av, _, cv = s.eval(0.75)
+    av, _, cv = as_blocks(s.eval(0.75))
     assert mat2.norm_max(av - 0.75 * a) <= 1e-12
     assert mat2.norm_max(cv - 1.75 * c) <= 1e-12
-    da, db, dc = s.analytic_derivatives(0.75)
+    da, db, dc = as_blocks(s.analytic_derivatives(0.75))
     assert mat2.norm_max(da - a) <= 1e-12
     assert mat2.norm_max(db) <= 1e-12
     assert mat2.norm_max(dc - c) <= 1e-12

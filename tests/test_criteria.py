@@ -333,9 +333,10 @@ def test_diagonal_criterion_reads_the_scenario_once_per_field_call(monkeypatch):
 
 def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
     # each kernel call reads the weight and the free term from one read:
-    # 256 grid reads for the sign rows, then one per field call (two per
-    # call, 1,272 reads in all, when each of the pair reads the scenario
-    # itself)
+    # one read at t0 when the counted copy is built (it finds the read
+    # form), 256 grid reads for the sign rows, then one per field call
+    # (two per call, 1,272 reads in all, when each of the pair reads the
+    # scenario itself)
     window = (0.0, 20.0)
     d = np.diag([1.0, -1.0]).astype(complex)
     s = _tagged(const_scenario(Z2, d, d, name="split"), window)
@@ -351,13 +352,13 @@ def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
     rep = criteria.nonoscillation_sign_split(replace(s, eval=rec.counted(counted)), window, opt)
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
     assert 0 < rec.reads == rec.fev
-    assert total[0] == 256 + rec.fev
+    assert total[0] == 1 + 256 + rec.fev
     # the same partitions as kernels that read the scenario twice per call
     for j, sgn in ((1, 1.0), (2, -1.0)):
         def k(t, j=j, sgn=sgn):
             return (
-                2.0 * s.eval(t)[0][j - 1, j - 1].real,
-                sgn * criteria.chi_diag(*coefsys.eval_entries(s, t), j),
+                2.0 * s.eval(t)[0][3 * j - 3].real,
+                sgn * criteria.chi_diag(*s.eval(t), j),
             )
 
         part = riccati.partition_search(k, window, opt.max_points, rtol=opt.rtol, atol=opt.atol)

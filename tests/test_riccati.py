@@ -37,7 +37,7 @@ def _tagged(s, window=(0.0, 2.0)):
 
 def _chi(s, j):
     """The free term t -> chi_j of a diagonal-B scenario."""
-    return lambda t: criteria.chi_diag(*coefsys.eval_entries(s, t), j)
+    return lambda t: criteria.chi_diag(*s.eval(t), j)
 
 
 def _envelope(s, window, conv="minus_c12", **kw):
