@@ -100,7 +100,7 @@ class Scenario:
     analytic_derivatives: t -> (A', B', C'), the exact derivatives of
     eval's blocks in the same form, defined where eval is (raising
     OutOfDomain where it does). psd_reduce counts a block as constant
-    when its derivative is exactly 0 on its 256-point validation grid;
+    when its derivative is exactly 0 at every validation check time;
     a bump narrower than one grid cell is missed.
     tags: structural flags from {B_diagonal, B_psd, B_positive,
     real_coefficients}; set by construction or by validate_scenario.
@@ -108,9 +108,9 @@ class Scenario:
     params: a family's parameters as its builder resolved them,
     defaults included.
     knots: the sample times of a table (from_table), empty otherwise.
-    Validation and the criteria's hypothesis checks read the scenario
-    at those inside their window as well as on their grid (check_times),
-    so a table entry that leaves PSD between grid points is met.
+    Validation reads the scenario at those inside its window as well as
+    on its grid, and every hypothesis check reads its report, so a table
+    entry that leaves PSD between grid points is met.
 
     Either callable may return 2x2 numpy arrays instead: building the
     Scenario, dataclasses.replace included, reads each once at t0 and
@@ -147,12 +147,40 @@ def _entry_form(read: Callable) -> Callable:
     return entries
 
 
+# what validate_scenario records as the value that refutes each tag
+_REFUTED_BY = {
+    "B_diagonal": "largest off-diagonal |b|",
+    "B_psd": "lowest eigenvalue of B",
+    "B_positive": "lowest eigenvalue of B",
+    "real_coefficients": "largest imaginary part",
+}
+
+
 @dataclass(frozen=True)
 class ValidationReport:
+    """What one read of a scenario at its check times showed.
+
+    refuted holds (tag, t, value) per withheld tag, in _REFUTED_BY order:
+    its earliest refuting check time and the value there. blocks and
+    derivatives stack s.eval and s.analytic_derivatives at times ([k, i]
+    is block i at times[k]); == compares neither them nor times.
+    """
+
     tags: frozenset
     max_asymmetry: float
     n_samples: int
     window: tuple
+    refuted: tuple
+    times: tuple = field(compare=False, repr=False)
+    blocks: np.ndarray = field(compare=False, repr=False)
+    derivatives: np.ndarray = field(compare=False, repr=False)
+
+    def detail(self, tag: str) -> str:
+        """Where the samples refuted tag, for an applicability row; '' when it holds."""
+        for name, t, value in self.refuted:
+            if name == tag:
+                return f"refuted at t = {t:g}: {_REFUTED_BY[tag]} {value:.3e}"
+        return ""
 
 
 # Shared constant blocks as entry 4-tuples. _NEG_I is numpy's -I, every zero
@@ -437,26 +465,14 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
         domain_end=hi,
         knots=tuple(tab.times.tolist()),
     )
-    report = validate_scenario(scen, (lo, hi), n_samples=max(64, 4 * len(tab.times)))
-    return replace(scen, tags=report.tags)
+    return validated(scen, (lo, hi), n_samples=max(64, 4 * len(tab.times)))
 
 
-# window_grid, check_times and stacked are left out of __all__: bench/tracing.py
-# times every function listed there
+# window_grid and stacked are left out of __all__: bench/tracing.py times
+# every function listed there
 def window_grid(window: tuple, n: int = 256) -> np.ndarray:
     """The n-point uniform grid of the window, both ends included."""
     return np.linspace(float(window[0]), float(window[1]), n)
-
-
-def check_times(s: Scenario, window: tuple, n_samples: int = 256) -> list:
-    """Where a scenario's hypotheses are read on a window, in increasing order.
-
-    The n_samples-point window_grid, merged with a table's knots
-    (Scenario.knots) strictly inside it, so that a table entry between
-    grid points is read and a check that fails names its earliest time.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    return sorted(window_grid((lo, hi), n_samples).tolist() + [k for k in s.knots if lo < k < hi])
 
 
 def stacked(read: Callable, ts) -> np.ndarray:
@@ -465,27 +481,27 @@ def stacked(read: Callable, ts) -> np.ndarray:
 
 
 def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
-    """Sample the window and derive the structural tags.
+    """Read the scenario once at its check times and derive the structural tags.
 
-    The samples are check_times: the n_samples-point grid and a table's
+    The check times are the n_samples-point window_grid and a table's
     knots inside the window, so a tag that a table's own knots refute is
-    never granted. Hermitian violation of B or C is a hard error: the
-    entire theory assumes it. mat2.NotHermitian names the earliest
-    violating sample, B before C at the same sample. Tags are set from
-    what the samples show, with the strict positivity margin
-    TOL_POS * (1 + |B|) separating B_positive from B_psd.
-
-    Each sample is one s.eval; the checks then run on the stacked
-    blocks with the per-matrix tests of mat2 written out over the stack
-    (max-entry norms, the closed-form eigenvalues of herm_eigvals).
+    never granted. The report carries the blocks and derivatives stacked
+    there, one stacked call each: an analysis reads its grid only here.
+    Hermitian violation of B or C is a hard error: the entire theory
+    assumes it. mat2.NotHermitian names the earliest violating sample,
+    B before C at the same sample. Tags are set from what the samples
+    show, with the strict positivity margin TOL_POS * (1 + |B|)
+    separating B_positive from B_psd; a withheld one is recorded with
+    its first refuting sample. The checks are mat2's per-matrix tests
+    written out over the stack (max-entry norms, herm_eigvals).
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy T > t0")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    ts = check_times(s, (lo, hi), n_samples)
-    v = stacked(s.eval, ts)
+    ts = sorted(window_grid((lo, hi), n_samples).tolist() + [k for k in s.knots if lo < k < hi])
+    v, d = (stacked(read, ts) for read in (s.eval, s.analytic_derivatives))
     a, b, c = v[:, 0], v[:, 1], v[:, 2]
 
     def norm(m):
@@ -519,18 +535,29 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     b_pos = b_psd & psd(b - (TOL_POS * scale)[:, None, None] * np.eye(2))
     imag = np.maximum.reduce([norm(np.imag(m)) for m in (a, b, c)])
     size = np.maximum.reduce([na, nb, nc])
-    tags = set()
-    if not off.any():
-        tags.add("B_diagonal")
-    if b_psd.all():
-        tags.add("B_psd")
-    if b_pos.all():
-        tags.add("B_positive")
-    if not (imag > TOL_HERM * (1.0 + size)).any():
-        tags.add("real_coefficients")
+
+    def low_b(i):
+        return mat2.herm_eigvals(b[i])[0]
+
+    # per tag: the samples that refute it, and the value at sample i,
+    # computed on that sample alone as mat2 does
+    against = {
+        "B_diagonal": (off, lambda i: max(abs(b[i, 0, 1]), abs(b[i, 1, 0]))),
+        "B_psd": (~b_psd, low_b),
+        "B_positive": (~b_pos, low_b),
+        "real_coefficients": (imag > TOL_HERM * (1.0 + size), lambda i: imag[i]),
+    }
+    tags, refuted = set(), []
+    for tag, (bad, value) in against.items():
+        if bad.any():
+            i = int(bad.argmax())
+            refuted.append((tag, float(ts[i]), float(value(i))))
+        else:
+            tags.add(tag)
     worst_asym = max(0.0, float(asym_b.max()), float(asym_c.max()))
     return ValidationReport(
-        tags=frozenset(tags), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi)
+        tags=frozenset(tags), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi),
+        refuted=tuple(refuted), times=tuple(ts), blocks=v, derivatives=d,
     )
 
 

@@ -20,8 +20,10 @@ Five criteria are implemented, each one-directional:
 Scenario adapters (chi_diag, _diag_envelope_data, psd_reduce) turn the
 coefficients into the callables of t that ``riccati`` integrates, each
 kernel t -> (g, h) from one read. Each hypothesis is gated once, as an
-applicability row from the scenario's tags or grid; one that fails
-inside a flow (NotPSD, ZeroDiagonalB, ...) becomes an Inconclusive row.
+applicability row read off the analysis' one validation report
+(coefsys.validate_scenario: tags, where a withheld one failed, the grid
+stacks); one that fails inside a flow (NotPSD, ZeroDiagonalB, ...)
+becomes an Inconclusive row.
 
 ``analyze`` runs all five in a fixed order and takes the first verdict
 that is not Inconclusive. A criterion can only ever strengthen
@@ -47,7 +49,7 @@ from typing import Callable, Iterator, NamedTuple, Optional
 import numpy as np
 
 from . import coefsys, mat2, odeint, riccati
-from .coefsys import Scenario
+from .coefsys import Scenario, ValidationReport
 
 __all__ = [
     "OSCILLATORY",
@@ -312,20 +314,19 @@ def scalar_osc_test(
 # Shared hypothesis checks and criterion skeletons.
 
 
-def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
-    """Diagonal-B hypotheses at coefsys.check_times: (sign patterns, min b, coupling row).
+def _diag_b_checks(checks: ValidationReport) -> tuple:
+    """Diagonal-B hypotheses on the validation read: (sign patterns, min b, coupling row).
 
-    Each sign pattern is (b_j >= -tol everywhere, b_j <= tol everywhere)
-    for j = 1, 2, with tol = TOL_POS * (1 + max |b|). The coupling row
+    The blocks are the report's stack at its check times. Each sign
+    pattern is (b_j >= -tol everywhere, b_j <= tol everywhere) for
+    j = 1, 2, with tol = TOL_POS * (1 + max |b|). The coupling row
     is the applicability row of "where a diagonal b_j vanishes, both
     off-diagonal a entries do too", tested pointwise against each
     matrix's own scale. The two index conventions in circulation
     disagree on which coupling entry is tied to which b; requiring both
     is conservative: it can only withhold a verdict, never fabricate one.
     """
-    ts = coefsys.check_times(s, window)
-    v = coefsys.stacked(s.eval, ts)
-    a, b = v[:, 0], v[:, 1]
+    a, b = checks.blocks[:, 0], checks.blocks[:, 1]
     b_diag = np.stack([b[:, 0, 0], b[:, 1, 1]], axis=1)
     b_real = np.real(b_diag)
     tol = coefsys.TOL_POS * (1.0 + float(np.max(np.abs(b_real))))
@@ -334,7 +335,7 @@ def _diag_b_checks(s: Scenario, window: tuple) -> tuple:
     tol_b = coefsys.TOL_POS * (1.0 + np.max(np.abs(b), axis=(1, 2)))
     b_zero = np.any(np.abs(b_diag) <= tol_b[:, None], axis=1)
     coupled = (np.abs(a[:, 0, 1]) > tol_a) | (np.abs(a[:, 1, 0]) > tol_a)
-    bad = np.array(ts)[b_zero & coupled]
+    bad = np.array(checks.times)[b_zero & coupled]
     coupling = (
         "couplings vanish where b does",
         len(bad) == 0,
@@ -466,7 +467,8 @@ def _certified_pair(
 
 
 def oscillation_from_diagonal(
-    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions(),
+    *, checks: Optional[ValidationReport] = None,
 ) -> CriterionReport:
     """Oscillatory when either diagonal scalar system is.
 
@@ -475,13 +477,13 @@ def oscillation_from_diagonal(
     psi' = -chi_j phi runs through scalar_osc_test. One-directional:
     never returns NonOscillatory.
     """
-    applicability = []
-    ok_diag = "B_diagonal" in s.tags
-    applicability.append(("B diagonal", ok_diag, ""))
+    checks = checks or coefsys.validate_scenario(s, window)
+    ok_diag = "B_diagonal" in checks.tags
+    applicability = [("B diagonal", ok_diag, checks.detail("B_diagonal"))]
     if not ok_diag:
         return _inconclusive(OSC_DIAG, window, applicability)
 
-    ((b1_nonneg, _), (b2_nonneg, _)), min_b, coupling = _diag_b_checks(s, window)
+    ((b1_nonneg, _), (b2_nonneg, _)), min_b, coupling = _diag_b_checks(checks)
     ok_sign = b1_nonneg and b2_nonneg
     applicability.append(
         ("b_1, b_2 nonnegative", ok_sign, "" if ok_sign else f"min b = {min_b:.3e}")
@@ -510,7 +512,8 @@ def oscillation_from_diagonal(
 
 
 def nonoscillation_sign_split(
-    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions(),
+    *, checks: Optional[ValidationReport] = None,
 ) -> CriterionReport:
     """Non-oscillation for diagonal B with b_1, b_2 of opposite signs.
 
@@ -519,13 +522,13 @@ def nonoscillation_sign_split(
     each against the partition condition with weight 2 Re a_jj. Both
     kernels must certify. One-directional: never returns Oscillatory.
     """
-    applicability = []
-    ok_diag = "B_diagonal" in s.tags
-    applicability.append(("B diagonal", ok_diag, ""))
+    checks = checks or coefsys.validate_scenario(s, window)
+    ok_diag = "B_diagonal" in checks.tags
+    applicability = [("B diagonal", ok_diag, checks.detail("B_diagonal"))]
     if not ok_diag:
         return _inconclusive(NONOSC_SPLIT, window, applicability)
 
-    ((b1_nonneg, b1_nonpos), (b2_nonneg, b2_nonpos)), _, coupling = _diag_b_checks(s, window)
+    ((b1_nonneg, b1_nonpos), (b2_nonneg, b2_nonpos)), _, coupling = _diag_b_checks(checks)
     case_a = b1_nonneg and b2_nonpos  # h signs (+chi1, -chi2)
     case_b = b1_nonpos and b2_nonneg  # h signs (-chi1, +chi2)
     applicability.append(
@@ -555,7 +558,8 @@ def nonoscillation_sign_split(
 
 
 def nonoscillation_envelope(
-    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions(),
+    *, checks: Optional[ValidationReport] = None,
 ) -> CriterionReport:
     """Non-oscillation for positive diagonal B via chi_3, chi_4 kernels.
 
@@ -563,11 +567,13 @@ def nonoscillation_envelope(
     terms chi_3, chi_4; both kernels (weight 2 Re a_jj) must certify by
     partition search. One-directional.
     """
-    applicability = []
-    ok_diag = "B_diagonal" in s.tags
-    ok_pos = "B_positive" in s.tags
-    applicability.append(("B diagonal", ok_diag, ""))
-    applicability.append(("B positive definite", ok_pos, ""))
+    checks = checks or coefsys.validate_scenario(s, window)
+    ok_diag = "B_diagonal" in checks.tags
+    ok_pos = "B_positive" in checks.tags
+    applicability = [
+        ("B diagonal", ok_diag, checks.detail("B_diagonal")),
+        ("B positive definite", ok_pos, checks.detail("B_positive")),
+    ]
     if not (ok_diag and ok_pos):
         return _inconclusive(NONOSC_ENVELOPE, window, applicability)
 
@@ -575,7 +581,7 @@ def nonoscillation_envelope(
         _diag_envelope_data(s), window, opt.sign_convention, rtol=opt.rtol, atol=opt.atol
     )
     notes = ""
-    a0 = s.eval(float(window[0]))[0]
+    a0 = checks.blocks[0, 0].ravel().tolist()  # A at the first check time, lo
     if max(abs(a0[1]), abs(a0[2])) > coefsys.TOL_POS * (1.0 + max(map(abs, a0))):
         notes = (
             "coupling nonzero at window start; the envelope derivation "
@@ -608,10 +614,10 @@ class PsdReduction:
     """Pointwise reduced coefficients of a PSD-B system.
 
     at(t) returns Reduced(sqrt_b, p, q), each an entry 4-tuple, from
-    one (memoized) read of the reduction. grid carries the validation
-    samples the reduction residual tolerance was enforced on, and
-    max_residual the largest defect |S P - M| there. const_b says B'
-    was exactly 0 on that grid, so S was read once, at the window start.
+    one (memoized) read of the reduction, or the one value of a constant
+    one. grid is the 256-point window grid, and max_residual the largest
+    defect |S P - M| at the check times. const_b says B' was exactly 0
+    there, so S was read once, at the window start.
     """
 
     at: Callable
@@ -628,7 +634,7 @@ def _sym(x: tuple) -> tuple:
     )
 
 
-def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
+def psd_reduce(s: Scenario, window: tuple, *, checks: Optional[ValidationReport] = None) -> PsdReduction:
     """Reduce a PSD-B system to unit-B form through the square root.
 
     Per time: S = sqrt B, its pseudo-inverse S^+ and its derivative S'
@@ -639,26 +645,26 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
     minimum-norm F = S^+ M M^+ of the sandwich S F M = M, since
     M M^+ M = M (Penrose, Proc. Cambridge Philos. Soc. 52, 1956).
     Raises ResidualTooLarge when the defect |S P - M|, the part of M off
-    the range of S, exceeds 1e-8 * (1 + |M|) anywhere on the validation
-    grid or at a table knot (Scenario.knots) inside the window:
-    downstream criteria treat that as inapplicability. The defect and
-    |M| are computed at those points only, not at every integrator
-    stage. No tag is read: an indefinite B raises NotPSD where it is
-    first read, so a table entry that leaves PSD at a knot between grid
-    points is met here, not left to the flows' reads.
+    the range of S, exceeds 1e-8 * (1 + |M|) at a validation check time
+    (the window grid and a table's knots inside the window): downstream
+    criteria treat that as inapplicability. The defect and |M| are
+    computed at those points only, not at every integrator stage. No
+    tag is read: an indefinite B raises NotPSD where it is first read,
+    so a table entry that leaves PSD at a knot between grid points is
+    met here, not left to the flows' reads.
 
-    Constant blocks, the common case, are read once, since the pointwise
-    path is too slow to repeat per integrator stage. A block counts as
-    constant when its derivative is exactly 0 on the whole validation
-    grid (coefsys.window_grid, 256 points), so a bump narrower than one
-    grid cell is missed, as flows step over one (ROADMAP probe P4).
+    Constant blocks, the common case, are read once, from the first row
+    (t = lo) of checks, the validation report (made here if not given),
+    since the pointwise path is too slow to repeat per stage. A block is
+    constant when its stacked derivative is exactly 0, so a bump narrower
+    than one grid cell is missed, as flows step over one (ROADMAP probe
+    P4). With all three constant the reduction is one value.
     """
-    memo = {}
+    checks = checks or coefsys.validate_scenario(s, window)
     mul = mat2._mul
     grid = coefsys.window_grid(window)
-    ders = coefsys.stacked(s.analytic_derivatives, grid.tolist())
-    const_a, const_b, const_c = (not ders[:, k].any() for k in range(3))
-    a0, b0, c0 = s.eval(float(window[0]))
+    const_a, const_b, const_c = (not checks.derivatives[:, k].any() for k in range(3))
+    a0, b0, c0 = (tuple(m) for m in checks.blocks[0].reshape(3, 4).tolist())
     sq0 = pinv0 = m0 = p0 = q0 = None
     if const_b:
         sq0, pinv0, _ = mat2._psd_root(b0, (0j, 0j, 0j, 0j))
@@ -668,12 +674,25 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         if const_c:
             q0 = _sym(mul(mul(sq0, c0), sq0))
 
+    def residual(t: float, reduced: Reduced, m: tuple) -> float:
+        res = max(abs(u - v) for u, v in zip(mul(reduced.sqrt_b, reduced.p), m))
+        tol = 1e-8 * (1.0 + max(map(abs, m)))
+        if res > tol:
+            raise ResidualTooLarge(t, res, tol)
+        return res
+
+    if const_a and const_b and const_c:
+        fixed = Reduced(sq0, p0, q0)
+        res = residual(checks.times[0], fixed, m0)
+        return PsdReduction(at=lambda t: fixed, grid=grid, max_residual=res, const_b=True)
+
+    memo = {}
+
     def compute(t: float):
         key = float(t)
         if key in memo:
             return memo[key]
-        # with all three blocks constant, every entry below is precomputed
-        a, b, c = (None, None, None) if (const_a and const_b and const_c) else s.eval(key)
+        a, b, c = s.eval(key)
         if const_b:
             sq, pinv = sq0, pinv0
             m = m0 if m0 is not None else mul(a, sq)
@@ -692,32 +711,24 @@ def psd_reduce(s: Scenario, window: tuple) -> PsdReduction:
         memo[key] = out
         return out
 
-    residuals = []
-    for t in coefsys.check_times(s, window):
-        (sq, p, _), m = compute(t)
-        res = max(abs(u - v) for u, v in zip(mul(sq, p), m))
-        tol = 1e-8 * (1.0 + max(map(abs, m)))
-        if res > tol:
-            raise ResidualTooLarge(t, res, tol)
-        residuals.append(res)
-
-    return PsdReduction(
-        at=lambda t: compute(t)[0], grid=grid, max_residual=max(residuals), const_b=const_b
-    )
+    res = max(residual(t, *compute(t)) for t in checks.times)
+    return PsdReduction(at=lambda t: compute(t)[0], grid=grid, max_residual=res, const_b=const_b)
 
 
-def _reduced(criterion: str, s: Scenario, window: tuple, applicability: list) -> tuple:
+def _reduced(
+    criterion: str, s: Scenario, window: tuple, applicability: list, checks: ValidationReport
+) -> tuple:
     """The PSD prelude: (reduction, None), or (None, Inconclusive report).
 
     Appends the B_psd row and, when B is PSD, the sandwich residual row
     of one psd_reduce call.
     """
-    ok_psd = "B_psd" in s.tags
-    applicability.append(("B positive semidefinite", ok_psd, ""))
+    ok_psd = "B_psd" in checks.tags
+    applicability.append(("B positive semidefinite", ok_psd, checks.detail("B_psd")))
     if not ok_psd:
         return None, _inconclusive(criterion, window, applicability)
     try:
-        red = psd_reduce(s, window)
+        red = psd_reduce(s, window, checks=checks)
     except ResidualTooLarge as exc:
         applicability.append(("sandwich residual small", False, str(exc)))
         return None, _inconclusive(criterion, window, applicability)
@@ -735,6 +746,7 @@ def _chi_tilde(p: tuple, q: tuple, j: int) -> float:
 def oscillation_from_psd_reduction(
     s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions(),
     *, diagonal: Optional[CriterionReport] = None,
+    checks: Optional[ValidationReport] = None,
 ) -> CriterionReport:
     """Oscillation via the reduced scalar equations.
 
@@ -752,15 +764,16 @@ def oscillation_from_psd_reduction(
     which are where a B that leaves PSD between validation samples is
     caught. The reduction and its applicability rows run either way.
     """
+    checks = checks or coefsys.validate_scenario(s, window)
     applicability = []
-    red, report = _reduced(OSC_PSD, s, window, applicability)
+    red, report = _reduced(OSC_PSD, s, window, applicability, checks)
     if red is None:
         return report
 
     witnesses = {"max_residual": red.max_residual}
     notes = ("reduced scalar equation j={j} oscillates", "no reduced equation oscillates")
     if (
-        {"B_diagonal", "B_positive"} <= s.tags
+        {"B_diagonal", "B_positive"} <= checks.tags
         and red.const_b
         and diagonal is not None
         and "scalar_1" in diagonal.witnesses
@@ -786,7 +799,8 @@ def oscillation_from_psd_reduction(
 
 
 def nonoscillation_psd_envelope(
-    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions()
+    s: Scenario, window: tuple, opt: AnalysisOptions = AnalysisOptions(),
+    *, checks: Optional[ValidationReport] = None,
 ) -> CriterionReport:
     """Non-oscillation via the envelope terms of the reduced system.
 
@@ -795,8 +809,9 @@ def nonoscillation_psd_envelope(
     q12, free terms against q11, q22, kernel weights 2 Re p_jj. Both
     kernels must certify by partition search.
     """
+    checks = checks or coefsys.validate_scenario(s, window)
     applicability = []
-    red, report = _reduced(NONOSC_PSD_ENVELOPE, s, window, applicability)
+    red, report = _reduced(NONOSC_PSD_ENVELOPE, s, window, applicability, checks)
     if red is None:
         return report
 
@@ -851,6 +866,7 @@ _HYPOTHESIS_ERRORS = {
 def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
     # the names are read from the module on each call, so a function
     # patched onto it (a tracer, a test's recorder) is the one that runs
+    checks = coefsys.validate_scenario(s, window)
     runs = (
         oscillation_from_diagonal,
         nonoscillation_sign_split,
@@ -863,7 +879,7 @@ def _run_criteria(s: Scenario, window: tuple, opt: AnalysisOptions) -> tuple:
         # the PSD oscillation test may read the diagonal one's scalar flows
         kwargs = {"diagonal": reports[0]} if cid == OSC_PSD else {}
         try:
-            reports.append(run(s, window, opt, **kwargs))
+            reports.append(run(s, window, opt, checks=checks, **kwargs))
         except tuple(_HYPOTHESIS_ERRORS) as exc:
             hypothesis = next(h for err, h in _HYPOTHESIS_ERRORS.items() if isinstance(exc, err))
             reports.append(_inconclusive(cid, window, [(hypothesis, False, str(exc))]))
@@ -892,12 +908,12 @@ def resolve_reports(reports) -> tuple:
 def analyze(s: Scenario, window: tuple, options: Optional[AnalysisOptions] = None) -> AnalysisResult:
     """Run all criteria in fixed order and aggregate.
 
-    The criteria run as standalone calls would, except that
-    oscillation-psd-reduction is handed the oscillation-diagonal report:
-    on a constant diagonal B > 0 it reads that report's scalar flows
-    instead of integrating the same equations again (the gauge
-    w~ = b_j w; see oscillation_from_psd_reduction). Nothing is kept
-    between calls.
+    The criteria run as standalone calls would, except that they share
+    one validation report, and oscillation-psd-reduction is handed the
+    oscillation-diagonal report: on a constant diagonal B > 0 it reads
+    that report's scalar flows instead of integrating the same equations
+    again (the gauge w~ = b_j w; see oscillation_from_psd_reduction).
+    Nothing is kept between calls.
 
     A report out of its slot in CRITERION_ORDER, a report answering
     against its criterion's direction, and a cross-criterion conflict
@@ -905,7 +921,6 @@ def analyze(s: Scenario, window: tuple, options: Optional[AnalysisOptions] = Non
     appended to CONFLICT_LOG.
     """
     opt = options or AnalysisOptions()
-    s = coefsys.validated(s, window)
     reports = _run_criteria(s, window, opt)
     misplaced = [
         r

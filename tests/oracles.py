@@ -43,7 +43,8 @@
   when it is defective). The reference of ``criteria.simulate_starts``.
 * ``per_sample_validate_scenario``: ``coefsys.validate_scenario`` as it
   was before it checked the stacked samples, with the mat2 predicates
-  called on one sample at a time.
+  called on one sample at a time, and the record of where each withheld
+  tag was first refuted.
 """
 
 from __future__ import annotations
@@ -58,7 +59,9 @@ from scipy.optimize import minimize_scalar
 
 from hamosc import criteria, mat2, riccati
 from hamosc.coefsys import TOL_POS, Scenario, ValidationReport
-from hamosc.mat2 import TOL_HERM, TOL_RANK, NotHermitian, as_mat2, det2, is_hermitian, is_psd, norm_max, tr2
+from hamosc.mat2 import (
+    TOL_HERM, TOL_RANK, NotHermitian, as_mat2, det2, herm_eigvals, is_hermitian, is_psd, norm_max, tr2,
+)
 from hamosc.odeint import (
     DEFAULT_ATOL,
     DEFAULT_RTOL,
@@ -873,7 +876,9 @@ def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 25
     Hermitian violation of B or C is a hard error: the entire theory
     assumes it. Tags are set from what the samples show, with the strict
     positivity margin TOL_POS * (1 + |B|) separating B_positive from
-    B_psd.
+    B_psd. The first sample that refutes a tag records its time and the
+    value that refutes it: the larger off-diagonal |b|, the lower
+    eigenvalue of B (herm_eigvals), or the largest imaginary part.
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
@@ -881,39 +886,34 @@ def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 25
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     ts = sorted(list(np.linspace(lo, hi, n_samples)) + [k for k in s.knots if lo < k < hi])
-    diag = True
-    psd = True
-    positive = True
-    realc = True
+    refuted = {}  # tag -> (t, value) at its first refuting sample
     worst_asym = 0.0
+    blocks, derivatives = [], []
     for t in ts:
         a, b, c = as_blocks(s.eval(float(t)))
+        blocks.append((a, b, c))
+        derivatives.append(as_blocks(s.analytic_derivatives(float(t))))
         for which, m in (("B", b), ("C", c)):
             flag = is_hermitian(m)
             worst_asym = max(worst_asym, flag.max_asymmetry)
             if not flag.is_hermitian:
                 raise NotHermitian(flag.max_asymmetry, which, float(t))
         scale = 1.0 + norm_max(b)
-        if abs(b[0, 1]) > TOL_HERM * scale or abs(b[1, 0]) > TOL_HERM * scale:
-            diag = False
-        if not is_psd(b):
-            psd = False
-            positive = False
-        elif not is_psd(b - TOL_POS * scale * np.eye(2)):
-            positive = False
-        if max(norm_max(np.imag(a) + 0j), norm_max(np.imag(b) + 0j), norm_max(np.imag(c) + 0j)) > TOL_HERM * (
-            1.0 + max(norm_max(a), norm_max(b), norm_max(c))
-        ):
-            realc = False
-    tags = set()
-    if diag:
-        tags.add("B_diagonal")
-    if psd:
-        tags.add("B_psd")
-    if positive:
-        tags.add("B_positive")
-    if realc:
-        tags.add("real_coefficients")
+        low = herm_eigvals(b)[0]
+        imag = max(norm_max(np.imag(a) + 0j), norm_max(np.imag(b) + 0j), norm_max(np.imag(c) + 0j))
+        checks = (
+            ("B_diagonal", abs(b[0, 1]) > TOL_HERM * scale or abs(b[1, 0]) > TOL_HERM * scale,
+             max(abs(b[0, 1]), abs(b[1, 0]))),
+            ("B_psd", not is_psd(b), low),
+            ("B_positive", not (is_psd(b) and is_psd(b - TOL_POS * scale * np.eye(2))), low),
+            ("real_coefficients", imag > TOL_HERM * (1.0 + max(norm_max(a), norm_max(b), norm_max(c))), imag),
+        )
+        for tag, bad, value in checks:
+            if bad and tag not in refuted:
+                refuted[tag] = (float(t), float(value))
+    order = ("B_diagonal", "B_psd", "B_positive", "real_coefficients")
     return ValidationReport(
-        tags=frozenset(tags), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi)
+        tags=frozenset(order) - set(refuted), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi),
+        refuted=tuple((tag, *refuted[tag]) for tag in order if tag in refuted),
+        times=tuple(ts), blocks=np.array(blocks), derivatives=np.array(derivatives),
     )

@@ -410,7 +410,8 @@ def _spiked(block, value):
 
 def test_validation_matches_per_sample_reference(rng):
     # the stacked checks against the parent's one-sample-at-a-time loop:
-    # tags, max_asymmetry and the sample NotHermitian names
+    # tags, max_asymmetry, where each withheld tag was first refuted and
+    # by what value, and the sample NotHermitian names
     cases = [
         (coefsys.make_family(fam, params), window)
         for fam, params, window in (
@@ -427,14 +428,17 @@ def test_validation_matches_per_sample_reference(rng):
     # ROADMAP probes P2 (a one-knot c11 spike) and P3 (b11 = -3 at one knot)
     cases += [(_spiked(2, -2000.0), (0.0, 10.0)), (_spiked(1, -3.0), (0.0, 10.0))]
     cases += [(_validation_draw(rng, k), (0.0, 1.0)) for k in range(50)]
-    raised = 0
+    raised, refuted = 0, set()
     for s, window in cases:
         for n in (256, 4004) if s.domain_end is not None else (256,):
             got = _validation_outcome(coefsys.validate_scenario, s, window, n)
             want = _validation_outcome(per_sample_validate_scenario, s, window, n)
             assert got == want, (s.name, n)
             raised += isinstance(want, tuple)
+            if not isinstance(want, tuple):
+                refuted.update(tag for tag, _, _ in want.refuted)
     assert raised >= 5
+    assert refuted == {"B_diagonal", "B_psd", "B_positive", "real_coefficients"}
 
 
 def test_validated_returns_tagged_copy():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from hamosc import coefsys, criteria, mat2, odeint, riccati
+from hamosc import cli, coefsys, criteria, mat2, odeint, riccati
 from conftest import const_scenario
 from oracles import (
     constant_focal_points,
@@ -401,11 +401,15 @@ def test_diagonal_criterion_is_one_directional():
     assert all(held for _, held, _ in rep.applicability)
 
 
+# the B_diagonal row of the all-ones B, refuted at its first sample
+OFF_DIAGONAL_AT_0 = "refuted at t = 0: largest off-diagonal |b| 1.000e+00"
+
+
 def test_diagonal_criterion_needs_diagonal_b():
     s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
     rep = criteria.oscillation_from_diagonal(s, (0.0, 10.0))
     assert rep.verdict.kind == criteria.INCONCLUSIVE
-    assert rep.applicability[0] == ("B diagonal", False, "")
+    assert rep.applicability[0] == ("B diagonal", False, OFF_DIAGONAL_AT_0)
 
 
 def _half_vanishing_b():
@@ -494,15 +498,18 @@ def test_envelope_withholds_on_harmonic():
 
 
 def test_diagonal_tag_gates_are_the_rows():
-    # the rows are the only check of the tags: nothing under them raises
+    # the rows are the only check of the tags: nothing under them raises,
+    # and a withheld tag's row says where the samples refuted it
     window = (0.0, 1.0)
     ones = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
     semidefinite = _tagged(const_scenario(Z2, np.diag([1.0, 0.0]), Z2, name="bz"), window)
     assert "B_diagonal" in semidefinite.tags and "B_positive" not in semidefinite.tags
+    not_diagonal = ("B diagonal", False, OFF_DIAGONAL_AT_0)
+    not_positive = ("B positive definite", False, "refuted at t = 0: lowest eigenvalue of B 0.000e+00")
     cases = (
-        (criteria.nonoscillation_sign_split, ones, (("B diagonal", False, ""),)),
-        (criteria.nonoscillation_envelope, ones, (("B diagonal", False, ""), ("B positive definite", False, ""))),
-        (criteria.nonoscillation_envelope, semidefinite, (("B diagonal", True, ""), ("B positive definite", False, ""))),
+        (criteria.nonoscillation_sign_split, ones, (not_diagonal,)),
+        (criteria.nonoscillation_envelope, ones, (not_diagonal, not_positive)),
+        (criteria.nonoscillation_envelope, semidefinite, (("B diagonal", True, ""), not_positive)),
     )
     for run, s, rows in cases:
         rep = run(s, window)
@@ -535,11 +542,37 @@ def test_diagonal_rows_read_b_at_table_knots():
 def test_envelope_reads_the_tags_a_table_knot_refutes():
     # ROADMAP probe P3: b11 = -3 at the knot t = 3 only. Validating on the
     # 256-point grid alone granted B_positive, and the envelope criterion
-    # then ran its flows on a B that is not positive
+    # then ran its flows on a B that is not positive. Each row that reads
+    # a withheld tag names that knot and the eigenvalue -3 of B there
     window = (0.0, 10.0)
     res = criteria.analyze(_spiked_table("b11_dip", I2, -I2, 1, -3.0), window)
-    envelope = res.reports[criteria.CRITERION_ORDER.index(criteria.NONOSC_ENVELOPE)]
-    assert ("B positive definite", False) in [row[:2] for row in envelope.applicability]
+    reports = {r.criterion: r for r in res.reports}
+    rows = (
+        (criteria.NONOSC_ENVELOPE, "B positive definite"),
+        (criteria.OSC_PSD, "B positive semidefinite"),
+        (criteria.NONOSC_PSD_ENVELOPE, "B positive semidefinite"),
+    )
+    for cid, hypothesis in rows:
+        (detail,) = [d for h, held, d in reports[cid].applicability if h == hypothesis and not held]
+        assert "t = 3" in detail and "-3.000e+00" in detail, (cid, detail)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "example_3_2_zero_drift"])
+def test_analyze_reads_the_check_grid_once(monkeypatch, name):
+    # one stacked read of the blocks and one of the derivatives per
+    # analysis, which every tag gate, diagonal-B row and PSD constancy
+    # flag then reads (the parent read the blocks three times on harmonic)
+    s, window, opt, _ = cli.load_scenario_file(name)
+    reads = []
+    inner = coefsys.stacked
+
+    def counted(read, ts):
+        reads.append((read, len(ts)))
+        return inner(read, ts)
+
+    monkeypatch.setattr(coefsys, "stacked", counted)
+    criteria.analyze(s, window, opt)
+    assert reads == [(s.eval, 256), (s.analytic_derivatives, 256)]
 
 
 def test_spike_between_samples_is_not_certified():
@@ -567,6 +600,13 @@ def test_reduction_is_identity_for_unit_b():
     assert float(mat2.norm_max(p - a)) <= 1e-14
     assert float(mat2.norm_max(q - c)) <= 1e-14
     assert red.max_residual <= 1e-14
+
+
+def test_constant_reduction_is_one_value():
+    # with A, B and C constant, at(t) is the one precomputed Reduced
+    s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
+    red = criteria.psd_reduce(s, (0.0, 10.0))
+    assert red.at(0.5) is red.at(7.25) is red.at(0.5)
 
 
 def test_reduction_of_singular_ones_block():
@@ -966,10 +1006,13 @@ def test_analyze_calls_each_criterion_with_the_options_object(monkeypatch):
     assert sorted(calls) == ["nonoscillation_sign_split", "oscillation_from_psd_reduction"]
     for (((s, w, o), _),) in calls.values():
         assert s.name == "harmonic" and w == window and o is opt
-    # the PSD oscillation test alone is also handed the diagonal report
-    assert calls["nonoscillation_sign_split"][0][1] == {}
-    (diagonal_kw,) = (kw for _, kw in calls["oscillation_from_psd_reduction"])
-    assert list(diagonal_kw) == ["diagonal"] and diagonal_kw["diagonal"] is res.reports[0]
+    # every criterion is handed the one validation report, and the PSD
+    # oscillation test alone also the diagonal report
+    (split_kw,) = (kw for _, kw in calls["nonoscillation_sign_split"])
+    (psd_kw,) = (kw for _, kw in calls["oscillation_from_psd_reduction"])
+    assert list(split_kw) == ["checks"] and sorted(psd_kw) == ["checks", "diagonal"]
+    assert psd_kw["checks"] is split_kw["checks"]
+    assert psd_kw["diagonal"] is res.reports[0]
 
 
 # ---------------------------------------------------------------------------

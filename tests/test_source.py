@@ -60,3 +60,22 @@ def test_fresh_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_one_stacked_read_in_the_package():
+    # validate_scenario is the one read of the check grid: a second
+    # stacked call would read it again in an analysis
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        owner = {}  # node -> name of the outermost function holding it
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(fn):
+                    owner.setdefault(node, fn.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                f = node.func
+                if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "stacked":
+                    found.append(f"{path.name}:{owner.get(node, '<module>')}")
+    assert found == ["coefsys.py:validate_scenario"]
