@@ -16,7 +16,6 @@ from .coefsys import (  # noqa: F401
     from_table,
     load_table_csv,
     validate_scenario,
-    validated,
 )
 from .criteria import (  # noqa: F401
     AnalysisOptions,
@@ -43,7 +42,6 @@ __all__ = [
     "from_table",
     "load_table_csv",
     "validate_scenario",
-    "validated",
     "AnalysisOptions",
     "AnalysisResult",
     "CriteriaConflict",

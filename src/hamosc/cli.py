@@ -20,11 +20,11 @@ Scenario files are JSON:
     {"name": ..., "family": ... | "table_csv_path": ...,
      "params": {...}, "window": [t0, T], "options": {...}}
 
-Params are the family's own parameter names; an unknown name is an
-error. Options are AnalysisOptions field names: rtol, atol, n_min,
-max_points, sign_convention, eps_zero, n_starts, seed, sim_window; an
-unknown name or a value AnalysisOptions refuses is an error. The seed
-option fixes the random conjoined starts (default 42).
+Params map the family's own parameter names to numbers; an unknown
+name is an error. Options are AnalysisOptions field names: rtol, atol,
+n_min, max_points, sign_convention, eps_zero, n_starts, seed,
+sim_window; an unknown name or a value AnalysisOptions refuses is an
+error. The seed option fixes the random conjoined starts (default 42).
 
 All file output is written atomically (temp file + rename) and numbers
 are serialized with shortest round-trip decimal text.
@@ -54,6 +54,11 @@ class ScenarioError(ValueError):
 
 
 _SCHEMA_KEYS = {"name", "family", "table_csv_path", "params", "window", "options", "description"}
+
+
+def _finite_number(x) -> bool:
+    """A finite JSON number; true and false are not numbers here."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
 def builtin_names() -> list:
@@ -100,12 +105,22 @@ def load_scenario_file(arg: str):
     has_table = "table_csv_path" in doc
     if has_family == has_table:
         raise ScenarioError("exactly one of 'family' or 'table_csv_path' is required")
+    source = "family" if has_family else "table_csv_path"
+    if not isinstance(doc[source], str):
+        raise ScenarioError(f"'{source}' must be a string")
+    params, raw_options = doc.get("params") or {}, doc.get("options") or {}
+    for key, val in (("params", params), ("options", raw_options)):
+        if not isinstance(val, dict):
+            raise ScenarioError(f"'{key}' must be a JSON object")
+    not_numbers = sorted(k for k, v in params.items() if not _finite_number(v))
+    if not_numbers:
+        raise ScenarioError(f"'params' values must be finite numbers: {not_numbers}")
 
     window = doc.get("window")
     if (
         not isinstance(window, (list, tuple))
         or len(window) != 2
-        or not all(isinstance(x, (int, float)) and math.isfinite(x) for x in window)
+        or not all(map(_finite_number, window))
     ):
         raise ScenarioError("'window' must be [t0, T] with finite numbers")
     lo, hi = float(window[0]), float(window[1])
@@ -114,7 +129,7 @@ def load_scenario_file(arg: str):
 
     try:
         if has_family:
-            scen = coefsys.make_family(doc["family"], doc.get("params") or {})
+            scen = coefsys.make_family(doc["family"], params)
         else:
             path = doc["table_csv_path"]
             if base_dir is not None and not os.path.isabs(path):
@@ -130,7 +145,7 @@ def load_scenario_file(arg: str):
             raise ScenarioError(
                 f"window ends at {hi:g}, past the tabulated domain end {scen.domain_end:g}"
             )
-        options = criteria.AnalysisOptions.from_dict(doc.get("options") or {})
+        options = criteria.AnalysisOptions.from_dict(raw_options)
     except ScenarioError:
         raise
     except (ValueError, OSError) as exc:

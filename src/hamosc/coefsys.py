@@ -1,11 +1,10 @@
 """Coefficient providers: the map t -> (A(t), B(t), C(t)) with metadata.
 
-A Scenario bundles the coefficient triple of the 4d Hamiltonian system
-with its left endpoint, its derivatives, and structural tags (diagonal
-B, PSD / positive B, real coefficients). Tags are verified by sampling,
-never trusted from the caller: validate_scenario is the one place that
-sets them, and the built-in families wire them in because their
-structure is known by construction.
+A Scenario is coefficients and metadata: the coefficient triple of the
+4d Hamiltonian system, its derivatives, its left endpoint and where it
+came from. It declares no structural fact. The tags (diagonal B, PSD B,
+positive B) come only from validate_scenario, which reads the scenario
+on a window, and every hypothesis check reads that report.
 
 The derivatives (A', B', C') are required, and are the package's only
 source of coefficient derivatives: families wire them in closed form,
@@ -59,7 +58,6 @@ __all__ = [
     "from_table",
     "load_table_csv",
     "validate_scenario",
-    "validated",
     "FAMILIES",
     "TOL_POS",
 ]
@@ -91,7 +89,7 @@ class ZeroDiagonalB(ValueError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Coefficient triple with metadata.
+    """Coefficient triple with metadata; its tags come from validate_scenario.
 
     eval: t -> (A, B, C), each block the row-major entry 4-tuple
     (e11, e12, e21, e22) of Python complexes, mat2's per-stage form:
@@ -102,8 +100,6 @@ class Scenario:
     OutOfDomain where it does). psd_reduce counts a block as constant
     when its derivative is exactly 0 at every validation check time;
     a bump narrower than one grid cell is missed.
-    tags: structural flags from {B_diagonal, B_psd, B_positive,
-    real_coefficients}; set by construction or by validate_scenario.
     domain_end: right end of validity (None = unbounded).
     params: a family's parameters as its builder resolved them,
     defaults included.
@@ -121,7 +117,6 @@ class Scenario:
     t0: float
     eval: Callable
     analytic_derivatives: Callable
-    tags: frozenset = frozenset()
     domain_end: float | None = None
     family: str | None = None
     params: dict = field(default_factory=dict)
@@ -152,7 +147,6 @@ _REFUTED_BY = {
     "B_diagonal": "largest off-diagonal |b|",
     "B_psd": "lowest eigenvalue of B",
     "B_positive": "lowest eigenvalue of B",
-    "real_coefficients": "largest imaginary part",
 }
 
 
@@ -167,9 +161,6 @@ class ValidationReport:
     """
 
     tags: frozenset
-    max_asymmetry: float
-    n_samples: int
-    window: tuple
     refuted: tuple
     times: tuple = field(compare=False, repr=False)
     blocks: np.ndarray = field(compare=False, repr=False)
@@ -212,7 +203,6 @@ def _make_harmonic(params):
         t0=0.0,
         eval=lambda t: blocks,
         analytic_derivatives=lambda t: (_Z, _Z, _Z),
-        tags=frozenset({"B_diagonal", "B_psd", "B_positive", "real_coefficients"}),
     )
 
 
@@ -230,7 +220,6 @@ def _make_euler(params):
         t0=1.0,
         eval=ev,
         analytic_derivatives=dv,
-        tags=frozenset({"B_diagonal", "B_psd", "B_positive", "real_coefficients"}),
         params={"c": c},
     )
 
@@ -258,7 +247,6 @@ def _make_vector_schrodinger(params):
         t0=0.0,
         eval=ev,
         analytic_derivatives=dv,
-        tags=frozenset({"B_diagonal", "B_psd", "B_positive"}),
         params=dict(p1=p1, p2=p2, lam1=lam1, lam2=lam2, theta1=th1, theta2=th2),
     )
 
@@ -273,19 +261,11 @@ def _make_diag_b(params):
     a = (complex(p["a11"]), a12, a21, complex(p["a22"]))
     b = (complex(b1), 0j, 0j, complex(b2))
     c = (complex(p["c11"]), c12, c12.conjugate(), complex(p["c22"]))
-    tags = {"B_diagonal"}
-    if b1 >= 0.0 and b2 >= 0.0:
-        tags.add("B_psd")
-    if b1 > TOL_POS and b2 > TOL_POS:
-        tags.add("B_positive")
-    if all(e.imag == 0.0 for e in a) and p["c12_im"] == 0.0:
-        tags.add("real_coefficients")
     return Scenario(
         name="diag_B",
         t0=0.0,
         eval=lambda t: (a, b, c),
         analytic_derivatives=lambda t: (_Z, _Z, _Z),
-        tags=frozenset(tags),
         params=p,
     )
 
@@ -298,7 +278,6 @@ def _make_ones_b_zero_drift(params):
         t0=0.0,
         eval=lambda t: blocks,
         analytic_derivatives=lambda t: (_Z, _Z, _Z),
-        tags=frozenset({"B_psd", "real_coefficients"}),
         params={"c_sum": c_sum},
     )
 
@@ -319,7 +298,6 @@ def _make_ones_b_euler(params):
         t0=1.0,
         eval=ev,
         analytic_derivatives=dv,
-        tags=frozenset({"B_psd", "real_coefficients"}),
         params={"alpha": alpha},
     )
 
@@ -339,7 +317,6 @@ def _make_ones_b_alpha_conditions(params):
         t0=0.0,
         eval=ev,
         analytic_derivatives=lambda t: derivs,
-        tags=frozenset({"B_psd", "real_coefficients"}),
         params={"a0": a0, "a1": a1, "s0": s0},
     )
 
@@ -422,9 +399,12 @@ def load_table_csv(path) -> TabulatedCoeffs:
 def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
     """Scenario interpolating the table with entrywise cubic splines.
 
-    B and C samples must be Hermitian. Evaluation outside the sampled
-    range raises OutOfDomain: no extrapolation, per the finite-window
-    policy for every downstream operation.
+    B and C samples must be Hermitian, and are checked knot by knot: a
+    spline is linear in its data, so Hermitian knots give Hermitian
+    values between them. The Scenario is returned as built; an analysis
+    validates it on its window, knots included. Evaluation outside the
+    sampled range raises OutOfDomain: no extrapolation, per the
+    finite-window policy for every downstream operation.
     """
     from scipy.interpolate import CubicSpline
 
@@ -457,7 +437,7 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
         v = (dre(t) + 1j * dim(t)).tolist()
         return tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12])
 
-    scen = Scenario(
+    return Scenario(
         name=name,
         t0=lo,
         eval=ev,
@@ -465,7 +445,6 @@ def from_table(tab: TabulatedCoeffs, name: str = "tabulated") -> Scenario:
         domain_end=hi,
         knots=tuple(tab.times.tolist()),
     )
-    return validated(scen, (lo, hi), n_samples=max(64, 4 * len(tab.times)))
 
 
 # window_grid and stacked are left out of __all__: bench/tracing.py times
@@ -480,10 +459,10 @@ def stacked(read: Callable, ts) -> np.ndarray:
     return np.array([read(t) for t in ts], dtype=complex).reshape(len(ts), 3, 2, 2)
 
 
-def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
+def validate_scenario(s: Scenario, window: tuple) -> ValidationReport:
     """Read the scenario once at its check times and derive the structural tags.
 
-    The check times are the n_samples-point window_grid and a table's
+    The check times are the 256-point window_grid and a table's
     knots inside the window, so a tag that a table's own knots refute is
     never granted. The report carries the blocks and derivatives stacked
     there, one stacked call each: an analysis reads its grid only here.
@@ -498,11 +477,9 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy T > t0")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    ts = sorted(window_grid((lo, hi), n_samples).tolist() + [k for k in s.knots if lo < k < hi])
+    ts = sorted(window_grid((lo, hi)).tolist() + [k for k in s.knots if lo < k < hi])
     v, d = (stacked(read, ts) for read in (s.eval, s.analytic_derivatives))
-    a, b, c = v[:, 0], v[:, 1], v[:, 2]
+    b, c = v[:, 1], v[:, 2]
 
     def norm(m):
         return np.abs(m).max(axis=(1, 2))
@@ -520,7 +497,7 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     def psd(m):
         return low_eig(m) >= -TOL_HERM * (1.0 + norm(m))
 
-    na, nb, nc = norm(a), norm(b), norm(c)
+    nb, nc = norm(b), norm(c)
     asym_b, asym_c = norm(b - adjoint(b)), norm(c - adjoint(c))
     bad_b = ~(asym_b <= TOL_HERM * (1.0 + nb))
     bad_c = ~(asym_c <= TOL_HERM * (1.0 + nc))
@@ -533,8 +510,6 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
     off = (np.abs(b[:, 0, 1]) > TOL_HERM * scale) | (np.abs(b[:, 1, 0]) > TOL_HERM * scale)
     b_psd = psd(b)
     b_pos = b_psd & psd(b - (TOL_POS * scale)[:, None, None] * np.eye(2))
-    imag = np.maximum.reduce([norm(np.imag(m)) for m in (a, b, c)])
-    size = np.maximum.reduce([na, nb, nc])
 
     def low_b(i):
         return mat2.herm_eigvals(b[i])[0]
@@ -545,7 +520,6 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
         "B_diagonal": (off, lambda i: max(abs(b[i, 0, 1]), abs(b[i, 1, 0]))),
         "B_psd": (~b_psd, low_b),
         "B_positive": (~b_pos, low_b),
-        "real_coefficients": (imag > TOL_HERM * (1.0 + size), lambda i: imag[i]),
     }
     tags, refuted = set(), []
     for tag, (bad, value) in against.items():
@@ -554,13 +528,7 @@ def validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> Valid
             refuted.append((tag, float(ts[i]), float(value(i))))
         else:
             tags.add(tag)
-    worst_asym = max(0.0, float(asym_b.max()), float(asym_c.max()))
     return ValidationReport(
-        tags=frozenset(tags), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi),
-        refuted=tuple(refuted), times=tuple(ts), blocks=v, derivatives=d,
+        tags=frozenset(tags), refuted=tuple(refuted), times=tuple(ts), blocks=v, derivatives=d
     )
 
-
-def validated(s: Scenario, window: tuple, n_samples: int = 256) -> Scenario:
-    """Copy of the scenario carrying freshly verified tags."""
-    return replace(s, tags=validate_scenario(s, window, n_samples).tags)

@@ -22,8 +22,8 @@ coefficients into the callables of t that ``riccati`` integrates, each
 kernel t -> (g, h) from one read. Each hypothesis is gated once, as an
 applicability row read off the analysis' one validation report
 (coefsys.validate_scenario: tags, where a withheld one failed, the grid
-stacks); one that fails inside a flow (NotPSD, ZeroDiagonalB, ...)
-becomes an Inconclusive row.
+stacks), the only source of tags; one that fails inside a flow (NotPSD,
+ZeroDiagonalB, ...) becomes an Inconclusive row.
 
 ``analyze`` runs all five in a fixed order and takes the first verdict
 that is not Inconclusive. A criterion can only ever strengthen
@@ -615,13 +615,12 @@ class PsdReduction:
 
     at(t) returns Reduced(sqrt_b, p, q), each an entry 4-tuple, from
     one (memoized) read of the reduction, or the one value of a constant
-    one. grid is the 256-point window grid, and max_residual the largest
-    defect |S P - M| at the check times. const_b says B' was exactly 0
-    there, so S was read once, at the window start.
+    one. max_residual is the largest defect |S P - M| at the check
+    times. const_b says B' was exactly 0 there, so S was read once, at
+    the window start.
     """
 
     at: Callable
-    grid: np.ndarray
     max_residual: float
     const_b: bool
 
@@ -662,7 +661,6 @@ def psd_reduce(s: Scenario, window: tuple, *, checks: Optional[ValidationReport]
     """
     checks = checks or coefsys.validate_scenario(s, window)
     mul = mat2._mul
-    grid = coefsys.window_grid(window)
     const_a, const_b, const_c = (not checks.derivatives[:, k].any() for k in range(3))
     a0, b0, c0 = (tuple(m) for m in checks.blocks[0].reshape(3, 4).tolist())
     sq0 = pinv0 = m0 = p0 = q0 = None
@@ -684,7 +682,7 @@ def psd_reduce(s: Scenario, window: tuple, *, checks: Optional[ValidationReport]
     if const_a and const_b and const_c:
         fixed = Reduced(sq0, p0, q0)
         res = residual(checks.times[0], fixed, m0)
-        return PsdReduction(at=lambda t: fixed, grid=grid, max_residual=res, const_b=True)
+        return PsdReduction(at=lambda t: fixed, max_residual=res, const_b=True)
 
     memo = {}
 
@@ -712,7 +710,7 @@ def psd_reduce(s: Scenario, window: tuple, *, checks: Optional[ValidationReport]
         return out
 
     res = max(residual(t, *compute(t)) for t in checks.times)
-    return PsdReduction(at=lambda t: compute(t)[0], grid=grid, max_residual=res, const_b=const_b)
+    return PsdReduction(at=lambda t: compute(t)[0], max_residual=res, const_b=const_b)
 
 
 def _reduced(
@@ -817,7 +815,7 @@ def nonoscillation_psd_envelope(
 
     # gross-jump tripwire on the reduced couplings: second differences on
     # the validation grid should not dwarf the local magnitude scale
-    p_grid = np.array([red.at(t).p for t in red.grid])
+    p_grid = np.array([red.at(t).p for t in coefsys.window_grid(window)])
     d2 = np.abs(p_grid[2:] - 2.0 * p_grid[1:-1] + p_grid[:-2])
     scale = 1.0 + float(np.max(np.abs(p_grid)))
     max_d2 = float(np.max(d2)) if len(d2) else 0.0
@@ -981,13 +979,15 @@ def simulate_starts(
 
     The starts are (I, 0) and (I, I), then Phi0 = I with Psi0 drawn by
     random_hermitian from a generator seeded with seed; the first
-    n_starts of that sequence run. The scenario is validated on the
-    window. Zeros come from odeint.detect_det_zeros, the one counter for
-    real and complex coefficients. Yields one (label, trajectory, zero
-    records) per start, integrating each only when asked for it, so a
-    caller that keeps no trajectory holds one at a time.
+    n_starts of that sequence run. The window's validation report is
+    the Hermitian gate: a B or C it finds non-Hermitian raises
+    mat2.NotHermitian before any start runs. Zeros come from
+    odeint.detect_det_zeros, the one counter for real and complex
+    coefficients. Yields one (label, trajectory, zero records) per
+    start, integrating each only when asked for it, so a caller that
+    keeps no trajectory holds one at a time.
     """
-    s = coefsys.validated(s, window)
+    coefsys.validate_scenario(s, window)
     eye = np.eye(2, dtype=complex)
     start_list = [("I,0", eye, np.zeros((2, 2), complex)), ("I,I", eye, eye)]
     rng = np.random.default_rng(seed)

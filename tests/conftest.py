@@ -22,7 +22,7 @@ def const_scenario(a, b, c, name="const", t0=0.0):
         return z2.copy(), z2.copy(), z2.copy()
 
     return coefsys.Scenario(
-        name=name, t0=t0, eval=ev, analytic_derivatives=dv, tags=frozenset(), params={}
+        name=name, t0=t0, eval=ev, analytic_derivatives=dv, params={}
     )
 
 

@@ -57,7 +57,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import minimize_scalar
 
-from hamosc import criteria, mat2, riccati
+from hamosc import coefsys, criteria, mat2, riccati
 from hamosc.coefsys import TOL_POS, Scenario, ValidationReport
 from hamosc.mat2 import (
     TOL_HERM, TOL_RANK, NotHermitian, as_mat2, det2, herm_eigvals, is_hermitian, is_psd, norm_max, tr2,
@@ -250,13 +250,13 @@ def coupling_bound_check(
     window, asserts |y| <= M + E_y and |v| <= M + E_v within
     tol * (1 + bound) on a uniform grid. A negative diagonal component
     raises HypothesisViolated: the bound promises nothing there. A
-    scenario without the B_diagonal and B_positive tags raises
-    ValueError. The envelope uses the plus_c12 drive, which is the form
+    scenario whose validation on the window withholds B_diagonal or
+    B_positive raises ValueError. The envelope uses the plus_c12 drive, which is the form
     produced by the variation-of-constants representation of y and v.
     """
     if z0 < 0.0:
         raise ValueError("z0 must be nonnegative")
-    if not {"B_diagonal", "B_positive"} <= s.tags:
+    if not {"B_diagonal", "B_positive"} <= coefsys.validate_scenario(s, window).tags:
         raise ValueError(f"scenario {s.name!r} lacks the B_diagonal or B_positive tag")
     traj, record = subsystem_solve(s, "first", (z0, 0.0), window)
     joint = traj.meta["joint"]
@@ -798,7 +798,7 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
     downstream criteria treat that as inapplicability. The defect and
     |M| are computed on that grid only, not at every integrator stage.
     """
-    if "B_psd" not in s.tags:
+    if "B_psd" not in coefsys.validate_scenario(s, window).tags:
         raise mat2.NotPSD(f"scenario {s.name!r} lacks the B_psd tag")
     memo = {}
 
@@ -861,33 +861,29 @@ def matrix_psd_reduce(s: Scenario, window: tuple) -> criteria.PsdReduction:
 
     return criteria.PsdReduction(
         at=lambda t: compute(t)[0][0],
-        grid=grid,
         max_residual=float(np.max(residuals)),
         const_b=const_b,
     )
 
 
-def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 256) -> ValidationReport:
+def per_sample_validate_scenario(s: Scenario, window: tuple) -> ValidationReport:
     """coefsys.validate_scenario as it was, one sample at a time: its reference.
 
-    Sample the window, and a table's knots inside it, in increasing
-    time, and derive the structural tags.
+    Sample the window at 256 points, and a table's knots inside it, in
+    increasing time, and derive the structural tags.
 
     Hermitian violation of B or C is a hard error: the entire theory
     assumes it. Tags are set from what the samples show, with the strict
     positivity margin TOL_POS * (1 + |B|) separating B_positive from
     B_psd. The first sample that refutes a tag records its time and the
-    value that refutes it: the larger off-diagonal |b|, the lower
-    eigenvalue of B (herm_eigvals), or the largest imaginary part.
+    value that refutes it: the larger off-diagonal |b| or the lower
+    eigenvalue of B (herm_eigvals).
     """
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must satisfy T > t0")
-    if n_samples < 2:
-        raise ValueError("need at least 2 samples")
-    ts = sorted(list(np.linspace(lo, hi, n_samples)) + [k for k in s.knots if lo < k < hi])
+    ts = sorted(list(np.linspace(lo, hi, 256)) + [k for k in s.knots if lo < k < hi])
     refuted = {}  # tag -> (t, value) at its first refuting sample
-    worst_asym = 0.0
     blocks, derivatives = [], []
     for t in ts:
         a, b, c = as_blocks(s.eval(float(t)))
@@ -895,25 +891,22 @@ def per_sample_validate_scenario(s: Scenario, window: tuple, n_samples: int = 25
         derivatives.append(as_blocks(s.analytic_derivatives(float(t))))
         for which, m in (("B", b), ("C", c)):
             flag = is_hermitian(m)
-            worst_asym = max(worst_asym, flag.max_asymmetry)
             if not flag.is_hermitian:
                 raise NotHermitian(flag.max_asymmetry, which, float(t))
         scale = 1.0 + norm_max(b)
         low = herm_eigvals(b)[0]
-        imag = max(norm_max(np.imag(a) + 0j), norm_max(np.imag(b) + 0j), norm_max(np.imag(c) + 0j))
         checks = (
             ("B_diagonal", abs(b[0, 1]) > TOL_HERM * scale or abs(b[1, 0]) > TOL_HERM * scale,
              max(abs(b[0, 1]), abs(b[1, 0]))),
             ("B_psd", not is_psd(b), low),
             ("B_positive", not (is_psd(b) and is_psd(b - TOL_POS * scale * np.eye(2))), low),
-            ("real_coefficients", imag > TOL_HERM * (1.0 + max(norm_max(a), norm_max(b), norm_max(c))), imag),
         )
         for tag, bad, value in checks:
             if bad and tag not in refuted:
                 refuted[tag] = (float(t), float(value))
-    order = ("B_diagonal", "B_psd", "B_positive", "real_coefficients")
+    order = ("B_diagonal", "B_psd", "B_positive")
     return ValidationReport(
-        tags=frozenset(order) - set(refuted), max_asymmetry=worst_asym, n_samples=n_samples, window=(lo, hi),
+        tags=frozenset(order) - set(refuted),
         refuted=tuple((tag, *refuted[tag]) for tag in order if tag in refuted),
         times=tuple(ts), blocks=np.array(blocks), derivatives=np.array(derivatives),
     )

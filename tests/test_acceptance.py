@@ -55,9 +55,8 @@ def test_harmonic_ground_truth():
     expected = np.pi / 2.0 + np.pi * np.arange(32)
     zeros_ok = len(times) == 32 and float(np.max(np.abs(times - expected))) <= 1e-6
 
-    sv = coefsys.validated(s, (0.0, 100.0))
-    rep_diag = criteria.oscillation_from_diagonal(sv, (0.0, 100.0))
-    rep_psd = criteria.oscillation_from_psd_reduction(sv, (0.0, 100.0))
+    rep_diag = criteria.oscillation_from_diagonal(s, (0.0, 100.0))
+    rep_psd = criteria.oscillation_from_psd_reduction(s, (0.0, 100.0))
     both_fire = (
         rep_diag.verdict.kind == criteria.OSCILLATORY
         and rep_psd.verdict.kind == criteria.OSCILLATORY
@@ -105,11 +104,10 @@ def test_vector_schrodinger_reproduction():
 
 def test_rank_one_b_oscillatory_branch():
     scen, window, _opt, _doc = cli.load_scenario_file("example_3_2_zero_drift")
-    sv = coefsys.validated(scen, window)
-    rep = criteria.oscillation_from_psd_reduction(sv, window)
+    rep = criteria.oscillation_from_psd_reduction(scen, window)
     crit_ok = rep.verdict.kind == criteria.OSCILLATORY
 
-    traj = odeint.solve_hamiltonian_frame(sv, I2, Z2, window)
+    traj = odeint.solve_hamiltonian_frame(scen, I2, Z2, window)
     zeros = odeint.detect_det_zeros(traj, 1e-7)
     times = np.array([z.time for z in zeros])
     gaps = np.diff(times)
@@ -131,11 +129,10 @@ def test_rank_one_b_oscillatory_branch():
 
 def test_rank_one_b_euler_nonoscillatory_branch():
     scen, window, opt, _doc = cli.load_scenario_file("example_3_2_euler_a05")
-    sv = coefsys.validated(scen, window)
     # the file's options hold the certifying convention: c12 entering the envelope with a plus
     # sign, exponent weight from the reduced coefficients (the minus_c12
     # drive does not certify)
-    rep = criteria.nonoscillation_psd_envelope(sv, window, opt)
+    rep = criteria.nonoscillation_psd_envelope(scen, window, opt)
     crit_ok = rep.verdict.kind == criteria.NON_OSCILLATORY
 
     res = criteria.analyze(scen, window, opt)
@@ -273,9 +270,7 @@ def test_coupling_bound_campaign():
         b = np.diag(rng.uniform(0.5, 2.0, 2)).astype(complex)
         a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 0.3
         c = hermitian(rng, 0.4) + np.diag(rng.uniform(-0.3, 0.8, 2))
-        s = coefsys.validated(
-            const_scenario(a, b, c, name=f"bound{i}"), (0.0, 1.0)
-        )
+        s = const_scenario(a, b, c, name=f"bound{i}")
         try:
             if coupling_bound_check(s, (0.0, 1.0), tol=1e-6):
                 checked += 1
@@ -371,7 +366,7 @@ def test_riccati_hamiltonian_correspondence():
     # ratio-substituted pair against the full matrix flow
     b = np.diag(rng.uniform(0.5, 1.5, 2)).astype(complex)
     a = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) * 0.2
-    s = coefsys.validated(const_scenario(a, b, hermitian(rng, 0.3)), (0.0, 1.2))
+    s = const_scenario(a, b, hermitian(rng, 0.3))
     ratios = criteria._diag_envelope_data(s).values
     z0 = hermitian(rng, 0.3)
     full, _ = odeint.solve_matrix_riccati(s, z0, (0.0, 1.2))

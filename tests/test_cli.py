@@ -28,6 +28,31 @@ def test_bad_option_value_exits_2(tmp_path, capsys, command, options):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        {"options": [1, 2]},
+        {"options": 5},
+        {"params": [1]},
+        {"params": 5},
+        {"params": {"c": None}},
+        {"params": {"c": True}},
+        {"window": [True, 10.0]},
+        {"table_csv_path": 5},
+    ],
+)
+def test_malformed_scenario_file_exits_2(tmp_path, capsys, entry):
+    # each once escaped load_scenario_file as a TypeError or
+    # AttributeError, or was read as the number 1
+    doc = {"family": "euler", "params": {"c": 2.0}, "window": [1.0, 10.0], **entry}
+    if "table_csv_path" in entry:
+        del doc["family"], doc["params"]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["analyze", str(path)]) == 2
+    assert re.fullmatch(r"error: [^\n]+\n", capsys.readouterr().err)
+
+
 def test_analyze_exits_0_on_a_drift_near_underflow(tmp_path, capsys):
     # a11 = 1e-160 makes |det M| and TOL_RANK sigma_1^2 underflow in the
     # reduction's pseudo-inverse, which then divided by det = 0

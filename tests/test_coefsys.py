@@ -25,9 +25,7 @@ def test_harmonic_family():
     assert mat2.norm_max(a) == 0.0
     assert mat2.norm_max(b - I2) == 0.0
     assert mat2.norm_max(c + I2) == 0.0
-    assert s.tags == frozenset(
-        {"B_diagonal", "B_psd", "B_positive", "real_coefficients"}
-    )
+    assert coefsys.validate_scenario(s, (0.0, 1.0)).tags == {"B_diagonal", "B_psd", "B_positive"}
     assert s.family == "harmonic"
 
 
@@ -47,7 +45,7 @@ def test_vector_schrodinger_family():
     assert mat2.norm_max(a) == 0.0 and mat2.norm_max(b - I2) == 0.0
     expected = np.array([[0.0, -10.0j], [10.0j, 0.0]])
     assert mat2.norm_max(c - expected) <= 1e-14
-    assert "B_positive" in s.tags and "real_coefficients" not in s.tags
+    assert "B_positive" in coefsys.validate_scenario(s, (0.0, 10.0)).tags
     # the C diagonal picks up t^2 growth
     _, _, c5 = s.eval(5.0)
     assert abs(c5[3] - 25.0) <= 1e-12
@@ -81,7 +79,8 @@ def test_ones_b_euler_family():
     assert mat2.norm_max(b - np.ones((2, 2))) == 0.0
     assert abs(c[0, 0] + 2.0 * np.real(c[0, 1]) + c[1, 1] - 0.25) <= 1e-14
     # rank-one B: semidefinite but not strictly positive
-    assert "B_psd" in s.tags and "B_positive" not in s.tags
+    tags = coefsys.validate_scenario(s, (1.0, 10.0)).tags
+    assert "B_psd" in tags and "B_positive" not in tags
     # B is constant, so the derivative of its square root is exactly 0
     _, _, droot = mat2._psd_root(s.eval(2.0)[1], s.analytic_derivatives(2.0)[1])
     assert droot == (0j, 0j, 0j, 0j)
@@ -235,7 +234,7 @@ def test_from_table_constant_nodes_exact():
         assert mat2.norm_max(av - a) == 0.0
         assert mat2.norm_max(bv - np.eye(2)) == 0.0
         assert mat2.norm_max(cv - c) == 0.0
-    assert s.tags >= {"B_diagonal", "B_psd", "B_positive"}
+    assert coefsys.validate_scenario(s, (0.0, 2.0)).tags == {"B_diagonal", "B_psd", "B_positive"}
     assert s.domain_end == 2.0
 
 
@@ -322,7 +321,7 @@ def test_load_table_csv_round_trip(tmp_path):
 def test_validate_scenario_tag_soundness():
     pos = coefsys.make_family("diag_B", {"b1": 1.0, "b2": 2.0})
     rep = coefsys.validate_scenario(pos, (0.0, 1.0))
-    assert rep.tags >= {"B_diagonal", "B_psd", "B_positive", "real_coefficients"}
+    assert rep.tags == {"B_diagonal", "B_psd", "B_positive"}
 
     semi = coefsys.make_family("diag_B", {"b1": 1.0, "b2": 0.0})
     rep = coefsys.validate_scenario(semi, (0.0, 1.0))
@@ -331,10 +330,6 @@ def test_validate_scenario_tag_soundness():
     indef = coefsys.make_family("diag_B", {"b1": 1.0, "b2": -1.0})
     rep = coefsys.validate_scenario(indef, (0.0, 1.0))
     assert "B_psd" not in rep.tags and "B_positive" not in rep.tags
-
-    cplx = coefsys.make_family("diag_B", {"b1": 1.0, "b2": 1.0, "a12_im": 0.5})
-    rep = coefsys.validate_scenario(cplx, (0.0, 1.0))
-    assert "real_coefficients" not in rep.tags
 
 
 def test_validate_scenario_rejects_non_hermitian_c():
@@ -345,10 +340,10 @@ def test_validate_scenario_rejects_non_hermitian_c():
         coefsys.validate_scenario(bad, (0.0, 1.0))
 
 
-def _validation_outcome(validate, s, window, n_samples):
+def _validation_outcome(validate, s, window):
     """The report, or what NotHermitian said and where."""
     try:
-        return validate(s, window, n_samples)
+        return validate(s, window)
     except mat2.NotHermitian as exc:
         return ("NotHermitian", exc.t, exc.which, str(exc))
 
@@ -410,8 +405,8 @@ def _spiked(block, value):
 
 def test_validation_matches_per_sample_reference(rng):
     # the stacked checks against the parent's one-sample-at-a-time loop:
-    # tags, max_asymmetry, where each withheld tag was first refuted and
-    # by what value, and the sample NotHermitian names
+    # tags, where each withheld tag was first refuted and by what value,
+    # and the sample NotHermitian names
     cases = [
         (coefsys.make_family(fam, params), window)
         for fam, params, window in (
@@ -430,20 +425,11 @@ def test_validation_matches_per_sample_reference(rng):
     cases += [(_validation_draw(rng, k), (0.0, 1.0)) for k in range(50)]
     raised, refuted = 0, set()
     for s, window in cases:
-        for n in (256, 4004) if s.domain_end is not None else (256,):
-            got = _validation_outcome(coefsys.validate_scenario, s, window, n)
-            want = _validation_outcome(per_sample_validate_scenario, s, window, n)
-            assert got == want, (s.name, n)
-            raised += isinstance(want, tuple)
-            if not isinstance(want, tuple):
-                refuted.update(tag for tag, _, _ in want.refuted)
+        got = _validation_outcome(coefsys.validate_scenario, s, window)
+        want = _validation_outcome(per_sample_validate_scenario, s, window)
+        assert got == want, s.name
+        raised += isinstance(want, tuple)
+        if not isinstance(want, tuple):
+            refuted.update(tag for tag, _, _ in want.refuted)
     assert raised >= 5
-    assert refuted == {"B_diagonal", "B_psd", "B_positive", "real_coefficients"}
-
-
-def test_validated_returns_tagged_copy():
-    s = const_scenario(np.zeros((2, 2)), np.eye(2), -np.eye(2))
-    assert s.tags == frozenset()
-    sv = coefsys.validated(s, (0.0, 1.0))
-    assert sv.tags >= {"B_diagonal", "B_psd", "B_positive", "real_coefficients"}
-    assert sv.eval is s.eval
+    assert refuted == {"B_diagonal", "B_psd", "B_positive"}

@@ -26,10 +26,6 @@ ONES = np.ones((2, 2), dtype=complex)
 DRAWS = Path(__file__).resolve().parent.parent / "bench" / "draws.py"
 
 
-def _tagged(s, window):
-    return coefsys.validated(s, window)
-
-
 def _herm(rng, scale):
     m = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))) * scale
     return 0.5 * (m + m.conj().T)
@@ -339,7 +335,7 @@ def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
     # scenario itself)
     window = (0.0, 20.0)
     d = np.diag([1.0, -1.0]).astype(complex)
-    s = _tagged(const_scenario(Z2, d, d, name="split"), window)
+    s = const_scenario(Z2, d, d, name="split")
     rec = _FlowRecorder(monkeypatch)
     monkeypatch.setattr(riccati, "adaptive_solve", odeint.adaptive_solve)
     total = [0]
@@ -366,7 +362,7 @@ def test_sign_split_reads_the_scenario_once_per_field_call(monkeypatch):
 
 
 def test_psd_criterion_reads_the_reduction_once_per_field_call(monkeypatch):
-    s = _tagged(coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0}), (0.0, 30.0))
+    s = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
     rec = _MagnusRecorder(monkeypatch)
     reduce = criteria.psd_reduce
 
@@ -395,7 +391,7 @@ def test_diagonal_criterion_fires_on_harmonic():
 def test_diagonal_criterion_is_one_directional():
     # positive potential gives non-oscillating scalar systems; the
     # criterion must withhold rather than claim NonOscillatory
-    s = _tagged(const_scenario(Z2, I2, I2, name="posC"), (0.0, 50.0))
+    s = const_scenario(Z2, I2, I2, name="posC")
     rep = criteria.oscillation_from_diagonal(s, (0.0, 50.0))
     assert rep.verdict.kind == criteria.INCONCLUSIVE
     assert all(held for _, held, _ in rep.applicability)
@@ -427,7 +423,7 @@ def _half_vanishing_b():
 
     return coefsys.Scenario(
         name="half_vanishing_b", t0=0.0, eval=ev, analytic_derivatives=dv,
-        tags=frozenset({"B_diagonal"}), params={},
+        params={},
     )
 
 
@@ -455,22 +451,19 @@ def test_diagonal_b_applicability_rows():
 
 
 def test_sign_split_certifies_opposed_signs():
-    s = _tagged(
-        const_scenario(Z2, np.diag([1.0, -1.0]), np.diag([1.0, -1.0]).astype(complex), name="split"),
-        (0.0, 20.0),
-    )
+    s = const_scenario(Z2, np.diag([1.0, -1.0]), np.diag([1.0, -1.0]).astype(complex), name="split")
     rep = criteria.nonoscillation_sign_split(s, (0.0, 20.0))
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
 
 
 def test_sign_split_certifies_frozen_flow():
-    s = _tagged(const_scenario(Z2, Z2, Z2, name="allzero"), (0.0, 20.0))
+    s = const_scenario(Z2, Z2, Z2, name="allzero")
     rep = criteria.nonoscillation_sign_split(s, (0.0, 20.0))
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
 
 
 def test_sign_split_needs_the_sign_pattern():
-    s = _tagged(const_scenario(Z2, I2, I2, name="bpos"), (0.0, 20.0))
+    s = const_scenario(Z2, I2, I2, name="bpos")
     rep = criteria.nonoscillation_sign_split(s, (0.0, 20.0))
     assert rep.verdict.kind == criteria.INCONCLUSIVE
 
@@ -480,14 +473,14 @@ def test_sign_split_needs_the_sign_pattern():
 
 
 def test_envelope_certifies_positive_potential():
-    s = _tagged(const_scenario(Z2, I2, I2, name="posC"), (0.0, 50.0))
+    s = const_scenario(Z2, I2, I2, name="posC")
     rep = criteria.nonoscillation_envelope(s, (0.0, 50.0))
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
     assert rep.witnesses["certificate_3"] == "partition"
 
 
 def test_envelope_certifies_zero_potential():
-    s = _tagged(const_scenario(Z2, I2, Z2, name="freeflow"), (0.0, 20.0))
+    s = const_scenario(Z2, I2, Z2, name="freeflow")
     rep = criteria.nonoscillation_envelope(s, (0.0, 20.0))
     assert rep.verdict.kind == criteria.NON_OSCILLATORY
 
@@ -502,8 +495,9 @@ def test_diagonal_tag_gates_are_the_rows():
     # and a withheld tag's row says where the samples refuted it
     window = (0.0, 1.0)
     ones = coefsys.make_family("ones_B_zero_drift", {"c_sum": -1.0})
-    semidefinite = _tagged(const_scenario(Z2, np.diag([1.0, 0.0]), Z2, name="bz"), window)
-    assert "B_diagonal" in semidefinite.tags and "B_positive" not in semidefinite.tags
+    semidefinite = const_scenario(Z2, np.diag([1.0, 0.0]), Z2, name="bz")
+    tags = coefsys.validate_scenario(semidefinite, window).tags
+    assert "B_diagonal" in tags and "B_positive" not in tags
     not_diagonal = ("B diagonal", False, OFF_DIAGONAL_AT_0)
     not_positive = ("B positive definite", False, "refuted at t = 0: lowest eigenvalue of B 0.000e+00")
     cases = (
@@ -533,7 +527,7 @@ def test_diagonal_rows_read_b_at_table_knots():
     # b11 = -3 at the knot t = 3 only, between the points of the 256-point
     # grid on (0, 10): the diagonal-B rows read the table's knots too
     window = (0.0, 10.0)
-    s = coefsys.validated(_spiked_table("b11_dip", I2, -I2, 1, -3.0), window)
+    s = _spiked_table("b11_dip", I2, -I2, 1, -3.0)
     rep = criteria.oscillation_from_diagonal(s, window)
     assert rep.verdict.kind == criteria.INCONCLUSIVE
     assert ("b_1, b_2 nonnegative", False, "min b = -3.000e+00") in rep.applicability
@@ -593,7 +587,7 @@ def test_spike_between_samples_is_not_certified():
 def test_reduction_is_identity_for_unit_b():
     a = np.array([[0.1, 0.3 + 0.2j], [-0.1j, 0.2]], dtype=complex)
     c = np.array([[1.0, 0.4j], [-0.4j, -0.7]], dtype=complex)
-    s = _tagged(const_scenario(a, I2, c, name="unitB"), (0.0, 2.0))
+    s = const_scenario(a, I2, c, name="unitB")
     red = criteria.psd_reduce(s, (0.0, 2.0))
     sqrt_b, p, q = (np.reshape(m, (2, 2)) for m in red.at(0.7))
     assert float(mat2.norm_max(sqrt_b - I2)) == 0.0
@@ -647,15 +641,15 @@ def _varying_b_scenario(name, a, c, b_and_db):
 
 
 def test_reduction_of_indefinite_b_raises_from_the_square_root():
-    # psd_reduce reads no tag: an untagged indefinite B, constant or
-    # varying, meets the square root at the window start
+    # psd_reduce reads no tag: an indefinite B, constant or varying,
+    # meets the square root at the window start
     window = (0.0, 1.0)
     constant = const_scenario(Z2, np.diag([1.0, -1.0]), Z2, name="indefinite")
     varying = _varying_b_scenario(
         "indefinite_t", Z2, -I2, lambda t: (np.diag([1.0, t - 0.5]), np.diag([0.0, 1.0]))
     )
     for s in (constant, varying):
-        assert "B_psd" not in s.tags
+        assert "B_psd" not in coefsys.validate_scenario(s, window).tags
         with pytest.raises(mat2.NotPSD, match="eigenvalues"):
             criteria.psd_reduce(s, window)
 
@@ -679,7 +673,7 @@ def test_reduction_reads_constancy_on_its_grid():
         return (1.0 + 1e4 * v) * I2, (1e4 * dv) * I2
 
     window = (0.0, 10.0)
-    s = _tagged(_varying_b_scenario("bump", Z2, -0.01 * I2, b_and_db), window)
+    s = _varying_b_scenario("bump", Z2, -0.01 * I2, b_and_db)
     red = criteria.psd_reduce(s, window)
     want = math.sqrt(1.0 + 1e4)
     sqrt_b = np.reshape(red.at(3.5).sqrt_b, (2, 2))
@@ -721,7 +715,7 @@ def _reduction_cases(rng):
             ("zero", a, np.zeros((2, 2), complex)),
         )
         for shape, a_k, b in consts:
-            s = _tagged(const_scenario(a_k, b, c, name=f"{shape}{k}"), window)
+            s = const_scenario(a_k, b, c, name=f"{shape}{k}")
             cases.append((f"{shape}{k}", s, window))
 
         def spread(t, rot=rot, d=rng.uniform(0.3, 1.5, 2), w=rng.uniform(0.5, 2.0)):
@@ -741,10 +735,10 @@ def _reduction_cases(rng):
 
         varying = (("varying_full", a, spread), ("varying_rank1", pattern_keep, beam))
         for shape, a_k, b_and_db in varying:
-            s = _tagged(_varying_b_scenario(f"{shape}{k}", a_k, c, b_and_db), window)
+            s = _varying_b_scenario(f"{shape}{k}", a_k, c, b_and_db)
             cases.append((f"{shape}{k}", s, window))
     # a varying rank-1 B in a generic complex direction (P8)
-    p8 = _tagged(_varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam), window)
+    p8 = _varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam)
     cases.append(("p8", p8, window))
     return cases
 
@@ -755,7 +749,7 @@ def test_reduction_entries_match_matrix_reference(rng):
     # reference solves by least squares, and P = S^+ M against the
     # reference's F M with the minimum-norm sandwich F = S^+ M M^+
     for label, s, window in _reduction_cases(rng):
-        assert "B_psd" in s.tags, label
+        assert "B_psd" in coefsys.validate_scenario(s, window).tags, label
         try:
             ref = matrix_psd_reduce(s, window)
         except criteria.ResidualTooLarge as exc:
@@ -765,7 +759,7 @@ def test_reduction_entries_match_matrix_reference(rng):
             continue
         red = criteria.psd_reduce(s, window)
         assert abs(red.max_residual - ref.max_residual) <= 1e-14, label
-        ts = np.concatenate([red.grid[::17], rng.uniform(*window, 5)])
+        ts = np.concatenate([coefsys.window_grid(window)[::17], rng.uniform(*window, 5)])
         for t in ts:
             for name, got, want in zip(criteria.Reduced._fields, red.at(t), ref.at(t)):
                 err = float(np.max(np.abs(np.reshape(got, (2, 2)) - want)))
@@ -777,7 +771,7 @@ def test_varying_rank_one_b_reduces_exactly():
     # P8: S' = (g' / |v|) v v* lies in the range of S, so S P = M is
     # solvable exactly; a differenced S' left part of it off that range
     window = (0.0, 3.0)
-    s = _tagged(_varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam), window)
+    s = _varying_b_scenario("p8", 0.4 * I2, -I2, _p8_beam)
     assert criteria.psd_reduce(s, window).max_residual <= 1e-12
 
 
@@ -790,7 +784,7 @@ def test_non_differentiable_root_is_a_named_inconclusive_row():
     window = (0.0, 2.0)
     s = _varying_b_scenario("root_t", 0.3 * I2, -I2, b_and_db)
     with pytest.raises(mat2.NotDifferentiable):
-        criteria.psd_reduce(_tagged(s, window), window)
+        criteria.psd_reduce(s, window)
     reports = {r.criterion: r for r in criteria.analyze(s, window).reports}
     for cid in (criteria.OSC_PSD, criteria.NONOSC_PSD_ENVELOPE):
         rep = reports[cid]
@@ -828,7 +822,7 @@ def test_reduced_oscillation_on_singular_b():
 def test_reduced_oscillation_matches_plain_on_unit_b():
     rep = criteria.oscillation_from_psd_reduction(coefsys.make_family("harmonic", {}), (0.0, 50.0))
     assert rep.verdict.kind == criteria.OSCILLATORY
-    s = _tagged(const_scenario(Z2, I2, I2, name="posC"), (0.0, 50.0))
+    s = const_scenario(Z2, I2, I2, name="posC")
     assert criteria.oscillation_from_psd_reduction(s, (0.0, 50.0)).verdict.kind == criteria.INCONCLUSIVE
 
 
@@ -850,7 +844,7 @@ def test_reduction_identity_for_unit_b_verdicts():
     # with B = I the reduction is a no-op, so the reduced criteria must
     # reproduce the plain verdicts case by case
     for name, c in (("negC", -I2), ("mixedC", np.diag([1.5, -0.5]).astype(complex))):
-        s = _tagged(const_scenario(Z2, I2, c, name=name), (0.0, 30.0))
+        s = const_scenario(Z2, I2, c, name=name)
         plain_osc = criteria.oscillation_from_diagonal(s, (0.0, 30.0))
         red_osc = criteria.oscillation_from_psd_reduction(s, (0.0, 30.0))
         assert plain_osc.verdict.kind == red_osc.verdict.kind
@@ -894,7 +888,7 @@ def test_psd_twin_reads_the_diagonal_flows_on_a_constant_b(monkeypatch, k):
     # the PSD one reads the diagonal one's scalar flows instead of its own
     window = (0.0, 30.0)
     a, c = _twin_blocks(k)
-    s = _tagged(const_scenario(a, np.diag([0.5, 2.0]), c, name=f"twin_k{k:g}"), window)
+    s = const_scenario(a, np.diag([0.5, 2.0]), c, name=f"twin_k{k:g}")
     calls = _count_scalar_tests(monkeypatch)
     res = criteria.analyze(s, window)
     in_analyze, calls[0] = calls[0], 0
@@ -923,8 +917,8 @@ def test_psd_twin_keeps_its_own_flows_on_a_varying_b(monkeypatch):
         b = np.diag([1.0 + 0.5 * math.sin(t), 2.0 + math.cos(1.3 * t)])
         return b, np.diag([0.5 * math.cos(t), -1.3 * math.sin(1.3 * t)])
 
-    s = _tagged(_varying_b_scenario("twin_varying_b", a, c, b_and_db), window)
-    assert {"B_diagonal", "B_positive"} <= s.tags
+    s = _varying_b_scenario("twin_varying_b", a, c, b_and_db)
+    assert {"B_diagonal", "B_positive"} <= coefsys.validate_scenario(s, window).tags
     calls = _count_scalar_tests(monkeypatch)
     res = criteria.analyze(s, window)
     in_analyze, calls[0] = calls[0], 0
@@ -1057,7 +1051,7 @@ def test_analyze_surfaces_contradiction(monkeypatch):
         _fake_report(criteria.OSC_DIAG, criteria.INCONCLUSIVE),
         _fake_report(criteria.NONOSC_SPLIT, criteria.OSCILLATORY),
     ]
-    s = _tagged(const_scenario(Z2, Z2, Z2, name="forced"), (0.0, 1.0))
+    s = const_scenario(Z2, Z2, Z2, name="forced")
     for head in (conflicting, wrong_direction):
         reports = tuple(head + inconclusive_rest)
         monkeypatch.setattr(criteria, "_run_criteria", lambda s, w, o: reports)
@@ -1075,11 +1069,9 @@ def test_analyze_surfaces_contradiction(monkeypatch):
 def test_hypothesis_failing_inside_a_criterion_is_inconclusive():
     window = (0.0, 10.0)
     # b11 = -3 at one knot: validation reads the table's knots as well as
-    # its grid, so analyze's tags withhold B_psd and B_positive as the
-    # table's own 4004-sample check does
+    # its grid, so analyze's tags withhold B_psd and B_positive
     dip = _spiked_table("b11_dip", I2, -I2, 1, -3.0)
-    for tags in (dip.tags, coefsys.validated(dip, window).tags):
-        assert not {"B_psd", "B_positive"} & tags
+    assert not {"B_psd", "B_positive"} & coefsys.validate_scenario(dip, window).tags
     # b11 = cos(51 pi t) reads 1 at every point of the 256-point grid on
     # (0, 10) and is negative between them: the square root inside the
     # PSD reduction's flow meets the indefinite B
@@ -1088,7 +1080,7 @@ def test_hypothesis_failing_inside_a_criterion_is_inconclusive():
         "between_samples", Z2, -I2,
         lambda t: (np.diag([math.cos(w * t), 1.0]), np.diag([-w * math.sin(w * t), 0.0])),
     )
-    assert "B_psd" in coefsys.validated(between, window).tags
+    assert "B_psd" in coefsys.validate_scenario(between, window).tags
     for s in (dip, between):
         res = criteria.analyze(s, window)
         assert res.verdict.kind == criteria.INCONCLUSIVE, s.name
@@ -1116,7 +1108,7 @@ def test_step_budget_is_a_named_inconclusive_row(monkeypatch):
 
 
 def test_analyze_reports_in_fixed_order():
-    s = _tagged(const_scenario(Z2, Z2, Z2, name="allzero"), (0.0, 20.0))
+    s = const_scenario(Z2, Z2, Z2, name="allzero")
     res = criteria.analyze(s, (0.0, 20.0))
     assert res.verdict.kind == criteria.NON_OSCILLATORY
     assert res.verdict.criterion == criteria.NONOSC_SPLIT
@@ -1232,6 +1224,21 @@ def test_simulation_matches_the_exact_focal_points_on_constant_draws():
     # 344 zero times over the 150 starts; 24 starts turn too fast for the
     # oracle's default cells
     assert sum(map(sum, counts)) == 344
+
+
+def test_start_zero_counts_agree_within_two_on_wavy_draws():
+    # Sturm comparison: under B > 0 the focal-point counts of any two
+    # conjoined bases on the window differ by at most n = 2 (Reid 1980),
+    # so the detector's counts for the five starts must too. Classes 6-7
+    # of the first 40 campaign draws have constant diagonal B > 0 and a
+    # varying C, the draws without an exact count.
+    draws = [s for cls, s in _load_draws().campaign_draws(20260816, 40) if cls >= 6]
+    assert len(draws) == 10
+    window = (0.0, 5.0)
+    for s in draws:
+        assert "B_positive" in coefsys.validate_scenario(s, window).tags, s.name
+        counts = [len(zeros) for _, _, zeros in criteria.simulate_starts(s, window, 5)]
+        assert max(counts) - min(counts) <= 2, (s.name, counts)
 
 
 def test_campaign_never_conflicts():

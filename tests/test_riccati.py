@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 
 import numpy as np
@@ -27,12 +26,6 @@ I2 = np.eye(2, dtype=complex)
 
 ZERO = lambda t: 0.0
 ONE = lambda t: 1.0
-
-
-def _tagged(s, window=(0.0, 2.0)):
-    # const_scenario ships without tags; recompute them from samples like
-    # a caller of the criteria would
-    return coefsys.validated(s, window)
 
 
 def _chi(s, j):
@@ -221,7 +214,7 @@ def test_search_stops_at_the_first_violated_sample():
     # integrating on to its escape at t ~ 37 would take about 3,700 steps
     # of 7 h evaluations each
     window = (0.0, 100.0)
-    s = coefsys.validated(coefsys.make_family("harmonic", {}), window)
+    s = coefsys.make_family("harmonic", {})
     env = _envelope(s, window, rtol=1e-8, atol=1e-10)
     calls = [0]
 
@@ -319,7 +312,7 @@ def test_free_term_tracks_potential():
 
 
 def test_free_term_zero_coefficients():
-    s = _tagged(const_scenario(Z2, I2, Z2, name="flat"))
+    s = const_scenario(Z2, I2, Z2, name="flat")
     assert _chi(s, 1)(0.3) == 0.0
     assert _chi(s, 2)(1.7) == 0.0
 
@@ -329,7 +322,7 @@ def test_free_term_coupling_penalty():
     a[1, 0] = 2.0
     c = Z2.copy()
     c[0, 0] = 1.0
-    s = _tagged(const_scenario(a, np.diag([1.0, 2.0]), c, name="mixed"))
+    s = const_scenario(a, np.diag([1.0, 2.0]), c, name="mixed")
     chi1 = _chi(s, 1)
     assert abs(chi1(0.5) - (-3.0)) <= 1e-12
 
@@ -337,7 +330,7 @@ def test_free_term_coupling_penalty():
 def test_free_term_zero_branch():
     a = Z2.copy()
     a[1, 0] = 5.0
-    s = _tagged(const_scenario(a, np.diag([1.0, 0.0]), np.diag([2.0, 0.0]).astype(complex), name="bzero"))
+    s = const_scenario(a, np.diag([1.0, 0.0]), np.diag([2.0, 0.0]).astype(complex), name="bzero")
     chi1 = _chi(s, 1)
     # the coupling penalty is dropped on the degenerate branch
     assert chi1(0.4) == -2.0
@@ -363,7 +356,6 @@ def _ratio_test_scenario():
         t0=0.0,
         eval=ev,
         analytic_derivatives=dv,
-        tags=frozenset({"B_diagonal", "B_psd", "B_positive"}),
     )
 
 
@@ -404,7 +396,6 @@ def test_fd_slopes_read_values_twice_per_call():
 
 def test_diag_envelope_zero_diagonal_entry():
     s = const_scenario(np.ones((2, 2)), np.diag([1.0, 0.0]), np.zeros((2, 2)))
-    s = dataclasses.replace(s, tags=frozenset({"B_diagonal", "B_psd"}))
     data = criteria._diag_envelope_data(s)
     with pytest.raises(coefsys.ZeroDiagonalB) as exc:
         data.values(5.0)
@@ -414,7 +405,7 @@ def test_diag_envelope_zero_diagonal_entry():
 def test_chi_terms_read_the_envelope_flow_once(monkeypatch):
     a = np.array([[0.0, 0.3], [0.2j, 0.0]], dtype=complex)
     c = np.array([[1.0, 0.1], [0.1, 2.0]], dtype=complex)
-    env = _envelope(_tagged(const_scenario(a, I2, c, name="chiread")), (0.0, 2.0))
+    env = _envelope(const_scenario(a, I2, c, name="chiread"), (0.0, 2.0))
     reads = []
     inner = odeint.Trajectory.dense_eval
 
@@ -430,7 +421,7 @@ def test_chi_terms_read_the_envelope_flow_once(monkeypatch):
 
 
 def test_envelope_without_coupling_is_potential_only():
-    s = _tagged(const_scenario(Z2, I2, np.diag([1.5, -0.5]).astype(complex), name="plaindiag"))
+    s = const_scenario(Z2, I2, np.diag([1.5, -0.5]).astype(complex), name="plaindiag")
     for conv in ("minus_c12", "plus_c12"):
         env = _envelope(s, (0.0, 2.0), conv)
         assert abs(env.kernel3(0.8)[1] + 1.5) <= 1e-10
@@ -456,14 +447,14 @@ def test_envelope_integrates_offdiagonal_drive():
 def test_gap_peak_constant_coupling():
     a = Z2.copy()
     a[0, 1] = 1.0
-    s = _tagged(const_scenario(a, I2, Z2, name="gap1"))
+    s = const_scenario(a, I2, Z2, name="gap1")
     peak = _envelope(s, (0.0, 2.0)).m_peak
     assert abs(peak(0.5) - 1.0) <= 1e-12
     assert abs(peak(2.0) - 1.0) <= 1e-12
 
 
 def test_gap_peak_no_coupling():
-    s = _tagged(const_scenario(Z2, I2, np.diag([1.0, 2.0]).astype(complex), name="nocouple"))
+    s = const_scenario(Z2, I2, np.diag([1.0, 2.0]).astype(complex), name="nocouple")
     assert _envelope(s, (0.0, 2.0)).m_peak(1.7) == 0.0
 
 
@@ -471,7 +462,7 @@ def test_gap_peak_grows_against_damping():
     # trace Re(a11* + a22) = -1 weights old gaps by e^{t - tau}; with a
     # constant unit gap the running maximum is e^t
     a = np.array([[-0.5, 1.0], [0.0, -0.5]], dtype=complex)
-    s = _tagged(const_scenario(a, I2, Z2, name="growgap"), (0.0, 1.0))
+    s = const_scenario(a, I2, Z2, name="growgap")
     env = _envelope(s, (0.0, 1.0))
     assert abs(env.m_peak(1.0) - math.e) <= 1e-8
     # each kernel's weight is 2 Re a_jj
@@ -484,7 +475,7 @@ def test_gap_peak_grows_against_damping():
 
 def test_pair_flow_decoupled_diagonal():
     # A = C = 0, B = I: z' = -z^2 from 1 is 1/(1+t) and the drives stay 0
-    s = _tagged(const_scenario(Z2, I2, Z2, name="flat"), (0.0, 3.0))
+    s = const_scenario(Z2, I2, Z2, name="flat")
     traj, rec = subsystem_solve(s, "first", (1.0, 0.0), (0.0, 3.0))
     assert rec is None
     assert abs(traj.dense_eval(1.0)[0] - 0.5) <= 1e-8
@@ -495,7 +486,7 @@ def test_pair_flow_decoupled_diagonal():
 
 
 def test_pair_flow_zero_stays_zero():
-    s = _tagged(const_scenario(Z2, I2, Z2, name="flat"))
+    s = const_scenario(Z2, I2, Z2, name="flat")
     traj, rec = subsystem_solve(s, "first", (0.0, 0.0), (0.0, 2.0))
     assert rec is None
     assert float(np.max(np.abs(traj.states))) == 0.0
@@ -503,7 +494,7 @@ def test_pair_flow_zero_stays_zero():
 
 def test_pair_flow_reports_escape():
     # strongly negative potential drives z to -inf in finite time
-    s = _tagged(const_scenario(Z2, I2, np.diag([-5.0, -5.0]).astype(complex), name="sink"))
+    s = const_scenario(Z2, I2, np.diag([-5.0, -5.0]).astype(complex), name="sink")
     traj, rec = subsystem_solve(s, "first", (1.0, 0.0), (0.0, 2.0))
     assert rec is not None
     assert 0.5 < rec.escape_time < 1.2
@@ -512,7 +503,7 @@ def test_pair_flow_reports_escape():
 
 
 def test_pair_flow_which_validation():
-    s = _tagged(const_scenario(Z2, I2, Z2))
+    s = const_scenario(Z2, I2, Z2)
     with pytest.raises(ValueError):
         subsystem_solve(s, "third", (1.0, 0.0), (0.0, 1.0))
 
@@ -524,12 +515,12 @@ def test_pair_flow_which_validation():
 def test_coupling_bound_holds_on_tame_scenario():
     a = np.array([[0.0, 0.2], [0.1, 0.0]], dtype=complex)
     c = np.array([[1.0, 0.1], [0.1, 1.0]], dtype=complex)
-    s = _tagged(const_scenario(a, I2, c, name="bounded"))
+    s = const_scenario(a, I2, c, name="bounded")
     assert coupling_bound_check(s, (0.0, 2.0))
 
 
 def test_coupling_bound_rejects_negative_diagonal():
-    s = _tagged(const_scenario(Z2, I2, np.diag([-5.0, -5.0]).astype(complex), name="sink"))
+    s = const_scenario(Z2, I2, np.diag([-5.0, -5.0]).astype(complex), name="sink")
     with pytest.raises(HypothesisViolated) as e:
         coupling_bound_check(s, (0.0, 2.0))
     assert e.value.which == "z >= 0"

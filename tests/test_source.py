@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -79,3 +80,15 @@ def test_one_stacked_read_in_the_package():
                 if (f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)) == "stacked":
                     found.append(f"{path.name}:{owner.get(node, '<module>')}")
     assert found == ["coefsys.py:validate_scenario"]
+
+
+def test_every_exported_name_resolves():
+    # a name left in an __all__ after its definition went fails here, not
+    # at a caller's `from hamosc import *`
+    stems = sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__")
+    names = ["hamosc"] + [f"hamosc.{stem}" for stem in stems]
+    missing = []
+    for name in names:
+        mod = importlib.import_module(name)
+        missing += [f"{name}.{n}" for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
+    assert missing == []
