@@ -6,18 +6,20 @@ windows and options, and after each one ``criteria.cross_validate`` on
 that analysis, then ``analyze`` on the first N draws of the no-conflict
 campaign (``bench/draws.py``: seed 20260816, window (0, 5), the campaign
 options of the test suite). It prints one line per integrated flow (each
-DP5(4) solve and each Magnus flow of a scalar oscillation test, in the
-order they ran), one per report and one per simulated start:
+DP5(4) solve, each DOP853 pair flow of a simulated start and each Magnus
+flow of a scalar oscillation test, in the order they ran), one per
+report and one per simulated start:
 
     flow   <op> <k> <accepted steps> <sha256 of the flow>
     report <op> <verdict> <sha256 of the `hamosc analyze` JSON payload without generated_at>
     zeros  <op> <start> <count> <sha256 of the zero times, residuals and multiplicities>
 
-A DP5(4) flow hashes its times, steps, states and dense coefficients,
-and a Magnus flow its nodes and states. The ops are ``analyze.<name>``,
-``simulate.<name>`` and ``campaign.<draw>``. Two checkouts that print the same lines integrated
-the same flows bit for bit, wrote the same reports and detected the
-same determinant zeros. Run it in each and diff the output:
+A DP5(4) or DOP853 flow hashes its times, steps, states and dense
+coefficients, and a Magnus flow its nodes and states. The ops are
+``analyze.<name>``, ``simulate.<name>`` and ``campaign.<draw>``. Two
+checkouts that print the same lines integrated the same flows bit for
+bit, wrote the same reports and detected the same determinant zeros.
+Run it in each and diff the output:
 
     python3 scripts/capture_flows.py --draws 40 > flows.txt
 
@@ -51,7 +53,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
-from hamosc import cli, criteria, odeint  # noqa: E402
+from hamosc import cli, criteria, dop853, odeint  # noqa: E402
 
 PACKAGED = ("harmonic", "example_3_1", "example_3_2_zero_drift", "example_3_2_euler_a05")
 CAMPAIGN_SEED = 20260816
@@ -96,15 +98,20 @@ def capture(n_draws: int, values: bool = False) -> list:
     lines = []
     flows = []  # (accepted steps, digest) of each flow of the op now running
     detected = []  # zero records of each start of the op now running
-    original, original_magnus = odeint._dp45, odeint.magnus_flow
+    original, original_pair, original_magnus = odeint._dp45, dop853.integrate, odeint.magnus_flow
     original_detect = odeint.detect_det_zeros
 
-    def recording(*args, **kwargs):
-        traj = original(*args, **kwargs)
+    def recorded(traj):
         flows.append(
             (len(traj.times) - 1, _digest(traj.times, traj._seg_h, traj.states, traj._seg_q))
         )
         return traj
+
+    def recording(*args, **kwargs):
+        return recorded(original(*args, **kwargs))
+
+    def recording_pair(*args, **kwargs):
+        return recorded(original_pair(*args, **kwargs))
 
     def recording_magnus(*args, **kwargs):
         flow = original_magnus(*args, **kwargs)
@@ -126,7 +133,8 @@ def capture(n_draws: int, values: bool = False) -> list:
         for _cls, scen in campaign_draws(CAMPAIGN_SEED, n_draws):
             jobs.append((f"campaign.{scen.name}", scen, CAMPAIGN_WINDOW, CAMPAIGN_OPTIONS, {}))
 
-    odeint._dp45, odeint.magnus_flow, odeint.detect_det_zeros = recording, recording_magnus, detecting
+    odeint._dp45, dop853.integrate, odeint.magnus_flow = recording, recording_pair, recording_magnus
+    odeint.detect_det_zeros = detecting
     try:
         for op, scen, window, options, doc in jobs:
             flows.clear()
@@ -154,7 +162,7 @@ def capture(n_draws: int, values: bool = False) -> list:
                     f"zeros {sim_op} {rec.label} {len(zeros)} {hashlib.sha256(text).hexdigest()[:16]}"
                 )
     finally:
-        odeint._dp45, odeint.magnus_flow = original, original_magnus
+        odeint._dp45, dop853.integrate, odeint.magnus_flow = original, original_pair, original_magnus
         odeint.detect_det_zeros = original_detect
     return lines
 

@@ -1,18 +1,24 @@
 """Adaptive integration and zero detection for the 4d Hamiltonian system.
 
-The core is a hand-rolled Dormand-Prince 5(4) embedded pair with PI step
-control and a quartic dense interpolant. It is deliberately self-contained:
-the drivers below need hooks that library integrators do not expose, namely
-``post_step``, which sees and may replace each accepted state (frame
-orthonormalization and the conjoinedness check), escape-norm
-truncation that preserves the partial trajectory for blow-up diagnostics,
-and ``stop``, a predicate on each new dense segment that ends the flow
-early (the partition-condition search stops at its first violated sample).
-Stages that probe toward a blow-up overflow on purpose, and a non-finite
-stage is a rejected step, so numpy's overflow and invalid warnings are
-off for the whole flow, field and hooks included; the caller's error
-state is restored when the flow returns or raises. Every trajectory
-carries the solver's counts in ``meta["stats"]``.
+Two hand-rolled Runge-Kutta loops share one Trajectory form. ``_dp45``
+is a Dormand-Prince 5(4) embedded pair with PI step control and a
+quartic dense interpolant; it runs ``adaptive_solve`` and the Riccati
+flows. ``dop853.integrate`` is Hairer's eighth-order Dormand-Prince pair
+DOP853 with its 5th/3rd-order error norm and degree-7 dense output; it
+runs the matrix pair flow, whose frame solves dominate a simulation, and
+lives in its own module, imported on the first pair solve. Both are
+deliberately self-contained: the solvers below need hooks that library
+integrators do not expose. Both take ``post_step``, which sees and may
+replace each accepted state (frame orthonormalization and the
+conjoinedness check). ``_dp45`` also takes escape-norm truncation that
+preserves the partial trajectory for blow-up diagnostics, and ``stop``,
+a predicate on each new dense segment that ends the flow early (the
+partition-condition search stops at its first violated sample). Stages
+that probe toward a blow-up overflow on purpose, and a non-finite stage
+is a rejected step, so numpy's overflow and invalid warnings are off for
+the whole flow, field and hooks included; the caller's error state is
+restored when the flow returns or raises. Every trajectory carries the
+solver's counts in ``meta["stats"]``.
 
 Drivers provided:
 
@@ -28,17 +34,21 @@ Drivers provided:
   test of ``criteria`` counts its zeros on it.
 * ``solve_hamiltonian`` / ``solve_hamiltonian_frame``: the linear system
   Phi' = A Phi + B Psi, Psi' = C Phi - A* Psi, integrated as 16 reals by
-  one pair driver. The 16 reals are the 4x2 complex frame X = [Phi; Psi]
-  (``pack_pair``), and one field call is the product [[A, B], [C, -A*]] X
-  from one coefficient read. The driver checks the conjoinedness defect
-  max |G - G*| of G = Phi* Psi at every accepted step. The frame variant
-  also orthonormalizes the 4x2 solution frame after every accepted step and
+  one pair flow on ``dop853.integrate``: 15 coefficient reads per
+  accepted step and 11 per rejected one. The 16 reals are the 4x2
+  complex frame X = [Phi; Psi] (``pack_pair``), and one field call is
+  the product [[A, B], [C, -A*]] X from one coefficient read. The flow
+  checks the conjoinedness defect max |G - G*| of G = Phi* Psi at every
+  accepted step, and records for each step an estimate of how far an
+  eigen-angle of U (below) can turn over it. The frame variant also
+  orthonormalizes the 4x2 solution frame after every accepted step and
   accumulates the scalar growth factor in log form. Coefficients like
   c22 = t^2 produce growth of order exp(t^2/2), which overflows doubles
-  near t = 38; the frame variant keeps every stored quantity of order one
-  while preserving the zeros of det Phi exactly (right multiplication by
-  an invertible factor with positive real determinant). ``det_phi``
-  reads det Phi back from either kind of trajectory.
+  near t = 38; the frame variant keeps every stored quantity of order
+  one while preserving the zeros of det Phi exactly (right
+  multiplication by an invertible factor with positive real
+  determinant). ``det_phi`` reads det Phi back from either kind of
+  trajectory.
 * ``solve_scalar_riccati`` / ``solve_matrix_riccati``: the quadratic flows
   with escape detection at a configurable norm, returning the surviving
   trajectory plus a blow-up record. The criteria never call them: a
@@ -46,7 +56,8 @@ Drivers provided:
   The tests use them to check that correspondence.
 * ``detect_det_zeros``: counts the times an eigen-angle of the unitary
   U = (Phi - i Psi)(Phi + i Psi)^-1 passes pi, for real and complex
-  coefficients alike, bracketed by the accepted nodes.
+  coefficients alike, bracketed by the accepted nodes and, on steps
+  whose turn estimate is large, by pieces of the step.
 
 Zero times (``detect_det_zeros``, ``sign_change_roots``) are refined by
 ``_brentq``, Brent's method (Brent, *Algorithms for Minimization without
@@ -176,7 +187,7 @@ _DENSE_P = np.array(
     ]
 )
 
-_POWERS = np.arange(1, 5)  # theta powers of the quartic dense output
+_POWERS = np.arange(1, 8)  # theta powers of the dense outputs, up to degree 7
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -205,7 +216,13 @@ def _reject_factor(err: float) -> float:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Accepted nodes, states, events, and a piecewise-quartic dense output."""
+    """Accepted nodes, states, events, and a piecewise-polynomial dense output.
+
+    Segment i runs from times[i] with step _seg_h[i], and its state at
+    theta in [0, 1] is states[i] + h * _seg_q[i] @ theta^(1..d), where d
+    is _seg_q's last axis: 4 for the quartic of the DP5(4) solver and 7
+    for the DOP853 pair flow.
+    """
 
     times: np.ndarray
     states: np.ndarray
@@ -242,8 +259,8 @@ class Trajectory:
             h = self._seg_h[i]
             theta = (tf - self.times[i]) / h
             q = self._seg_q[i]
-            acc = q[:, 3]
-            for k in (2, 1, 0):
+            acc = q[:, -1]
+            for k in range(q.shape[1] - 2, -1, -1):
                 acc = acc * theta + q[:, k]
             return self.states[i] + (h * theta) * acc
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
@@ -270,11 +287,12 @@ def segment_states(t, h, y, q, ts: np.ndarray) -> np.ndarray:
     """Dense-output states at the times ts, one row per time.
 
     A segment starting at t with step h, state y and coefficients q
-    gives y + h * q @ theta^(1..4) at theta = (ts - t) / h. The segment
-    arguments hold either one segment for all times or one row per time.
+    gives y + h * q @ theta^(1..d) at theta = (ts - t) / h, d being q's
+    last axis (the polynomial degree). The segment arguments hold either
+    one segment for all times or one row per time.
     """
     theta = (ts - t) / h
-    tv = theta[:, None] ** _POWERS
+    tv = theta[:, None] ** _POWERS[: np.shape(q)[-1]]
     if np.ndim(q) == 2:
         return y + h * np.einsum("dk,pk->pd", q, tv)
     return y + h[:, None] * np.einsum("pdk,pk->pd", q, tv)
@@ -284,7 +302,10 @@ def _rms_norm(x: np.ndarray) -> float:
     return math.sqrt(float(np.square(x).sum()) / x.size)
 
 
-def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
+def _initial_step(fun, t0, y0, f0, t_end, rtol, atol, exponent=0.2):
+    """First step of a solve, one field call: exponent is 1 / (q + 1) for
+    a pair whose error estimate has order q (Hairer, Norsett and Wanner,
+    sec. II.4)."""
     scale = atol + rtol * np.abs(y0)
     d0 = _rms_norm(y0 / scale)
     d1 = _rms_norm(f0 / scale)
@@ -296,7 +317,7 @@ def _initial_step(fun, t0, y0, f0, t_end, rtol, atol):
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
-        h1 = (0.01 / max(d1, d2)) ** 0.2
+        h1 = (0.01 / max(d1, d2)) ** exponent
     return min(100 * h0, h1, t_end - t0)
 
 
@@ -988,13 +1009,16 @@ def _defect_and_scale(x: np.ndarray) -> tuple[float, float]:
     return defect, 1.0 + phi_max * psi_max
 
 
-def _qr_columns(x: np.ndarray) -> tuple[np.ndarray, float]:
+def _qr_columns(x: np.ndarray, g: np.ndarray | None = None) -> tuple:
     """Orthonormalize the two columns of a 4x2 complex frame.
 
     Modified Gram-Schmidt with positive real diagonal, so the triangular
     factor has det R real and positive, in one pass of Python complex
     arithmetic over the 8 entries. Returns (Q, log det R); Q is a new
     C-ordered 4x2 array, so Q.reshape(8).view(float) is its 16 reals.
+    With a second 4x2 frame g, returns (Q, log det R, g R^-1) as well,
+    g R^-1 from the same column operations: for the field of a linear
+    flow, f(t, X R^-1) = f(t, X) R^-1.
     """
     (u1, v1), (u2, v2), (u3, v3), (u4, v4) = x.tolist()
     r11 = math.hypot(abs(u1), abs(u2), abs(u3), abs(u4))
@@ -1007,19 +1031,28 @@ def _qr_columns(x: np.ndarray) -> tuple[np.ndarray, float]:
     if r22 < 1e-250 * max(1.0, r11):
         raise RuntimeError("solution frame lost rank during orthonormalization")
     q = np.array([u1, v1 / r22, u2, v2 / r22, u3, v3 / r22, u4, v4 / r22], complex).reshape(4, 2)
-    return q, math.log(r11) + math.log(r22)
+    log_det_r = math.log(r11) + math.log(r22)
+    if g is None:
+        return q, log_det_r
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = g.tolist()
+    a1, a2, a3, a4 = a1 / r11, a2 / r11, a3 / r11, a4 / r11
+    b1, b2, b3, b4 = (b1 - dot * a1) / r22, (b2 - dot * a2) / r22, (b3 - dot * a3) / r22, (b4 - dot * a4) / r22
+    return q, log_det_r, np.array([a1, b1, a2, b2, a3, b3, a4, b4], complex).reshape(4, 2)
 
 
 def _solve_pair(scenario, phi0, psi0, window, rtol, atol, *, frame: bool) -> Trajectory:
-    """The matrix pair flow, with the conjoinedness defect checked at every node.
+    """The matrix pair flow on DOP853, with the conjoinedness defect checked at every node.
 
     A start with defect above 1e-9 * (1 + |Phi| |Psi|) is rejected, and a
     node whose defect exceeds CONJ_TOL * (1 + |Phi| |Psi|) raises
     ConjoinedDrift. With frame set, the start and every accepted state
     are replaced by the orthonormal Q factor of the stacked 4x2 frame
     [Phi; Psi] and log det R is added to a running scale; without it the
-    scale stays 0. meta holds the node scales (log_scale), the node
-    defects after the start (defects) and the start defect.
+    scale stays 0. The renormalized state's derivative is the step end's
+    times R^-1, so the renormalization costs no field call. meta holds
+    the node scales (log_scale), the node defects after the start
+    (defects), the start defect, and dop853.integrate's stats and turn
+    estimates.
     """
     y0 = pack_pair(phi0, psi0)
     x0 = _frame(y0)
@@ -1033,28 +1066,24 @@ def _solve_pair(scenario, phi0, psi0, window, rtol, atol, *, frame: bool) -> Tra
     log_nodes = [log_scale]
     defects: list[float] = []
 
-    def post_step(t, y):
+    def post_step(t, y, f):
         nonlocal log_scale
         x = _frame(y)
         if frame:
-            x, logr = _qr_columns(x)
+            x, logr, g = _qr_columns(x, _frame(f))
             log_scale += logr
-            y = x.reshape(8).view(float)
+            y, f = x.reshape(8).view(float), g.reshape(8).view(float)
         d, scale = _defect_and_scale(x)
         if d > CONJ_TOL * scale:
             raise ConjoinedDrift(t, d, "conjoinedness defect bound exceeded")
         log_nodes.append(log_scale)
         defects.append(d)
-        return y
+        return y, f
 
-    traj = _dp45(
-        _hamiltonian_field(scenario),
-        float(window[0]),
-        float(window[1]),
-        y0,
-        rtol,
-        atol,
-        post_step=post_step,
+    from . import dop853
+
+    traj = dop853.integrate(
+        _hamiltonian_field(scenario), float(window[0]), float(window[1]), y0, rtol, atol, post_step
     )
     traj.meta.update(
         kind="hamiltonian",
@@ -1356,6 +1385,9 @@ def _focal_phases(x, sqrt, phase):
     return phase(-mid - root), phase(root - mid)
 
 
+_PIECE_TURN = 0.75 * math.pi  # a step whose turn estimate exceeds this is read in pieces
+
+
 def _turn(a, b):  # distance from phase a to phase b on the circle
     return abs((b - a + math.pi) % (2.0 * math.pi) - math.pi)
 
@@ -1363,19 +1395,24 @@ def _turn(a, b):  # distance from phase a to phase b on the circle
 def _step_zeros(traj: Trajectory, i: int, eps_zero: float) -> list:
     """The zeros of det Phi on step i, from _focal_phases of its dense output.
 
-    The step is halved until no phase moves over pi/4 (the phases at the
-    ends matched by the smaller movement). _brentq refines each sign change
-    not across the cut at pi: of the phase nearer 0 when the two are over
-    pi/2 apart at both ends, else of the lower or upper one. Two roots are
-    one double zero when both phases are within eps_zero of 0 at their mean.
+    A step whose turn estimate exceeds _PIECE_TURN is first cut into
+    ceil(estimate / _PIECE_TURN) equal pieces, so that no angle turns
+    more than _PIECE_TURN on a piece. Each piece is halved until no
+    phase moves over pi/4 (the phases at the ends matched by the smaller
+    movement). _brentq refines each sign change not across the cut at
+    pi: of the phase nearer 0 when the two are over pi/2 apart at both
+    ends, else of the lower or upper one. Two roots are one double zero
+    when both phases are within eps_zero of 0 at their mean.
     """
     t0, h = float(traj.times[i]), float(traj._seg_h[i])
-    rows = list(zip(traj.states[i].view(complex).tolist(), *traj._seg_q[i].T.copy().view(complex).tolist()))
+    y0 = traj.states[i].view(complex)
+    q = traj._seg_q[i].T.copy().view(complex)  # row k: the theta^(k + 1) coefficients
+    powers = _POWERS[: len(q)] - 1
 
     def phases(t: float) -> tuple:
         th = (t - t0) / h
-        x = [y0 + h * th * (a + th * (b + th * (c + th * d))) for y0, a, b, c, d in rows]
-        return _focal_phases(x, cmath.sqrt, cmath.phase)
+        x = y0 + (h * th) * (th**powers @ q)
+        return _focal_phases(x.tolist(), cmath.sqrt, cmath.phase)
 
     def record(t: float, multiplicity: int) -> list:
         p1, p2 = phases(t)
@@ -1384,7 +1421,11 @@ def _step_zeros(traj: Trajectory, i: int, eps_zero: float) -> list:
 
     zeros = []
     t1 = float(traj.times[i + 1])
-    pending = [(t0, phases(t0), t1, phases(t1))]
+    turn = float(traj.meta["turn"][i])
+    n = math.ceil(turn / _PIECE_TURN) if turn > _PIECE_TURN else 1
+    ends = [(t, phases(t)) for t in [t0 + (t1 - t0) * j / n for j in range(n)] + [t1]]
+    # the first piece last on the stack, so the zeros come out in time order
+    pending = [(ta, pa, tb, pb) for (ta, pa), (tb, pb) in zip(ends, ends[1:])][::-1]
     while pending:
         ta, pa, tb, pb = pending.pop()
         tm = 0.5 * (ta + tb)
@@ -1413,12 +1454,17 @@ def detect_det_zeros(traj: Trajectory, eps_zero: float = 1e-7) -> list[ZeroRecor
 
     det Phi = 0 exactly when an eigen-angle of the unitary U of
     _focal_phases is pi; when both are, the zero has multiplicity 2. The
-    angles are read at the nodes in one array pass, and a step where one
-    moves over pi/4 or may pass pi is read on its dense output
-    (_step_zeros). A record is kept when its residual is at most eps_zero.
-    Under B >= 0 the angles move one way (Barrett, Proc. AMS 8, 1957), so
-    a crossing is missed only in a step where an angle turns more than pi;
-    for an indefinite B, also one that passes pi and returns in a sub-step.
+    angles are read at the nodes in one array pass, and a step is read on
+    its dense output (_step_zeros) when one moves over pi/4 or may pass
+    pi, or when its turn estimate (meta["turn"], see
+    dop853._step_turns) exceeds _PIECE_TURN. The estimate is h times a
+    bound on every angle's speed, taken at the step's 12 stages, so a
+    step where an angle turns more than pi, which the nodes read as a
+    small turn the other way, is read, in pieces over which no angle
+    turns more than about _PIECE_TURN. A record is kept when its
+    residual is at most eps_zero. Under B >= 0 the angles move one way
+    (Barrett, Proc. AMS 8, 1957); for an indefinite B a crossing is
+    missed where an angle passes pi and returns within one halved piece.
     """
     if traj.meta.get("kind") != "hamiltonian":
         raise ValueError("detect_det_zeros expects a Hamiltonian trajectory")
@@ -1431,4 +1477,5 @@ def detect_det_zeros(traj: Trajectory, eps_zero: float = 1e-7) -> list[ZeroRecor
     lo, hi = np.minimum(a[:, None], b), np.maximum(a[:, None], b)
     passes = (lo < 1e-9) & (hi > -1e-9) & (hi - lo < 0.25 * math.pi + 1e-9)
     keep = (np.minimum(same, swap) > 0.25 * math.pi - 1e-9) | passes.any(axis=(0, 1))
+    keep |= traj.meta["turn"] > _PIECE_TURN
     return [z for i in np.nonzero(keep)[0].tolist() for z in _step_zeros(traj, i, eps_zero)]

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hamosc import coefsys, criteria, mat2, odeint
+from hamosc import coefsys, criteria, dop853, mat2, odeint
 from conftest import const_scenario, hermitian
 from oracles import phi_psi_at, riccati_z_at, window_grid_det_zeros
 
@@ -386,6 +386,103 @@ def test_frame_solver_matches_plain_on_moderate_window():
         assert abs(a.time - b.time) <= 1e-6
 
 
+def test_dop853_tableau_order_conditions():
+    # the inlined constants are scipy's, and they satisfy the order
+    # conditions they must: row sums are the nodes, the weights integrate
+    # c^(k-1) exactly up to k = 8, and each error weight vector sums to 0
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    c = np.array(dop853._C8)
+    assert np.array_equal(c, ref.C)
+    for i in range(16):
+        assert np.array_equal(dop853._A8[i], ref.A[i, :i]), i
+        assert abs(dop853._A8[i].sum() - c[i]) <= 2e-15, i
+    assert np.array_equal(dop853._E5, ref.E5[:12]) and np.array_equal(dop853._E3, ref.E3[:12])
+    assert ref.E5[12] == ref.E3[12] == 0.0
+    assert np.array_equal(dop853._F_WEIGHTS[3:], ref.D)
+    b = dop853._B8
+    for k in range(1, 9):
+        assert abs(b.dot(c[:12] ** (k - 1)) - 1.0 / k) <= 1e-15, k
+    assert abs(dop853._E5.sum()) <= 1e-15 and abs(dop853._E3.sum()) <= 1e-15
+
+
+def test_dop853_dense_output_ends_at_the_step_states():
+    # on the plain flow of a varying, complex-coefficient scenario, each
+    # segment's degree-7 output starts along h f0 and ends at the next node,
+    # to the rounding of dense weights of up to about 500
+    rng = np.random.default_rng(36)
+    a1 = 0.3 * (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+    b0, c0 = hermitian(rng, 0.5) + 2.0 * I2, hermitian(rng, 0.5) - I2
+
+    def coeffs(t):
+        return math.sin(t) * a1, b0, math.cos(0.7 * t) * c0
+
+    s = coefsys.Scenario(name="wavy", t0=0.0, eval=coeffs, analytic_derivatives=coeffs)
+    traj = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 6.0))
+    field = odeint._hamiltonian_field(s)
+    assert traj._seg_q.shape == (len(traj.times) - 1, 16, 7)
+    for i in range(len(traj._seg_h)):
+        h, q, y = traj._seg_h[i], traj._seg_q[i], traj.states[i]
+        scale = 1.0 + np.abs(y).max()
+        assert np.abs(y + h * q.sum(axis=1) - traj.states[i + 1]).max() <= 1e-12 * scale
+        assert np.abs(h * q[:, 0] - h * field(traj.times[i], y)).max() <= 1e-12 * h * scale
+
+
+def test_pair_flow_is_accurate_on_the_exact_harmonic_frame():
+    # Phi = cos t, Psi = -sin t: at rtol 1e-12 the nodes and the dense
+    # output between them hold the exact frame to 1e-11
+    s = coefsys.make_family("harmonic", {})
+    traj = odeint.solve_hamiltonian(s, I2, Z2, (0.0, 10.0), rtol=1e-12, atol=1e-14)
+    ts = np.concatenate([traj.times, np.linspace(0.0, 10.0, 401)])
+    phi, psi = odeint._unpack_many(traj.dense_eval(ts))
+    assert np.abs(phi - np.cos(ts)[:, None, None] * I2).max() <= 1e-11
+    assert np.abs(psi + np.sin(ts)[:, None, None] * I2).max() <= 1e-11
+
+
+@pytest.mark.parametrize("solve", [odeint.solve_hamiltonian, odeint.solve_hamiltonian_frame])
+def test_pair_flow_stats_count_the_reads(solve):
+    # C jumps at t = 1, which makes the controller reject steps; every
+    # field call is one read of the scenario
+    reads = [0]
+
+    def coeffs(t):
+        reads[0] += 1
+        return Z2, I2, -(1.0 if t < 1.0 else 4.0) * I2
+
+    s = coefsys.Scenario(name="jump", t0=0.0, eval=coeffs, analytic_derivatives=coeffs)
+    reads[0] = 0  # building the Scenario read it
+    traj = solve(s, I2, Z2, (0.0, 3.0))
+    stats = traj.meta["stats"]
+    assert set(stats) == set(odeint.adaptive_solve(lambda t, y: y, [1.0], (0.0, 1.0)).meta["stats"])
+    assert stats["nfev"] == reads[0]
+    assert stats["n_accept"] == len(traj.times) - 1 and stats["n_reject"] > 0
+    # 11 stage reads per attempt, 4 more per accepted step, 2 to start;
+    # the renormalized state's derivative comes from the step end's
+    assert reads[0] == 2 + 11 * (stats["n_accept"] + stats["n_reject"]) + 4 * stats["n_accept"]
+    steps = np.diff(traj.times)
+    assert stats["h_min"] == pytest.approx(steps.min(), rel=1e-12)
+    assert stats["h_max"] == pytest.approx(steps.max(), rel=1e-12)
+    assert stats["wall_s"] >= 0.0
+
+
+@pytest.mark.parametrize("solve", [odeint.solve_hamiltonian, odeint.solve_hamiltonian_frame])
+def test_pair_flow_underflows_on_non_finite_coefficients(solve):
+    # a NaN read past t = 1 makes a stage non-finite: every step reaching
+    # past it is rejected and halved, until the step underflows there
+    nan = np.full((2, 2), math.nan)
+
+    def coeffs(t):
+        return Z2, I2, -I2 if t < 1.0 else nan
+
+    s = coefsys.Scenario(name="nan", t0=0.0, eval=coeffs, analytic_derivatives=coeffs)
+    before = np.geterr()
+    with pytest.raises(odeint.StepUnderflow) as info:
+        solve(s, I2, Z2, (0.0, 3.0))
+    assert np.geterr() == before
+    assert 0.9 < info.value.t <= 1.0
+    assert np.all(np.isfinite(info.value.state))
+
+
 def test_det_phi_restores_the_frame_scale():
     # Euler growth makes the frame scale matter; the window end is read
     # from the last step's state before its renormalization
@@ -642,8 +739,9 @@ def test_detect_det_zeros_skips_dips_at_sign_change_roots():
     )
     assert [z.multiplicity for z in zeros] == [1] * 7
     assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-8
-    # at rtol 1e-3 a phase turns up to about 1.6 over one accepted step;
-    # halving such steps on the dense output keeps all 13 zeros on (0, 20)
+    # at rtol 1e-3 a phase turns up to about 5.6 over one accepted step;
+    # cutting such steps by their turn estimate, then halving them on the
+    # dense output, keeps all 13 zeros on (0, 20)
     loose = odeint.solve_hamiltonian_frame(
         s, I2, np.diag([0.5, -2.0]).astype(complex), (0.0, 20.0), rtol=1e-3, atol=1e-5
     )
@@ -654,6 +752,65 @@ def test_detect_det_zeros_skips_dips_at_sign_change_roots():
     )
     assert len(zeros) == 13
     assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-2
+
+
+def test_detect_det_zeros_reads_steps_that_turn_past_pi():
+    # P13: at rtol 1e-2 the flow from (I, diag(0.5, -2)) takes 7 steps on
+    # (0, 20), over which an angle of U turns up to about 3.6, more than
+    # pi, which the nodes read as a small turn the other way. The turn
+    # estimate cuts those steps into pieces, and all 13 zeros are found,
+    # each within the coarse flow's own error of the exact time
+    s = coefsys.make_family("harmonic", {})
+    psi0 = np.diag([0.5, -2.0]).astype(complex)
+    traj = odeint.solve_hamiltonian_frame(s, I2, psi0, (0.0, 20.0), rtol=1e-2, atol=1e-4)
+    assert traj.meta["turn"].max() > 2.0 * math.pi
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
+    expected = sorted(
+        [math.atan(0.5) + k * math.pi for k in range(7)]
+        + [math.pi - math.atan(2.0) + k * math.pi for k in range(6)]
+    )
+    assert [z.multiplicity for z in zeros] == [1] * 13
+    assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 0.05
+    # and they are the zeros of that flow's dense output
+    want = window_grid_det_zeros(traj, 1e-7, real_coefficients=True)
+    assert len(want) == 13
+    assert max(abs(z.time - w.time) for z, w in zip(zeros, want)) <= 1e-7
+
+
+def _angle_paths(traj, i, m=64):
+    """How far each eigen-angle of U turns over step i, followed on m dense points."""
+    x = traj.dense_eval(np.linspace(traj.times[i], traj.times[i + 1], m)).view(complex).T
+    a = np.array(odeint._focal_phases(x, np.sqrt, np.angle)).T
+    total, prev = np.zeros(2), a[0]
+    for cur in a[1:]:
+        same = odeint._turn(prev[0], cur[0]) + odeint._turn(prev[1], cur[1])
+        if odeint._turn(prev[0], cur[1]) + odeint._turn(prev[1], cur[0]) < same:
+            cur = cur[::-1]
+        total += [odeint._turn(prev[0], cur[0]), odeint._turn(prev[1], cur[1])]
+        prev = cur
+    return total
+
+
+def test_turn_estimate_bounds_how_far_each_angle_turns():
+    # on (I, 0) of the harmonic oscillator U = e^(2it), so the estimate
+    # is exactly 2h; elsewhere no angle turns further than it over a step
+    s = coefsys.make_family("harmonic", {})
+    traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 10.0))
+    assert np.abs(traj.meta["turn"] - 2.0 * traj._seg_h).max() <= 1e-12
+    cases = [
+        ("harmonic", {}, (0.0, 20.0), 1e-3),
+        ("euler", {"c": 2.5}, (1.0, 100.0), 1e-9),
+        ("ones_B_zero_drift", {"c_sum": -1.0}, (0.0, 30.0), 1e-9),
+        ("diag_B", {"b1": 1.0, "b2": -0.5, "c11": -1.0, "c22": 1.0, "a12_re": 0.3}, (0.0, 20.0), 1e-9),
+    ]
+    for family, params, window, rtol in cases:
+        s = coefsys.make_family(family, params)
+        for psi0 in (Z2, np.diag([0.5, -2.0]).astype(complex)):
+            traj = odeint.solve_hamiltonian_frame(s, I2, psi0, window, rtol=rtol, atol=1e-2 * rtol)
+            turn = traj.meta["turn"]
+            assert turn.shape == traj._seg_h.shape
+            worst = max(_angle_paths(traj, i).max() / turn[i] for i in range(len(turn)))
+            assert 0.5 < worst <= 1.0 + 1e-9, (family, psi0[1, 1].real)
 
 
 def test_detect_det_zeros_keeps_two_close_zeros():
