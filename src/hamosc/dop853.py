@@ -6,9 +6,9 @@ an explicit 12-stage Runge-Kutta step of order 8, a 5th/3rd-order error
 norm, and a degree-7 dense output from 3 more stages. ``integrate`` runs
 it on the 16 packed reals of a 4x2 frame for ``odeint``'s matrix pair
 flow, with that flow's post-step hook, and records each step's turn
-estimate for ``odeint.detect_det_zeros``. On the frames of the packaged
-scenarios it takes about a tenth of the steps of ``odeint``'s DP5(4)
-solver at the frame tolerance.
+estimate (_step_turns), from which ``odeint.detect_det_zeros`` picks the
+steps it reads. On the frames of the packaged scenarios it takes about a
+tenth of the steps of ``odeint``'s DP5(4) solver at the frame tolerance.
 
 ``odeint`` imports this module on its first pair solve, so importing the
 package, and an analysis that integrates no frame, compile none of it.

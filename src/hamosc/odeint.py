@@ -56,8 +56,8 @@ Drivers provided:
   The tests use them to check that correspondence.
 * ``detect_det_zeros``: counts the times an eigen-angle of the unitary
   U = (Phi - i Psi)(Phi + i Psi)^-1 passes pi, for real and complex
-  coefficients alike, bracketed by the accepted nodes and, on steps
-  whose turn estimate is large, by pieces of the step.
+  coefficients alike, reading on their dense output only the steps over
+  which the turn estimate lets an angle reach pi.
 
 Zero times (``detect_det_zeros``, ``sign_change_roots``) are refined by
 ``_brentq``, Brent's method (Brent, *Algorithms for Minimization without
@@ -1454,28 +1454,27 @@ def detect_det_zeros(traj: Trajectory, eps_zero: float = 1e-7) -> list[ZeroRecor
 
     det Phi = 0 exactly when an eigen-angle of the unitary U of
     _focal_phases is pi; when both are, the zero has multiplicity 2. The
-    angles are read at the nodes in one array pass, and a step is read on
-    its dense output (_step_zeros) when one moves over pi/4 or may pass
-    pi, or when its turn estimate (meta["turn"], see
-    dop853._step_turns) exceeds _PIECE_TURN. The estimate is h times a
-    bound on every angle's speed, taken at the step's 12 stages, so a
-    step where an angle turns more than pi, which the nodes read as a
-    small turn the other way, is read, in pieces over which no angle
-    turns more than about _PIECE_TURN. A record is kept when its
-    residual is at most eps_zero. Under B >= 0 the angles move one way
-    (Barrett, Proc. AMS 8, 1957); for an indefinite B a crossing is
-    missed where an angle passes pi and returns within one halved piece.
+    angles are read at the nodes in one array pass; a pairing of a step's
+    start and end angles (same or swapped) fits when none turns farther
+    than the step's turn estimate (meta["turn"], dop853._step_turns). A
+    step is read on its dense output (_step_zeros), in pieces, when its
+    estimate exceeds _PIECE_TURN (an angle may turn past pi, which the
+    nodes read as a small turn the other way); it is read when no pairing
+    fits, or when a fitting one has an angle whose ends lie on the two
+    sides of pi within the estimate of it (1e-9 of slack covers numpy's
+    phases against cmath's). A record is kept when its residual is at most
+    eps_zero. Under B >= 0 the angles move one way (Barrett, Proc. AMS 8,
+    1957). For an indefinite B, an angle that reaches pi and turns back
+    within one step, with both ends on one side of pi, is not read, nor
+    one that does so within one halved piece of a read step.
     """
     if traj.meta.get("kind") != "hamiltonian":
         raise ValueError("detect_det_zeros expects a Hamiltonian trajectory")
     a = np.array(_focal_phases(traj.states.view(complex).T, np.sqrt, np.angle))
     a, b = a[:, :-1], a[:, 1:]
-    same = np.maximum(_turn(a[0], b[0]), _turn(a[1], b[1]))
-    swap = np.maximum(_turn(a[0], b[1]), _turn(a[1], b[0]))
-    # a phase that passes 0 over a step is within pi/4 of 0 at both ends;
-    # the 1e-9 covers numpy's phases against cmath's
-    lo, hi = np.minimum(a[:, None], b), np.maximum(a[:, None], b)
-    passes = (lo < 1e-9) & (hi > -1e-9) & (hi - lo < 0.25 * math.pi + 1e-9)
-    keep = (np.minimum(same, swap) > 0.25 * math.pi - 1e-9) | passes.any(axis=(0, 1))
-    keep |= traj.meta["turn"] > _PIECE_TURN
+    paired = np.array([b, b[::-1]])  # the end angles paired the same way, then swapped
+    reach = traj.meta["turn"] + 1e-9
+    fits = (_turn(a, paired) <= reach).all(axis=1)
+    hits = (np.minimum(a, paired) < 1e-9) & (np.maximum(a, paired) > -1e-9) & (abs(a) + abs(paired) <= reach)
+    keep = (traj.meta["turn"] > _PIECE_TURN) | ~fits.any(axis=0) | (fits & hits.any(axis=1)).any(axis=0)
     return [z for i in np.nonzero(keep)[0].tolist() for z in _step_zeros(traj, i, eps_zero)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import math
 from pathlib import Path
@@ -775,6 +776,16 @@ def test_detect_det_zeros_reads_steps_that_turn_past_pi():
     want = window_grid_det_zeros(traj, 1e-7, real_coefficients=True)
     assert len(want) == 13
     assert max(abs(z.time - w.time) for z, w in zip(zeros, want)) <= 1e-7
+    # from (I, 0) U = e^(2it), and four of the 9 steps turn more than
+    # 2 pi with both ends of the angle on one side of pi, so only the size
+    # of their estimate sends them to be read; the 6 double zeros are found
+    traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 20.0), rtol=1e-2, atol=1e-4)
+    zeros = odeint.detect_det_zeros(traj, 1e-7)
+    assert [z.multiplicity for z in zeros] == [2] * 6
+    assert max(abs(z.time - (math.pi / 2.0 + k * math.pi)) for k, z in enumerate(zeros)) <= 0.06
+    want = window_grid_det_zeros(traj, 1e-7, real_coefficients=True)
+    assert len(want) == 6
+    assert max(abs(z.time - w.time) / (1.0 + w.time) for z, w in zip(zeros, want)) <= 1e-7
 
 
 def _angle_paths(traj, i, m=64):
@@ -813,15 +824,83 @@ def test_turn_estimate_bounds_how_far_each_angle_turns():
             assert 0.5 < worst <= 1.0 + 1e-9, (family, psi0[1, 1].real)
 
 
+def test_detect_det_zeros_reads_only_steps_an_angle_can_reach(monkeypatch):
+    # on (I, 0) of the harmonic oscillator both angles turn by exactly the
+    # estimate 2h over each step, so only the 32 steps over which an angle
+    # reaches pi are read on their dense output; on zero_drift the
+    # estimate is loose, and a step is still read only when the ends of an
+    # angle lie on the two sides of pi (47 steps would be read otherwise)
+    read = []
+    inner = odeint._step_zeros
+
+    def counted(traj, i, eps_zero):
+        read.append(i)
+        return inner(traj, i, eps_zero)
+
+    monkeypatch.setattr(odeint, "_step_zeros", counted)
+    for family, params, window, n, multiplicity in [
+        ("harmonic", {}, (0.0, 100.0), 32, 2),
+        ("ones_B_zero_drift", {"c_sum": -1.0}, (0.0, 30.0), 10, 1),
+    ]:
+        traj = odeint.solve_hamiltonian_frame(coefsys.make_family(family, params), I2, Z2, window)
+        read.clear()
+        zeros = odeint.detect_det_zeros(traj, 1e-7)
+        expected = [math.pi / 2.0 + k * math.pi for k in range(n)]
+        assert [z.multiplicity for z in zeros] == [multiplicity] * n, family
+        assert max(abs(z.time - e) for z, e in zip(zeros, expected)) <= 1e-6, family
+        assert read == (np.searchsorted(traj.times, expected) - 1).tolist(), family
+
+
+def test_detect_det_zeros_reads_steps_whose_estimate_the_nodes_contradict():
+    # with the estimate halved, the nodes show both angles turning twice
+    # as far as it allows, so no pairing fits and every step is read; the
+    # zeros are those found with the true estimate
+    s = coefsys.make_family("harmonic", {})
+    traj = odeint.solve_hamiltonian_frame(s, I2, Z2, (0.0, 10.0))
+    understated = dataclasses.replace(traj, meta={**traj.meta, "turn": 0.5 * traj.meta["turn"]})
+    zeros = odeint.detect_det_zeros(understated, 1e-7)
+    assert len(zeros) == 3
+    assert zeros == odeint.detect_det_zeros(traj, 1e-7)
+
+
+def _campaign_draws(n):
+    """The first n draws of the no-conflict campaign of bench/draws.py, as (class, Scenario) pairs."""
+    spec = importlib.util.spec_from_file_location("bench_draws", DRAWS)
+    draws = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(draws)
+    return draws.campaign_draws(20260816, n)
+
+
+def _kernel_dim(traj, t):
+    """dim ker Phi at t: the singular values of Phi below 1e-4 of the frame's norm."""
+    phi, psi = odeint.unpack_pair(traj.dense_eval(t))
+    scale = np.linalg.norm(np.vstack([phi, psi]), 2)
+    return int((np.linalg.svd(phi, compute_uv=False) <= 1e-4 * scale).sum())
+
+
+def test_detect_det_zeros_matches_the_window_grid_on_split_sign_b():
+    # B = diag(+, -) is indefinite, so the angles may turn back over a
+    # step; on the first 10 split-sign draws (complex C) the zeros of
+    # every start are the window grid's, multiplicities included
+    n_zeros = 0
+    for k, (cls, s) in enumerate(_campaign_draws(80)):
+        if cls != 1:
+            continue
+        for label, traj, got in criteria.simulate_starts(s, (0.0, 5.0), 5):
+            want = window_grid_det_zeros(traj, 1e-7)
+            assert [z.multiplicity for z in got] == [_kernel_dim(traj, w.time) for w in want], (k, label)
+            for z, w in zip(got, want):
+                assert abs(z.time - w.time) <= 1e-7 * (1.0 + abs(w.time)), (k, label)
+            n_zeros += len(want)
+    assert n_zeros > 0
+
+
 def test_detect_det_zeros_keeps_two_close_zeros():
     # campaign draws 12 and 180 (complex coefficients, B > 0) each have two
     # zeros about 0.013 apart that sit around one node minimum of |det Phi|;
     # the exact flow of their constant coefficients has 10 zeros on (0, 5)
     # for each of the five starts
-    spec = importlib.util.spec_from_file_location("bench_draws", DRAWS)
-    draws = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(draws)
-    picked = {k: s for k, (_cls, s) in enumerate(draws.campaign_draws(20260816, 200)) if k in (12, 180)}
+    picked = {k: s for k, (_cls, s) in enumerate(_campaign_draws(200)) if k in (12, 180)}
     for k, s in picked.items():
         counts = {label: len(zeros) for label, _traj, zeros in criteria.simulate_starts(s, (0.0, 5.0), 5)}
         assert counts == {"I,0": 10, "I,I": 10, "rand0": 10, "rand1": 10, "rand2": 10}, k
